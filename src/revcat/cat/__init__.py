@@ -7,7 +7,6 @@ from .ops import (
     PINJ,
     REL,
     bottom,
-    category_of,
     compose,
     dagger,
     enumerate_homs,
@@ -40,7 +39,6 @@ __all__ = [
     "StochMorphism",
     "SUITES",
     "bottom",
-    "category_of",
     "compose",
     "dagger",
     "dumps_morphism",

@@ -7,17 +7,19 @@ checks over this category are randomized from an explicit seed.
 from __future__ import annotations
 
 from random import Random
+from typing import ClassVar
 
 import numpy as np
 
 from ..errors import DimensionMismatch, UnsupportedOperation
-from .objects import FinObject
+from .objects import FinObject, require_fields
 
 DEFAULT_TOLERANCE = 1e-9
 
 
 class StochMorphism:
     __slots__ = ("src", "dst", "matrix")
+    category: ClassVar[str] = "dstoch"
 
     def __init__(self, src: FinObject, dst: FinObject, matrix):
         if src.size != dst.size:
@@ -36,6 +38,15 @@ class StochMorphism:
     @classmethod
     def identity(cls, obj: FinObject) -> "StochMorphism":
         return cls(obj, obj, np.eye(obj.size))
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "StochMorphism":
+        require_fields(doc, {"type", "n", "rows"})
+        n = int(doc["n"])
+        return cls(FinObject(n), FinObject(n), doc["rows"])
+
+    def to_doc(self) -> dict:
+        return {"type": self.category, "n": self.src.size, "rows": self.matrix.tolist()}
 
     def compose(self, other: "StochMorphism") -> "StochMorphism":
         """self . other, i.e. run ``other`` first (rows index sources)."""
@@ -56,6 +67,12 @@ class StochMorphism:
     def isclose(self, other: "StochMorphism", tolerance: float = DEFAULT_TOLERANCE) -> bool:
         self._same_hom(other)
         return bool(np.all(np.abs(self.matrix - other.matrix) <= tolerance))
+
+    def block(self, row_lo: int, row_hi: int, col_lo: int, col_hi: int):
+        raise UnsupportedOperation("sub-blocks, and so the trace, exist for rel and pinj only")
+
+    def block_sum(self, other):
+        raise UnsupportedOperation("block sums exist for rel and pinj only")
 
     def distance(self, other: "StochMorphism") -> float:
         self._same_hom(other)

@@ -4,6 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..errors import ParseError
+
 
 @dataclass(frozen=True)
 class FinObject:
@@ -18,3 +20,12 @@ class FinObject:
         if self.label is None:
             return f"FinObject({self.size})"
         return f"FinObject({self.size}, {self.label!r})"
+
+
+def require_fields(doc: dict, fields: set[str]) -> None:
+    extra = set(doc) - fields
+    if extra:
+        raise ParseError(f"unknown morphism fields: {sorted(extra)}")
+    missing = fields - set(doc)
+    if missing:
+        raise ParseError(f"missing morphism fields: {sorted(missing)}")

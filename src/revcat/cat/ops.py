@@ -12,19 +12,9 @@ from .objects import FinObject
 from .pinj import PInjMorphism, enumerate_pinj
 from .rel import RelMorphism, enumerate_rel
 
-REL = "rel"
-PINJ = "pinj"
-DSTOCH = "dstoch"
-CATEGORIES = (REL, PINJ, DSTOCH)
-
-_CLASSES = {REL: RelMorphism, PINJ: PInjMorphism, DSTOCH: StochMorphism}
-
-
-def category_of(morphism) -> str:
-    for name, cls in _CLASSES.items():
-        if isinstance(morphism, cls):
-            return name
-    raise TypeError(f"not a morphism: {morphism!r}")
+MORPHISM_CLASSES = {cls.category: cls for cls in (RelMorphism, PInjMorphism, StochMorphism)}
+CATEGORIES = tuple(MORPHISM_CLASSES)
+REL, PINJ, DSTOCH = CATEGORIES
 
 
 def compose(g, f):
@@ -47,11 +37,11 @@ def join(f, g):
 
 
 def identity(category: str, obj: FinObject):
-    return _CLASSES[category].identity(obj)
+    return MORPHISM_CLASSES[category].identity(obj)
 
 
 def bottom(category: str, src: FinObject, dst: FinObject):
-    return _CLASSES[category].bottom(src, dst)
+    return MORPHISM_CLASSES[category].bottom(src, dst)
 
 
 def enumerate_homs(category: str, src: FinObject, dst: FinObject, cap: int = 9) -> list:
@@ -65,19 +55,15 @@ def enumerate_homs(category: str, src: FinObject, dst: FinObject, cap: int = 9) 
 def is_hermitian(f) -> bool:
     if f.src != f.dst:
         raise DimensionMismatch("hermitian only makes sense on endomorphisms")
-    if isinstance(f, StochMorphism):
-        return f.isclose(f.dagger())
-    return f == f.dagger()
+    return f.isclose(f.dagger())
 
 
 def is_unitary(f) -> bool:
     left = compose(f.dagger(), f)
     right = compose(f, f.dagger())
-    id_src = identity(category_of(f), f.src)
-    id_dst = identity(category_of(f), f.dst)
-    if isinstance(f, StochMorphism):
-        return left.isclose(id_src) and right.isclose(id_dst)
-    return left == id_src and right == id_dst
+    id_src = identity(f.category, f.src)
+    id_dst = identity(f.category, f.dst)
+    return left.isclose(id_src) and right.isclose(id_dst)
 
 
 def sup_chain(category: str, chain):
@@ -99,7 +85,7 @@ def hom_domain(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> HomDomain:
     """Build the pointed order on the hom-set as seen by the fixed-point engine."""
-    cls = _CLASSES[category]
+    cls = MORPHISM_CLASSES[category]
 
     def contains(m) -> bool:
         return isinstance(m, cls) and m.src == src and m.dst == dst

@@ -8,15 +8,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Optional
+from typing import ClassVar, Optional
 
 from ..errors import DimensionMismatch, IncompatibleJoin, TooLarge
-from .objects import FinObject
+from .objects import FinObject, require_fields
 from .rel import RelMorphism
 
 
 @dataclass(frozen=True)
 class PInjMorphism:
+    category: ClassVar[str] = "pinj"
     src: FinObject
     dst: FinObject
     table: tuple[Optional[int], ...]
@@ -53,6 +54,23 @@ class PInjMorphism:
     @classmethod
     def identity(cls, obj: FinObject) -> "PInjMorphism":
         return cls(obj, obj, tuple(range(obj.size)))
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "PInjMorphism":
+        require_fields(doc, {"type", "src", "dst", "map"})
+        return cls.from_map(
+            FinObject(int(doc["src"])),
+            FinObject(int(doc["dst"])),
+            {int(k): int(v) for k, v in doc["map"].items()},
+        )
+
+    def to_doc(self) -> dict:
+        return {
+            "type": self.category,
+            "src": self.src.size,
+            "dst": self.dst.size,
+            "map": {str(i): j for i, j in sorted(self.mapping.items())},
+        }
 
     @property
     def mapping(self) -> dict[int, int]:
@@ -95,6 +113,28 @@ class PInjMorphism:
             return PInjMorphism(self.src, self.dst, tuple(table))
         except DimensionMismatch as exc:
             raise IncompatibleJoin(str(exc)) from exc
+
+    def isclose(self, other: "PInjMorphism", tolerance: float = 0.0) -> bool:
+        """Exact equality: partial injections have no rounding to tolerate."""
+        return self == other
+
+    def block(self, row_lo: int, row_hi: int, col_lo: int, col_hi: int) -> "PInjMorphism":
+        """Sub-map on index ranges [row_lo, row_hi) x [col_lo, col_hi)."""
+        table = tuple(
+            j - col_lo if j is not None and col_lo <= j < col_hi else None
+            for j in self.table[row_lo:row_hi]
+        )
+        return PInjMorphism(FinObject(row_hi - row_lo), FinObject(col_hi - col_lo), table)
+
+    def block_sum(self, other: "PInjMorphism") -> "PInjMorphism":
+        """self (+) other: self on the leading blocks, other on the trailing ones."""
+        shift = self.dst.size
+        table = self.table + tuple(None if j is None else shift + j for j in other.table)
+        return PInjMorphism(
+            FinObject(self.src.size + other.src.size),
+            FinObject(self.dst.size + other.dst.size),
+            table,
+        )
 
     def to_rel(self) -> RelMorphism:
         return RelMorphism.from_pairs(self.src, self.dst, self.mapping.items())

@@ -8,13 +8,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import ClassVar
 
 from ..errors import DimensionMismatch, TooLarge
-from .objects import FinObject
+from .objects import FinObject, require_fields
 
 
 @dataclass(frozen=True)
 class RelMorphism:
+    category: ClassVar[str] = "rel"
     src: FinObject
     dst: FinObject
     rows: tuple[int, ...]
@@ -47,9 +49,21 @@ class RelMorphism:
         return cls(obj, obj, tuple(1 << i for i in range(obj.size)))
 
     @classmethod
-    def full(cls, src: FinObject, dst: FinObject) -> "RelMorphism":
-        mask = (1 << dst.size) - 1
-        return cls(src, dst, (mask,) * src.size)
+    def from_doc(cls, doc: dict) -> "RelMorphism":
+        require_fields(doc, {"type", "src", "dst", "pairs"})
+        return cls.from_pairs(
+            FinObject(int(doc["src"])),
+            FinObject(int(doc["dst"])),
+            [tuple(p) for p in doc["pairs"]],
+        )
+
+    def to_doc(self) -> dict:
+        return {
+            "type": self.category,
+            "src": self.src.size,
+            "dst": self.dst.size,
+            "pairs": [list(p) for p in self.pairs],
+        }
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
@@ -91,6 +105,25 @@ class RelMorphism:
         self._same_hom(other)
         return RelMorphism(
             self.src, self.dst, tuple(a | b for a, b in zip(self.rows, other.rows))
+        )
+
+    def isclose(self, other: "RelMorphism", tolerance: float = 0.0) -> bool:
+        """Exact equality: relations have no rounding to tolerate."""
+        return self == other
+
+    def block(self, row_lo: int, row_hi: int, col_lo: int, col_hi: int) -> "RelMorphism":
+        """Sub-relation on index ranges [row_lo, row_hi) x [col_lo, col_hi)."""
+        mask = (1 << col_hi) - (1 << col_lo)
+        rows = tuple((r & mask) >> col_lo for r in self.rows[row_lo:row_hi])
+        return RelMorphism(FinObject(row_hi - row_lo), FinObject(col_hi - col_lo), rows)
+
+    def block_sum(self, other: "RelMorphism") -> "RelMorphism":
+        """self (+) other: self on the leading blocks, other on the trailing ones."""
+        rows = self.rows + tuple(r << self.dst.size for r in other.rows)
+        return RelMorphism(
+            FinObject(self.src.size + other.src.size),
+            FinObject(self.dst.size + other.dst.size),
+            rows,
         )
 
     def complement(self) -> "RelMorphism":

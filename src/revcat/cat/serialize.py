@@ -1,6 +1,8 @@
 """Morphism documents: the on-disk JSON format used by the CLI.
 
-One document per morphism; unknown fields are rejected.
+One document per morphism; unknown fields are rejected.  Each morphism
+class reads and writes its own document (``from_doc`` / ``to_doc``); the
+``type`` field names its category.
 
     {"type": "rel",    "src": 3, "dst": 3, "pairs": [[0, 1], [1, 2]]}
     {"type": "pinj",   "src": 3, "dst": 3, "map": {"0": 2, "1": 0}}
@@ -11,64 +13,20 @@ from __future__ import annotations
 import json
 
 from ..errors import ParseError
-from .dstoch import StochMorphism
-from .objects import FinObject
-from .pinj import PInjMorphism
-from .rel import RelMorphism
-
-
-def _require_fields(doc: dict, fields: set[str]) -> None:
-    extra = set(doc) - fields
-    if extra:
-        raise ParseError(f"unknown morphism fields: {sorted(extra)}")
-    missing = fields - set(doc)
-    if missing:
-        raise ParseError(f"missing morphism fields: {sorted(missing)}")
+from .ops import MORPHISM_CLASSES
 
 
 def morphism_from_doc(doc: dict):
-    if not isinstance(doc, dict) or "type" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("type"), str):
         raise ParseError("morphism document must be an object with a 'type' field")
-    kind = doc["type"]
-    if kind == "rel":
-        _require_fields(doc, {"type", "src", "dst", "pairs"})
-        return RelMorphism.from_pairs(
-            FinObject(int(doc["src"])),
-            FinObject(int(doc["dst"])),
-            [tuple(p) for p in doc["pairs"]],
-        )
-    if kind == "pinj":
-        _require_fields(doc, {"type", "src", "dst", "map"})
-        return PInjMorphism.from_map(
-            FinObject(int(doc["src"])),
-            FinObject(int(doc["dst"])),
-            {int(k): int(v) for k, v in doc["map"].items()},
-        )
-    if kind == "dstoch":
-        _require_fields(doc, {"type", "n", "rows"})
-        n = int(doc["n"])
-        return StochMorphism(FinObject(n), FinObject(n), doc["rows"])
-    raise ParseError(f"unknown morphism type {kind!r}")
+    cls = MORPHISM_CLASSES.get(doc["type"])
+    if cls is None:
+        raise ParseError(f"unknown morphism type {doc['type']!r}")
+    return cls.from_doc(doc)
 
 
 def morphism_to_doc(m) -> dict:
-    if isinstance(m, RelMorphism):
-        return {
-            "type": "rel",
-            "src": m.src.size,
-            "dst": m.dst.size,
-            "pairs": [list(p) for p in m.pairs],
-        }
-    if isinstance(m, PInjMorphism):
-        return {
-            "type": "pinj",
-            "src": m.src.size,
-            "dst": m.dst.size,
-            "map": {str(i): j for i, j in sorted(m.mapping.items())},
-        }
-    if isinstance(m, StochMorphism):
-        return {"type": "dstoch", "n": m.src.size, "rows": m.matrix.tolist()}
-    raise TypeError(f"not a morphism: {m!r}")
+    return m.to_doc()
 
 
 def loads_morphism(text: str):

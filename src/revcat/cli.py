@@ -11,9 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
+from functools import reduce
 from random import Random
+from typing import Callable, Iterator
 
 from .cat import (
+    CATEGORIES,
     DSTOCH,
     FinObject,
     LawConfig,
@@ -27,12 +31,9 @@ from .cat.laws import SUITES as CORE_SUITES
 from .errors import (
     DimensionMismatch,
     NonConvergence,
-    ParseError,
     RevcatError,
-    TooLarge,
     UnboundParameter,
     UnknownFunction,
-    UnsupportedOperation,
 )
 from .functionals import (
     DisjointUnionWith,
@@ -44,7 +45,6 @@ from .functionals import (
     check_pfix_adjoint,
     check_pfix_identity,
     check_self_conjugate,
-    fix_functional,
     identity_family,
     join_family,
     loads_functional,
@@ -74,20 +74,8 @@ from .revlang import (
     validate_program,
 )
 
-FUNCTIONAL_SUITES = (
-    "fix-adjoint",
-    "pfix-adjoint",
-    "conj-preservation",
-    "pfix-identity",
-    "naturality",
-    "self-conjugate",
-    "dagger-trace",
-)
-RANDOMIZED_SUITES = {"fix-adjoint", "pfix-adjoint", "conj-preservation", "pfix-identity"}
-ALL_SUITES = CORE_SUITES + FUNCTIONAL_SUITES
 
-
-class ConfigError(Exception):
+class ConfigError(RevcatError):
     pass
 
 
@@ -118,71 +106,99 @@ def _sizes_from(args) -> tuple[int, ...]:
     return tuple(range(args.max_size + 1))
 
 
-def _functional_suite(suite: str, category: str, args) -> LawReport:
-    if category == DSTOCH:
-        raise ConfigError(f"suite {suite!r} is not available for dstoch")
-    rng = Random(args.seed)
-    report = LawReport(suite=suite)
+@dataclass(frozen=True)
+class Suite:
+    """A law suite: where it applies, where it samples at random (so needs
+    --seed), and a runner yielding its partial reports."""
 
-    if suite in ("fix-adjoint", "pfix-adjoint", "conj-preservation", "pfix-identity"):
-        obj = FinObject(2)
-        space = HomSpace(category, obj, obj)
-        for _ in range(args.trials):
-            if suite == "fix-adjoint":
-                x = FinObject(rng.randrange(1, 4))
-                y = FinObject(rng.randrange(1, 4))
-                phi = random_endo_functional(
-                    HomSpace(category, x, y), rng, depth=args.depth
-                )
-                partial = check_fixed_point_adjoint(phi)
-            else:
-                psi = random_param_functional(space, space, rng, depth=args.depth)
-                if suite == "pfix-adjoint":
-                    partial = check_pfix_adjoint(psi)
-                elif suite == "conj-preservation":
-                    partial = check_conj_preservation(psi)
-                else:
-                    partial = check_pfix_identity(psi)
-            partial.suite = suite
-            report = report.merge(partial)
-        return report
+    name: str
+    categories: tuple[str, ...]
+    randomized: tuple[str, ...]
+    run: Callable[[str, LawConfig], Iterator[LawReport]]
 
-    if suite == "naturality":
-        families = [projection_family(category)]
-        if category == REL:
-            families.append(join_family(category))
-            families.append(join_family(category, DisjointUnionWith(FinObject(1))))
-        one, two = FinObject(1), FinObject(2)
-        for family in families:
-            partial = check_naturality(family, two, one, one, two, fuel=args.fuel)
-            partial.suite = suite
-            report = report.merge(partial)
-        return report
 
-    if suite == "self-conjugate":
-        x, y = FinObject(2), FinObject(1)
-        for family in (identity_family(category), trace_family(category, FinObject(1))):
-            partial = check_self_conjugate(family, x, y)
-            partial.suite = suite
-            report = report.merge(partial)
-        return report
+def _core(name: str) -> Suite:
+    def run(category: str, config: LawConfig):
+        yield law_suite(category, name, config)
 
-    # dagger-trace
+    return Suite(name, CATEGORIES, (DSTOCH,), run)
+
+
+def _fix_adjoint(category: str, config: LawConfig):
+    rng = Random(config.seed)
+    for _ in range(config.trials):
+        x = FinObject(rng.randrange(1, 4))
+        y = FinObject(rng.randrange(1, 4))
+        phi = random_endo_functional(HomSpace(category, x, y), rng, depth=config.depth)
+        yield check_fixed_point_adjoint(phi)
+
+
+def _random_params(category: str, config: LawConfig):
+    """One seeded random parametrized functional on Hom(2, 2) per trial."""
+    rng = Random(config.seed)
+    space = HomSpace(category, FinObject(2), FinObject(2))
+    for _ in range(config.trials):
+        yield random_param_functional(space, space, rng, depth=config.depth)
+
+
+def _naturality(category: str, config: LawConfig):
+    families = [projection_family(category)]
+    if category == REL:
+        families.append(join_family(category))
+        families.append(join_family(category, DisjointUnionWith(FinObject(1))))
+    one, two = FinObject(1), FinObject(2)
+    for family in families:
+        yield check_naturality(family, two, one, one, two, fuel=config.fuel)
+
+
+def _self_conjugate(category: str, config: LawConfig):
+    x, y = FinObject(2), FinObject(1)
+    for family in (identity_family(category), trace_family(category, FinObject(1))):
+        yield check_self_conjugate(family, x, y)
+
+
+def _dagger_trace(category: str, config: LawConfig):
     shapes = [(1, 1, 0), (1, 1, 1)] + ([(1, 1, 2)] if category == PINJ else [])
     for xs, ys, us in shapes:
-        partial = check_dagger_trace(category, xs, ys, us)
-        partial.suite = suite
-        report = report.merge(partial)
-    return report
+        yield check_dagger_trace(category, xs, ys, us)
+
+
+# Every suite, in the default order of ``laws`` (``config.suites`` in JSON).
+# Runners call checkers by module-level name when they run, never through a
+# reference taken at import, so a wrapper put on that name (as the
+# benchmark's tracer does) sees every call.
+FINITE = (REL, PINJ)
+REGISTRY: dict[str, Suite] = {
+    suite.name: suite
+    for suite in [
+        *(_core(name) for name in CORE_SUITES),
+        Suite("fix-adjoint", FINITE, FINITE, _fix_adjoint),
+        Suite("pfix-adjoint", FINITE, FINITE,
+              lambda c, cfg: map(check_pfix_adjoint, _random_params(c, cfg))),
+        Suite("conj-preservation", FINITE, FINITE,
+              lambda c, cfg: map(check_conj_preservation, _random_params(c, cfg))),
+        Suite("pfix-identity", FINITE, FINITE,
+              lambda c, cfg: map(check_pfix_identity, _random_params(c, cfg))),
+        Suite("naturality", FINITE, (), _naturality),
+        Suite("self-conjugate", FINITE, (), _self_conjugate),
+        Suite("dagger-trace", FINITE, (), _dagger_trace),
+    ]
+}
+
+
+def _suites_from(args) -> list[Suite]:
+    names = args.suite or [n for n, s in REGISTRY.items() if args.category in s.categories]
+    for name in names:
+        if name not in REGISTRY:
+            raise ConfigError(f"unknown suite {name!r}")
+        if args.category not in REGISTRY[name].categories:
+            raise ConfigError(f"suite {name!r} is not available for {args.category}")
+    return [REGISTRY[name] for name in names]
 
 
 def cmd_laws(args) -> int:
-    suites = args.suite or list(ALL_SUITES if args.category != DSTOCH else CORE_SUITES)
-    for suite in suites:
-        if suite not in ALL_SUITES:
-            raise ConfigError(f"unknown suite {suite!r}")
-    needs_seed = args.category == DSTOCH or any(s in RANDOMIZED_SUITES for s in suites)
-    if needs_seed and args.seed is None:
+    suites = _suites_from(args)
+    if args.seed is None and any(args.category in s.randomized for s in suites):
         raise ConfigError("randomized suites require --seed")
     if args.tolerance <= 0:
         raise ConfigError("tolerance must be positive")
@@ -193,13 +209,13 @@ def cmd_laws(args) -> int:
         trials=args.trials,
         seed=args.seed,
         tolerance=args.tolerance,
+        fuel=args.fuel,
+        depth=args.depth,
     )
-    reports = []
-    for suite in suites:
-        if suite in CORE_SUITES:
-            reports.append(law_suite(args.category, suite, config))
-        else:
-            reports.append(_functional_suite(suite, args.category, args))
+    reports = [
+        reduce(LawReport.merge, suite.run(args.category, config), LawReport(suite.name))
+        for suite in suites
+    ]
 
     suite_docs = {}
     for r in reports:
@@ -210,7 +226,7 @@ def cmd_laws(args) -> int:
         "command": "laws",
         "config": {
             "category": args.category,
-            "suites": list(suites),
+            "suites": [suite.name for suite in suites],
             "sizes": list(sizes),
             "trials": args.trials,
             "seed": args.seed,
@@ -408,7 +424,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = commands["laws"] = sub.add_parser("laws", help="run law suites")
     common(p)
-    p.add_argument("--category", choices=(REL, PINJ, DSTOCH), required=True)
+    p.add_argument("--category", choices=CATEGORIES, required=True)
     p.add_argument("--suite", action="append", help="suite name (repeatable)")
     p.add_argument("--max-size", type=int, default=2)
     p.add_argument("--sizes", help="comma-separated exact object sizes")
@@ -477,28 +493,23 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: bad config file: {exc}", file=sys.stderr)
             return 2
-        for command in commands.values():
-            command.set_defaults(**defaults)
+        command = commands[args.command]
+        options = {a.dest for a in command._actions if a.option_strings} - {"help"}
+        if not isinstance(defaults, dict):
+            problem = "expected a JSON object"
+        else:
+            problem = ", ".join(f"unknown key {k!r}" for k in sorted(set(defaults) - options))
+        if problem:
+            print(f"error: bad config file for {args.command}: {problem}", file=sys.stderr)
+            return 2
+        command.set_defaults(**defaults)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except NonConvergence as exc:
         print(f"error: non-convergence: {exc}", file=sys.stderr)
         return 3
-    except (
-        ConfigError,
-        ParseError,
-        ValidationFailed,
-        DimensionMismatch,
-        UnsupportedOperation,
-        TooLarge,
-        UnknownFunction,
-        UnboundParameter,
-        RevcatError,
-        OSError,
-        ValueError,
-        KeyError,
-    ) as exc:
+    except (RevcatError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

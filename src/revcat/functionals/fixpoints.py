@@ -2,10 +2,9 @@
 from __future__ import annotations
 
 from random import Random
-from time import perf_counter
 from typing import Optional
 
-from ..cat import DSTOCH, StochMorphism, dagger
+from ..cat import DSTOCH, dagger
 from ..errors import DimensionMismatch, IncompatibleJoin
 from ..order import FixMode, FixPolicy, kleene_fix, kleene_pfix
 from .expr import (
@@ -33,9 +32,7 @@ def default_policy(space: HomSpace) -> FixPolicy:
 
 
 def morphisms_equal(a, b, tolerance: float = 1e-9) -> bool:
-    if isinstance(a, StochMorphism):
-        return a.isclose(b, tolerance)
-    return a == b
+    return a.isclose(b, tolerance)
 
 
 def fix_functional(phi: FunctionalExpr, policy: Optional[FixPolicy] = None, cap: int = 9):
@@ -69,20 +66,19 @@ def check_fixed_point_adjoint(
     tolerance: float = 1e-9,
 ) -> LawReport:
     """fix(conj(phi)) must be the dagger of fix(phi)."""
-    start = perf_counter()
-    checker = Checker("fixed-point-adjoint")
+    checker = Checker("fix-adjoint")
     try:
         direct = fix_functional(phi, policy)
         adjoint = fix_functional(conj(phi), policy)
     except IncompatibleJoin:
         checker.skip("fix-adjoint")
-        return checker.done(perf_counter() - start)
+        return checker.done()
     checker.check(
         "fix-adjoint",
         morphisms_equal(adjoint, dagger(direct), tolerance),
         lambda: f"fix={direct!r} fix-of-conjugate={adjoint!r}",
     )
-    return checker.done(perf_counter() - start)
+    return checker.done()
 
 
 def _parameters_for(psi: ParamExpr, parameters, cap: int):
@@ -99,7 +95,6 @@ def check_pfix_adjoint(
     tolerance: float = 1e-9,
 ) -> LawReport:
     """(pfix psi)(p)+ must equal (pfix conj(psi))(p+) for each parameter."""
-    start = perf_counter()
     checker = Checker("pfix-adjoint")
     conjugate = conj_param(psi)
     for p in _parameters_for(psi, parameters, cap):
@@ -114,7 +109,7 @@ def check_pfix_adjoint(
             morphisms_equal(lhs, rhs, tolerance),
             lambda p=p, lhs=lhs, rhs=rhs: f"p={p!r} lhs={lhs!r} rhs={rhs!r}",
         )
-    return checker.done(perf_counter() - start)
+    return checker.done()
 
 
 def check_conj_preservation(
@@ -129,8 +124,7 @@ def check_conj_preservation(
     The left side conjugates the one-argument fixed-point functional:
     p |-> ((pfix psi)(p+))+.
     """
-    start = perf_counter()
-    checker = Checker("conjugation-preservation")
+    checker = Checker("conj-preservation")
     conjugate = conj_param(psi)
     for p in _parameters_for(conjugate, parameters, cap):
         try:
@@ -144,7 +138,7 @@ def check_conj_preservation(
             morphisms_equal(lhs, rhs, tolerance),
             lambda p=p, lhs=lhs, rhs=rhs: f"p={p!r} lhs={lhs!r} rhs={rhs!r}",
         )
-    return checker.done(perf_counter() - start)
+    return checker.done()
 
 
 def check_pfix_identity(
@@ -155,7 +149,6 @@ def check_pfix_identity(
     tolerance: float = 1e-9,
 ) -> LawReport:
     """pfix psi = psi . <pfix psi, id> at each parameter."""
-    start = perf_counter()
     checker = Checker("pfix-identity")
     for p in _parameters_for(psi, parameters, cap):
         try:
@@ -169,7 +162,7 @@ def check_pfix_identity(
             morphisms_equal(w, v, tolerance),
             lambda p=p, v=v, w=w: f"p={p!r} pfix={v!r} psi(pfix,p)={w!r}",
         )
-    return checker.done(perf_counter() - start)
+    return checker.done()
 
 
 def check_fix_pfix_agreement(
@@ -185,14 +178,13 @@ def check_fix_pfix_agreement(
     Viewing an endo-functional as parametrized-but-ignoring-its-parameter,
     its parametrized fixed point at any parameter is the plain fixed point.
     """
-    start = perf_counter()
     checker = Checker("fix-pfix-derivations")
     lifted = PApply(phi, ArgX(phi.dom, param_space))
     try:
         fixed = fix_functional(phi, policy)
     except IncompatibleJoin:
         checker.skip("pfix-from-fix")
-        return checker.done(perf_counter() - start)
+        return checker.done()
     for p in _parameters_for(lifted, parameters, cap):
         try:
             v = pfix_functional(lifted, p, policy)
@@ -204,15 +196,7 @@ def check_fix_pfix_agreement(
             morphisms_equal(v, fixed, tolerance),
             lambda p=p, v=v: f"p={p!r} pfix={v!r} fix={fixed!r}",
         )
-    return checker.done(perf_counter() - start)
-
-
-# Named iteration identities, extensible: the suite is keyed by name so new
-# identities can be registered without touching callers.
-ITERATION_CHECKS = {
-    "pfix-fixpoint": check_pfix_identity,
-    "fix-pfix-derivations": check_fix_pfix_agreement,
-}
+    return checker.done()
 
 
 # -- seeded random expression trees ----------------------------------------

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cat import FinObject, PInjMorphism, RelMorphism, dagger
-from ..errors import UnsupportedOperation
+from ..cat import FinObject, dagger, identity
 from ..report import Checker, LawReport
 from .spaces import HomSpace
 
@@ -28,17 +27,7 @@ class IdentityFunctor:
 
 def pad_with_identity(f, extra: FinObject):
     """f (+) id_extra: act as f on the leading block, identically on the rest."""
-    if isinstance(f, RelMorphism):
-        src = FinObject(f.src.size + extra.size)
-        dst = FinObject(f.dst.size + extra.size)
-        rows = list(f.rows) + [1 << (f.dst.size + k) for k in range(extra.size)]
-        return RelMorphism(src, dst, tuple(rows))
-    if isinstance(f, PInjMorphism):
-        src = FinObject(f.src.size + extra.size)
-        dst = FinObject(f.dst.size + extra.size)
-        table = list(f.table) + [f.dst.size + k for k in range(extra.size)]
-        return PInjMorphism(src, dst, tuple(table))
-    raise UnsupportedOperation("block sums are provided for rel and pinj only")
+    return f.block_sum(identity(f.category, extra))
 
 
 @dataclass(frozen=True)

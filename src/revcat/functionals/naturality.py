@@ -12,7 +12,6 @@ checked for every finite iterate and for the parametrized fixed point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Callable, Optional
 
 from ..cat import FinObject, bottom, compose, dagger
@@ -115,7 +114,6 @@ def check_naturality(
     the family itself, for every iterate-from-bottom up to ``fuel``, and
     for the parametrized fixed point.
     """
-    start = perf_counter()
     checker = Checker("naturality")
     alpha = family.component(x, y)
     alpha_p = family.component(xp, yp)
@@ -176,7 +174,7 @@ def check_naturality(
                         lhs == rhs,
                         lambda u=u, v=v, p=p: f"u={u!r} v={v!r} p={p!r}",
                     )
-    return checker.done(perf_counter() - start)
+    return checker.done()
 
 
 def check_self_conjugate(
@@ -188,7 +186,6 @@ def check_self_conjugate(
 ) -> LawReport:
     """alpha_{X,Y}(f)+ = alpha_{Y,X}(f+), and the conjugate formulation
     alpha_{X,Y} = conj(alpha_{Y,X}); the two must agree instance by instance."""
-    start = perf_counter()
     checker = Checker("self-conjugate")
     a_xy = family.component(x, y)
     a_yx = family.component(y, x)
@@ -243,4 +240,4 @@ def check_self_conjugate(
             checker.check(
                 "formulations-agree", first == second, lambda f=f: f"f={f!r}"
             )
-    return checker.done(perf_counter() - start)
+    return checker.done()

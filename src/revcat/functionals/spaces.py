@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cat import FinObject, bottom, category_of, enumerate_homs, hom_domain
+from ..cat import FinObject, bottom, enumerate_homs, hom_domain
 from ..order import HomDomain
 
 
@@ -34,4 +34,4 @@ class HomSpace:
 
 
 def space_of(morphism) -> HomSpace:
-    return HomSpace(category_of(morphism), morphism.src, morphism.dst)
+    return HomSpace(morphism.category, morphism.src, morphism.dst)

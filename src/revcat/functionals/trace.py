@@ -12,32 +12,14 @@ pinj.
 """
 from __future__ import annotations
 
-from time import perf_counter
 
-from ..cat import FinObject, PInjMorphism, RelMorphism, compose, dagger, join
-from ..errors import DimensionMismatch, UnsupportedOperation
+from ..cat import FinObject, compose, dagger, identity, join
+from ..errors import DimensionMismatch
 from ..report import Checker, LawReport
 from .expr import Host
 from .functors import DisjointUnionWith, IdentityFunctor, pad_with_identity
 from .naturality import NaturalFamily
 from .spaces import HomSpace
-
-
-def _block(f, row_lo, row_hi, col_lo, col_hi):
-    """Sub-morphism on index ranges [row_lo, row_hi) x [col_lo, col_hi)."""
-    src = FinObject(row_hi - row_lo)
-    dst = FinObject(col_hi - col_lo)
-    if isinstance(f, RelMorphism):
-        mask = (1 << col_hi) - (1 << col_lo)
-        rows = tuple((r & mask) >> col_lo for r in f.rows[row_lo:row_hi])
-        return RelMorphism(src, dst, rows)
-    if isinstance(f, PInjMorphism):
-        table = tuple(
-            j - col_lo if j is not None and col_lo <= j < col_hi else None
-            for j in f.table[row_lo:row_hi]
-        )
-        return PInjMorphism(src, dst, table)
-    raise UnsupportedOperation("trace is provided for rel and pinj only")
 
 
 def trace(f, x: FinObject, y: FinObject, u: FinObject):
@@ -47,10 +29,10 @@ def trace(f, x: FinObject, y: FinObject, u: FinObject):
             f"blocks ({x.size}+{u.size}, {y.size}+{u.size}) do not fit {f!r}"
         )
     xs, ys, us = x.size, y.size, u.size
-    f_xy = _block(f, 0, xs, 0, ys)
-    f_xu = _block(f, 0, xs, ys, ys + us)
-    f_uy = _block(f, xs, xs + us, 0, ys)
-    f_uu = _block(f, xs, xs + us, ys, ys + us)
+    f_xy = f.block(0, xs, 0, ys)
+    f_xu = f.block(0, xs, ys, ys + us)
+    f_uy = f.block(xs, xs + us, 0, ys)
+    f_uu = f.block(xs, xs + us, ys, ys + us)
 
     acc = f_xy
     reach = f_xu
@@ -91,7 +73,6 @@ def check_dagger_trace(
     include_dinaturality: bool = False,
 ) -> LawReport:
     """Tr(f)+ = Tr(f+) over every enumerated f, plus square checks."""
-    start = perf_counter()
     checker = Checker("dagger-trace")
     x, y, u = FinObject(x_size), FinObject(y_size), FinObject(u_size)
     big = HomSpace(
@@ -130,30 +111,12 @@ def check_dagger_trace(
         s_space = HomSpace(category, up, u)
         for g in g_space.morphisms(cap):
             for s in s_space.morphisms(cap):
-                lhs = trace(compose(_pad_before(s, y), g), x, y, u)
-                rhs = trace(compose(g, _pad_before(s, x)), x, y, up)
+                lhs = trace(compose(identity(category, y).block_sum(s), g), x, y, u)
+                rhs = trace(compose(g, identity(category, x).block_sum(s)), x, y, up)
                 checker.check(
                     "trace-sliding",
                     lhs == rhs,
                     lambda g=g, s=s: f"g={g!r} s={s!r}",
                 )
-    return checker.done(perf_counter() - start)
+    return checker.done()
 
-
-def _pad_before(s, lead: FinObject):
-    """id_lead (+) s, acting identically on the leading block."""
-    if isinstance(s, RelMorphism):
-        src = FinObject(lead.size + s.src.size)
-        dst = FinObject(lead.size + s.dst.size)
-        rows = tuple(1 << i for i in range(lead.size)) + tuple(
-            r << lead.size for r in s.rows
-        )
-        return RelMorphism(src, dst, rows)
-    if isinstance(s, PInjMorphism):
-        src = FinObject(lead.size + s.src.size)
-        dst = FinObject(lead.size + s.dst.size)
-        table = tuple(range(lead.size)) + tuple(
-            None if j is None else lead.size + j for j in s.table
-        )
-        return PInjMorphism(src, dst, table)
-    raise UnsupportedOperation("block sums are provided for rel and pinj only")

@@ -6,6 +6,7 @@ results in any grouping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 
 
 @dataclass(frozen=True)
@@ -64,10 +65,12 @@ class LawReport:
 
 
 class Checker:
-    """Accumulator used while a suite runs; freezes into a LawReport."""
+    """Accumulator used while a suite runs, timed from construction to
+    ``done``, which freezes it into a LawReport."""
 
     def __init__(self, suite: str):
         self.report = LawReport(suite=suite)
+        self._start = perf_counter()
 
     def check(self, law: str, ok: bool, witness) -> bool:
         self.report.checked += 1
@@ -80,6 +83,6 @@ class Checker:
     def skip(self, law: str) -> None:
         self.report.skipped += 1
 
-    def done(self, elapsed: float = 0.0) -> LawReport:
-        self.report.elapsed = elapsed
+    def done(self) -> LawReport:
+        self.report.elapsed = perf_counter() - self._start
         return self.report

@@ -145,7 +145,11 @@ def instantiate(pattern: Term, env: dict) -> Term:
 
 
 def unifiable(p: Term, q: Term) -> bool:
-    """Do the two patterns overlap on some ground value?  (Renamed apart.)"""
+    """Do the two patterns overlap on some ground value?  (Renamed apart.)
+
+    Robinson unification: a variable is never bound to itself, nor to a
+    term that contains it (no finite value solves x = S x).
+    """
     subst: dict[str, Term] = {}
 
     def walk(t: Term) -> Term:
@@ -158,13 +162,22 @@ def unifiable(p: Term, q: Term) -> bool:
             return Var(prefix + t.name)
         return rebuild(t, tuple(rename(c, prefix) for c in children(t)))
 
+    def occurs(name: str, t: Term) -> bool:
+        t = walk(t)
+        if isinstance(t, Var):
+            return t.name == name
+        return any(occurs(name, c) for c in children(t))
+
     def unify(a: Term, b: Term) -> bool:
         a, b = walk(a), walk(b)
-        if isinstance(a, Var):
-            subst[a.name] = b
-            return True
         if isinstance(b, Var):
-            subst[b.name] = a
+            a, b = b, a
+        if isinstance(a, Var):
+            if isinstance(b, Var) and b.name == a.name:
+                return True
+            if occurs(a.name, b):
+                return False
+            subst[a.name] = b
             return True
         if type(a) is not type(b):
             return False

@@ -5,13 +5,14 @@ from revcat.functionals import (
     ArgX,
     HomSpace,
     Host,
-    ITERATION_CHECKS,
     IdentityFunctor,
     NaturalFamily,
     PJoin,
+    check_fix_pfix_agreement,
     check_fixed_point_adjoint,
     check_naturality,
     check_pfix_adjoint,
+    check_pfix_identity,
     check_self_conjugate,
     fix_functional,
 )
@@ -90,11 +91,11 @@ def test_iteration_identity_registry_is_keyed_by_name():
     x = FinObject(2)
     space = HomSpace("rel", x, x)
     psi = PJoin(ArgX(space, space), ArgP(space, space))
-    report = ITERATION_CHECKS["pfix-fixpoint"](psi)
+    report = check_pfix_identity(psi)
     assert report.suite == "pfix-identity"
     assert report.passed
     from revcat.functionals import IdentityFn
 
-    report = ITERATION_CHECKS["fix-pfix-derivations"](IdentityFn(space), space)
+    report = check_fix_pfix_agreement(IdentityFn(space), space)
     assert report.suite == "fix-pfix-derivations"
     assert report.passed
