@@ -164,8 +164,10 @@ def _run_finite(category: str, suite: str, config: LawConfig, checker: Checker) 
 def _run_stochastic(suite: str, config: LawConfig, checker: Checker) -> None:
     if config.seed is None:
         raise ValueError("randomized suites require a seed")
+    sizes = [s for s in config.sizes if s > 0]
+    if not sizes:
+        raise ValueError("dstoch laws need a positive object size")
     rng = Random(config.seed)
-    sizes = [s for s in config.sizes if s > 0] or [1, 2, 3]
     tol = config.tolerance
 
     for _ in range(config.trials):

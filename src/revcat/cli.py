@@ -103,6 +103,8 @@ def _sizes_from(args) -> tuple[int, ...]:
             return tuple(int(s) for s in args.sizes.split(","))
         except ValueError as exc:
             raise ConfigError(f"bad --sizes value {args.sizes!r}") from exc
+    if args.max_size < 0:
+        raise ConfigError("--max-size must not be negative")
     return tuple(range(args.max_size + 1))
 
 
@@ -188,11 +190,13 @@ REGISTRY: dict[str, Suite] = {
 
 def _suites_from(args) -> list[Suite]:
     names = args.suite or [n for n, s in REGISTRY.items() if args.category in s.categories]
-    for name in names:
+    for i, name in enumerate(names):
         if name not in REGISTRY:
             raise ConfigError(f"unknown suite {name!r}")
         if args.category not in REGISTRY[name].categories:
             raise ConfigError(f"suite {name!r} is not available for {args.category}")
+        if name in names[:i]:
+            raise ConfigError(f"suite {name!r} is requested twice")
     return [REGISTRY[name] for name in names]
 
 
@@ -202,8 +206,12 @@ def cmd_laws(args) -> int:
         raise ConfigError("randomized suites require --seed")
     if args.tolerance <= 0:
         raise ConfigError("tolerance must be positive")
+    if args.trials < 0:
+        raise ConfigError("--trials must not be negative")
 
     sizes = _sizes_from(args)
+    if args.category == DSTOCH and not any(s > 0 for s in sizes):
+        raise ConfigError("dstoch needs a positive object size in --sizes or --max-size")
     config = LawConfig(
         sizes=sizes,
         trials=args.trials,
@@ -373,6 +381,8 @@ def cmd_invert(args) -> int:
 def cmd_roundtrip(args) -> int:
     if args.seed is None:
         raise ConfigError("roundtrip requires --seed")
+    if args.trials < 0:
+        raise ConfigError("--trials must not be negative")
     program = _load_program(args.file)
     bindings = _bindings_from(args)
     gen = None

@@ -1,24 +1,29 @@
 """A closed DSL of continuous hom-set functionals, plus conjugation.
 
-Every node denotes a continuous map between two hom-sets.  Conjugation
-rewrites the tree symbolically (daggering embedded morphisms and flipping
-the declared spaces); an opaque Host node is conjugated extensionally by
-wrapping it between daggers.  Both agree pointwise with h |-> phi(h+)+.
+Every node denotes a continuous map between two hom-sets and applies
+itself.  Conjugation and documents are derived from the node's fields:
+morphisms (declared ``object``), hom-spaces and sub-expressions.  An opaque
+Host node is conjugated extensionally by wrapping it between daggers.
+Both agree pointwise with h |-> phi(h+)+.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, fields
+from functools import cache
+from typing import Callable, ClassVar, get_type_hints
 
-from ..cat import dagger, join, morphism_from_doc, morphism_to_doc
+from ..cat import FinObject, dagger, join, morphism_from_doc, morphism_to_doc
 from ..errors import DimensionMismatch, ParseError, UnsupportedOperation
 from .spaces import HomSpace, space_of
 
 
 @dataclass(frozen=True)
 class FunctionalExpr:
-    """Base class; every node exposes declared dom/cod hom-spaces."""
+    """Base class; every node exposes declared dom/cod hom-spaces, its
+    document ``op`` and ``apply(h)`` for an ``h`` checked to lie in dom."""
+
+    op: ClassVar[str]
 
     def __call__(self, h):
         return apply_functional(self, h)
@@ -26,6 +31,7 @@ class FunctionalExpr:
 
 @dataclass(frozen=True)
 class Const(FunctionalExpr):
+    op: ClassVar[str] = "const"
     value: object
     dom: HomSpace
 
@@ -33,20 +39,28 @@ class Const(FunctionalExpr):
     def cod(self) -> HomSpace:
         return space_of(self.value)
 
+    def apply(self, h):
+        return self.value
+
 
 @dataclass(frozen=True)
 class IdentityFn(FunctionalExpr):
+    op: ClassVar[str] = "identity"
     dom: HomSpace
 
     @property
     def cod(self) -> HomSpace:
         return self.dom
 
+    def apply(self, h):
+        return h
+
 
 @dataclass(frozen=True)
 class PreCompose(FunctionalExpr):
     """h |-> h . m, reindexing the source along m."""
 
+    op: ClassVar[str] = "precompose"
     value: object
     dom: HomSpace
 
@@ -59,11 +73,15 @@ class PreCompose(FunctionalExpr):
     def cod(self) -> HomSpace:
         return HomSpace(self.dom.category, space_of(self.value).src, self.dom.dst)
 
+    def apply(self, h):
+        return h.compose(self.value)
+
 
 @dataclass(frozen=True)
 class PostCompose(FunctionalExpr):
     """h |-> m . h, reindexing the target along m."""
 
+    op: ClassVar[str] = "postcompose"
     value: object
     dom: HomSpace
 
@@ -76,18 +94,26 @@ class PostCompose(FunctionalExpr):
     def cod(self) -> HomSpace:
         return HomSpace(self.dom.category, self.dom.src, space_of(self.value).dst)
 
+    def apply(self, h):
+        return self.value.compose(h)
+
 
 @dataclass(frozen=True)
 class DaggerFn(FunctionalExpr):
+    op: ClassVar[str] = "dagger"
     dom: HomSpace
 
     @property
     def cod(self) -> HomSpace:
         return self.dom.flipped()
 
+    def apply(self, h):
+        return dagger(h)
+
 
 @dataclass(frozen=True)
 class JoinWith(FunctionalExpr):
+    op: ClassVar[str] = "joinwith"
     value: object
 
     def __post_init__(self):
@@ -102,9 +128,13 @@ class JoinWith(FunctionalExpr):
     def cod(self) -> HomSpace:
         return space_of(self.value)
 
+    def apply(self, h):
+        return join(h, self.value)
+
 
 @dataclass(frozen=True)
 class Seq(FunctionalExpr):
+    op: ClassVar[str] = "seq"
     first: FunctionalExpr
     second: FunctionalExpr
 
@@ -122,9 +152,13 @@ class Seq(FunctionalExpr):
     def cod(self) -> HomSpace:
         return self.second.cod
 
+    def apply(self, h):
+        return self.second.apply(self.first.apply(h))
+
 
 @dataclass(frozen=True)
 class JoinOf(FunctionalExpr):
+    op: ClassVar[str] = "joinof"
     left: FunctionalExpr
     right: FunctionalExpr
 
@@ -140,63 +174,57 @@ class JoinOf(FunctionalExpr):
     def cod(self) -> HomSpace:
         return self.left.cod
 
+    def apply(self, h):
+        return join(self.left.apply(h), self.right.apply(h))
+
 
 @dataclass(frozen=True)
 class Host(FunctionalExpr):
     """Opaque host-language functional; not serializable."""
 
+    op: ClassVar[str] = "host"
     fn: Callable
     dom: HomSpace
     cod: HomSpace
     name: str = "host"
 
+    def apply(self, h):
+        return self.fn(h)
+
 
 def apply_functional(phi: FunctionalExpr, h):
     if space_of(h) != phi.dom:
         raise DimensionMismatch(f"{h!r} is not in {phi.dom!r}")
-    return _apply(phi, h)
+    return phi.apply(h)
 
 
-def _apply(phi, h):
-    if isinstance(phi, Const):
-        return phi.value
-    if isinstance(phi, IdentityFn):
-        return h
-    if isinstance(phi, PreCompose):
-        return h.compose(phi.value)
-    if isinstance(phi, PostCompose):
-        return phi.value.compose(h)
-    if isinstance(phi, DaggerFn):
-        return dagger(h)
-    if isinstance(phi, JoinWith):
-        return join(h, phi.value)
-    if isinstance(phi, Seq):
-        return _apply(phi.second, _apply(phi.first, h))
-    if isinstance(phi, JoinOf):
-        return join(_apply(phi.left, h), _apply(phi.right, h))
-    if isinstance(phi, Host):
-        return phi.fn(h)
-    raise TypeError(f"not a functional expression: {phi!r}")
+@cache
+def node_fields(cls) -> tuple[tuple[str, type], ...]:
+    """(name, declared type) of each field of a node class, read once."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
+
+
+def rebuild(node, rules: dict, cls=None):
+    """A ``cls`` (by default ``node``'s own class) made from ``node``'s
+    fields, each passed through the rule for its declared type."""
+    args = (rules[kind](getattr(node, name)) for name, kind in node_fields(type(node)))
+    return (cls or type(node))(*args)
+
+
+# Conjugation daggers each morphism, flips each space and conjugates each
+# sub-expression (by the module-level name, which a tracer may wrap).
+CONJ_RULES = {
+    object: dagger,
+    HomSpace: HomSpace.flipped,
+    FunctionalExpr: lambda phi: conj(phi),
+}
+# (h . m)+ = m+ . h+: conjugation trades pre- for post-composition.
+_CONJ_CLASS = {PreCompose: PostCompose, PostCompose: PreCompose}
 
 
 def conj(phi: FunctionalExpr) -> FunctionalExpr:
     """The conjugate functional, extensionally h |-> phi(h+)+."""
-    if isinstance(phi, Const):
-        return Const(dagger(phi.value), phi.dom.flipped())
-    if isinstance(phi, IdentityFn):
-        return IdentityFn(phi.dom.flipped())
-    if isinstance(phi, PreCompose):
-        return PostCompose(dagger(phi.value), phi.dom.flipped())
-    if isinstance(phi, PostCompose):
-        return PreCompose(dagger(phi.value), phi.dom.flipped())
-    if isinstance(phi, DaggerFn):
-        return DaggerFn(phi.dom.flipped())
-    if isinstance(phi, JoinWith):
-        return JoinWith(dagger(phi.value))
-    if isinstance(phi, Seq):
-        return Seq(conj(phi.first), conj(phi.second))
-    if isinstance(phi, JoinOf):
-        return JoinOf(conj(phi.left), conj(phi.right))
     if isinstance(phi, Host):
         return Host(
             lambda h, fn=phi.fn: dagger(fn(dagger(h))),
@@ -204,10 +232,12 @@ def conj(phi: FunctionalExpr) -> FunctionalExpr:
             phi.cod.flipped(),
             name=f"conj({phi.name})",
         )
-    raise TypeError(f"not a functional expression: {phi!r}")
+    return rebuild(phi, CONJ_RULES, _CONJ_CLASS.get(type(phi)))
 
 
 # -- serialization ----------------------------------------------------------
+# A document is {"op": op} plus one key per field ("m" for ``value``); a
+# node without sub-expressions may take a leading stage as "inner".
 
 
 def _space_to_doc(space: HomSpace) -> dict:
@@ -215,46 +245,39 @@ def _space_to_doc(space: HomSpace) -> dict:
 
 
 def _space_from_doc(doc: dict) -> HomSpace:
-    from ..cat import FinObject
-
     return HomSpace(doc["cat"], FinObject(int(doc["src"])), FinObject(int(doc["dst"])))
 
 
+_DOC_KEY = {"value": "m"}
+_TO_DOC = {
+    object: morphism_to_doc,
+    HomSpace: _space_to_doc,
+    FunctionalExpr: lambda phi: functional_to_doc(phi),
+}
+
+
+def _takes_inner(cls) -> bool:
+    return all(kind is not FunctionalExpr for _, kind in node_fields(cls))
+
+
 def functional_to_doc(phi: FunctionalExpr) -> dict:
-    if isinstance(phi, Const):
-        return {"op": "const", "m": morphism_to_doc(phi.value), "dom": _space_to_doc(phi.dom)}
-    if isinstance(phi, IdentityFn):
-        return {"op": "identity", "dom": _space_to_doc(phi.dom)}
-    if isinstance(phi, PreCompose):
-        return {"op": "precompose", "m": morphism_to_doc(phi.value), "dom": _space_to_doc(phi.dom)}
-    if isinstance(phi, PostCompose):
-        return {"op": "postcompose", "m": morphism_to_doc(phi.value), "dom": _space_to_doc(phi.dom)}
-    if isinstance(phi, DaggerFn):
-        return {"op": "dagger", "dom": _space_to_doc(phi.dom)}
-    if isinstance(phi, JoinWith):
-        return {"op": "joinwith", "m": morphism_to_doc(phi.value)}
-    if isinstance(phi, Seq):
-        # Unary nodes absorb a leading pipeline stage as "inner".
-        inner = functional_to_doc(phi.first)
-        outer = functional_to_doc(phi.second)
-        if outer["op"] in ("const", "identity", "precompose", "postcompose", "dagger", "joinwith"):
-            outer["inner"] = inner
-            return outer
-        return {"op": "seq", "first": inner, "second": outer}
-    if isinstance(phi, JoinOf):
-        return {
-            "op": "joinof",
-            "left": functional_to_doc(phi.left),
-            "right": functional_to_doc(phi.right),
-        }
-    raise TypeError(f"{phi!r} is not serializable")
+    if isinstance(phi, Host):
+        raise TypeError(f"{phi!r} is not serializable")
+    doc = {"op": phi.op}
+    for name, kind in node_fields(type(phi)):
+        doc[_DOC_KEY.get(name, name)] = _TO_DOC[kind](getattr(phi, name))
+    # A later stage takes the leading one as "inner" only if it has no
+    # sub-expressions: a nested Seq's document may already hold an "inner".
+    if isinstance(phi, Seq) and _takes_inner(type(phi.second)):
+        return {**doc["second"], "inner": doc["first"]}
+    return doc
 
 
 def _affine_host(doc: dict) -> Host:
     """Entrywise a |-> shift * I + scale * a on square stochastic matrices."""
     import numpy as np
 
-    from ..cat import DSTOCH, FinObject, StochMorphism
+    from ..cat import DSTOCH, StochMorphism
 
     n = int(doc["n"])
     scale = float(doc["scale"])
@@ -269,18 +292,23 @@ def _affine_host(doc: dict) -> Host:
 
 
 HOST_BUILDERS = {"affine": _affine_host}
+# What a host document may hold besides "op" and "inner".
+_HOST_KEYS = ("name", "n", "scale", "shift")
 
-_KNOWN_FIELDS = {
-    "const": {"op", "m", "dom", "inner"},
-    "identity": {"op", "dom", "inner"},
-    "precompose": {"op", "m", "dom", "inner"},
-    "postcompose": {"op", "m", "dom", "inner"},
-    "dagger": {"op", "dom", "inner"},
-    "joinwith": {"op", "m", "inner"},
-    "seq": {"op", "first", "second"},
-    "joinof": {"op", "left", "right"},
-    "host": {"op", "name", "n", "scale", "shift", "inner"},
+_NODES = {cls.op: cls for cls in FunctionalExpr.__subclasses__()}
+# The domain of a node whose document gives none, from its morphism's space;
+# any other node without a "dom" takes the domain of its context.
+_DEFAULT_DOM = {
+    Const: lambda sp: sp,
+    PreCompose: lambda sp: HomSpace(sp.category, sp.dst, sp.dst),
+    PostCompose: lambda sp: HomSpace(sp.category, sp.src, sp.src),
 }
+
+
+@cache
+def _doc_keys(cls) -> frozenset:
+    names = _HOST_KEYS if cls is Host else [_DOC_KEY.get(n, n) for n, _ in node_fields(cls)]
+    return frozenset(["op", *names, *(["inner"] if _takes_inner(cls) else [])])
 
 
 def functional_from_doc(doc: dict, dom: HomSpace | None = None) -> FunctionalExpr:
@@ -292,9 +320,10 @@ def functional_from_doc(doc: dict, dom: HomSpace | None = None) -> FunctionalExp
     if not isinstance(doc, dict) or "op" not in doc:
         raise ParseError("functional document must be an object with an 'op' field")
     op = doc["op"]
-    if op not in _KNOWN_FIELDS:
+    cls = _NODES.get(op)
+    if cls is None:
         raise ParseError(f"unknown functional op {op!r}")
-    extra = set(doc) - _KNOWN_FIELDS[op]
+    extra = set(doc) - _doc_keys(cls)
     if extra:
         raise ParseError(f"unknown fields on {op!r} node: {sorted(extra)}")
 
@@ -306,40 +335,25 @@ def functional_from_doc(doc: dict, dom: HomSpace | None = None) -> FunctionalExp
     if "dom" in doc:
         dom = _space_from_doc(doc["dom"])
 
-    if op == "const":
-        m = morphism_from_doc(doc["m"])
-        node = Const(m, dom if dom is not None else space_of(m))
-    elif op == "identity":
-        if dom is None:
-            raise ParseError("identity node needs a 'dom' space")
-        node = IdentityFn(dom)
-    elif op == "precompose":
-        m = morphism_from_doc(doc["m"])
-        sp = space_of(m)
-        node = PreCompose(m, dom if dom is not None else HomSpace(sp.category, sp.dst, sp.dst))
-    elif op == "postcompose":
-        m = morphism_from_doc(doc["m"])
-        sp = space_of(m)
-        node = PostCompose(m, dom if dom is not None else HomSpace(sp.category, sp.src, sp.src))
-    elif op == "dagger":
-        if dom is None:
-            raise ParseError("dagger node needs a 'dom' space")
-        node = DaggerFn(dom)
-    elif op == "joinwith":
-        node = JoinWith(morphism_from_doc(doc["m"]))
-    elif op == "host":
+    if cls is Host:
         builder = HOST_BUILDERS.get(doc.get("name"))
         if builder is None:
             raise ParseError(f"unknown host functional {doc.get('name')!r}")
         node = builder(doc)
-    elif op == "seq":
-        first = functional_from_doc(doc["first"], dom)
-        second = functional_from_doc(doc["second"], first.cod)
-        return Seq(first, second)
-    else:  # joinof
-        left = functional_from_doc(doc["left"], dom)
-        right = functional_from_doc(doc["right"], dom)
-        return JoinOf(left, right)
+    else:
+        args = []
+        for name, kind in node_fields(cls):
+            if kind is object:
+                args.append(morphism_from_doc(doc[_DOC_KEY.get(name, name)]))
+            elif kind is HomSpace:
+                if dom is None and cls not in _DEFAULT_DOM:
+                    raise ParseError(f"{op} node needs a 'dom' space")
+                args.append(dom if dom is not None else _DEFAULT_DOM[cls](space_of(args[0])))
+            else:
+                args.append(functional_from_doc(doc[name], dom))
+                if cls is Seq:  # the second stage runs on what the first returns
+                    dom = args[-1].cod
+        node = cls(*args)
 
     return node if inner is None else Seq(inner, node)
 

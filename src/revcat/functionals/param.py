@@ -3,7 +3,8 @@ and a parameter argument.
 
 A node denotes a continuous map Hom(X,Y) x Hom(P,Q) -> Hom(A,B).  Unary
 behaviour is borrowed from the one-argument DSL via PApply, so conjugation
-stays a homomorphic rewrite.
+is the one-argument DSL's field-by-field rewrite, with sub-expressions of
+this DSL conjugated by ``conj_param``.
 """
 from __future__ import annotations
 
@@ -11,13 +12,16 @@ from dataclasses import dataclass
 
 from ..cat import join
 from ..errors import DimensionMismatch
-from .expr import FunctionalExpr, apply_functional
-from .expr import conj as conj1
+from .expr import CONJ_RULES, FunctionalExpr, rebuild
 from .spaces import HomSpace, space_of
 
 
 @dataclass(frozen=True)
 class ParamExpr:
+    """Base class; every node exposes ``arg_space``, ``param_space`` and
+    ``cod``, and ``apply(x, p)`` for arguments already checked to lie in
+    the first two."""
+
     def __call__(self, x, p):
         return apply_param(self, x, p)
 
@@ -31,6 +35,9 @@ class ArgX(ParamExpr):
     def cod(self) -> HomSpace:
         return self.arg_space
 
+    def apply(self, x, p):
+        return x
+
 
 @dataclass(frozen=True)
 class ArgP(ParamExpr):
@@ -40,6 +47,9 @@ class ArgP(ParamExpr):
     @property
     def cod(self) -> HomSpace:
         return self.param_space
+
+    def apply(self, x, p):
+        return p
 
 
 @dataclass(frozen=True)
@@ -51,6 +61,9 @@ class PConst(ParamExpr):
     @property
     def cod(self) -> HomSpace:
         return space_of(self.value)
+
+    def apply(self, x, p):
+        return self.value
 
 
 @dataclass(frozen=True)
@@ -75,6 +88,9 @@ class PApply(ParamExpr):
     @property
     def cod(self) -> HomSpace:
         return self.phi.cod
+
+    def apply(self, x, p):
+        return self.phi.apply(self.inner.apply(x, p))
 
 
 @dataclass(frozen=True)
@@ -102,45 +118,23 @@ class PJoin(ParamExpr):
     def cod(self) -> HomSpace:
         return self.left.cod
 
+    def apply(self, x, p):
+        return join(self.left.apply(x, p), self.right.apply(x, p))
+
 
 def apply_param(psi: ParamExpr, x, p):
     if space_of(x) != psi.arg_space:
         raise DimensionMismatch(f"{x!r} is not in {psi.arg_space!r}")
     if space_of(p) != psi.param_space:
         raise DimensionMismatch(f"{p!r} is not in {psi.param_space!r}")
-    return _apply(psi, x, p)
+    return psi.apply(x, p)
 
 
-def _apply(psi, x, p):
-    if isinstance(psi, ArgX):
-        return x
-    if isinstance(psi, ArgP):
-        return p
-    if isinstance(psi, PConst):
-        return psi.value
-    if isinstance(psi, PApply):
-        return apply_functional(psi.phi, _apply(psi.inner, x, p))
-    if isinstance(psi, PJoin):
-        return join(_apply(psi.left, x, p), _apply(psi.right, x, p))
-    raise TypeError(f"not a parametrized expression: {psi!r}")
+# The one-argument rules, and sub-expressions of this DSL go through
+# ``conj_param`` by its module-level name.
+_CONJ_RULES = {**CONJ_RULES, ParamExpr: lambda psi: conj_param(psi)}
 
 
 def conj_param(psi: ParamExpr) -> ParamExpr:
     """Conjugate both arguments: extensionally (x, p) |-> psi(x+, p+)+."""
-    from ..cat import dagger
-
-    if isinstance(psi, ArgX):
-        return ArgX(psi.arg_space.flipped(), psi.param_space.flipped())
-    if isinstance(psi, ArgP):
-        return ArgP(psi.arg_space.flipped(), psi.param_space.flipped())
-    if isinstance(psi, PConst):
-        return PConst(
-            dagger(psi.value),
-            psi.arg_space.flipped(),
-            psi.param_space.flipped(),
-        )
-    if isinstance(psi, PApply):
-        return PApply(conj1(psi.phi), conj_param(psi.inner))
-    if isinstance(psi, PJoin):
-        return PJoin(conj_param(psi.left), conj_param(psi.right))
-    raise TypeError(f"not a parametrized expression: {psi!r}")
+    return rebuild(psi, _CONJ_RULES)

@@ -231,3 +231,75 @@ def test_parametrized_theorems_on_random_trees(category):
         for checker in (check_pfix_adjoint, check_conj_preservation, check_pfix_identity):
             report = checker(psi, parameters=params)
             assert report.passed, (checker.__name__, report.violations[:1])
+
+
+def _conj_cases():
+    """One node of every class of both DSLs on Hom(1, 2) of rel and pinj, plus
+    a Host inside a PApply; conj . conj gives back every node without a Host."""
+    from revcat.cat import morphism_from_doc
+    from revcat.functionals import Host, JoinOf
+
+    def mor(category, src, dst, pairs):
+        if category == "rel":
+            doc = {"type": "rel", "src": src, "dst": dst, "pairs": pairs}
+        else:
+            doc = {"type": "pinj", "src": src, "dst": dst, "map": {str(a): b for a, b in pairs}}
+        return morphism_from_doc(doc)
+
+    cases = []
+    for category in ("rel", "pinj"):
+        d = HomSpace(category, FinObject(1), FinObject(2))
+        e = d.flipped()
+        m = mor(category, 1, 2, [(0, 1)])
+        a = mor(category, 2, 1, [(1, 0)])
+        b = mor(category, 2, 2, [(0, 1)])
+        host = Host(lambda h, m=m: join(h, m), d, d, name="join-m")
+        nodes = [
+            ("Const", Const(m, d)),
+            ("IdentityFn", IdentityFn(d)),
+            ("PreCompose", PreCompose(a, d)),
+            ("PostCompose", PostCompose(b, d)),
+            ("DaggerFn", DaggerFn(d)),
+            ("JoinWith", JoinWith(m)),
+            ("Seq", Seq(PostCompose(b, d), JoinWith(m))),
+            ("JoinOf", JoinOf(IdentityFn(d), Const(m, d))),
+            ("Host", host),
+            ("ArgX", ArgX(d, e)),
+            ("ArgP", ArgP(d, e)),
+            ("PConst", PConst(m, d, e)),
+            ("PApply", PApply(DaggerFn(d), PJoin(ArgX(d, d), PConst(m, d, d)))),
+            ("PJoin", PJoin(ArgP(d, d), PConst(m, d, d))),
+            ("PApply-Host", PApply(Seq(host, DaggerFn(d)), ArgX(d, e))),
+        ]
+        for name, node in nodes:
+            cases.append(pytest.param(node, "Host" not in name, id=f"{category}-{name}"))
+    return cases
+
+
+def _outcome(fn, args):
+    from revcat.errors import IncompatibleJoin
+
+    try:
+        return fn(*args)
+    except IncompatibleJoin:
+        return IncompatibleJoin
+
+
+@pytest.mark.parametrize("node, structural", _conj_cases())
+def test_conj_of_every_node_class(node, structural):
+    from itertools import product
+
+    from revcat.functionals import FunctionalExpr
+
+    conjugate = conj if isinstance(node, FunctionalExpr) else conj_param
+    bar = conjugate(node)
+    twice = conjugate(bar)
+    if structural:
+        assert twice == node
+    spaces = (bar.dom,) if isinstance(node, FunctionalExpr) else (bar.arg_space, bar.param_space)
+    arguments = list(product(*(space.morphisms() for space in spaces)))
+    assert arguments
+    for args in arguments:
+        daggered = tuple(map(dagger, args))
+        assert _outcome(bar, args) == _outcome(lambda *a: dagger(node(*a)), daggered)
+        assert _outcome(twice, daggered) == _outcome(node, daggered)

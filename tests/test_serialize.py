@@ -87,3 +87,41 @@ def test_functional_document_errors():
         loads_functional('{"op":"joinwith","m":{"type":"rel","src":1,"dst":1,"pairs":[]},"bogus":3}')
     with pytest.raises(ParseError):
         loads_functional('{"op":"host","name":"unknown-host"}')
+
+
+from revcat.functionals import Const, DaggerFn, HomSpace, IdentityFn, JoinOf, PreCompose  # noqa: E402
+
+TWO = FinObject(2)
+S2 = HomSpace("rel", TWO, TWO)
+R2 = RelMorphism.from_pairs(TWO, TWO, [(0, 1)])
+T2 = RelMorphism.from_pairs(TWO, TWO, [(1, 0)])
+# A unary stage after a Seq whose own document already holds an "inner".
+NESTED = Seq(PostCompose(R2, S2), Seq(PreCompose(T2, S2), JoinWith(R2)))
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        pytest.param(Const(R2, S2), id="const"),
+        pytest.param(IdentityFn(S2), id="identity"),
+        pytest.param(PreCompose(T2, S2), id="precompose"),
+        pytest.param(PostCompose(R2, S2), id="postcompose"),
+        pytest.param(DaggerFn(S2), id="dagger"),
+        pytest.param(JoinWith(R2), id="joinwith"),
+        pytest.param(Seq(PostCompose(R2, S2), JoinWith(R2)), id="inner"),
+        pytest.param(Seq(IdentityFn(S2), JoinOf(IdentityFn(S2), Const(T2, S2))), id="seq"),
+        pytest.param(JoinOf(PreCompose(T2, S2), DaggerFn(S2)), id="joinof"),
+        pytest.param(NESTED, id="nested-seq"),
+    ],
+)
+def test_functional_documents_round_trip_every_op(phi):
+    again = loads_functional(dumps_functional(phi))
+    assert again == phi
+    for h in S2.morphisms():
+        assert again(h) == phi(h)
+
+
+def test_nested_seq_keeps_both_leading_stages():
+    h = RelMorphism.from_pairs(TWO, TWO, [(1, 0)])
+    assert set(NESTED(h).pairs) == {(0, 1)}
+    assert set(loads_functional(dumps_functional(NESTED))(h).pairs) == {(0, 1)}

@@ -105,3 +105,36 @@ def test_functional_laws_match_the_benchmark_golden(capture, index, argv):
     code, out, _ = capture(*argv, "--format", "json")
     assert code == 0
     assert out.encode() == (GOLDEN / f"laws-functional.{index}.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--category", "rel", "--suite", "dagger", "--max-size", "-1"], "--max-size"),
+        (["--category", "rel", "--suite", "dagger", "--sizes", "1", "--trials", "-1"], "--trials"),
+        (["--category", "rel", "--suite", "dagger", "--suite", "dagger", "--sizes", "1"], "'dagger'"),
+        (
+            ["--category", "dstoch", "--seed", "1", "--sizes", "0", "--trials", "3",
+             "--suite", "monotone-dagger"],
+            "--sizes",
+        ),
+    ],
+)
+def test_runs_that_check_nothing_or_a_suite_twice_are_refused(capture, runner_calls, argv, named):
+    code, out, err = capture("laws", *argv, "--format", "json")
+    assert code == 2
+    assert named in err
+    assert out == ""
+    assert runner_calls == []
+
+
+def test_roundtrip_refuses_negative_trials(capture, tmp_path):
+    path = tmp_path / "add.rvl"
+    path.write_text(
+        "fun add (Z, y) = (Z, y)\n"
+        "fun add (S x, y) = let (x2, y2) = add (x, y) in (S x2, S y2)\n"
+    )
+    code, out, err = capture("roundtrip", str(path), "add", "--seed", "1", "--trials", "-1")
+    assert code == 2
+    assert "--trials" in err
+    assert out == ""
