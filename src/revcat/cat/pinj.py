@@ -3,6 +3,12 @@
 The assignment table has one slot per source element, holding either the
 image index or None.  The refinement order is graph extension; joins exist
 only for compatible graphs and otherwise raise IncompatibleJoin.
+
+As in ``rel``, values are validated when built through the public
+constructors, and operations whose results are valid by construction build
+them with ``PInjMorphism._make``.  ``join`` and ``block`` still validate:
+a join of compatible graphs can be non-injective, and block ranges come
+from the caller.
 """
 from __future__ import annotations
 
@@ -38,6 +44,19 @@ class PInjMorphism:
             seen.add(j)
 
     @classmethod
+    def _make(
+        cls, src: FinObject, dst: FinObject, table: tuple[Optional[int], ...]
+    ) -> "PInjMorphism":
+        """Build without validation: only for tables valid by construction."""
+        # Set the fields as the dataclass __init__ does: writing through
+        # __dict__ would give each instance a dict of its own.
+        self = object.__new__(cls)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "table", table)
+        return self
+
+    @classmethod
     def from_map(cls, src: FinObject, dst: FinObject, mapping: dict) -> "PInjMorphism":
         table: list[Optional[int]] = [None] * src.size
         for i, j in mapping.items():
@@ -49,11 +68,11 @@ class PInjMorphism:
 
     @classmethod
     def bottom(cls, src: FinObject, dst: FinObject) -> "PInjMorphism":
-        return cls(src, dst, (None,) * src.size)
+        return cls._make(src, dst, (None,) * src.size)
 
     @classmethod
     def identity(cls, obj: FinObject) -> "PInjMorphism":
-        return cls(obj, obj, tuple(range(obj.size)))
+        return cls._make(obj, obj, tuple(range(obj.size)))
 
     @classmethod
     def from_doc(cls, doc: dict) -> "PInjMorphism":
@@ -83,14 +102,14 @@ class PInjMorphism:
         table = tuple(
             self.table[j] if j is not None else None for j in other.table
         )
-        return PInjMorphism(other.src, self.dst, table)
+        return PInjMorphism._make(other.src, self.dst, table)
 
     def dagger(self) -> "PInjMorphism":
         table: list[Optional[int]] = [None] * self.dst.size
         for i, j in enumerate(self.table):
             if j is not None:
                 table[j] = i
-        return PInjMorphism(self.dst, self.src, tuple(table))
+        return PInjMorphism._make(self.dst, self.src, tuple(table))
 
     def leq(self, other: "PInjMorphism") -> bool:
         self._same_hom(other)
@@ -130,7 +149,7 @@ class PInjMorphism:
         """self (+) other: self on the leading blocks, other on the trailing ones."""
         shift = self.dst.size
         table = self.table + tuple(None if j is None else shift + j for j in other.table)
-        return PInjMorphism(
+        return PInjMorphism._make(
             FinObject(self.src.size + other.src.size),
             FinObject(self.dst.size + other.dst.size),
             table,
@@ -157,5 +176,5 @@ def enumerate_pinj(src: FinObject, dst: FinObject, cap: int = 9) -> list[PInjMor
                 table: list[Optional[int]] = [None] * src.size
                 for i, j in zip(sources, targets):
                     table[i] = j
-                out.append(PInjMorphism(src, dst, tuple(table)))
+                out.append(PInjMorphism._make(src, dst, tuple(table)))
     return out

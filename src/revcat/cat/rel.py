@@ -3,15 +3,36 @@
 A relation X -> Y is stored as one int per source element, bit j set when
 (i, j) is related.  Composition is then boolean matrix product, the
 subset order is bitwise implication, and joins are bitwise or.
+
+Values are validated when built through the public constructors; the
+operations build their results with ``RelMorphism._make``, which skips that
+check, because a result computed from valid operands is valid.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import ClassVar
 
 from ..errors import DimensionMismatch, TooLarge
 from .objects import FinObject, require_fields
+
+# The cache holds twice the largest hom-set ``enumerate_rel`` builds at its
+# default cap (2**9 relations), so the daggers of one exhaustive suite all
+# stay cached.
+@lru_cache(maxsize=1024)
+def _transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
+    """Columns of a relation of ``width`` targets, as rows of its converse."""
+    cols = [0] * width
+    for i, row in enumerate(rows):
+        j = 0
+        while row:
+            if row & 1:
+                cols[j] |= 1 << i
+            row >>= 1
+            j += 1
+    return tuple(cols)
 
 
 @dataclass(frozen=True)
@@ -32,6 +53,17 @@ class RelMorphism:
                 raise DimensionMismatch("relation bits outside target range")
 
     @classmethod
+    def _make(cls, src: FinObject, dst: FinObject, rows: tuple[int, ...]) -> "RelMorphism":
+        """Build without validation: only for rows valid by construction."""
+        # Set the fields as the dataclass __init__ does: writing through
+        # __dict__ would give each instance a dict of its own.
+        self = object.__new__(cls)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "rows", rows)
+        return self
+
+    @classmethod
     def from_pairs(cls, src: FinObject, dst: FinObject, pairs) -> "RelMorphism":
         rows = [0] * src.size
         for i, j in pairs:
@@ -42,11 +74,11 @@ class RelMorphism:
 
     @classmethod
     def bottom(cls, src: FinObject, dst: FinObject) -> "RelMorphism":
-        return cls(src, dst, (0,) * src.size)
+        return cls._make(src, dst, (0,) * src.size)
 
     @classmethod
     def identity(cls, obj: FinObject) -> "RelMorphism":
-        return cls(obj, obj, tuple(1 << i for i in range(obj.size)))
+        return cls._make(obj, obj, tuple(1 << i for i in range(obj.size)))
 
     @classmethod
     def from_doc(cls, doc: dict) -> "RelMorphism":
@@ -78,24 +110,21 @@ class RelMorphism:
         """self . other, i.e. run ``other`` first."""
         if other.dst != self.src:
             raise DimensionMismatch(f"cannot compose {self!r} after {other!r}")
+        mine = self.rows
         rows = []
         for row in other.rows:
             acc = 0
-            mids = row
-            while mids:
-                low = mids & -mids
-                acc |= self.rows[low.bit_length() - 1]
-                mids ^= low
+            j = 0
+            while row:
+                if row & 1:
+                    acc |= mine[j]
+                row >>= 1
+                j += 1
             rows.append(acc)
-        return RelMorphism(other.src, self.dst, tuple(rows))
+        return RelMorphism._make(other.src, self.dst, tuple(rows))
 
     def dagger(self) -> "RelMorphism":
-        cols = [0] * self.dst.size
-        for i, row in enumerate(self.rows):
-            for j in range(self.dst.size):
-                if row >> j & 1:
-                    cols[j] |= 1 << i
-        return RelMorphism(self.dst, self.src, tuple(cols))
+        return RelMorphism._make(self.dst, self.src, _transpose(self.rows, self.dst.size))
 
     def leq(self, other: "RelMorphism") -> bool:
         self._same_hom(other)
@@ -103,7 +132,7 @@ class RelMorphism:
 
     def join(self, other: "RelMorphism") -> "RelMorphism":
         self._same_hom(other)
-        return RelMorphism(
+        return RelMorphism._make(
             self.src, self.dst, tuple(a | b for a, b in zip(self.rows, other.rows))
         )
 
@@ -120,7 +149,7 @@ class RelMorphism:
     def block_sum(self, other: "RelMorphism") -> "RelMorphism":
         """self (+) other: self on the leading blocks, other on the trailing ones."""
         rows = self.rows + tuple(r << self.dst.size for r in other.rows)
-        return RelMorphism(
+        return RelMorphism._make(
             FinObject(self.src.size + other.src.size),
             FinObject(self.dst.size + other.dst.size),
             rows,
@@ -128,7 +157,7 @@ class RelMorphism:
 
     def complement(self) -> "RelMorphism":
         mask = (1 << self.dst.size) - 1
-        return RelMorphism(self.src, self.dst, tuple(mask ^ row for row in self.rows))
+        return RelMorphism._make(self.src, self.dst, tuple(mask ^ row for row in self.rows))
 
     def _same_hom(self, other):
         if self.src != other.src or self.dst != other.dst:
@@ -145,6 +174,6 @@ def enumerate_rel(src: FinObject, dst: FinObject, cap: int = 9) -> list[RelMorph
     mask = (1 << dst.size) - 1
     row_choices = range(mask + 1)
     return [
-        RelMorphism(src, dst, rows)
+        RelMorphism._make(src, dst, rows)
         for rows in product(row_choices, repeat=src.size)
     ]

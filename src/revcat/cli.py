@@ -208,6 +208,8 @@ def cmd_laws(args) -> int:
         raise ConfigError("tolerance must be positive")
     if args.trials < 0:
         raise ConfigError("--trials must not be negative")
+    if args.trials == 0 and any(args.category in s.randomized for s in suites):
+        raise ConfigError("--trials 0 would check nothing in a randomized suite")
 
     sizes = _sizes_from(args)
     if args.category == DSTOCH and not any(s > 0 for s in sizes):
@@ -381,8 +383,8 @@ def cmd_invert(args) -> int:
 def cmd_roundtrip(args) -> int:
     if args.seed is None:
         raise ConfigError("roundtrip requires --seed")
-    if args.trials < 0:
-        raise ConfigError("--trials must not be negative")
+    if args.trials <= 0:
+        raise ConfigError("--trials must be positive")
     program = _load_program(args.file)
     bindings = _bindings_from(args)
     gen = None

@@ -245,6 +245,8 @@ def _space_to_doc(space: HomSpace) -> dict:
 
 
 def _space_from_doc(doc: dict) -> HomSpace:
+    if not isinstance(doc, dict) or not {"cat", "src", "dst"} <= doc.keys():
+        raise ParseError(f"a space must be an object with 'cat', 'src' and 'dst', got {doc!r}")
     return HomSpace(doc["cat"], FinObject(int(doc["src"])), FinObject(int(doc["dst"])))
 
 
@@ -317,8 +319,8 @@ def functional_from_doc(doc: dict, dom: HomSpace | None = None) -> FunctionalExp
     ``dom`` supplies the domain for nodes that cannot infer it; square
     morphism arguments default to an endo space on their own objects.
     """
-    if not isinstance(doc, dict) or "op" not in doc:
-        raise ParseError("functional document must be an object with an 'op' field")
+    if not isinstance(doc, dict) or not isinstance(doc.get("op"), str):
+        raise ParseError("functional document must be an object with a string 'op' field")
     op = doc["op"]
     cls = _NODES.get(op)
     if cls is None:

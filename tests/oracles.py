@@ -71,3 +71,27 @@ def all_relations(n, m):
     cells = list(product(range(n), range(m)))
     for bits in range(1 << len(cells)):
         yield frozenset(cells[i] for i in range(len(cells)) if bits >> i & 1)
+
+
+def transpose_rows(rows, width):
+    """Rows of the converse of a bit-row relation, read off bit by bit."""
+    cols = [0] * width
+    for i, row in enumerate(rows):
+        for j in range(width):
+            if row >> j & 1:
+                cols[j] |= 1 << i
+    return tuple(cols)
+
+
+def compose_rows(g_rows, f_rows):
+    """Rows of g . f for bit-row relations: or the rows of g that each row of
+    f selects, peeling off its lowest set bit each time."""
+    rows = []
+    for row in f_rows:
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= g_rows[low.bit_length() - 1]
+            row ^= low
+        rows.append(acc)
+    return tuple(rows)

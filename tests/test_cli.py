@@ -113,6 +113,20 @@ def test_fix_rejects_bad_documents(capture, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "doc, named",
+    [({"op": []}, "'op'"), ({"op": "identity", "dom": 3}, "'cat', 'src' and 'dst'")],
+    ids=["op-not-a-string", "dom-not-a-space"],
+)
+def test_fix_refuses_malformed_documents_as_input_errors(capture, tmp_path, doc, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = capture("fix", str(path))
+    assert code == 2
+    assert err.startswith("error:") and named in err
+    assert out == ""
+
+
 def test_trace_command_on_orbit_example(capture, tmp_path):
     path = tmp_path / "orbit.json"
     path.write_text(json.dumps({"type": "pinj", "src": 3, "dst": 3, "map": {"0": 1, "1": 2, "2": 0}}))

@@ -8,6 +8,7 @@ import pytest
 
 from revcat.cli import main
 from revcat.cli import REGISTRY
+from revcat.revlang.programs import ADD
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
 
@@ -128,6 +129,31 @@ def test_runs_that_check_nothing_or_a_suite_twice_are_refused(capture, runner_ca
     assert runner_calls == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--category", "dstoch", "--seed", "1"],
+        ["--category", "rel", "--seed", "1"],
+        ["--category", "pinj", "--seed", "1", "--suite", "dagger", "--suite", "fix-adjoint"],
+    ],
+)
+def test_zero_trials_in_a_randomized_suite_is_refused(capture, runner_calls, argv):
+    code, out, err = capture("laws", *argv, "--trials", "0", "--format", "json")
+    assert code == 2
+    assert "--trials 0" in err
+    assert out == ""
+    assert runner_calls == []
+
+
+def test_zero_trials_is_accepted_where_no_suite_samples(capture):
+    code, out, _ = capture(
+        "laws", "--category", "pinj", "--sizes", "1", "--trials", "0",
+        "--suite", "dagger", "--suite", "naturality", "--format", "json",
+    )
+    assert code == 0
+    assert all(entry["checked"] > 0 for entry in json.loads(out)["suites"].values())
+
+
 def test_roundtrip_refuses_negative_trials(capture, tmp_path):
     path = tmp_path / "add.rvl"
     path.write_text(
@@ -135,6 +161,15 @@ def test_roundtrip_refuses_negative_trials(capture, tmp_path):
         "fun add (S x, y) = let (x2, y2) = add (x, y) in (S x2, S y2)\n"
     )
     code, out, err = capture("roundtrip", str(path), "add", "--seed", "1", "--trials", "-1")
+    assert code == 2
+    assert "--trials" in err
+    assert out == ""
+
+
+def test_roundtrip_refuses_zero_trials(capture, tmp_path):
+    path = tmp_path / "add.rvl"
+    path.write_text(ADD)
+    code, out, err = capture("roundtrip", str(path), "add", "--seed", "1", "--trials", "0")
     assert code == 2
     assert "--trials" in err
     assert out == ""

@@ -1,0 +1,135 @@
+"""rel and pinj operations build their results without re-validating them.
+
+The fast operations are checked against the scalar oracles in
+``oracles.py``; every result must also pass the public constructor's
+validation, and the public constructors, ``from_*`` and ``block`` must
+still refuse what they refused before.
+"""
+from dataclasses import FrozenInstanceError
+from itertools import product
+
+import pytest
+from hypothesis import given, strategies as st
+
+from revcat.cat import FinObject, PInjMorphism, RelMorphism, enumerate_homs
+from revcat.cat.serialize import loads_morphism
+from revcat.errors import DimensionMismatch
+
+from oracles import compose_rows, transpose_rows
+
+SIZES = range(3)
+
+
+def validated(m):
+    """``m`` rebuilt through its public constructor, which validates it."""
+    body = m.rows if isinstance(m, RelMorphism) else m.table
+    return type(m)(m.src, m.dst, body)
+
+
+def homs(category, n, m):
+    return enumerate_homs(category, FinObject(n), FinObject(m))
+
+
+def test_rel_ops_agree_with_the_scalar_oracles_on_every_hom_set_up_to_2x2():
+    for n, m in product(SIZES, repeat=2):
+        fs = homs("rel", n, m)
+        for f in fs:
+            assert validated(f) == f
+            d = f.dagger()
+            assert d.rows == transpose_rows(f.rows, m)
+            assert validated(d) == d and d.dagger() == f
+            assert validated(f.complement()) == f.complement()
+            for f2 in fs:
+                joined = f.join(f2)
+                assert set(joined.pairs) == set(f.pairs) | set(f2.pairs)
+                assert validated(joined) == joined
+            for k in SIZES:
+                for g in homs("rel", m, k):
+                    gf = g.compose(f)
+                    assert gf.rows == compose_rows(g.rows, f.rows)
+                    assert validated(gf) == gf
+            for p, q in product(SIZES, repeat=2):
+                for g in homs("rel", p, q):
+                    s = f.block_sum(g)
+                    shifted = {(i + n, j + m) for i, j in g.pairs}
+                    assert set(s.pairs) == set(f.pairs) | shifted
+                    assert validated(s) == s
+
+
+@st.composite
+def composable_relations(draw):
+    n, m, k = (draw(st.integers(0, 4)) for _ in range(3))
+
+    def relation(src, dst):
+        rows = draw(st.lists(st.integers(0, (1 << dst) - 1), min_size=src, max_size=src))
+        return RelMorphism(FinObject(src), FinObject(dst), tuple(rows))
+
+    return relation(n, m), relation(m, k)
+
+
+@given(composable_relations())
+def test_rel_compose_and_dagger_agree_with_the_scalar_oracles_up_to_4x4(fg):
+    f, g = fg
+    assert g.compose(f).rows == compose_rows(g.rows, f.rows)
+    assert f.dagger().rows == transpose_rows(f.rows, f.dst.size)
+    assert g.compose(f).dagger() == f.dagger().compose(g.dagger())
+    assert validated(g.compose(f)) == g.compose(f)
+
+
+def test_pinj_dagger_and_compose_commute_with_the_embedding_into_rel():
+    for n, m in product(range(4), repeat=2):
+        for f in homs("pinj", n, m):
+            assert validated(f) == f
+            assert f.dagger().to_rel() == f.to_rel().dagger()
+            assert validated(f.dagger()) == f.dagger()
+            for k in range(4):
+                for g in homs("pinj", m, k):
+                    gf = g.compose(f)
+                    assert gf.to_rel() == g.to_rel().compose(f.to_rel())
+                    assert validated(gf) == gf
+            s = f.block_sum(PInjMorphism.identity(FinObject(n)))
+            assert validated(s) == s
+
+
+@pytest.mark.parametrize(
+    "cls, body",
+    [
+        (RelMorphism, (0, 0)),
+        (RelMorphism, (3, 1)),
+        (PInjMorphism, (None, None)),
+        (PInjMorphism, (1, None)),
+    ],
+)
+def test_trusted_and_public_construction_give_the_same_value(cls, body):
+    x = FinObject(2)
+    made, built = cls._make(x, x, body), cls(x, x, body)
+    assert made == built and built == made
+    assert hash(made) == hash(built)
+    assert repr(made) == repr(built)
+    assert vars(made) == vars(built)
+    assert len({made, built}) == 1
+    with pytest.raises(FrozenInstanceError):
+        made.src = x
+
+
+X2 = FinObject(2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RelMorphism(X2, X2, (4, 0)),
+        lambda: RelMorphism(X2, X2, (-1, 0)),
+        lambda: RelMorphism(X2, X2, (1,)),
+        lambda: PInjMorphism(X2, X2, (0, 0)),
+        lambda: PInjMorphism(X2, X2, (2, None)),
+        lambda: PInjMorphism(X2, X2, (0,)),
+        lambda: RelMorphism.identity(X2).block(0, 3, 0, 2),
+        lambda: PInjMorphism.identity(X2).block(1, 3, 0, 2),
+        lambda: RelMorphism.from_doc({"type": "rel", "src": 2, "dst": 2, "pairs": [[0, 2]]}),
+        lambda: loads_morphism('{"type": "pinj", "src": 2, "dst": 2, "map": {"0": 5}}'),
+    ],
+)
+def test_construction_from_outside_still_validates(build):
+    with pytest.raises(DimensionMismatch):
+        build()
