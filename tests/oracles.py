@@ -95,3 +95,29 @@ def compose_rows(g_rows, f_rows):
             row ^= low
         rows.append(acc)
     return tuple(rows)
+
+
+def relational_trace(pairs, x_size, y_size, u_size):
+    """Pointwise trace of a relation on X + U -> Y + U, as a set of pairs.
+
+    (x, y) is in the trace when some path leaves x, walks through U any
+    number of times (plain BFS over the U indices) and lands on y.
+    """
+    succ = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+    out = set()
+    for x in range(x_size):
+        frontier = list(succ.get(x, ()))
+        visited = set()
+        while frontier:
+            position = frontier.pop()
+            if position < y_size:
+                out.add((x, position))
+                continue
+            u_index = position - y_size
+            if u_index in visited:
+                continue
+            visited.add(u_index)
+            frontier.extend(succ.get(x_size + u_index, ()))
+    return out

@@ -95,17 +95,24 @@ def test_trace_on_a_dstoch_document_is_an_input_error(capture, tmp_path):
     assert out == ""
 
 
+CORE_SUITES = ["--suite", "dagger", "--suite", "enrichment", "--suite", "monotone-dagger", "--suite", "order-iso"]
+# The golden file of each benchmark argv checked here, by parameter index.
+GOLDEN_FILES = ["laws-functional.0.json", "laws-functional.1.json", "laws-exhaustive.1.json", "laws-dstoch.0.json"]
+
+
 @pytest.mark.parametrize(
     "index, argv",
     [
         (0, ["laws", "--category", "rel", "--max-size", "2", "--seed", "1", "--trials", "50"]),
         (1, ["laws", "--category", "pinj", "--max-size", "2", "--seed", "1", "--trials", "500"]),
+        (2, ["laws", "--category", "pinj", "--sizes", "0,1,2,3", *CORE_SUITES]),
+        (3, ["laws", "--category", "dstoch", "--trials", "2000", "--seed", "1", "--sizes", "1,2,3,4"]),
     ],
 )
 def test_functional_laws_match_the_benchmark_golden(capture, index, argv):
     code, out, _ = capture(*argv, "--format", "json")
     assert code == 0
-    assert out.encode() == (GOLDEN / f"laws-functional.{index}.json").read_bytes()
+    assert out.encode() == (GOLDEN / GOLDEN_FILES[index]).read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,10 @@
 import pytest
 
-from revcat.cat import FinObject, PInjMorphism, RelMorphism, dagger
+from revcat.cat import FinObject, PInjMorphism, RelMorphism, dagger, enumerate_pinj, enumerate_rel
 from revcat.errors import DimensionMismatch
 from revcat.functionals import check_dagger_trace, trace
 
-from oracles import orbit_trace
+from oracles import orbit_trace, relational_trace
 
 O1, O2 = FinObject(1), FinObject(2)
 X3 = FinObject(3)
@@ -80,3 +80,38 @@ def test_sliding_dinaturality_optional_check(category):
     )
     assert report.passed
     assert report.by_law.get("trace-sliding", 0) > 0
+
+
+def _blocks(shape):
+    x, y, u = (FinObject(n) for n in shape)
+    return x, y, u, FinObject(x.size + u.size), FinObject(y.size + u.size)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1, 0), (1, 1, 1), (1, 1, 2), (2, 1, 1), (1, 2, 1), (2, 2, 1), (1, 1, 3)]
+)
+def test_pinj_trace_matches_the_orbit_oracle_on_every_morphism(shape):
+    x, y, u, src, dst = _blocks(shape)
+    for f in enumerate_pinj(src, dst, cap=src.size * dst.size):
+        traced = trace(f, x, y, u)
+        assert traced.mapping == orbit_trace(f.mapping, *shape), f
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 2), (2, 1, 1), (1, 2, 1)])
+def test_rel_trace_matches_the_path_oracle_on_every_morphism(shape):
+    x, y, u, src, dst = _blocks(shape)
+    for f in enumerate_rel(src, dst, cap=src.size * dst.size):
+        traced = trace(f, x, y, u)
+        assert set(traced.pairs) == relational_trace(f.pairs, *shape), f
+
+
+# A trace that ignores the feedback block (Tr(f) = f_XY) passes all three
+# dagger-trace laws; yanking does not hold for it.
+@pytest.mark.parametrize("cls", [RelMorphism, PInjMorphism])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_yanking_the_swap_gives_the_identity(cls, n):
+    u, uu = FinObject(n), FinObject(2 * n)
+    swap = PInjMorphism.from_map(uu, uu, {i: (i + n) % (2 * n) for i in range(2 * n)})
+    if cls is RelMorphism:
+        swap = swap.to_rel()
+    assert trace(swap, u, u, u) == cls.identity(u)
