@@ -20,6 +20,8 @@ DEFAULT_TOLERANCE = 1e-9
 class StochMorphism:
     __slots__ = ("src", "dst", "matrix")
     category: ClassVar[str] = "dstoch"
+    has_joins: ClassVar[bool] = False
+    has_metric: ClassVar[bool] = True
 
     def __init__(self, src: FinObject, dst: FinObject, matrix):
         if src.size != dst.size:
@@ -38,6 +40,17 @@ class StochMorphism:
     @classmethod
     def identity(cls, obj: FinObject) -> "StochMorphism":
         return cls(obj, obj, np.eye(obj.size))
+
+    @classmethod
+    def homs(cls, src: FinObject, dst: FinObject, cap: int = 9):
+        raise UnsupportedOperation("cannot enumerate dstoch hom-sets")
+
+    @classmethod
+    def sup(cls, chain: list["StochMorphism"]) -> "StochMorphism":
+        return cls(chain[0].src, chain[0].dst, np.stack([m.matrix for m in chain]).max(axis=0))
+
+    def to_rel(self):
+        raise UnsupportedOperation("the trace exists for rel and pinj only")
 
     @classmethod
     def from_doc(cls, doc: dict) -> "StochMorphism":
@@ -69,7 +82,7 @@ class StochMorphism:
         return bool(np.all(np.abs(self.matrix - other.matrix) <= tolerance))
 
     def block(self, row_lo: int, row_hi: int, col_lo: int, col_hi: int):
-        raise UnsupportedOperation("sub-blocks, and so the trace, exist for rel and pinj only")
+        raise UnsupportedOperation("sub-blocks exist for rel and pinj only")
 
     def block_sum(self, other):
         raise UnsupportedOperation("block sums exist for rel and pinj only")

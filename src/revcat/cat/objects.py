@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import ParseError
+from ..errors import DimensionMismatch, ParseError
 
 
 @dataclass(frozen=True)
@@ -29,3 +29,8 @@ def require_fields(doc: dict, fields: set[str]) -> None:
     missing = fields - set(doc)
     if missing:
         raise ParseError(f"missing morphism fields: {sorted(missing)}")
+
+
+def require_block(f, row_lo: int, row_hi: int, col_lo: int, col_hi: int) -> None:
+    if not (0 <= row_lo <= row_hi <= f.src.size and 0 <= col_lo <= col_hi <= f.dst.size):
+        raise DimensionMismatch(f"block [{row_lo}:{row_hi}, {col_lo}:{col_hi}] does not fit {f!r}")

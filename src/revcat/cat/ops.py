@@ -1,16 +1,12 @@
 """Category-generic operations over the three concrete morphism families."""
 from __future__ import annotations
 
-from functools import reduce
-
-import numpy as np
-
-from ..errors import DimensionMismatch, UnsupportedOperation
+from ..errors import DimensionMismatch
 from ..order import HomDomain
 from .dstoch import DEFAULT_TOLERANCE, StochMorphism
 from .objects import FinObject
-from .pinj import PInjMorphism, enumerate_pinj
-from .rel import RelMorphism, enumerate_rel
+from .pinj import PInjMorphism
+from .rel import RelMorphism
 
 MORPHISM_CLASSES = {cls.category: cls for cls in (RelMorphism, PInjMorphism, StochMorphism)}
 CATEGORIES = tuple(MORPHISM_CLASSES)
@@ -45,11 +41,7 @@ def bottom(category: str, src: FinObject, dst: FinObject):
 
 
 def enumerate_homs(category: str, src: FinObject, dst: FinObject, cap: int = 9) -> list:
-    if category == REL:
-        return enumerate_rel(src, dst, cap)
-    if category == PINJ:
-        return enumerate_pinj(src, dst, cap)
-    raise UnsupportedOperation(f"cannot enumerate {category} hom-sets")
+    return MORPHISM_CLASSES[category].homs(src, dst, cap)
 
 
 def is_hermitian(f) -> bool:
@@ -71,10 +63,7 @@ def sup_chain(category: str, chain):
     seq = list(chain)
     if not seq:
         raise ValueError("chain must be non-empty")
-    if category in (REL, PINJ):
-        return reduce(join, seq)
-    stacked = np.stack([m.matrix for m in seq])
-    return StochMorphism(seq[0].src, seq[0].dst, stacked.max(axis=0))
+    return MORPHISM_CLASSES[category].sup(seq)
 
 
 def hom_domain(
@@ -86,26 +75,12 @@ def hom_domain(
 ) -> HomDomain:
     """Build the pointed order on the hom-set as seen by the fixed-point engine."""
     cls = MORPHISM_CLASSES[category]
-
-    def contains(m) -> bool:
-        return isinstance(m, cls) and m.src == src and m.dst == dst
-
-    enumerate_all = None
-    if category in (REL, PINJ) and src.size * dst.size <= cap:
-        enumerate_all = lambda: enumerate_homs(category, src, dst, cap)
-
-    metric = None
-    less = leq
-    if category == DSTOCH:
-        metric = lambda a, b: a.distance(b)
-        less = lambda a, b: a.leq(b, tolerance)
-
     return HomDomain(
         objects=(src, dst),
         bottom=cls.bottom(src, dst),
-        leq=less,
+        leq=lambda a, b: a.leq(b, tolerance),
         sup_chain=lambda chain: sup_chain(category, chain),
-        enumerate_all=enumerate_all,
-        metric=metric,
-        contains=contains,
+        elements=lambda: cls.homs(src, dst, cap),
+        metric=cls.distance if cls.has_metric else None,
+        contains=lambda m: isinstance(m, cls) and m.src == src and m.dst == dst,
     )

@@ -6,24 +6,26 @@ only for compatible graphs and otherwise raise IncompatibleJoin.
 
 As in ``rel``, values are validated when built through the public
 constructors, and operations whose results are valid by construction build
-them with ``PInjMorphism._make``.  ``join`` and ``block`` still validate:
-a join of compatible graphs can be non-injective, and block ranges come
-from the caller.
+them with ``PInjMorphism._make``.  ``join`` and ``from_rel`` validate, as a
+join of compatible graphs can be non-injective; ``block`` checks its ranges.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, permutations
 from typing import ClassVar, Optional
 
 from ..errors import DimensionMismatch, IncompatibleJoin, TooLarge
-from .objects import FinObject, require_fields
+from .objects import FinObject, require_block, require_fields
 from .rel import RelMorphism
 
 
 @dataclass(frozen=True)
 class PInjMorphism:
     category: ClassVar[str] = "pinj"
+    has_joins: ClassVar[bool] = True
+    has_metric: ClassVar[bool] = False
     src: FinObject
     dst: FinObject
     table: tuple[Optional[int], ...]
@@ -75,6 +77,21 @@ class PInjMorphism:
         return cls._make(obj, obj, tuple(range(obj.size)))
 
     @classmethod
+    def homs(cls, src: FinObject, dst: FinObject, cap: int = 9) -> list["PInjMorphism"]:
+        return enumerate_pinj(src, dst, cap)
+
+    @classmethod
+    def sup(cls, chain: list["PInjMorphism"]) -> "PInjMorphism":
+        return reduce(cls.join, chain)
+
+    @classmethod
+    def from_rel(cls, r: RelMorphism) -> "PInjMorphism":
+        """The partial injection whose graph is ``r``; refuses any other relation."""
+        if any(row & (row - 1) for row in r.rows):
+            raise DimensionMismatch(f"{r!r} is not a partial map")
+        return cls(r.src, r.dst, tuple(row.bit_length() - 1 if row else None for row in r.rows))
+
+    @classmethod
     def from_doc(cls, doc: dict) -> "PInjMorphism":
         require_fields(doc, {"type", "src", "dst", "map"})
         return cls.from_map(
@@ -111,7 +128,7 @@ class PInjMorphism:
                 table[j] = i
         return PInjMorphism._make(self.dst, self.src, tuple(table))
 
-    def leq(self, other: "PInjMorphism") -> bool:
+    def leq(self, other: "PInjMorphism", tolerance: float = 0.0) -> bool:
         self._same_hom(other)
         return all(
             j is None or other.table[i] == j for i, j in enumerate(self.table)
@@ -139,11 +156,12 @@ class PInjMorphism:
 
     def block(self, row_lo: int, row_hi: int, col_lo: int, col_hi: int) -> "PInjMorphism":
         """Sub-map on index ranges [row_lo, row_hi) x [col_lo, col_hi)."""
+        require_block(self, row_lo, row_hi, col_lo, col_hi)
         table = tuple(
             j - col_lo if j is not None and col_lo <= j < col_hi else None
             for j in self.table[row_lo:row_hi]
         )
-        return PInjMorphism(FinObject(row_hi - row_lo), FinObject(col_hi - col_lo), table)
+        return PInjMorphism._make(FinObject(row_hi - row_lo), FinObject(col_hi - col_lo), table)
 
     def block_sum(self, other: "PInjMorphism") -> "PInjMorphism":
         """self (+) other: self on the leading blocks, other on the trailing ones."""

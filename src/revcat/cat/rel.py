@@ -11,12 +11,12 @@ check, because a result computed from valid operands is valid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from typing import ClassVar
 
 from ..errors import DimensionMismatch, TooLarge
-from .objects import FinObject, require_fields
+from .objects import FinObject, require_block, require_fields
 
 # The cache holds twice the largest hom-set ``enumerate_rel`` builds at its
 # default cap (2**9 relations), so the daggers of one exhaustive suite all
@@ -38,6 +38,8 @@ def _transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class RelMorphism:
     category: ClassVar[str] = "rel"
+    has_joins: ClassVar[bool] = True
+    has_metric: ClassVar[bool] = False
     src: FinObject
     dst: FinObject
     rows: tuple[int, ...]
@@ -79,6 +81,21 @@ class RelMorphism:
     @classmethod
     def identity(cls, obj: FinObject) -> "RelMorphism":
         return cls._make(obj, obj, tuple(1 << i for i in range(obj.size)))
+
+    @classmethod
+    def homs(cls, src: FinObject, dst: FinObject, cap: int = 9) -> list["RelMorphism"]:
+        return enumerate_rel(src, dst, cap)
+
+    @classmethod
+    def sup(cls, chain: list["RelMorphism"]) -> "RelMorphism":
+        return reduce(cls.join, chain)
+
+    @classmethod
+    def from_rel(cls, r: "RelMorphism") -> "RelMorphism":
+        return r
+
+    def to_rel(self) -> "RelMorphism":
+        return self
 
     @classmethod
     def from_doc(cls, doc: dict) -> "RelMorphism":
@@ -126,7 +143,7 @@ class RelMorphism:
     def dagger(self) -> "RelMorphism":
         return RelMorphism._make(self.dst, self.src, _transpose(self.rows, self.dst.size))
 
-    def leq(self, other: "RelMorphism") -> bool:
+    def leq(self, other: "RelMorphism", tolerance: float = 0.0) -> bool:
         self._same_hom(other)
         return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
 
@@ -142,9 +159,10 @@ class RelMorphism:
 
     def block(self, row_lo: int, row_hi: int, col_lo: int, col_hi: int) -> "RelMorphism":
         """Sub-relation on index ranges [row_lo, row_hi) x [col_lo, col_hi)."""
+        require_block(self, row_lo, row_hi, col_lo, col_hi)
         mask = (1 << col_hi) - (1 << col_lo)
         rows = tuple((r & mask) >> col_lo for r in self.rows[row_lo:row_hi])
-        return RelMorphism(FinObject(row_hi - row_lo), FinObject(col_hi - col_lo), rows)
+        return RelMorphism._make(FinObject(row_hi - row_lo), FinObject(col_hi - col_lo), rows)
 
     def block_sum(self, other: "RelMorphism") -> "RelMorphism":
         """self (+) other: self on the leading blocks, other on the trailing ones."""

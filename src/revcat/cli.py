@@ -87,13 +87,6 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _policy_from(args) -> FixPolicy:
-    mode = FixMode.METRIC if args.mode == "metric" else FixMode.EXACT
-    return FixPolicy(
-        max_iterations=args.max_iterations, tolerance=args.tolerance, mode=mode
-    )
-
-
 # -- laws -------------------------------------------------------------------
 
 
@@ -262,9 +255,8 @@ def cmd_fix(args) -> int:
         phi = loads_functional(handle.read())
     if phi.dom != phi.cod:
         raise DimensionMismatch(f"not an endo-functional: {phi.dom!r} -> {phi.cod!r}")
-    policy = _policy_from(args)
-    domain = phi.dom.domain(args.cap, args.tolerance)
-    result = kleene_fix(lambda h: phi(h), domain, policy)
+    policy = FixPolicy(args.max_iterations, args.tolerance, FixMode[args.mode.upper()])
+    result = kleene_fix(lambda h: phi(h), phi.dom.domain(args.tolerance), policy)
     doc = {
         "command": "fix",
         "config": {
@@ -453,7 +445,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--mode", choices=("exact", "metric"), default="exact")
     p.add_argument("--max-iterations", type=int, default=10_000)
     p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--cap", type=int, default=9)
     p.set_defaults(fn=cmd_fix)
 
     p = commands["trace"] = sub.add_parser("trace", help="trace out the feedback block of a morphism")

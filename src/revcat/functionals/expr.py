@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from functools import cache
 from typing import Callable, ClassVar, get_type_hints
 
-from ..cat import FinObject, dagger, join, morphism_from_doc, morphism_to_doc
+from ..cat import CATEGORIES, FinObject, dagger, join, morphism_from_doc, morphism_to_doc
 from ..errors import DimensionMismatch, ParseError, UnsupportedOperation
 from .spaces import HomSpace, space_of
 
@@ -117,8 +117,8 @@ class JoinWith(FunctionalExpr):
     value: object
 
     def __post_init__(self):
-        if space_of(self.value).category == "dstoch":
-            raise UnsupportedOperation("joins are not provided for dstoch")
+        if not self.value.has_joins:
+            raise UnsupportedOperation(f"joins are not provided for {self.value.category}")
 
     @property
     def dom(self) -> HomSpace:
@@ -247,6 +247,8 @@ def _space_to_doc(space: HomSpace) -> dict:
 def _space_from_doc(doc: dict) -> HomSpace:
     if not isinstance(doc, dict) or not {"cat", "src", "dst"} <= doc.keys():
         raise ParseError(f"a space must be an object with 'cat', 'src' and 'dst', got {doc!r}")
+    if doc["cat"] not in CATEGORIES:
+        raise ParseError(f"unknown category {doc['cat']!r} in the 'cat' field of a space")
     return HomSpace(doc["cat"], FinObject(int(doc["src"])), FinObject(int(doc["dst"])))
 
 

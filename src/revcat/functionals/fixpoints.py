@@ -4,9 +4,9 @@ from __future__ import annotations
 from random import Random
 from typing import Optional
 
-from ..cat import DSTOCH, dagger
+from ..cat import dagger
 from ..errors import DimensionMismatch, IncompatibleJoin
-from ..order import FixMode, FixPolicy, kleene_fix, kleene_pfix
+from ..order import FixMode, FixPolicy, HomDomain, kleene_fix, kleene_pfix
 from .expr import (
     Const,
     DaggerFn,
@@ -25,38 +25,28 @@ from .spaces import HomSpace
 from ..report import Checker, LawReport
 
 
-def default_policy(space: HomSpace) -> FixPolicy:
-    if space.category == DSTOCH:
-        return FixPolicy(max_iterations=10_000, tolerance=1e-9, mode=FixMode.METRIC)
-    return FixPolicy(max_iterations=10_000, mode=FixMode.EXACT)
+def default_policy(domain: HomDomain) -> FixPolicy:
+    """Metric convergence where the hom-set has a metric, else exact stabilization."""
+    return FixPolicy(mode=FixMode.EXACT if domain.metric is None else FixMode.METRIC)
 
 
-def morphisms_equal(a, b, tolerance: float = 1e-9) -> bool:
-    return a.isclose(b, tolerance)
-
-
-def fix_functional(phi: FunctionalExpr, policy: Optional[FixPolicy] = None, cap: int = 9):
+def fix_functional(phi: FunctionalExpr, policy: Optional[FixPolicy] = None):
     """Least fixed point of an endo-functional."""
     if phi.dom != phi.cod:
         raise DimensionMismatch(f"not an endo-functional: {phi.dom!r} -> {phi.cod!r}")
-    policy = policy or default_policy(phi.dom)
-    domain = phi.dom.domain(cap)
+    domain = phi.dom.domain()
+    policy = policy or default_policy(domain)
     return kleene_fix(lambda h: apply_functional(phi, h), domain, policy).value
 
 
-def pfix_functional(
-    psi: ParamExpr,
-    p,
-    policy: Optional[FixPolicy] = None,
-    cap: int = 9,
-):
+def pfix_functional(psi: ParamExpr, p, policy: Optional[FixPolicy] = None):
     """Parametrized least fixed point of psi at parameter p."""
     if psi.cod != psi.arg_space:
         raise DimensionMismatch(
             f"not endo in the recursion argument: {psi.cod!r} vs {psi.arg_space!r}"
         )
-    policy = policy or default_policy(psi.arg_space)
-    domain = psi.arg_space.domain(cap)
+    domain = psi.arg_space.domain()
+    policy = policy or default_policy(domain)
     return kleene_pfix(lambda x, q: apply_param(psi, x, q), p, domain, policy).value
 
 
@@ -75,7 +65,7 @@ def check_fixed_point_adjoint(
         return checker.done()
     checker.check(
         "fix-adjoint",
-        morphisms_equal(adjoint, dagger(direct), tolerance),
+        adjoint.isclose(dagger(direct), tolerance),
         lambda: f"fix={direct!r} fix-of-conjugate={adjoint!r}",
     )
     return checker.done()
@@ -106,7 +96,7 @@ def check_pfix_adjoint(
             continue
         checker.check(
             "pfix-adjoint",
-            morphisms_equal(lhs, rhs, tolerance),
+            lhs.isclose(rhs, tolerance),
             lambda p=p, lhs=lhs, rhs=rhs: f"p={p!r} lhs={lhs!r} rhs={rhs!r}",
         )
     return checker.done()
@@ -135,7 +125,7 @@ def check_conj_preservation(
             continue
         checker.check(
             "conj-preservation",
-            morphisms_equal(lhs, rhs, tolerance),
+            lhs.isclose(rhs, tolerance),
             lambda p=p, lhs=lhs, rhs=rhs: f"p={p!r} lhs={lhs!r} rhs={rhs!r}",
         )
     return checker.done()
@@ -159,7 +149,7 @@ def check_pfix_identity(
             continue
         checker.check(
             "pfix-fixpoint",
-            morphisms_equal(w, v, tolerance),
+            w.isclose(v, tolerance),
             lambda p=p, v=v, w=w: f"p={p!r} pfix={v!r} psi(pfix,p)={w!r}",
         )
     return checker.done()
@@ -193,7 +183,7 @@ def check_fix_pfix_agreement(
             continue
         checker.check(
             "pfix-from-fix",
-            morphisms_equal(v, fixed, tolerance),
+            v.isclose(fixed, tolerance),
             lambda p=p, v=v: f"p={p!r} pfix={v!r} fix={fixed!r}",
         )
     return checker.done()

@@ -23,8 +23,8 @@ class HomSpace:
     def bottom(self):
         return bottom(self.category, self.src, self.dst)
 
-    def domain(self, cap: int = 9, tolerance: float = 1e-9) -> HomDomain:
-        return hom_domain(self.category, self.src, self.dst, cap, tolerance)
+    def domain(self, tolerance: float = 1e-9) -> HomDomain:
+        return hom_domain(self.category, self.src, self.dst, tolerance=tolerance)
 
     def morphisms(self, cap: int = 9) -> list:
         return enumerate_homs(self.category, self.src, self.dst, cap)

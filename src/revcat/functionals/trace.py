@@ -1,20 +1,20 @@
-"""Feedback trace on rel and pinj via the execution formula.
+"""Feedback trace on rel and pinj as a least fixed point.
 
 For f: X + U -> Y + U (blocks declared by size, X first), the trace is
 
-    Tr(f) = f_XY  v  join over n of  f_UY . f_UU^n . f_XU
+    Tr(f) = f_XY  v  g . f_XU,   g = lfp(g |-> f_UY v g . f_UU)
 
-computed as an orbit iteration: accumulate the exits while pushing the
-still-inside part through f_UU, stopping when the inside part revisits a
-previous value.  Inputs whose orbit cycles inside U without exiting stay
-undefined in the result, which is exactly the partial behaviour wanted in
-pinj.
+where the exit map g, the join over n of f_UY . f_UU^n, sends each point of
+U to where its walk through f_UU leaves U.  g need not be injective (two
+points of one orbit exit at the same y), so the Kleene engine computes it
+in rel: f goes there by ``to_rel`` and Tr(f) comes back by ``from_rel``,
+which validates.  Inputs whose walk never leaves U stay undefined.
 """
 from __future__ import annotations
 
-
-from ..cat import FinObject, compose, dagger, identity, join
+from ..cat import FinObject, compose, dagger, hom_domain, identity
 from ..errors import DimensionMismatch
+from ..order import kleene_fix
 from ..report import Checker, LawReport
 from .expr import Host
 from .functors import DisjointUnionWith, IdentityFunctor, pad_with_identity
@@ -28,21 +28,15 @@ def trace(f, x: FinObject, y: FinObject, u: FinObject):
         raise DimensionMismatch(
             f"blocks ({x.size}+{u.size}, {y.size}+{u.size}) do not fit {f!r}"
         )
+    r = f.to_rel()
     xs, ys, us = x.size, y.size, u.size
-    f_xy = f.block(0, xs, 0, ys)
-    f_xu = f.block(0, xs, ys, ys + us)
-    f_uy = f.block(xs, xs + us, 0, ys)
-    f_uu = f.block(xs, xs + us, ys, ys + us)
-
-    acc = f_xy
-    reach = f_xu
-    seen = {reach}
-    while True:
-        acc = join(acc, compose(f_uy, reach))
-        reach = compose(f_uu, reach)
-        if reach in seen:
-            return acc
-        seen.add(reach)
+    f_xy = r.block(0, xs, 0, ys)
+    f_xu = r.block(0, xs, ys, ys + us)
+    f_uy = r.block(xs, xs + us, 0, ys)
+    f_uu = r.block(xs, xs + us, ys, ys + us)
+    exit_domain = hom_domain(r.category, f_uy.src, f_uy.dst)
+    exits = kleene_fix(lambda g: f_uy.join(g.compose(f_uu)), exit_domain).value
+    return type(f).from_rel(f_xy.join(exits.compose(f_xu)))
 
 
 def trace_family(category: str, u: FinObject) -> NaturalFamily:

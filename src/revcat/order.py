@@ -1,10 +1,10 @@
 """Pointed partial orders over hom-sets and the Kleene fixed-point engine.
 
 A ``HomDomain`` packages everything the engine needs to iterate inside one
-hom-set: the least element, the order, suprema of ascending chains, and
-(when available) exhaustive enumeration or a metric.  Continuity of the
-step functions handed to ``kleene_fix``/``kleene_pfix`` is a caller
-obligation; ``spot_check_monotone`` exists to probe it on samples.
+hom-set: the least element, the order, suprema of ascending chains,
+enumeration (which may refuse), and a metric where there is one.
+Continuity of the step functions handed to ``kleene_fix``/``kleene_pfix``
+is a caller obligation; ``spot_check_monotone`` probes it on samples.
 """
 from __future__ import annotations
 
@@ -24,14 +24,9 @@ class HomDomain:
     bottom: Any
     leq: Callable[[Any, Any], bool]
     sup_chain: Callable[[Sequence[Any]], Any]
-    enumerate_all: Optional[Callable[[], list]] = None
+    elements: Callable[[], list]
     metric: Optional[Callable[[Any, Any], float]] = None
     contains: Optional[Callable[[Any], bool]] = None
-
-    def elements(self) -> list:
-        if self.enumerate_all is None:
-            raise ValueError(f"hom-set {self.objects} is not enumerable")
-        return self.enumerate_all()
 
 
 class FixMode(enum.Enum):

@@ -115,8 +115,12 @@ def test_fix_rejects_bad_documents(capture, tmp_path):
 
 @pytest.mark.parametrize(
     "doc, named",
-    [({"op": []}, "'op'"), ({"op": "identity", "dom": 3}, "'cat', 'src' and 'dst'")],
-    ids=["op-not-a-string", "dom-not-a-space"],
+    [
+        ({"op": []}, "'op'"),
+        ({"op": "identity", "dom": 3}, "'cat', 'src' and 'dst'"),
+        ({"op": "identity", "dom": {"cat": "wat", "src": 1, "dst": 1}}, "'wat' in the 'cat' field"),
+    ],
+    ids=["op-not-a-string", "dom-not-a-space", "unknown-category"],
 )
 def test_fix_refuses_malformed_documents_as_input_errors(capture, tmp_path, doc, named):
     path = tmp_path / "bad.json"
@@ -124,6 +128,22 @@ def test_fix_refuses_malformed_documents_as_input_errors(capture, tmp_path, doc,
     code, out, err = capture("fix", str(path))
     assert code == 2
     assert err.startswith("error:") and named in err
+    assert out == ""
+
+
+def test_fix_has_no_cap_option(closure_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fix", closure_file, "--cap", "3"])
+    assert exc.value.code == 2
+    assert "--cap" in capsys.readouterr().err
+
+
+def test_fix_refuses_cap_in_a_config_file(capture, closure_file, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"cap": 3}))
+    code, out, err = capture("--config", str(config), "fix", closure_file)
+    assert code == 2
+    assert "unknown key 'cap'" in err
     assert out == ""
 
 

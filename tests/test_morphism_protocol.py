@@ -10,9 +10,15 @@ from revcat.cat import (
     StochMorphism,
     bottom,
     enumerate_homs,
+    hom_domain,
     morphism_from_doc,
+    sup_chain,
 )
-from revcat.errors import UnsupportedOperation
+from revcat.errors import DimensionMismatch, UnsupportedOperation
+from revcat.functionals import HomSpace, JoinWith, default_policy
+from revcat.order import FixMode
+
+X2 = FinObject(2)
 
 
 @pytest.mark.parametrize("cls, body", [(RelMorphism, "rows"), (PInjMorphism, "table")])
@@ -44,3 +50,59 @@ def test_dstoch_has_no_blocks():
         x.block(0, 1, 0, 1)
     with pytest.raises(UnsupportedOperation):
         x.block_sum(x)
+
+
+@pytest.mark.parametrize("f", [RelMorphism.identity(X2), PInjMorphism.identity(X2)], ids=["rel", "pinj"])
+@pytest.mark.parametrize(
+    "ranges", [(0, 2, 0, 5), (0, 2, 1, 5), (0, 2, -1, 1), (-1, 1, 0, 2), (0, 3, 0, 2), (1, 0, 0, 2)]
+)
+def test_block_ranges_must_fit_on_both_axes(f, ranges):
+    with pytest.raises(DimensionMismatch):
+        f.block(*ranges)
+
+
+@pytest.mark.parametrize("cls", [RelMorphism, PInjMorphism])
+def test_rel_embedding_round_trips(cls):
+    for x in range(3):
+        for y in range(3):
+            for f in cls.homs(FinObject(x), FinObject(y)):
+                assert isinstance(f.to_rel(), RelMorphism)
+                assert set(f.to_rel().pairs) == set(f.mapping.items() if cls is PInjMorphism else f.pairs)
+                assert cls.from_rel(f.to_rel()) == f
+
+
+@pytest.mark.parametrize(
+    "pairs", [[(0, 0), (0, 1)], [(0, 1), (1, 1)]], ids=["not-a-map", "not-injective"]
+)
+def test_pinj_refuses_a_relation_that_is_not_a_partial_injection(pairs):
+    with pytest.raises(DimensionMismatch):
+        PInjMorphism.from_rel(RelMorphism.from_pairs(X2, X2, pairs))
+
+
+def test_dstoch_has_no_rel_embedding_and_no_enumeration():
+    with pytest.raises(UnsupportedOperation):
+        StochMorphism.identity(X2).to_rel()
+    with pytest.raises(UnsupportedOperation):
+        StochMorphism.homs(X2, X2)
+
+
+@pytest.mark.parametrize("category", ["rel", "pinj", "dstoch"])
+def test_hom_domains_are_read_off_the_class(category):
+    domain = hom_domain(category, X2, X2)
+    cls = type(domain.bottom)
+    assert cls.category == category
+    assert (domain.metric is not None) == cls.has_metric == (category == "dstoch")
+    assert cls.has_joins == (category != "dstoch")
+    want = FixMode.METRIC if cls.has_metric else FixMode.EXACT
+    assert default_policy(domain).mode is want
+    f = cls.identity(X2)
+    assert domain.leq(domain.bottom, f) and f.leq(f, 0.0)
+    assert sup_chain(category, [domain.bottom, f]) == f
+    if cls.has_joins:
+        assert domain.elements() == enumerate_homs(category, X2, X2) == cls.homs(X2, X2)
+
+
+def test_join_with_refuses_a_category_without_joins():
+    with pytest.raises(UnsupportedOperation, match="dstoch"):
+        JoinWith(StochMorphism.identity(X2))
+    assert JoinWith(RelMorphism.identity(X2)).dom == HomSpace("rel", X2, X2)

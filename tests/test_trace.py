@@ -1,7 +1,9 @@
+from importlib import import_module
+
 import pytest
 
 from revcat.cat import FinObject, PInjMorphism, RelMorphism, dagger, enumerate_pinj, enumerate_rel
-from revcat.errors import DimensionMismatch
+from revcat.errors import DimensionMismatch, IncompatibleJoin
 from revcat.functionals import check_dagger_trace, trace
 
 from oracles import orbit_trace, relational_trace
@@ -115,3 +117,28 @@ def test_yanking_the_swap_gives_the_identity(cls, n):
     if cls is RelMorphism:
         swap = swap.to_rel()
     assert trace(swap, u, u, u) == cls.identity(u)
+
+
+def test_exit_map_is_not_injective_so_pinj_traces_through_rel():
+    # u0 -> u1 -> y0: both points of U exit at y0.
+    f = PInjMorphism.from_map(X3, X3, {0: 1, 1: 2, 2: 0})
+    f_uy, f_uu = f.block(1, 3, 0, 1), f.block(1, 3, 1, 3)
+    with pytest.raises(IncompatibleJoin):
+        f_uy.join(f_uy.compose(f_uu))
+    assert trace(f, O1, O1, O2) == PInjMorphism.from_map(O1, O1, {0: 0})
+
+
+def test_trace_is_one_least_fixed_point(monkeypatch):
+    # The package re-exports the function ``trace`` under the module's name.
+    trace_module = import_module("revcat.functionals.trace")
+    kleene_fix = trace_module.kleene_fix
+    calls = []
+
+    def counting(step, domain, *rest):
+        calls.append(domain.objects)
+        return kleene_fix(step, domain, *rest)
+
+    monkeypatch.setattr(trace_module, "kleene_fix", counting)
+    for f in enumerate_pinj(X3, X3):
+        trace(f, O1, O1, O2)
+    assert calls == [(O2, O1)] * len(enumerate_pinj(X3, X3))
