@@ -66,9 +66,8 @@ def test_rel_embedding_round_trips(cls):
     for x in range(3):
         for y in range(3):
             for f in cls.homs(FinObject(x), FinObject(y)):
-                assert isinstance(f.to_rel(), RelMorphism)
-                assert set(f.to_rel().pairs) == set(f.mapping.items() if cls is PInjMorphism else f.pairs)
-                assert cls.from_rel(f.to_rel()) == f
+                r = f.to_rel()
+                assert isinstance(r, RelMorphism) and cls.from_rel(r) == f
 
 
 @pytest.mark.parametrize(
