@@ -51,9 +51,9 @@ from .functionals import (
     projection_family,
     random_endo_functional,
     random_param_functional,
-    trace,
     trace_family,
 )
+from .functionals.trace import trace
 from .order import FixMode, FixPolicy, kleene_fix
 from .report import LawReport
 from .revlang import (

@@ -13,7 +13,16 @@ from dataclasses import dataclass, fields
 from functools import cache
 from typing import Callable, ClassVar, get_type_hints
 
-from ..cat import CATEGORIES, FinObject, dagger, join, morphism_from_doc, morphism_to_doc
+from ..cat import (
+    CATEGORIES,
+    DSTOCH,
+    FinObject,
+    StochMorphism,
+    dagger,
+    join,
+    morphism_from_doc,
+    morphism_to_doc,
+)
 from ..errors import DimensionMismatch, ParseError, UnsupportedOperation
 from .spaces import HomSpace, space_of
 
@@ -278,11 +287,11 @@ def functional_to_doc(phi: FunctionalExpr) -> dict:
 
 
 def _affine_host(doc: dict) -> Host:
-    """Entrywise a |-> shift * I + scale * a on square stochastic matrices."""
-    import numpy as np
+    """Entrywise a |-> shift * I + scale * a on square stochastic matrices.
 
-    from ..cat import DSTOCH, StochMorphism
-
+    ``shift`` and ``scale`` come from the document, so each step builds its
+    result through the validating constructor.
+    """
     n = int(doc["n"])
     scale = float(doc["scale"])
     shift = float(doc["shift"])
@@ -290,7 +299,11 @@ def _affine_host(doc: dict) -> Host:
     space = HomSpace(DSTOCH, obj, obj)
 
     def step(a):
-        return StochMorphism(obj, obj, shift * np.eye(n) + scale * a.matrix)
+        return StochMorphism(
+            obj,
+            obj,
+            [[shift * float(i == j) + scale * x for j, x in enumerate(row)] for i, row in enumerate(a.rows)],
+        )
 
     return Host(step, space, space, name=f"affine({shift}+{scale}a)")
 

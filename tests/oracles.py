@@ -2,10 +2,14 @@
 
 Everything here is deliberately computed without the library's morphism
 algebra: plain graph search, counting formulas, closed forms, and
-pointwise orbit walks.
+pointwise orbit walks.  The ``stoch_*`` functions are the numpy reference
+for ``dstoch``: its validation, product, transpose and seeded generators,
+on ndarrays.
 """
 from itertools import product
 from math import comb, factorial
+
+import numpy as np
 
 
 def reachability_closure(edges, n):
@@ -121,3 +125,46 @@ def relational_trace(pairs, x_size, y_size, u_size):
             visited.add(u_index)
             frontier.extend(succ.get(x_size + u_index, ()))
     return out
+
+
+# -- numpy reference for dstoch ----------------------------------------------
+
+
+def stoch_valid(m, tolerance=1e-9):
+    """Entries at least -tolerance, row and column sums at most 1 + tolerance."""
+    m = np.asarray(m, dtype=float)
+    if np.any(m < -tolerance):
+        return False
+    return not m.size or bool(
+        np.all(m.sum(axis=1) <= 1 + tolerance) and np.all(m.sum(axis=0) <= 1 + tolerance)
+    )
+
+
+def stoch_compose(g, f):
+    """g . f: run f first, so the product is f @ g."""
+    return np.asarray(f, dtype=float) @ np.asarray(g, dtype=float)
+
+
+def stoch_dagger(f):
+    return np.asarray(f, dtype=float).T
+
+
+def stoch_random(n, rng):
+    """The matrix ``random_stoch`` draws from ``rng`` on n elements."""
+    if n == 0:
+        return np.zeros((0, 0))
+    m = np.array([[rng.random() for _ in range(n)] for _ in range(n)])
+    bound = max(m.sum(axis=1).max(), m.sum(axis=0).max())
+    scale = rng.random()
+    return m * (scale / bound)
+
+
+def stoch_random_ordered_pair(n, rng):
+    g = stoch_random(n, rng)
+    damp = np.array([[rng.random() for _ in range(n)] for _ in range(n)])
+    return g * damp, g
+
+
+def stoch_random_chain(n, rng, length):
+    target = stoch_random(n, rng)
+    return [target * (1 - 0.5 ** k) for k in range(length)]

@@ -24,8 +24,8 @@ from revcat.functionals import (
     projection_family,
     random_endo_functional,
     random_param_functional,
-    trace,
 )
+from revcat.functionals.trace import trace
 from revcat.functionals.expr import JoinWith, PostCompose, Seq
 from revcat.order import FixMode, FixPolicy, kleene_fix
 from revcat.cat import StochMorphism, hom_domain
@@ -165,13 +165,13 @@ def test_criterion_7_stochastic_numerics():
     domain = hom_domain("dstoch", obj, obj)
 
     def affine(a):
-        return StochMorphism(obj, obj, [[0.25 + 0.5 * a.matrix[0, 0]]])
+        return StochMorphism(obj, obj, [[0.25 + 0.5 * a.rows[0][0]]])
 
     result = kleene_fix(
         affine, domain, FixPolicy(max_iterations=64, tolerance=1e-9, mode=FixMode.METRIC)
     )
     ok = ok and result.converged and result.iterations <= 64
-    ok = ok and abs(result.value.matrix[0, 0] - 0.5) < 1e-9
+    ok = ok and abs(result.value.rows[0][0] - 0.5) < 1e-9
     _conclude(7, "transpose monotone on 1000 seeded pairs + affine fixed point", ok)
 
 

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from revcat.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -104,6 +110,26 @@ def test_fix_non_convergence_exits_three(capture, tmp_path):
     code, _, err = capture("fix", str(path), "--mode", "metric", "--max-iterations", "3")
     assert code == 3
     assert "non-convergence" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"op": "const", "m": {"type": "dstoch", "n": 1, "rows": [[float("nan")]]}},
+        {"op": "const", "m": {"type": "dstoch", "n": 1, "rows": [["0.5"]]}},
+        {"op": "const", "m": {"type": "dstoch", "n": 1, "rows": [[True]]}},
+        {"op": "const", "m": {"type": "dstoch", "n": 2, "rows": [0.5, 0, 0, 0.5]}},
+        {"op": "host", "name": "affine", "n": 1, "scale": 0.5, "shift": float("nan")},
+    ],
+    ids=["nan", "numeric-string", "bool", "flat-list", "affine-nan-shift"],
+)
+def test_fix_refuses_bad_dstoch_matrices_as_input_errors(capture, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = capture("fix", str(path), "--mode", "metric")
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
 
 
 def test_fix_rejects_bad_documents(capture, tmp_path):
@@ -278,3 +304,15 @@ def test_config_file_supplies_defaults(capture, add_file, tmp_path):
         "--config", str(config), "run", add_file, "add", "--arg", "(S Z, S Z)", "--fuel", "50"
     )
     assert out.strip() == "(S Z, S (S Z))"  # flags override the file
+
+
+def test_the_cli_imports_without_numpy():
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, revcat.cli; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -49,7 +49,7 @@ def test_metric_kleene_result_carries_residual():
     domain = hom_domain("dstoch", obj, obj)
 
     def affine(a):
-        return StochMorphism(obj, obj, [[0.25 + 0.5 * a.matrix[0, 0]]])
+        return StochMorphism(obj, obj, [[0.25 + 0.5 * a.rows[0][0]]])
 
     result = kleene_fix(affine, domain, FixPolicy(mode=FixMode.METRIC))
     assert result.converged

@@ -37,11 +37,11 @@ def test_kleene_fix_affine_metric_matches_closed_form():
     dom = hom_domain("dstoch", obj, obj)
 
     def step(a):
-        return StochMorphism(obj, obj, [[0.25 + 0.5 * a.matrix[0, 0]]])
+        return StochMorphism(obj, obj, [[0.25 + 0.5 * a.rows[0][0]]])
 
     result = kleene_fix(step, dom, FixPolicy(mode=FixMode.METRIC, tolerance=1e-9))
     expected = geometric_fixed_point(0.25, 0.5)
-    assert abs(result.value.matrix[0, 0] - expected) < 1e-9
+    assert abs(result.value.rows[0][0] - expected) < 1e-9
     assert result.converged and result.iterations <= 64
     assert result.residual is not None and result.residual < 1e-9
 
@@ -51,7 +51,7 @@ def test_kleene_fix_raises_non_convergence_on_oscillation():
     dom = hom_domain("dstoch", obj, obj)
 
     def step(a):
-        return StochMorphism(obj, obj, [[1.0 - a.matrix[0, 0]]])
+        return StochMorphism(obj, obj, [[1.0 - a.rows[0][0]]])
 
     with pytest.raises(NonConvergence):
         kleene_fix(step, dom, FixPolicy(max_iterations=50, mode=FixMode.METRIC))

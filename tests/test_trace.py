@@ -1,10 +1,12 @@
-from importlib import import_module
+from types import ModuleType
 
 import pytest
 
 from revcat.cat import FinObject, PInjMorphism, RelMorphism, dagger, enumerate_pinj, enumerate_rel
 from revcat.errors import DimensionMismatch, IncompatibleJoin
-from revcat.functionals import check_dagger_trace, trace
+import revcat.functionals.trace as trace_module
+from revcat.functionals import check_dagger_trace
+from revcat.functionals.trace import trace
 
 from oracles import orbit_trace, relational_trace
 
@@ -128,9 +130,12 @@ def test_exit_map_is_not_injective_so_pinj_traces_through_rel():
     assert trace(f, O1, O1, O2) == PInjMorphism.from_map(O1, O1, {0: 0})
 
 
+def test_the_trace_submodule_is_not_shadowed_by_its_function():
+    assert isinstance(trace_module, ModuleType)
+    assert trace_module.trace is trace
+
+
 def test_trace_is_one_least_fixed_point(monkeypatch):
-    # The package re-exports the function ``trace`` under the module's name.
-    trace_module = import_module("revcat.functionals.trace")
     kleene_fix = trace_module.kleene_fix
     calls = []
 

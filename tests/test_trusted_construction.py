@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from revcat.cat import FinObject, PInjMorphism, RelMorphism, enumerate_homs
+from revcat.cat import FinObject, PInjMorphism, RelMorphism, StochMorphism, enumerate_homs
 from revcat.cat.serialize import loads_morphism
 from revcat.errors import DimensionMismatch
 
@@ -98,6 +98,7 @@ def test_pinj_dagger_and_compose_commute_with_the_embedding_into_rel():
         (RelMorphism, (3, 1)),
         (PInjMorphism, (None, None)),
         (PInjMorphism, (1, None)),
+        (StochMorphism, ((0.5, 0.25), (0.25, 0.5))),
     ],
 )
 def test_trusted_and_public_construction_give_the_same_value(cls, body):
