@@ -21,7 +21,7 @@ from .errors import (
     UnknownFunction,
     UnsupportedOperation,
 )
-from .order import FixMode, FixPolicy, HomDomain, KleeneResult, kleene_fix, kleene_pfix, spot_check_monotone
+from .order import FixMode, FixPolicy, HomDomain, KleeneResult, kleene_fix, kleene_pfix
 from .report import Checker, LawReport, Violation
 
 __version__ = "0.1.0"
@@ -51,5 +51,4 @@ __all__ = [
     "order",
     "report",
     "revlang",
-    "spot_check_monotone",
 ]

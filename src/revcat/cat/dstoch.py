@@ -23,7 +23,7 @@ from random import Random
 from typing import ClassVar
 
 from ..errors import DimensionMismatch, ParseError, UnsupportedOperation
-from .objects import FinObject, require_fields
+from .objects import FinObject, read_nat, require_fields
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -69,7 +69,7 @@ class StochMorphism:
         return cls._make(obj, obj, tuple(tuple(float(i == j) for j in range(n)) for i in range(n)))
 
     @classmethod
-    def homs(cls, src: FinObject, dst: FinObject, cap: int = 9):
+    def homs(cls, src: FinObject, dst: FinObject):
         raise UnsupportedOperation("cannot enumerate dstoch hom-sets")
 
     @classmethod
@@ -84,7 +84,7 @@ class StochMorphism:
     @classmethod
     def from_doc(cls, doc: dict) -> "StochMorphism":
         require_fields(doc, {"type", "n", "rows"})
-        n = int(doc["n"])
+        n = read_nat(doc["n"], "n")
         return cls(FinObject(n), FinObject(n), doc["rows"])
 
     def to_doc(self) -> dict:
@@ -138,19 +138,20 @@ class StochMorphism:
 _entries = chain.from_iterable
 
 
-def _entry(x) -> float:
-    """A matrix entry as a float: any real but a bool, refused unless finite."""
+def read_entry(x, field: str = "rows") -> float:
+    """A matrix entry, or a scalar read from ``field``, as a float: any real
+    but a bool, refused unless finite."""
     if type(x) is float:
         value = x
     elif isinstance(x, bool) or not isinstance(x, Real):
-        raise ParseError(f"stochastic matrix entry {x!r} is not a number")
+        raise ParseError(f"expected a number in {field!r}, got {x!r}")
     else:
         try:
             value = float(x)
         except OverflowError:
             value = inf
     if not isfinite(value):
-        raise DimensionMismatch(f"stochastic matrix entry {x!r} is not finite")
+        raise DimensionMismatch(f"expected a finite number in {field!r}, got {x!r}")
     return value
 
 
@@ -162,7 +163,7 @@ def _parse_rows(rows, n: int) -> Rows:
         and all(isinstance(row, (list, tuple)) and len(row) == n for row in rows)
     ):
         raise DimensionMismatch(f"a stochastic matrix on {n} elements needs {n} rows of {n} entries")
-    return tuple([tuple(map(_entry, row)) for row in rows])
+    return tuple([tuple(map(read_entry, row)) for row in rows])
 
 
 # The sum of a nonempty line, from the left whatever the Python version

@@ -24,7 +24,6 @@ class LawConfig:
     trials: int = 200
     seed: Optional[int] = None
     tolerance: float = 1e-9
-    cap: int = 9
     fuel: int = 10
     depth: int = 4
 
@@ -46,7 +45,7 @@ def law_suite(category: str, suite: str, config: LawConfig = LawConfig()) -> Law
 def _run_finite(category: str, suite: str, config: LawConfig, checker: Checker) -> None:
     objects = [FinObject(s) for s in config.sizes]
     homs = {
-        (x, y): enumerate_homs(category, x, y, config.cap)
+        (x, y): enumerate_homs(category, x, y)
         for x in objects
         for y in objects
     }

@@ -6,6 +6,10 @@ from typing import Optional
 
 from ..errors import DimensionMismatch, ParseError
 
+# The most cells (source size x target size) a hom-set of rel or pinj may
+# have for ``enumerate_rel``/``enumerate_pinj`` to list it: 2**9 relations.
+ENUMERATION_CAP = 9
+
 
 @dataclass(frozen=True)
 class FinObject:
@@ -29,6 +33,13 @@ def require_fields(doc: dict, fields: set[str]) -> None:
     missing = fields - set(doc)
     if missing:
         raise ParseError(f"missing morphism fields: {sorted(missing)}")
+
+
+def read_nat(value, field: str) -> int:
+    """A size or index read from a document: a JSON integer >= 0, not a bool."""
+    if type(value) is not int or value < 0:
+        raise ParseError(f"expected an integer >= 0 in {field!r}, got {value!r}")
+    return value
 
 
 def require_block(f, row_lo: int, row_hi: int, col_lo: int, col_hi: int) -> None:

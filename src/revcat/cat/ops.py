@@ -40,8 +40,8 @@ def bottom(category: str, src: FinObject, dst: FinObject):
     return MORPHISM_CLASSES[category].bottom(src, dst)
 
 
-def enumerate_homs(category: str, src: FinObject, dst: FinObject, cap: int = 9) -> list:
-    return MORPHISM_CLASSES[category].homs(src, dst, cap)
+def enumerate_homs(category: str, src: FinObject, dst: FinObject) -> list:
+    return MORPHISM_CLASSES[category].homs(src, dst)
 
 
 def is_hermitian(f) -> bool:
@@ -70,7 +70,6 @@ def hom_domain(
     category: str,
     src: FinObject,
     dst: FinObject,
-    cap: int = 9,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> HomDomain:
     """Build the pointed order on the hom-set as seen by the fixed-point engine."""
@@ -80,7 +79,7 @@ def hom_domain(
         bottom=cls.bottom(src, dst),
         leq=lambda a, b: a.leq(b, tolerance),
         sup_chain=lambda chain: sup_chain(category, chain),
-        elements=lambda: cls.homs(src, dst, cap),
+        elements=lambda: cls.homs(src, dst),
         metric=cls.distance if cls.has_metric else None,
         contains=lambda m: isinstance(m, cls) and m.src == src and m.dst == dst,
     )

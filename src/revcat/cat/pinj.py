@@ -16,8 +16,8 @@ from functools import reduce
 from itertools import combinations, permutations
 from typing import ClassVar, Optional
 
-from ..errors import DimensionMismatch, IncompatibleJoin, TooLarge
-from .objects import FinObject, require_block, require_fields
+from ..errors import DimensionMismatch, IncompatibleJoin, ParseError, TooLarge
+from .objects import ENUMERATION_CAP, FinObject, read_nat, require_block, require_fields
 from .rel import RelMorphism
 
 
@@ -77,8 +77,8 @@ class PInjMorphism:
         return cls._make(obj, obj, tuple(range(obj.size)))
 
     @classmethod
-    def homs(cls, src: FinObject, dst: FinObject, cap: int = 9) -> list["PInjMorphism"]:
-        return enumerate_pinj(src, dst, cap)
+    def homs(cls, src: FinObject, dst: FinObject) -> list["PInjMorphism"]:
+        return enumerate_pinj(src, dst)
 
     @classmethod
     def sup(cls, chain: list["PInjMorphism"]) -> "PInjMorphism":
@@ -94,10 +94,13 @@ class PInjMorphism:
     @classmethod
     def from_doc(cls, doc: dict) -> "PInjMorphism":
         require_fields(doc, {"type", "src", "dst", "map"})
+        mapping = doc["map"]
+        if not isinstance(mapping, dict):
+            raise ParseError(f"expected an object in 'map', got {mapping!r}")
         return cls.from_map(
-            FinObject(int(doc["src"])),
-            FinObject(int(doc["dst"])),
-            {int(k): int(v) for k, v in doc["map"].items()},
+            FinObject(read_nat(doc["src"], "src")),
+            FinObject(read_nat(doc["dst"], "dst")),
+            {_source_key(k): read_nat(v, "map") for k, v in mapping.items()},
         )
 
     def to_doc(self) -> dict:
@@ -184,7 +187,14 @@ class PInjMorphism:
         return f"PInj({self.src.size}->{self.dst.size}, {self.mapping})"
 
 
-def enumerate_pinj(src: FinObject, dst: FinObject, cap: int = 9) -> list[PInjMorphism]:
+def _source_key(key) -> int:
+    """A key of a document's map: an integer >= 0 in plain decimal, such as "10"."""
+    if not (isinstance(key, str) and key.isdecimal() and str(int(key)) == key):
+        raise ParseError(f"expected a key in 'map' written as an integer >= 0, got {key!r}")
+    return int(key)
+
+
+def enumerate_pinj(src: FinObject, dst: FinObject, cap: int = ENUMERATION_CAP) -> list[PInjMorphism]:
     if src.size * dst.size > cap:
         raise TooLarge("partial injection enumeration exceeds the cap")
     out = []

@@ -15,13 +15,12 @@ from functools import lru_cache, reduce
 from itertools import product
 from typing import ClassVar
 
-from ..errors import DimensionMismatch, TooLarge
-from .objects import FinObject, require_block, require_fields
+from ..errors import DimensionMismatch, ParseError, TooLarge
+from .objects import ENUMERATION_CAP, FinObject, read_nat, require_block, require_fields
 
 # The cache holds twice the largest hom-set ``enumerate_rel`` builds at its
-# default cap (2**9 relations), so the daggers of one exhaustive suite all
-# stay cached.
-@lru_cache(maxsize=1024)
+# default cap, so the daggers of one exhaustive suite all stay cached.
+@lru_cache(maxsize=2 ** (ENUMERATION_CAP + 1))
 def _transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
     """Columns of a relation of ``width`` targets, as rows of its converse."""
     cols = [0] * width
@@ -83,8 +82,8 @@ class RelMorphism:
         return cls._make(obj, obj, tuple(1 << i for i in range(obj.size)))
 
     @classmethod
-    def homs(cls, src: FinObject, dst: FinObject, cap: int = 9) -> list["RelMorphism"]:
-        return enumerate_rel(src, dst, cap)
+    def homs(cls, src: FinObject, dst: FinObject) -> list["RelMorphism"]:
+        return enumerate_rel(src, dst)
 
     @classmethod
     def sup(cls, chain: list["RelMorphism"]) -> "RelMorphism":
@@ -100,10 +99,15 @@ class RelMorphism:
     @classmethod
     def from_doc(cls, doc: dict) -> "RelMorphism":
         require_fields(doc, {"type", "src", "dst", "pairs"})
+        pairs = doc["pairs"]
+        if not isinstance(pairs, (list, tuple)) or not all(
+            isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs
+        ):
+            raise ParseError(f"expected a list of [source, target] pairs in 'pairs', got {pairs!r}")
         return cls.from_pairs(
-            FinObject(int(doc["src"])),
-            FinObject(int(doc["dst"])),
-            [tuple(p) for p in doc["pairs"]],
+            FinObject(read_nat(doc["src"], "src")),
+            FinObject(read_nat(doc["dst"], "dst")),
+            [(read_nat(i, "pairs"), read_nat(j, "pairs")) for i, j in pairs],
         )
 
     def to_doc(self) -> dict:
@@ -185,7 +189,7 @@ class RelMorphism:
         return f"Rel({self.src.size}->{self.dst.size}, {self.pairs})"
 
 
-def enumerate_rel(src: FinObject, dst: FinObject, cap: int = 9) -> list[RelMorphism]:
+def enumerate_rel(src: FinObject, dst: FinObject, cap: int = ENUMERATION_CAP) -> list[RelMorphism]:
     cells = src.size * dst.size
     if cells > cap:
         raise TooLarge(f"{2 ** cells} relations exceed the enumeration cap")

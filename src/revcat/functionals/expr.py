@@ -23,6 +23,8 @@ from ..cat import (
     morphism_from_doc,
     morphism_to_doc,
 )
+from ..cat.dstoch import read_entry
+from ..cat.objects import read_nat
 from ..errors import DimensionMismatch, ParseError, UnsupportedOperation
 from .spaces import HomSpace, space_of
 
@@ -258,7 +260,8 @@ def _space_from_doc(doc: dict) -> HomSpace:
         raise ParseError(f"a space must be an object with 'cat', 'src' and 'dst', got {doc!r}")
     if doc["cat"] not in CATEGORIES:
         raise ParseError(f"unknown category {doc['cat']!r} in the 'cat' field of a space")
-    return HomSpace(doc["cat"], FinObject(int(doc["src"])), FinObject(int(doc["dst"])))
+    src, dst = (FinObject(read_nat(doc[key], key)) for key in ("src", "dst"))
+    return HomSpace(doc["cat"], src, dst)
 
 
 _DOC_KEY = {"value": "m"}
@@ -292,9 +295,9 @@ def _affine_host(doc: dict) -> Host:
     ``shift`` and ``scale`` come from the document, so each step builds its
     result through the validating constructor.
     """
-    n = int(doc["n"])
-    scale = float(doc["scale"])
-    shift = float(doc["shift"])
+    n = read_nat(doc["n"], "n")
+    scale = read_entry(doc["scale"], "scale")
+    shift = read_entry(doc["shift"], "shift")
     obj = FinObject(n)
     space = HomSpace(DSTOCH, obj, obj)
 

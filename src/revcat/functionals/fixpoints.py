@@ -71,23 +71,22 @@ def check_fixed_point_adjoint(
     return checker.done()
 
 
-def _parameters_for(psi: ParamExpr, parameters, cap: int):
+def _parameters_for(psi: ParamExpr, parameters):
     if parameters is not None:
         return list(parameters)
-    return psi.param_space.morphisms(cap)
+    return psi.param_space.morphisms()
 
 
 def check_pfix_adjoint(
     psi: ParamExpr,
     policy: Optional[FixPolicy] = None,
     parameters=None,
-    cap: int = 9,
     tolerance: float = 1e-9,
 ) -> LawReport:
     """(pfix psi)(p)+ must equal (pfix conj(psi))(p+) for each parameter."""
     checker = Checker("pfix-adjoint")
     conjugate = conj_param(psi)
-    for p in _parameters_for(psi, parameters, cap):
+    for p in _parameters_for(psi, parameters):
         try:
             lhs = dagger(pfix_functional(psi, p, policy))
             rhs = pfix_functional(conjugate, dagger(p), policy)
@@ -106,7 +105,6 @@ def check_conj_preservation(
     psi: ParamExpr,
     policy: Optional[FixPolicy] = None,
     parameters=None,
-    cap: int = 9,
     tolerance: float = 1e-9,
 ) -> LawReport:
     """conj(pfix psi) = pfix(conj psi), pointwise on parameters.
@@ -116,7 +114,7 @@ def check_conj_preservation(
     """
     checker = Checker("conj-preservation")
     conjugate = conj_param(psi)
-    for p in _parameters_for(conjugate, parameters, cap):
+    for p in _parameters_for(conjugate, parameters):
         try:
             lhs = dagger(pfix_functional(psi, dagger(p), policy))
             rhs = pfix_functional(conjugate, p, policy)
@@ -135,12 +133,11 @@ def check_pfix_identity(
     psi: ParamExpr,
     policy: Optional[FixPolicy] = None,
     parameters=None,
-    cap: int = 9,
     tolerance: float = 1e-9,
 ) -> LawReport:
     """pfix psi = psi . <pfix psi, id> at each parameter."""
     checker = Checker("pfix-identity")
-    for p in _parameters_for(psi, parameters, cap):
+    for p in _parameters_for(psi, parameters):
         try:
             v = pfix_functional(psi, p, policy)
             w = apply_param(psi, v, p)
@@ -151,40 +148,6 @@ def check_pfix_identity(
             "pfix-fixpoint",
             w.isclose(v, tolerance),
             lambda p=p, v=v, w=w: f"p={p!r} pfix={v!r} psi(pfix,p)={w!r}",
-        )
-    return checker.done()
-
-
-def check_fix_pfix_agreement(
-    phi: FunctionalExpr,
-    param_space: HomSpace,
-    policy: Optional[FixPolicy] = None,
-    parameters=None,
-    cap: int = 9,
-    tolerance: float = 1e-9,
-) -> LawReport:
-    """The two derivations between fix and pfix agree.
-
-    Viewing an endo-functional as parametrized-but-ignoring-its-parameter,
-    its parametrized fixed point at any parameter is the plain fixed point.
-    """
-    checker = Checker("fix-pfix-derivations")
-    lifted = PApply(phi, ArgX(phi.dom, param_space))
-    try:
-        fixed = fix_functional(phi, policy)
-    except IncompatibleJoin:
-        checker.skip("pfix-from-fix")
-        return checker.done()
-    for p in _parameters_for(lifted, parameters, cap):
-        try:
-            v = pfix_functional(lifted, p, policy)
-        except IncompatibleJoin:
-            checker.skip("pfix-from-fix")
-            continue
-        checker.check(
-            "pfix-from-fix",
-            v.isclose(fixed, tolerance),
-            lambda p=p, v=v: f"p={p!r} pfix={v!r} fix={fixed!r}",
         )
     return checker.done()
 
@@ -211,13 +174,11 @@ def _random_unary(space: HomSpace, rng: Random, homs, src_endos, dst_endos) -> F
     return _sandwich(space, JoinWith(dagger(rng.choice(homs))))
 
 
-def random_endo_functional(
-    space: HomSpace, rng: Random, depth: int = 4, cap: int = 9
-) -> FunctionalExpr:
+def random_endo_functional(space: HomSpace, rng: Random, depth: int = 4) -> FunctionalExpr:
     """Seeded random endo-functional; leaves drawn uniformly from the hom-set."""
-    homs = space.morphisms(cap)
-    src_endos = HomSpace(space.category, space.src, space.src).morphisms(cap)
-    dst_endos = HomSpace(space.category, space.dst, space.dst).morphisms(cap)
+    homs = space.morphisms()
+    src_endos = HomSpace(space.category, space.src, space.src).morphisms()
+    dst_endos = HomSpace(space.category, space.dst, space.dst).morphisms()
 
     def gen(d: int) -> FunctionalExpr:
         if d <= 0 or rng.random() < 0.3:
@@ -244,12 +205,11 @@ def random_param_functional(
     param_space: HomSpace,
     rng: Random,
     depth: int = 4,
-    cap: int = 9,
 ) -> ParamExpr:
     """Seeded random parametrized functional, endo in the recursion slot."""
-    homs = arg_space.morphisms(cap)
-    src_endos = HomSpace(arg_space.category, arg_space.src, arg_space.src).morphisms(cap)
-    dst_endos = HomSpace(arg_space.category, arg_space.dst, arg_space.dst).morphisms(cap)
+    homs = arg_space.morphisms()
+    src_endos = HomSpace(arg_space.category, arg_space.src, arg_space.src).morphisms()
+    dst_endos = HomSpace(arg_space.category, arg_space.dst, arg_space.dst).morphisms()
     mixable = param_space == arg_space
 
     def leaf() -> ParamExpr:

@@ -8,9 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cat import FinObject, dagger, identity
-from ..report import Checker, LawReport
-from .spaces import HomSpace
+from ..cat import FinObject, identity
 
 
 @dataclass(frozen=True)
@@ -42,18 +40,3 @@ class DisjointUnionWith:
 
     def __repr__(self):
         return f"(- + {self.extra.size})"
-
-
-def check_dagger_functor(functor, category: str, sizes=(0, 1, 2), cap: int = 9) -> LawReport:
-    """F(f+) = F(f)+ over every enumerated test morphism."""
-    checker = Checker("dagger-functor")
-    for x in sizes:
-        for y in sizes:
-            space = HomSpace(category, FinObject(x), FinObject(y))
-            for f in space.morphisms(cap):
-                checker.check(
-                    "functor-preserves-dagger",
-                    functor.apply_mor(dagger(f)) == dagger(functor.apply_mor(f)),
-                    lambda f=f: f"F={functor!r} f={f!r}",
-                )
-    return checker.done()

@@ -21,7 +21,7 @@ from ..order import FixPolicy
 from ..report import Checker, LawReport
 from .expr import FunctionalExpr, conj
 from .fixpoints import pfix_functional
-from .functors import IdentityFunctor, check_dagger_functor
+from .functors import IdentityFunctor
 from .param import ArgP, ArgX, ParamExpr, PJoin, apply_param, conj_param
 from .spaces import HomSpace
 
@@ -41,10 +41,6 @@ class NaturalFamily:
             HomSpace(self.category, fx, fy),
             HomSpace(self.category, gx, gy),
         )
-
-    def check_functors(self, sizes=(0, 1, 2), cap: int = 9) -> LawReport:
-        report = check_dagger_functor(self.F, self.category, sizes, cap)
-        return report.merge(check_dagger_functor(self.G, self.category, sizes, cap))
 
 
 def join_family(category: str, functor=None) -> NaturalFamily:
@@ -81,19 +77,6 @@ def identity_family(category: str) -> NaturalFamily:
     return NaturalFamily("identity", category, ident, ident, component)
 
 
-def postcompose_family(category: str, c) -> NaturalFamily:
-    """One-argument alpha(f) = c . f on endo hom-sets; self-conjugate only
-    when c is hermitian, so a non-hermitian c witnesses a violation."""
-    from .expr import PostCompose
-
-    ident = IdentityFunctor()
-
-    def component(x: FinObject, y: FinObject) -> FunctionalExpr:
-        return PostCompose(c, HomSpace(category, x, y))
-
-    return NaturalFamily("postcompose", category, ident, ident, component)
-
-
 def _transport(v, m, u):
     """v . m . u for morphisms u into m's source and v out of m's target."""
     return compose(v, compose(m, u))
@@ -107,7 +90,6 @@ def check_naturality(
     yp: FinObject,
     fuel: int = 10,
     policy: Optional[FixPolicy] = None,
-    cap: int = 9,
 ) -> LawReport:
     """Naturality squares from component (x, y) to component (xp, yp).
 
@@ -121,10 +103,10 @@ def check_naturality(
     arg1, par1 = family.spaces(x, y)
     F, G = family.F, family.G
 
-    u_homs = HomSpace(family.category, xp, x).morphisms(cap)
-    v_homs = HomSpace(family.category, y, yp).morphisms(cap)
-    h_homs = arg1.morphisms(cap)
-    p_homs = par1.morphisms(cap)
+    u_homs = HomSpace(family.category, xp, x).morphisms()
+    v_homs = HomSpace(family.category, y, yp).morphisms()
+    h_homs = arg1.morphisms()
+    p_homs = par1.morphisms()
     bot1 = arg1.bottom()
     bot2 = bottom(family.category, F.apply_obj(xp), F.apply_obj(yp))
 
@@ -182,7 +164,6 @@ def check_self_conjugate(
     family: NaturalFamily,
     x: FinObject,
     y: FinObject,
-    cap: int = 9,
     tolerance: float = 1e-9,
 ) -> LawReport:
     """alpha_{X,Y}(f)+ = alpha_{Y,X}(f+), and the conjugate formulation
@@ -198,7 +179,7 @@ def check_self_conjugate(
     else:
         names, spaces, conj_yx = ("f",), (a_xy.dom,), conj(a_yx)
 
-    for args in product(*(space.morphisms(cap) for space in spaces)):
+    for args in product(*(space.morphisms() for space in spaces)):
         try:
             direct = a_xy(*args)
             swapped = a_yx(*map(dagger, args))

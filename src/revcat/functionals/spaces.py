@@ -26,8 +26,8 @@ class HomSpace:
     def domain(self, tolerance: float = 1e-9) -> HomDomain:
         return hom_domain(self.category, self.src, self.dst, tolerance=tolerance)
 
-    def morphisms(self, cap: int = 9) -> list:
-        return enumerate_homs(self.category, self.src, self.dst, cap)
+    def morphisms(self) -> list:
+        return enumerate_homs(self.category, self.src, self.dst)
 
     def __repr__(self):
         return f"{self.category}({self.src.size}->{self.dst.size})"

@@ -4,7 +4,7 @@ A ``HomDomain`` packages everything the engine needs to iterate inside one
 hom-set: the least element, the order, suprema of ascending chains,
 enumeration (which may refuse), and a metric where there is one.
 Continuity of the step functions handed to ``kleene_fix``/``kleene_pfix``
-is a caller obligation; ``spot_check_monotone`` probes it on samples.
+is a caller obligation that the engine does not check.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from .errors import DomainMismatch, NonConvergence
-from .report import Checker, LawReport
 
 
 @dataclass(frozen=True)
@@ -95,17 +94,3 @@ def kleene_pfix(
 ) -> KleeneResult:
     """Least x with x = step2(x, parameter), iterating from bottom."""
     return _iterate(lambda x: step2(x, parameter), domain, policy)
-
-
-def spot_check_monotone(step, domain: HomDomain, sample_pairs) -> LawReport:
-    """Probe step for monotonicity on pairs already known to satisfy f <= g."""
-    checker = Checker("monotone-spot-check")
-    for f, g in sample_pairs:
-        if not domain.leq(f, g):
-            raise ValueError("sample pair is not ordered: expected f <= g")
-        checker.check(
-            "monotonicity",
-            domain.leq(step(f), step(g)),
-            lambda f=f, g=g: f"f={f!r} g={g!r}",
-        )
-    return checker.done()

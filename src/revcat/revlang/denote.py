@@ -12,7 +12,7 @@ from random import Random
 from ..cat import FinObject, PInjMorphism
 from ..errors import RevcatError, TooLarge
 from ..report import Checker, LawReport
-from .interp import UNDEFINED, eval_program
+from .interp import eval_program
 from .invert import invert_binding, invert_program, toggle_suffix
 from .syntax import Atom, CallRef, Cons, Nil, Pair, Program, S, Term, Z
 from .validate import validate_program
@@ -70,7 +70,7 @@ def denote(
     universe = enumerate_values(universe_bound, program.atoms)
     if len(universe) > max_universe:
         raise TooLarge(
-            f"universe of {len(universe)} terms exceeds the cap of {max_universe}"
+            f"universe of {len(universe)} terms exceeds the limit of {max_universe}"
         )
     index = {v: i for i, v in enumerate(universe)}
     obj = FinObject(len(universe), label=f"terms<={universe_bound}")
@@ -168,37 +168,5 @@ def roundtrip_check(
             "fuel-adjoint",
             (forward_n == w) == (backward_n == v),
             lambda v=v, w=w, n=n: f"v={v!r} w={w!r} fuel={n}",
-        )
-    return checker.done()
-
-
-def fuel_monotonicity_check(
-    program: Program,
-    fname: str,
-    bindings: dict[str, CallRef],
-    samples: int,
-    max_fuel: int,
-    seed: int,
-    value_gen=None,
-    value_bound: int = 12,
-) -> LawReport:
-    """Defined at fuel n implies defined with the same value at any higher fuel."""
-    _gate(program)
-    checker = Checker("fuel-monotonicity")
-    rng = Random(seed)
-    gen = value_gen or (lambda r: random_value(r, value_bound, program.atoms))
-    for _ in range(samples):
-        v = gen(rng)
-        low = rng.randrange(0, max_fuel)
-        high = rng.randrange(low, max_fuel + 1)
-        at_low = eval_program(program, fname, bindings, v, low)
-        at_high = eval_program(program, fname, bindings, v, high)
-        ok = at_low is UNDEFINED or at_low == at_high
-        checker.check(
-            "fuel-monotone",
-            ok,
-            lambda v=v, low=low, high=high, a=at_low, b=at_high: (
-                f"v={v!r} fuel {low}->{high}: {a!r} then {b!r}"
-            ),
         )
     return checker.done()

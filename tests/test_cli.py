@@ -145,8 +145,21 @@ def test_fix_rejects_bad_documents(capture, tmp_path):
         ({"op": []}, "'op'"),
         ({"op": "identity", "dom": 3}, "'cat', 'src' and 'dst'"),
         ({"op": "identity", "dom": {"cat": "wat", "src": 1, "dst": 1}}, "'wat' in the 'cat' field"),
+        ({"op": "const", "m": {"type": "rel", "src": 2, "dst": 2, "pairs": [[0, 0.5]]}}, "'pairs'"),
+        ({"op": "const", "m": {"type": "rel", "src": 2, "dst": 2, "pairs": [[True, 0]]}}, "'pairs'"),
+        ({"op": "const", "m": {"type": "rel", "src": "2", "dst": True, "pairs": []}}, "'src'"),
+        ({"op": "const", "m": {"type": "pinj", "src": 2, "dst": 2, "map": {"0": True}}}, "'map'"),
+        ({"op": "const", "m": {"type": "pinj", "src": 11, "dst": 11, "map": {"1_0": 0}}}, "'map'"),
+        ({"op": "const", "m": {"type": "dstoch", "n": 1.7, "rows": [[0.5]]}}, "'n'"),
+        ({"op": "identity", "dom": {"cat": "rel", "src": 1.5, "dst": 1}}, "'src'"),
+        ({"op": "host", "name": "affine", "n": 1, "scale": "0.5", "shift": 0.25}, "'scale'"),
+        ({"op": "host", "name": "affine", "n": 1, "scale": 0.5, "shift": True}, "'shift'"),
     ],
-    ids=["op-not-a-string", "dom-not-a-space", "unknown-category"],
+    ids=[
+        "op-not-a-string", "dom-not-a-space", "unknown-category", "rel-float-index",
+        "rel-bool-index", "rel-coerced-sizes", "pinj-bool-value", "pinj-underscored-key",
+        "dstoch-float-size", "space-float-size", "affine-string-scale", "affine-bool-shift",
+    ],
 )
 def test_fix_refuses_malformed_documents_as_input_errors(capture, tmp_path, doc, named):
     path = tmp_path / "bad.json"

@@ -21,7 +21,6 @@ from revcat.functionals import (
     apply_functional,
     apply_param,
     check_conj_preservation,
-    check_fix_pfix_agreement,
     check_fixed_point_adjoint,
     check_pfix_adjoint,
     check_pfix_identity,
@@ -33,6 +32,7 @@ from revcat.functionals import (
     random_param_functional,
 )
 
+from checkers import check_fix_pfix_agreement
 from oracles import reachability_closure
 
 X3 = FinObject(3)

@@ -8,7 +8,6 @@ from revcat.functionals import (
     IdentityFunctor,
     NaturalFamily,
     PJoin,
-    check_fix_pfix_agreement,
     check_fixed_point_adjoint,
     check_naturality,
     check_pfix_adjoint,
@@ -17,6 +16,8 @@ from revcat.functionals import (
     fix_functional,
 )
 from revcat.functionals.expr import JoinWith, PostCompose, PreCompose, Seq
+
+from checkers import check_fix_pfix_agreement
 
 
 def test_non_natural_family_is_flagged():

@@ -1,5 +1,5 @@
 """Nested static arguments: parametrized functions passed as parameters."""
-from revcat.cat import FinObject, enumerate_homs
+from revcat.cat import FinObject, enumerate_homs, enumerate_rel
 from revcat.errors import TooLarge
 from revcat.order import FixMode, FixPolicy, kleene_fix
 from revcat.cat import StochMorphism, hom_domain
@@ -41,7 +41,7 @@ def test_enumeration_cap_raises_too_large():
     big = FinObject(4)
     with pytest.raises(TooLarge):
         enumerate_homs("rel", big, big)
-    assert len(enumerate_homs("rel", big, big, cap=16)) == 2 ** 16
+    assert len(enumerate_rel(big, big, cap=16)) == 2 ** 16
 
 
 def test_metric_kleene_result_carries_residual():

@@ -2,17 +2,17 @@ from revcat.cat import FinObject, RelMorphism, compose, dagger
 from revcat.functionals import (
     DisjointUnionWith,
     IdentityFunctor,
-    check_dagger_functor,
     check_naturality,
     check_self_conjugate,
     identity_family,
     join_family,
     pad_with_identity,
     pfix_functional,
-    postcompose_family,
     projection_family,
     trace_family,
 )
+
+from checkers import check_dagger_functor, postcompose_family
 
 O1, O2 = FinObject(1), FinObject(2)
 

@@ -2,8 +2,9 @@ import pytest
 
 from revcat.cat import FinObject, RelMorphism, StochMorphism, compose, hom_domain, join, leq
 from revcat.errors import DomainMismatch, NonConvergence
-from revcat.order import FixMode, FixPolicy, kleene_fix, kleene_pfix, spot_check_monotone
+from revcat.order import FixMode, FixPolicy, kleene_fix, kleene_pfix
 
+from checkers import spot_check_monotone
 from oracles import geometric_fixed_point, iterate_param_step, reachability_closure
 
 X3 = FinObject(3)
@@ -121,7 +122,7 @@ def test_kleene_chain_is_ascending_and_result_is_least_fixed_point():
         assert leq(earlier, later)
     # least among all enumerated fixed points
     value = result.value
-    for candidate in hom_domain("rel", X3, X3, cap=9).elements():
+    for candidate in hom_domain("rel", X3, X3).elements():
         if closure_step(candidate) == candidate:
             assert leq(value, candidate)
 

@@ -9,12 +9,13 @@ from revcat.revlang import (
     dagger_ref,
     eval_program,
     eval_ref,
-    fuel_monotonicity_check,
     parse_callref_text,
     parse_program,
     parse_value,
     random_peano_pair,
 )
+
+from checkers import fuel_monotonicity_check
 
 
 def nat(n):

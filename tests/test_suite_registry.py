@@ -1,16 +1,21 @@
 """The laws command reads its suites from one registry and refuses bad
 requests before any suite runs; its JSON stays byte-identical."""
 import json
+import re
 from dataclasses import replace
+from inspect import signature
 from pathlib import Path
 
 import pytest
 
+from revcat.cat.laws import SUITES
 from revcat.cli import main
 from revcat.cli import REGISTRY
+from revcat.functionals.trace import check_dagger_trace
 from revcat.revlang.programs import ADD
 
-GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "bench" / "golden"
 
 
 @pytest.fixture()
@@ -38,6 +43,20 @@ def runner_calls(monkeypatch):
     for name, suite in list(REGISTRY.items()):
         monkeypatch.setitem(REGISTRY, name, replace(suite, run=spy(name)))
     return calls
+
+
+def test_src_holds_only_the_checkers_a_command_runs():
+    named = [
+        name
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for name in re.findall(r'Checker\("([^"]*)"\)', path.read_text(encoding="utf-8"))
+    ]
+    functional = [name for name in REGISTRY if name not in SUITES]
+    assert sorted(named) == sorted([*functional, "roundtrip"])
+    assert not any(
+        p.annotation in (bool, "bool") or isinstance(p.default, bool)
+        for p in signature(check_dagger_trace).parameters.values()
+    )
 
 
 def test_unsupported_suite_is_refused_before_any_suite_runs(capture, runner_calls):

@@ -1,3 +1,4 @@
+from itertools import product
 from types import ModuleType
 
 import pytest
@@ -8,6 +9,7 @@ import revcat.functionals.trace as trace_module
 from revcat.functionals import check_dagger_trace
 from revcat.functionals.trace import trace
 
+from checkers import check_trace_sliding
 from oracles import orbit_trace, relational_trace
 
 O1, O2 = FinObject(1), FinObject(2)
@@ -78,10 +80,8 @@ def test_identity_trace_is_identity_on_the_visible_block():
 
 
 @pytest.mark.parametrize("category", ["rel", "pinj"])
-def test_sliding_dinaturality_optional_check(category):
-    report = check_dagger_trace(
-        category, 1, 1, 2, include_naturality=False, include_dinaturality=True
-    )
+def test_sliding_dinaturality(category):
+    report = check_trace_sliding(category, 1, 1, 2)
     assert report.passed
     assert report.by_law.get("trace-sliding", 0) > 0
 
@@ -119,6 +119,25 @@ def test_yanking_the_swap_gives_the_identity(cls, n):
     if cls is RelMorphism:
         swap = swap.to_rel()
     assert trace(swap, u, u, u) == cls.identity(u)
+
+
+@pytest.mark.parametrize("enumerate_homs", [enumerate_rel, enumerate_pinj])
+def test_vanishing_over_the_empty_object_is_the_identity(enumerate_homs):
+    for x, y in product(range(3), repeat=2):
+        for f in enumerate_homs(FinObject(x), FinObject(y)):
+            assert trace(f, FinObject(x), FinObject(y), FinObject(0)) == f
+
+
+# Tr_{U+V}(f) = Tr_U(Tr_V(f)) for f: X + U + V -> Y + U + V.
+@pytest.mark.parametrize("enumerate_homs", [enumerate_rel, enumerate_pinj])
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1)])
+def test_vanishing_traces_a_sum_one_summand_at_a_time(enumerate_homs, shape):
+    x, y, u, v = (FinObject(n) for n in shape)
+    xu, yu = FinObject(x.size + u.size), FinObject(y.size + u.size)
+    uv = FinObject(u.size + v.size)
+    src, dst = FinObject(xu.size + v.size), FinObject(yu.size + v.size)
+    for f in enumerate_homs(src, dst):
+        assert trace(f, x, y, uv) == trace(trace(f, xu, yu, v), x, y, u), f
 
 
 def test_exit_map_is_not_injective_so_pinj_traces_through_rel():
