@@ -2,9 +2,11 @@
 
 Subcommands: laws, fix, trace, run, invert, roundtrip.  Exit codes:
 0 pass, 1 law or round-trip violation, 2 input/config error, 3
-non-convergence.  With --format json, one self-describing document is
-printed per invocation; repeated runs with the same configuration and
-seed produce byte-identical output (wall-clock times are omitted).
+non-convergence, 4 internal error (an unexpected exception, reported as
+one ``error: internal:`` line on stderr instead of a traceback).  With
+--format json, one self-describing document is printed per invocation;
+repeated runs with the same configuration and seed produce
+byte-identical output (wall-clock times are omitted).
 """
 from __future__ import annotations
 
@@ -32,8 +34,6 @@ from .errors import (
     DimensionMismatch,
     NonConvergence,
     RevcatError,
-    UnboundParameter,
-    UnknownFunction,
 )
 from .functionals import (
     DisjointUnionWith,
@@ -57,10 +57,10 @@ from .functionals.trace import trace
 from .order import FixMode, FixPolicy, kleene_fix
 from .report import LawReport
 from .revlang import (
-    CallRef,
     UNDEFINED,
     STUCK,
     ValidationFailed,
+    closed_ref,
     eval_ref,
     invert_program,
     parse_callref_text,
@@ -318,19 +318,15 @@ def _bindings_from(args) -> dict:
 
 
 def cmd_run(args) -> int:
+    if args.fuel <= 0:
+        raise ConfigError("--fuel must be positive")
     program = _load_program(args.file)
     ref = parse_callref_text(args.fname)
     bindings = _bindings_from(args)
     if bindings:
         if ref.args:
             raise ConfigError("give static arguments either inline or via --bind")
-        fdef = program.defs.get(ref.name)
-        if fdef is None:
-            raise UnknownFunction(ref.name)
-        missing = [p for p in fdef.params if p not in bindings]
-        if missing:
-            raise UnboundParameter(f"missing binding(s) for: {', '.join(missing)}")
-        ref = CallRef(ref.name, tuple(bindings[p] for p in fdef.params), ref.inverted)
+        ref = closed_ref(program, ref.name, bindings, ref.inverted)
     value = parse_value(args.arg)
     result = eval_ref(program, ref, value, args.fuel)
     if result is UNDEFINED:
@@ -377,6 +373,8 @@ def cmd_roundtrip(args) -> int:
         raise ConfigError("roundtrip requires --seed")
     if args.trials <= 0:
         raise ConfigError("--trials must be positive")
+    if args.fuel <= 0:
+        raise ConfigError("--fuel must be positive")
     program = _load_program(args.file)
     bindings = _bindings_from(args)
     gen = None
@@ -515,6 +513,10 @@ def main(argv=None) -> int:
     except (RevcatError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        detail = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from random import Random
 from ..cat import FinObject, PInjMorphism
 from ..errors import RevcatError, TooLarge
 from ..report import Checker, LawReport
-from .interp import eval_program
+from .interp import Evaluator, closed_ref
 from .invert import invert_binding, invert_program, toggle_suffix
 from .syntax import Atom, CallRef, Cons, Nil, Pair, Program, S, Term, Z
 from .validate import validate_program
@@ -73,11 +73,13 @@ def denote(
             f"universe of {len(universe)} terms exceeds the limit of {max_universe}"
         )
     index = {v: i for i, v in enumerate(universe)}
+    ref = closed_ref(program, fname, bindings)
+    evaluator = Evaluator(program)
     obj = FinObject(len(universe), label=f"terms<={universe_bound}")
     table: list[int | None] = [None] * len(universe)
     hit: dict[int, Term] = {}
     for i, v in enumerate(universe):
-        w = eval_program(program, fname, bindings, v, fuel)
+        w = evaluator.call(ref, v, fuel)
         if isinstance(w, Term):
             j = index.get(w)
             if j is None:
@@ -143,27 +145,29 @@ def roundtrip_check(
     _gate(program)
     checker = Checker("roundtrip")
     inverted = invert_program(program, suffix)
-    inv_name = toggle_suffix(fname, suffix)
     inv_bindings = {
         p: invert_binding(r, program, suffix) for p, r in bindings.items()
     }
+    forward, backward = Evaluator(program), Evaluator(inverted)
+    fref = closed_ref(program, fname, bindings)
+    bref = closed_ref(inverted, toggle_suffix(fname, suffix), inv_bindings)
     rng = Random(seed)
     gen = value_gen or (lambda r: random_value(r, value_bound, program.atoms))
     for _ in range(trials):
         v = gen(rng)
-        w = eval_program(program, fname, bindings, v, fuel)
+        w = forward.call(fref, v, fuel)
         if not isinstance(w, Term):
             checker.skip("roundtrip")
             continue
-        back = eval_program(inverted, inv_name, inv_bindings, w, fuel)
+        back = backward.call(bref, w, fuel)
         checker.check(
             "roundtrip",
             back == v,
             lambda v=v, w=w, back=back: f"v={v!r} w={w!r} back={back!r}",
         )
         n = rng.randrange(1, fuel + 1)
-        forward_n = eval_program(program, fname, bindings, v, n)
-        backward_n = eval_program(inverted, inv_name, inv_bindings, w, n)
+        forward_n = forward.call(fref, v, n)
+        backward_n = backward.call(bref, w, n)
         checker.check(
             "fuel-adjoint",
             (forward_n == w) == (backward_n == v),

@@ -8,11 +8,21 @@ approximant of the program's semantics from below.
 Undefined (fuel ran out) is distinct from Stuck (no clause matched, or a
 let pattern rejected a call result): more fuel can resolve the former,
 never the latter.
+
+An ``Evaluator`` compiles each definition, per direction, the first time
+it is called: every pattern becomes a matcher closure that binds into the
+clause's environment in place, and every let argument and output becomes
+a builder closure.  ``Evaluator.call`` runs on an explicit stack of
+frames, so the depth of a computation is bounded by memory, not by
+Python's recursion limit.
 """
 from __future__ import annotations
 
+from operator import itemgetter
+
 from ..errors import UnboundParameter, UnknownFunction
-from .syntax import CallRef, FuncDef, Program, Term, instantiate, match
+from .invert import invert_def
+from .syntax import Atom, CallRef, Cons, Pair, Program, S, Term, Var, dagger_ref, is_value
 
 
 class _Undefined:
@@ -29,31 +39,108 @@ UNDEFINED = _Undefined()
 STUCK = _Stuck()
 
 
+def _matcher(p: Term, bound: set[str]):
+    """A closure ``m(v, env) -> bool`` that tests ``v`` against ``p``.
+
+    The first occurrence of a variable binds it in ``env``.  A variable in
+    ``bound``, bound earlier in the clause, must equal the value bound to
+    it, so a non-linear pattern matches as ``syntax.match`` does.
+    """
+    cls = type(p)
+    if cls is Var:
+        name = p.name
+        if name in bound:
+            return lambda v, env: env[name] == v
+        bound.add(name)
+
+        def bind(v, env):
+            env[name] = v
+            return True
+
+        return bind
+    if cls is S:
+        arg = _matcher(p.arg, bound)
+        return lambda v, env: type(v) is S and arg(v.arg, env)
+    if cls is Cons:
+        head = _matcher(p.head, bound)
+        tail = _matcher(p.tail, bound)
+        return lambda v, env: type(v) is Cons and head(v.head, env) and tail(v.tail, env)
+    if cls is Pair:
+        left = _matcher(p.left, bound)
+        right = _matcher(p.right, bound)
+        return lambda v, env: type(v) is Pair and left(v.left, env) and right(v.right, env)
+    if cls is Atom:
+        name = p.name
+        return lambda v, env: type(v) is Atom and v.name == name
+    return lambda v, env: type(v) is cls
+
+
+def _builder(t: Term):
+    """A closure ``b(env) -> Term`` that instantiates ``t``; a subterm with
+    no variables is returned as the same object."""
+    if is_value(t):
+        return lambda env: t
+    cls = type(t)
+    if cls is Var:
+        return itemgetter(t.name)
+    if cls is S:
+        arg = _builder(t.arg)
+        return lambda env: S(arg(env))
+    if cls is Cons:
+        head, tail = _builder(t.head), _builder(t.tail)
+        return lambda env: Cons(head(env), tail(env))
+    left, right = _builder(t.left), _builder(t.right)
+    return lambda env: Pair(left(env), right(env))
+
+
+def _mentions(ref: CallRef, params: tuple[str, ...]) -> bool:
+    return ref.name in params or any(_mentions(a, params) for a in ref.args)
+
+
+def closed_ref(
+    program: Program, fname: str, bindings: dict[str, CallRef], inverted: bool = False
+) -> CallRef:
+    """The reference that runs ``fname`` with its static parameters bound."""
+    fdef = program.defs.get(fname)
+    if fdef is None:
+        raise UnknownFunction(fname)
+    missing = [p for p in fdef.params if p not in bindings]
+    if missing:
+        raise UnboundParameter(f"missing binding(s) for: {', '.join(missing)}")
+    return CallRef(fname, tuple(bindings[p] for p in fdef.params), inverted)
+
+
 class Evaluator:
     def __init__(self, program: Program):
         self.program = program
-        self._inverted: dict[str, FuncDef] = {}
+        # (name, inverted) -> (params, clauses); each clause is
+        # (lhs matcher, steps, output builder) and each step is
+        # (argument builder, callee, callee mentions a parameter, pattern matcher).
+        self._compiled: dict[tuple[str, bool], tuple] = {}
 
-    def _definition(self, name: str, inverted: bool) -> FuncDef:
+    def _compile(self, name: str, inverted: bool) -> tuple:
         fdef = self.program.defs.get(name)
         if fdef is None:
             raise UnknownFunction(name)
-        if not inverted:
-            return fdef
-        if name not in self._inverted:
-            from .invert import invert_def
-
-            self._inverted[name] = invert_def(fdef)
-        return self._inverted[name]
+        if inverted:
+            fdef = invert_def(fdef)
+        clauses = []
+        for clause in fdef.clauses:
+            bound: set[str] = set()
+            lhs = _matcher(clause.lhs, bound)
+            steps = tuple(
+                (_builder(s.arg), s.callee, _mentions(s.callee, fdef.params),
+                 _matcher(s.pattern, bound))
+                for s in clause.lets
+            )
+            clauses.append((lhs, steps, _builder(clause.out)))
+        self._compiled[name, inverted] = code = (fdef.params, tuple(clauses))
+        return code
 
     def _resolve(self, ref: CallRef, bindings: dict[str, CallRef]) -> CallRef:
         if ref.name in bindings:
             bound = bindings[ref.name]
-            if ref.inverted:
-                from .syntax import dagger_ref
-
-                bound = dagger_ref(bound)
-            return bound
+            return dagger_ref(bound) if ref.inverted else bound
         return CallRef(
             ref.name,
             tuple(self._resolve(a, bindings) for a in ref.args),
@@ -61,31 +148,54 @@ class Evaluator:
         )
 
     def call(self, ref: CallRef, value: Term, fuel: int):
-        if fuel <= 0:
-            return UNDEFINED
-        fdef = self._definition(ref.name, ref.inverted)
-        if len(ref.args) != len(fdef.params):
-            raise UnboundParameter(
-                f"{ref.name} expects {len(fdef.params)} static argument(s)"
+        """Run ``ref`` on ``value``: a term, ``UNDEFINED`` or ``STUCK``.
+
+        Each frame is ``[steps, i, env, out, fuel, bindings]``: a clause
+        waiting for the result of its let ``steps[i]``.  UNDEFINED and STUCK
+        end the whole call at once, since a let passes either straight up.
+        """
+        compiled = self._compiled
+        frames: list[list] = []
+        while True:
+            if fuel <= 0:
+                return UNDEFINED
+            params, clauses = (
+                compiled.get((ref.name, ref.inverted))
+                or self._compile(ref.name, ref.inverted)
             )
-        bindings = dict(zip(fdef.params, ref.args))
-        for clause in fdef.clauses:
-            env = match(clause.lhs, value)
-            if env is None:
-                continue
-            for step in clause.lets:
-                argument = instantiate(step.arg, env)
-                result = self.call(
-                    self._resolve(step.callee, bindings), argument, fuel - 1
+            if len(ref.args) != len(params):
+                raise UnboundParameter(
+                    f"{ref.name} expects {len(params)} static argument(s)"
                 )
-                if result is UNDEFINED or result is STUCK:
-                    return result
-                extended = match(step.pattern, result, env)
-                if extended is None:
-                    return STUCK
-                env = extended
-            return instantiate(clause.out, env)
-        return STUCK
+            for lhs, steps, out in clauses:
+                env = {}
+                if lhs(value, env):
+                    break
+            else:
+                return STUCK
+            if steps:
+                bindings = dict(zip(params, ref.args)) if params else None
+                frame = [steps, 0, env, out, fuel, bindings]
+                frames.append(frame)
+            else:
+                result = out(env)
+                while True:
+                    if not frames:
+                        return result
+                    frame = frames[-1]
+                    steps, i, env = frame[0], frame[1], frame[2]
+                    if not steps[i][3](result, env):
+                        return STUCK
+                    i += 1
+                    if i < len(steps):
+                        frame[1] = i
+                        break
+                    frames.pop()
+                    result = frame[3](env)
+            arg, callee, dynamic, _ = frame[0][frame[1]]
+            value = arg(frame[2])
+            ref = self._resolve(callee, frame[5]) if dynamic else callee
+            fuel = frame[4] - 1
 
 
 def eval_program(
@@ -96,13 +206,7 @@ def eval_program(
     fuel: int,
 ):
     """Run ``fname`` on ``value`` with the given static parameter bindings."""
-    fdef = program.defs.get(fname)
-    if fdef is None:
-        raise UnknownFunction(fname)
-    missing = [p for p in fdef.params if p not in bindings]
-    if missing:
-        raise UnboundParameter(f"missing binding(s) for: {', '.join(missing)}")
-    ref = CallRef(fname, tuple(bindings[p] for p in fdef.params), False)
+    ref = closed_ref(program, fname, bindings)
     return Evaluator(program).call(ref, value, fuel)
 
 

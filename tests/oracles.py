@@ -4,12 +4,17 @@ Everything here is deliberately computed without the library's morphism
 algebra: plain graph search, counting formulas, closed forms, and
 pointwise orbit walks.  The ``stoch_*`` functions are the numpy reference
 for ``dstoch``: its validation, product, transpose and seeded generators,
-on ndarrays.
+on ndarrays.  ``ReferenceEvaluator`` is the recursive revlang evaluator
+that re-walks each pattern with ``syntax.match`` and ``instantiate`` on
+every call, the reference for the compiled ``Evaluator``.
 """
 from itertools import product
 from math import comb, factorial
 
 import numpy as np
+
+from revcat.errors import UnboundParameter, UnknownFunction
+from revcat.revlang import STUCK, UNDEFINED, CallRef, dagger_ref, instantiate, invert_def, match
 
 
 def reachability_closure(edges, n):
@@ -168,3 +173,54 @@ def stoch_random_ordered_pair(n, rng):
 def stoch_random_chain(n, rng, length):
     target = stoch_random(n, rng)
     return [target * (1 - 0.5 ** k) for k in range(length)]
+
+
+# -- recursive reference for revlang ------------------------------------------
+
+
+class ReferenceEvaluator:
+    """Fuel-indexed evaluation by direct recursion over the clauses."""
+
+    def __init__(self, program):
+        self.program = program
+        self._inverted = {}
+
+    def _definition(self, name, inverted):
+        fdef = self.program.defs.get(name)
+        if fdef is None:
+            raise UnknownFunction(name)
+        if not inverted:
+            return fdef
+        if name not in self._inverted:
+            self._inverted[name] = invert_def(fdef)
+        return self._inverted[name]
+
+    def _resolve(self, ref, bindings):
+        if ref.name in bindings:
+            bound = bindings[ref.name]
+            return dagger_ref(bound) if ref.inverted else bound
+        return CallRef(
+            ref.name, tuple(self._resolve(a, bindings) for a in ref.args), ref.inverted
+        )
+
+    def call(self, ref, value, fuel):
+        if fuel <= 0:
+            return UNDEFINED
+        fdef = self._definition(ref.name, ref.inverted)
+        if len(ref.args) != len(fdef.params):
+            raise UnboundParameter(f"{ref.name} expects {len(fdef.params)} static argument(s)")
+        bindings = dict(zip(fdef.params, ref.args))
+        for clause in fdef.clauses:
+            env = match(clause.lhs, value)
+            if env is None:
+                continue
+            for step in clause.lets:
+                argument = instantiate(step.arg, env)
+                result = self.call(self._resolve(step.callee, bindings), argument, fuel - 1)
+                if result is UNDEFINED or result is STUCK:
+                    return result
+                env = match(step.pattern, result, env)
+                if env is None:
+                    return STUCK
+            return instantiate(clause.out, env)
+        return STUCK

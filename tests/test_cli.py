@@ -305,6 +305,34 @@ def test_roundtrip_requires_seed(capture, add_file):
     assert "seed" in err
 
 
+def test_run_refuses_non_positive_fuel(capture, add_file):
+    for fuel in ("0", "-2"):
+        code, out, err = capture("run", add_file, "add", "--arg", "(Z, Z)", "--fuel", fuel)
+        assert (code, out) == (2, "")
+        assert "--fuel must be positive" in err
+
+
+def test_roundtrip_refuses_non_positive_fuel(capture, add_file):
+    for fuel in ("0", "-3"):
+        code, out, err = capture(
+            "roundtrip", add_file, "add", "--seed", "1", "--trials", "5", "--fuel", fuel
+        )
+        assert (code, out) == (2, "")
+        assert "--fuel must be positive" in err
+
+
+def test_an_unexpected_exception_exits_four_without_a_traceback(capture, monkeypatch):
+    import revcat.cli
+
+    def crash(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(revcat.cli, "cmd_trace", crash)
+    code, out, err = capture("trace", "any.json", "--x", "1", "--y", "1", "--u", "0")
+    assert (code, out) == (4, "")
+    assert err == "error: internal: RuntimeError: boom second line\n"
+
+
 def test_config_file_supplies_defaults(capture, add_file, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"fuel": 1}))

@@ -9,7 +9,7 @@ from revcat.cat import (
     loads_morphism,
     morphism_from_doc,
 )
-from revcat.errors import ParseError
+from revcat.errors import ParseError, RevcatError
 from revcat.functionals import (
     JoinWith,
     PostCompose,
@@ -54,7 +54,7 @@ def test_dstoch_document_roundtrip():
     ],
 )
 def test_bad_morphism_documents_rejected(bad):
-    with pytest.raises((ParseError, Exception)):
+    with pytest.raises(RevcatError):
         loads_morphism(bad)
 
 
