@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import DimensionMismatch, ParseError
+from ..errors import DimensionMismatch, InvalidArgument, ParseError
 
 # The most cells (source size x target size) a hom-set of rel or pinj may
 # have for ``enumerate_rel``/``enumerate_pinj`` to list it: 2**9 relations.
@@ -18,7 +18,7 @@ class FinObject:
 
     def __post_init__(self):
         if self.size < 0:
-            raise ValueError("object size must be nonnegative")
+            raise InvalidArgument(f"object size must be nonnegative, got {self.size}")
 
     def __repr__(self):
         if self.label is None:

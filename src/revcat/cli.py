@@ -203,6 +203,10 @@ def cmd_laws(args) -> int:
         raise ConfigError("--trials must not be negative")
     if args.trials == 0 and any(args.category in s.randomized for s in suites):
         raise ConfigError("--trials 0 would check nothing in a randomized suite")
+    if args.fuel <= 0:
+        raise ConfigError("--fuel must be positive")
+    if args.depth < 0:
+        raise ConfigError("--depth must not be negative")
 
     sizes = _sizes_from(args)
     if args.category == DSTOCH and not any(s > 0 for s in sizes):
@@ -250,9 +254,17 @@ def cmd_laws(args) -> int:
 # -- fix ---------------------------------------------------------------------
 
 
+def _read_text(path: str) -> str:
+    """The contents of an input file, which must be UTF-8 text."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def cmd_fix(args) -> int:
-    with open(args.file, encoding="utf-8") as handle:
-        phi = loads_functional(handle.read())
+    phi = loads_functional(_read_text(args.file))
     if phi.dom != phi.cod:
         raise DimensionMismatch(f"not an endo-functional: {phi.dom!r} -> {phi.cod!r}")
     policy = FixPolicy(args.max_iterations, args.tolerance, FixMode[args.mode.upper()])
@@ -283,8 +295,7 @@ def cmd_fix(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    with open(args.file, encoding="utf-8") as handle:
-        f = loads_morphism(handle.read())
+    f = loads_morphism(_read_text(args.file))
     traced = trace(f, FinObject(args.x), FinObject(args.y), FinObject(args.u))
     doc = {
         "command": "trace",
@@ -299,8 +310,7 @@ def cmd_trace(args) -> int:
 
 
 def _load_program(path: str):
-    with open(path, encoding="utf-8") as handle:
-        program = parse_program(handle.read())
+    program = parse_program(_read_text(path))
     report = validate_program(program)
     if not report.ok:
         raise ValidationFailed(report)
@@ -491,7 +501,7 @@ def main(argv=None) -> int:
         try:
             with open(args.config, encoding="utf-8") as handle:
                 defaults = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # unreadable, undecodable or not JSON
             print(f"error: bad config file: {exc}", file=sys.stderr)
             return 2
         command = commands[args.command]
@@ -510,7 +520,7 @@ def main(argv=None) -> int:
     except NonConvergence as exc:
         print(f"error: non-convergence: {exc}", file=sys.stderr)
         return 3
-    except (RevcatError, OSError, ValueError, KeyError) as exc:
+    except (RevcatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

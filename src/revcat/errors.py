@@ -21,6 +21,11 @@ class NonConvergence(RevcatError):
         self.residual = residual
 
 
+class InvalidArgument(RevcatError, ValueError):
+    """A value an operation does not accept, such as a negative object size
+    or a fixed-point policy that allows no iteration."""
+
+
 class IncompatibleJoin(RevcatError):
     pass
 

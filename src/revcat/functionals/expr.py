@@ -295,9 +295,9 @@ def _affine_host(doc: dict) -> Host:
     ``shift`` and ``scale`` come from the document, so each step builds its
     result through the validating constructor.
     """
-    n = read_nat(doc["n"], "n")
-    scale = read_entry(doc["scale"], "scale")
-    shift = read_entry(doc["shift"], "shift")
+    n = read_nat(_field(doc, "n"), "n")
+    scale = read_entry(_field(doc, "scale"), "scale")
+    shift = read_entry(_field(doc, "shift"), "shift")
     obj = FinObject(n)
     space = HomSpace(DSTOCH, obj, obj)
 
@@ -329,6 +329,13 @@ _DEFAULT_DOM = {
 def _doc_keys(cls) -> frozenset:
     names = _HOST_KEYS if cls is Host else [_DOC_KEY.get(n, n) for n, _ in node_fields(cls)]
     return frozenset(["op", *names, *(["inner"] if _takes_inner(cls) else [])])
+
+
+def _field(doc: dict, key: str):
+    """``doc[key]``, or a ParseError naming the field a node document lacks."""
+    if key not in doc:
+        raise ParseError(f"{doc['op']!r} node needs a {key!r} field")
+    return doc[key]
 
 
 def functional_from_doc(doc: dict, dom: HomSpace | None = None) -> FunctionalExpr:
@@ -364,13 +371,13 @@ def functional_from_doc(doc: dict, dom: HomSpace | None = None) -> FunctionalExp
         args = []
         for name, kind in node_fields(cls):
             if kind is object:
-                args.append(morphism_from_doc(doc[_DOC_KEY.get(name, name)]))
+                args.append(morphism_from_doc(_field(doc, _DOC_KEY.get(name, name))))
             elif kind is HomSpace:
                 if dom is None and cls not in _DEFAULT_DOM:
                     raise ParseError(f"{op} node needs a 'dom' space")
                 args.append(dom if dom is not None else _DEFAULT_DOM[cls](space_of(args[0])))
             else:
-                args.append(functional_from_doc(doc[name], dom))
+                args.append(functional_from_doc(_field(doc, name), dom))
                 if cls is Seq:  # the second stage runs on what the first returns
                     dom = args[-1].cod
         node = cls(*args)

@@ -96,6 +96,14 @@ def check_naturality(
     Transport runs along u: xp -> x and v: y -> yp.  Checks the square for
     the family itself, for every iterate-from-bottom up to ``fuel``, and
     for the parametrized fixed point.
+
+    Each value is computed once per call, on first use: the transport of
+    each h along (u, v), alpha(h, p) for each (h, p) and pfix(alpha, p) for
+    each p.  Every value alpha takes lies in Hom(FX, FY), so it is kept as
+    its index into that enumerated hom-set; the iterates alpha^n(bottom, p)
+    walk the same table.  An IncompatibleJoin is kept in place of the value
+    it stopped and raised again at each instance that needs it, so checks,
+    skips and witnesses come in the order of the plain nested loop.
     """
     checker = Checker("naturality")
     alpha = family.component(x, y)
@@ -107,20 +115,43 @@ def check_naturality(
     v_homs = HomSpace(family.category, y, yp).morphisms()
     h_homs = arg1.morphisms()
     p_homs = par1.morphisms()
-    bot1 = arg1.bottom()
+    index = {h: i for i, h in enumerate(h_homs)}
+    bot1 = index[arg1.bottom()]
     bot2 = bottom(family.category, F.apply_obj(xp), F.apply_obj(yp))
+    applied = [[None] * len(h_homs) for _ in p_homs]
+    fixed = [None] * len(p_homs)
+
+    def kept(compute):
+        try:
+            return index[compute()]
+        except IncompatibleJoin as exc:
+            return exc
+
+    def alpha_at(i: int, j: int) -> int:
+        """Index of alpha(h_i, p_j)."""
+        row = applied[j]
+        if row[i] is None:
+            row[i] = kept(lambda: apply_param(alpha, h_homs[i], p_homs[j]))
+        return _reraise(row[i])
+
+    def pfix_at(j: int) -> int:
+        """Index of pfix(alpha, p_j)."""
+        if fixed[j] is None:
+            fixed[j] = kept(lambda: pfix_functional(alpha, p_homs[j], policy))
+        return _reraise(fixed[j])
 
     for u in u_homs:
         fu, gu = F.apply_mor(u), G.apply_mor(u)
         for v in v_homs:
             fv, gv = F.apply_mor(v), G.apply_mor(v)
-            for p in p_homs:
+            moved = [_transport(fv, h, fu) for h in h_homs]
+            for j, p in enumerate(p_homs):
                 p_t = _transport(gv, p, gu)
 
-                for h in h_homs:
+                for i, h in enumerate(h_homs):
                     try:
-                        lhs = apply_param(alpha_p, _transport(fv, h, fu), p_t)
-                        rhs = _transport(fv, apply_param(alpha, h, p), fu)
+                        lhs = apply_param(alpha_p, moved[i], p_t)
+                        rhs = moved[alpha_at(i, j)]
                     except IncompatibleJoin:
                         checker.skip("family-square")
                         continue
@@ -134,11 +165,11 @@ def check_naturality(
                 ok = True
                 try:
                     for n in range(1, fuel + 1):
-                        a = apply_param(alpha, a, p)
+                        a = alpha_at(a, j)
                         b = apply_param(alpha_p, b, p_t)
                         checker.check(
                             "iterate-square",
-                            b == _transport(fv, a, fu),
+                            b == moved[a],
                             lambda u=u, v=v, p=p, n=n: f"n={n} u={u!r} v={v!r} p={p!r}",
                         )
                 except IncompatibleJoin:
@@ -148,7 +179,7 @@ def check_naturality(
                 if ok:
                     try:
                         lhs = pfix_functional(alpha_p, p_t, policy)
-                        rhs = _transport(fv, pfix_functional(alpha, p, policy), fu)
+                        rhs = moved[pfix_at(j)]
                     except IncompatibleJoin:
                         checker.skip("pfix-square")
                         continue
@@ -158,6 +189,14 @@ def check_naturality(
                         lambda u=u, v=v, p=p: f"u={u!r} v={v!r} p={p!r}",
                     )
     return checker.done()
+
+
+def _reraise(kept):
+    """``kept`` itself, unless it is a stored IncompatibleJoin: raise that."""
+    if isinstance(kept, IncompatibleJoin):
+        # Drop the traceback of the last raise, which would otherwise grow.
+        raise kept.with_traceback(None)
+    return kept
 
 
 def check_self_conjugate(

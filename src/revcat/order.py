@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from .errors import DomainMismatch, NonConvergence
+from .errors import DomainMismatch, InvalidArgument, NonConvergence
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,9 @@ class FixPolicy:
 
     def __post_init__(self):
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+            raise InvalidArgument("max_iterations must be at least 1")
         if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
+            raise InvalidArgument("tolerance must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class KleeneResult:
 
 def _iterate(step1, domain: HomDomain, policy: FixPolicy) -> KleeneResult:
     if policy.mode is FixMode.METRIC and domain.metric is None:
-        raise ValueError("metric-convergence mode needs a domain metric")
+        raise InvalidArgument("metric-convergence mode needs a domain metric")
     current = domain.bottom
     iterations = 0
     for _ in range(policy.max_iterations):

@@ -12,6 +12,7 @@ definition binds inverted functions, so the flip happens at binding time.
 """
 from __future__ import annotations
 
+from ..errors import UnknownFunction
 from .syntax import CallRef, Clause, FuncDef, LetStep, Program
 
 
@@ -89,4 +90,4 @@ def invert_binding(ref: CallRef, program: Program, suffix: str = "_inv") -> Call
             tuple(invert_binding(a, program, suffix) for a in ref.args),
             ref.inverted,
         )
-    raise KeyError(f"binding references unknown function {ref.name!r}")
+    raise UnknownFunction(f"binding references unknown function {ref.name!r}")

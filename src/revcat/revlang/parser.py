@@ -238,10 +238,7 @@ class _Parser:
                     atoms.append(self.advance().text)
             elif self.at_keyword("fun"):
                 name, params, clause = self.parse_fundef_clause()
-                try:
-                    program.define(FuncDef(name, params, (clause,), clause.line))
-                except ValueError as exc:
-                    raise ParseError(str(exc), clause.line, 1) from exc
+                program.define(FuncDef(name, params, (clause,), clause.line))
             else:
                 self.fail(f"expected 'fun' or 'atom', found {self.current.text!r}")
         program.atoms = tuple(dict.fromkeys(atoms))

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..errors import ParseError
+
 
 @dataclass(frozen=True)
 class Term:
@@ -242,7 +244,7 @@ class Program:
         if fdef.name in self.defs:
             existing = self.defs[fdef.name]
             if existing.params != fdef.params:
-                raise ValueError(f"conflicting parameter lists for {fdef.name}")
+                raise ParseError(f"conflicting parameter lists for {fdef.name}", fdef.line, 1)
             self.defs[fdef.name] = FuncDef(
                 fdef.name,
                 fdef.params,

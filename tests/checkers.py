@@ -9,11 +9,13 @@ from typing import Optional
 from revcat.cat import FinObject, compose, dagger, identity
 from revcat.errors import IncompatibleJoin
 from revcat.functionals import (
+    ArgP,
     ArgX,
     HomSpace,
     IdentityFunctor,
     NaturalFamily,
     PApply,
+    PJoin,
     PostCompose,
     fix_functional,
     pfix_functional,
@@ -54,6 +56,19 @@ def postcompose_family(category: str, c) -> NaturalFamily:
         return PostCompose(c, HomSpace(category, x, y))
 
     return NaturalFamily("postcompose", category, ident, ident, component)
+
+
+def mixed_family() -> NaturalFamily:
+    """Join on the square components, projection elsewhere: transport
+    between the two shapes cannot commute, so the family is not natural."""
+
+    def component(x: FinObject, y: FinObject):
+        space = HomSpace("rel", x, y)
+        if x.size == y.size == 2:
+            return PJoin(ArgX(space, space), ArgP(space, space))
+        return ArgP(space, space)
+
+    return NaturalFamily("mixed", "rel", IdentityFunctor(), IdentityFunctor(), component)
 
 
 def check_fix_pfix_agreement(

@@ -7,13 +7,18 @@ for ``dstoch``: its validation, product, transpose and seeded generators,
 on ndarrays.  ``ReferenceEvaluator`` is the recursive revlang evaluator
 that re-walks each pattern with ``syntax.match`` and ``instantiate`` on
 every call, the reference for the compiled ``Evaluator``.
+``reference_naturality`` is the plain nested loop that the per-call tables
+of ``check_naturality`` must agree with, check for check.
 """
 from itertools import product
 from math import comb, factorial
 
 import numpy as np
 
-from revcat.errors import UnboundParameter, UnknownFunction
+from revcat.cat import bottom, compose
+from revcat.errors import IncompatibleJoin, UnboundParameter, UnknownFunction
+from revcat.functionals import HomSpace, apply_param, pfix_functional
+from revcat.report import Checker
 from revcat.revlang import STUCK, UNDEFINED, CallRef, dagger_ref, instantiate, invert_def, match
 
 
@@ -224,3 +229,75 @@ class ReferenceEvaluator:
                     return STUCK
             return instantiate(clause.out, env)
         return STUCK
+
+
+# -- plain nested loop for naturality -----------------------------------------
+
+
+def reference_naturality(family, x, xp, y, yp, fuel=10, policy=None):
+    """``check_naturality`` as one loop over (u, v, p, h) that recomputes
+    every transport, application and fixed point at each instance."""
+    checker = Checker("naturality")
+    alpha = family.component(x, y)
+    alpha_p = family.component(xp, yp)
+    arg1, par1 = family.spaces(x, y)
+    F, G = family.F, family.G
+
+    def transport(v, m, u):
+        return compose(v, compose(m, u))
+
+    u_homs = HomSpace(family.category, xp, x).morphisms()
+    v_homs = HomSpace(family.category, y, yp).morphisms()
+    h_homs = arg1.morphisms()
+    p_homs = par1.morphisms()
+    bot1 = arg1.bottom()
+    bot2 = bottom(family.category, F.apply_obj(xp), F.apply_obj(yp))
+
+    for u in u_homs:
+        fu, gu = F.apply_mor(u), G.apply_mor(u)
+        for v in v_homs:
+            fv, gv = F.apply_mor(v), G.apply_mor(v)
+            for p in p_homs:
+                p_t = transport(gv, p, gu)
+
+                for h in h_homs:
+                    try:
+                        lhs = apply_param(alpha_p, transport(fv, h, fu), p_t)
+                        rhs = transport(fv, apply_param(alpha, h, p), fu)
+                    except IncompatibleJoin:
+                        checker.skip("family-square")
+                        continue
+                    checker.check(
+                        "family-square",
+                        lhs == rhs,
+                        lambda u=u, v=v, h=h, p=p: f"u={u!r} v={v!r} h={h!r} p={p!r}",
+                    )
+
+                a, b = bot1, bot2
+                ok = True
+                try:
+                    for n in range(1, fuel + 1):
+                        a = apply_param(alpha, a, p)
+                        b = apply_param(alpha_p, b, p_t)
+                        checker.check(
+                            "iterate-square",
+                            b == transport(fv, a, fu),
+                            lambda u=u, v=v, p=p, n=n: f"n={n} u={u!r} v={v!r} p={p!r}",
+                        )
+                except IncompatibleJoin:
+                    checker.skip("iterate-square")
+                    ok = False
+
+                if ok:
+                    try:
+                        lhs = pfix_functional(alpha_p, p_t, policy)
+                        rhs = transport(fv, pfix_functional(alpha, p, policy), fu)
+                    except IncompatibleJoin:
+                        checker.skip("pfix-square")
+                        continue
+                    checker.check(
+                        "pfix-square",
+                        lhs == rhs,
+                        lambda u=u, v=v, p=p: f"u={u!r} v={v!r} p={p!r}",
+                    )
+    return checker.done()

@@ -154,11 +154,15 @@ def test_fix_rejects_bad_documents(capture, tmp_path):
         ({"op": "identity", "dom": {"cat": "rel", "src": 1.5, "dst": 1}}, "'src'"),
         ({"op": "host", "name": "affine", "n": 1, "scale": "0.5", "shift": 0.25}, "'scale'"),
         ({"op": "host", "name": "affine", "n": 1, "scale": 0.5, "shift": True}, "'shift'"),
+        ({"op": "joinwith"}, "'joinwith' node needs a 'm' field"),
+        ({"op": "seq", "first": {"op": "dagger", "dom": {"cat": "rel", "src": 1, "dst": 1}}}, "'second'"),
+        ({"op": "host", "name": "affine", "scale": 0.5, "shift": 0.25}, "'n'"),
     ],
     ids=[
         "op-not-a-string", "dom-not-a-space", "unknown-category", "rel-float-index",
         "rel-bool-index", "rel-coerced-sizes", "pinj-bool-value", "pinj-underscored-key",
         "dstoch-float-size", "space-float-size", "affine-string-scale", "affine-bool-shift",
+        "joinwith-without-m", "seq-without-second", "affine-without-n",
     ],
 )
 def test_fix_refuses_malformed_documents_as_input_errors(capture, tmp_path, doc, named):
@@ -331,6 +335,65 @@ def test_an_unexpected_exception_exits_four_without_a_traceback(capture, monkeyp
     code, out, err = capture("trace", "any.json", "--x", "1", "--y", "1", "--u", "0")
     assert (code, out) == (4, "")
     assert err == "error: internal: RuntimeError: boom second line\n"
+
+
+@pytest.mark.parametrize("exc", [ValueError("bad value"), KeyError("key")])
+def test_a_library_value_or_key_error_exits_four(capture, monkeypatch, exc):
+    import revcat.cli
+
+    def crash(args):
+        raise exc
+
+    monkeypatch.setattr(revcat.cli, "cmd_trace", crash)
+    code, out, err = capture("trace", "any.json", "--x", "1", "--y", "1", "--u", "0")
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: internal: {type(exc).__name__}:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["laws", "--category", "rel", "--suite", "dagger", "--sizes", "-1"],
+        ["trace", "{doc}", "--x", "-1", "--y", "1", "--u", "0"],
+        ["fix", "{doc}", "--max-iterations", "0"],
+        ["fix", "{doc}", "--mode", "metric"],
+        ["roundtrip", "{program}", "map", "--seed", "1", "--bind", "g=nope", "--values", "list"],
+        ["run", "{conflicting}", "f", "--arg", "Z"],
+    ],
+    ids=["negative-size", "negative-trace-size", "no-iterations", "metric-without-metric",
+         "binding-to-unknown-function", "conflicting-parameter-lists"],
+)
+def test_bad_values_reaching_the_library_exit_two(capture, tmp_path, argv):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"op": "joinwith", "m": {"type": "rel", "src": 1, "dst": 1, "pairs": []}}))
+    program = tmp_path / "map.rvl"
+    program.write_text("fun inc x = S x\nfun map<g> Nil = Nil\n")
+    conflicting = tmp_path / "conflicting.rvl"
+    conflicting.write_text("fun f<g> x = x\nfun f y = y\n")
+    paths = {"{doc}": str(doc), "{program}": str(program), "{conflicting}": str(conflicting)}
+    code, out, err = capture(*(paths.get(a, a) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "internal" not in err
+
+
+@pytest.mark.parametrize("content", [b"{", b"\xff\xfe{"], ids=["bad-json", "not-utf8"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fix", "{file}"],
+        ["trace", "{file}", "--x", "1", "--y", "1", "--u", "0"],
+        ["run", "{file}", "f", "--arg", "Z"],
+        ["invert", "{file}"],
+        ["--config", "{file}", "laws", "--category", "rel", "--suite", "dagger", "--sizes", "1"],
+    ],
+    ids=["fix", "trace", "run", "invert", "config"],
+)
+def test_every_loader_refuses_unreadable_input_with_exit_two(capture, tmp_path, argv, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    code, out, err = capture(*(str(path) if a == "{file}" else a for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "internal" not in err
 
 
 def test_config_file_supplies_defaults(capture, add_file, tmp_path):

@@ -17,20 +17,11 @@ from revcat.functionals import (
 )
 from revcat.functionals.expr import JoinWith, PostCompose, PreCompose, Seq
 
-from checkers import check_fix_pfix_agreement
+from checkers import check_fix_pfix_agreement, mixed_family
 
 
 def test_non_natural_family_is_flagged():
-    # join on the square components, projection elsewhere: transport between
-    # the two shapes cannot commute
-    def component(x: FinObject, y: FinObject):
-        space = HomSpace("rel", x, y)
-        if x.size == y.size == 2:
-            return PJoin(ArgX(space, space), ArgP(space, space))
-        return ArgP(space, space)
-
-    broken = NaturalFamily("mixed", "rel", IdentityFunctor(), IdentityFunctor(), component)
-    report = check_naturality(broken, FinObject(2), FinObject(2), FinObject(2), FinObject(1), fuel=4)
+    report = check_naturality(mixed_family(), FinObject(2), FinObject(2), FinObject(2), FinObject(1), fuel=4)
     assert not report.passed
 
 

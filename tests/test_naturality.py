@@ -1,18 +1,25 @@
+from collections import Counter
+
+import pytest
+
 from revcat.cat import FinObject, RelMorphism, compose, dagger
 from revcat.functionals import (
     DisjointUnionWith,
     IdentityFunctor,
+    apply_param,
     check_naturality,
     check_self_conjugate,
     identity_family,
     join_family,
+    naturality,
     pad_with_identity,
     pfix_functional,
     projection_family,
     trace_family,
 )
 
-from checkers import check_dagger_functor, postcompose_family
+from checkers import check_dagger_functor, mixed_family, postcompose_family
+from oracles import reference_naturality
 
 O1, O2 = FinObject(1), FinObject(2)
 
@@ -59,6 +66,61 @@ def test_projection_family_squares_commute_and_pfix_is_identity():
 def test_projection_family_on_pinj():
     report = check_naturality(projection_family("pinj"), O2, O1, O1, O2, fuel=4)
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    "family, objects, fuel",
+    [
+        (projection_family("rel"), (O2, O1, O1, O2), 10),
+        (join_family("rel"), (O2, O1, O1, O2), 10),
+        (join_family("rel", DisjointUnionWith(O1)), (O2, O1, O1, O2), 10),
+        (projection_family("pinj"), (O2, O1, O1, O2), 4),
+        (join_family("pinj"), (O2, O1, O1, O2), 4),
+        (join_family("pinj", DisjointUnionWith(O1)), (O2, O1, O1, O2), 4),
+        (mixed_family(), (O2, O2, O2, O1), 4),
+    ],
+    ids=["rel-projection", "rel-join", "rel-join-padded", "pinj-projection", "pinj-join",
+         "pinj-join-padded", "rel-mixed"],
+)
+def test_naturality_agrees_with_the_plain_loop(family, objects, fuel):
+    report = check_naturality(family, *objects, fuel=fuel)
+    reference = reference_naturality(family, *objects, fuel=fuel)
+    assert report.to_doc() == reference.to_doc()
+    assert [(v.law, v.witness) for v in report.violations] == \
+        [(v.law, v.witness) for v in reference.violations]
+
+
+def test_naturality_oracle_cases_reach_skips_and_violations():
+    pinj_join = check_naturality(join_family("pinj"), O2, O1, O1, O2, fuel=4)
+    padded = check_naturality(join_family("pinj", DisjointUnionWith(O1)), O2, O1, O1, O2, fuel=4)
+    assert (pinj_join.skipped, padded.skipped) == (18, 864)
+    assert check_naturality(mixed_family(), O2, O2, O2, O1, fuel=4).violations
+
+
+def test_naturality_applies_alpha_once_per_argument_pair(monkeypatch):
+    family, fuel = join_family("rel", DisjointUnionWith(O1)), 4
+    alpha = family.component(O2, O1)
+    h_count = len(alpha.arg_space.morphisms())
+    p_homs = alpha.param_space.morphisms()
+    applied, fixed = Counter(), Counter()
+
+    def apply_spy(psi, h, p):
+        if psi == alpha:
+            applied[h, p] += 1
+        return apply_param(psi, h, p)
+
+    def pfix_spy(psi, p, policy=None):
+        if psi == alpha:
+            fixed[p] += 1
+        return pfix_functional(psi, p, policy)
+
+    monkeypatch.setattr(naturality, "apply_param", apply_spy)
+    monkeypatch.setattr(naturality, "pfix_functional", pfix_spy)
+    report = check_naturality(family, O2, O1, O1, O2, fuel=fuel)
+    assert report.passed and report.by_law["pfix-square"] > 0
+    assert sum(applied.values()) <= h_count * len(p_homs) + fuel * len(p_homs)
+    assert set(fixed) <= set(p_homs)
+    assert max(fixed.values()) == 1
 
 
 def test_identity_family_is_self_conjugate():

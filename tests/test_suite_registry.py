@@ -145,6 +145,9 @@ def test_functional_laws_match_the_benchmark_golden(capture, index, argv):
              "--suite", "monotone-dagger"],
             "--sizes",
         ),
+        (["--category", "rel", "--suite", "naturality", "--max-size", "1", "--fuel", "-3"], "--fuel"),
+        (["--category", "pinj", "--suite", "naturality", "--max-size", "1", "--fuel", "0"], "--fuel"),
+        (["--category", "rel", "--seed", "1", "--suite", "fix-adjoint", "--depth", "-5"], "--depth"),
     ],
 )
 def test_runs_that_check_nothing_or_a_suite_twice_are_refused(capture, runner_calls, argv, named):
