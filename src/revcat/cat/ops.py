@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from ..errors import DimensionMismatch
 from ..order import HomDomain
-from .dstoch import DEFAULT_TOLERANCE, StochMorphism
+from .dstoch import StochMorphism
 from .objects import FinObject
 from .pinj import PInjMorphism
 from .rel import RelMorphism
@@ -66,20 +66,12 @@ def sup_chain(category: str, chain):
     return MORPHISM_CLASSES[category].sup(seq)
 
 
-def hom_domain(
-    category: str,
-    src: FinObject,
-    dst: FinObject,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> HomDomain:
-    """Build the pointed order on the hom-set as seen by the fixed-point engine."""
+def hom_domain(category: str, src: FinObject, dst: FinObject) -> HomDomain:
+    """The hom-set as seen by the fixed-point engine."""
     cls = MORPHISM_CLASSES[category]
     return HomDomain(
         objects=(src, dst),
         bottom=cls.bottom(src, dst),
-        leq=lambda a, b: a.leq(b, tolerance),
-        sup_chain=lambda chain: sup_chain(category, chain),
-        elements=lambda: cls.homs(src, dst),
-        metric=cls.distance if cls.has_metric else None,
         contains=lambda m: isinstance(m, cls) and m.src == src and m.dst == dst,
+        metric=cls.distance if cls.has_metric else None,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import reduce
@@ -197,8 +198,8 @@ def cmd_laws(args) -> int:
     suites = _suites_from(args)
     if args.seed is None and any(args.category in s.randomized for s in suites):
         raise ConfigError("randomized suites require --seed")
-    if args.tolerance <= 0:
-        raise ConfigError("tolerance must be positive")
+    if not (args.tolerance > 0 and math.isfinite(args.tolerance)):
+        raise ConfigError("--tolerance must be positive and finite")
     if args.trials < 0:
         raise ConfigError("--trials must not be negative")
     if args.trials == 0 and any(args.category in s.randomized for s in suites):
@@ -268,7 +269,7 @@ def cmd_fix(args) -> int:
     if phi.dom != phi.cod:
         raise DimensionMismatch(f"not an endo-functional: {phi.dom!r} -> {phi.cod!r}")
     policy = FixPolicy(args.max_iterations, args.tolerance, FixMode[args.mode.upper()])
-    result = kleene_fix(lambda h: phi(h), phi.dom.domain(args.tolerance), policy)
+    result = kleene_fix(phi.apply, phi.dom.domain(), policy)
     doc = {
         "command": "fix",
         "config": {
@@ -385,6 +386,8 @@ def cmd_roundtrip(args) -> int:
         raise ConfigError("--trials must be positive")
     if args.fuel <= 0:
         raise ConfigError("--fuel must be positive")
+    if args.value_bound < 1:
+        raise ConfigError("--value-bound must be at least 1")
     program = _load_program(args.file)
     bindings = _bindings_from(args)
     gen = None

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from random import Random
-from typing import Optional
 
 from ..cat import dagger
 from ..errors import DimensionMismatch, IncompatibleJoin
@@ -17,11 +16,10 @@ from .expr import (
     PostCompose,
     PreCompose,
     Seq,
-    apply_functional,
     conj,
 )
 from .param import ArgP, ArgX, ParamExpr, PApply, PConst, PJoin, apply_param, conj_param
-from .spaces import HomSpace
+from .spaces import HomSpace, space_of
 from ..report import Checker, LawReport
 
 
@@ -30,126 +28,109 @@ def default_policy(domain: HomDomain) -> FixPolicy:
     return FixPolicy(mode=FixMode.EXACT if domain.metric is None else FixMode.METRIC)
 
 
-def fix_functional(phi: FunctionalExpr, policy: Optional[FixPolicy] = None):
-    """Least fixed point of an endo-functional."""
+def fix_functional(phi: FunctionalExpr):
+    """Least fixed point of an endo-functional.
+
+    The engine checks that each iterate stays in ``phi.dom``, so each step
+    applies ``phi`` directly."""
     if phi.dom != phi.cod:
         raise DimensionMismatch(f"not an endo-functional: {phi.dom!r} -> {phi.cod!r}")
     domain = phi.dom.domain()
-    policy = policy or default_policy(domain)
-    return kleene_fix(lambda h: apply_functional(phi, h), domain, policy).value
+    return kleene_fix(phi.apply, domain, default_policy(domain)).value
 
 
-def pfix_functional(psi: ParamExpr, p, policy: Optional[FixPolicy] = None):
-    """Parametrized least fixed point of psi at parameter p."""
+def pfix_functional(psi: ParamExpr, p):
+    """Parametrized least fixed point of psi at parameter p.
+
+    ``p`` is checked against ``psi.param_space`` once, here; the engine
+    checks each iterate, so each step applies ``psi`` directly."""
     if psi.cod != psi.arg_space:
         raise DimensionMismatch(
             f"not endo in the recursion argument: {psi.cod!r} vs {psi.arg_space!r}"
         )
+    if space_of(p) != psi.param_space:
+        raise DimensionMismatch(f"{p!r} is not in {psi.param_space!r}")
     domain = psi.arg_space.domain()
-    policy = policy or default_policy(domain)
-    return kleene_pfix(lambda x, q: apply_param(psi, x, q), p, domain, policy).value
+    return kleene_pfix(psi.apply, p, domain, default_policy(domain)).value
 
 
-def check_fixed_point_adjoint(
-    phi: FunctionalExpr,
-    policy: Optional[FixPolicy] = None,
-    tolerance: float = 1e-9,
-) -> LawReport:
+def check_fixed_point_adjoint(phi: FunctionalExpr) -> LawReport:
     """fix(conj(phi)) must be the dagger of fix(phi)."""
     checker = Checker("fix-adjoint")
     try:
-        direct = fix_functional(phi, policy)
-        adjoint = fix_functional(conj(phi), policy)
+        direct = fix_functional(phi)
+        adjoint = fix_functional(conj(phi))
     except IncompatibleJoin:
         checker.skip("fix-adjoint")
         return checker.done()
     checker.check(
         "fix-adjoint",
-        adjoint.isclose(dagger(direct), tolerance),
+        adjoint.isclose(dagger(direct)),
         lambda: f"fix={direct!r} fix-of-conjugate={adjoint!r}",
     )
     return checker.done()
 
 
-def _parameters_for(psi: ParamExpr, parameters):
-    if parameters is not None:
-        return list(parameters)
-    return psi.param_space.morphisms()
-
-
-def check_pfix_adjoint(
-    psi: ParamExpr,
-    policy: Optional[FixPolicy] = None,
-    parameters=None,
-    tolerance: float = 1e-9,
-) -> LawReport:
-    """(pfix psi)(p)+ must equal (pfix conj(psi))(p+) for each parameter."""
-    checker = Checker("pfix-adjoint")
-    conjugate = conj_param(psi)
-    for p in _parameters_for(psi, parameters):
+def _pointwise(checker: Checker, law: str, parameters, sides, witness: str) -> LawReport:
+    """Check ``law`` as ``lhs.isclose(rhs)`` for ``lhs, rhs = sides(p)`` at
+    each parameter ``p``, skipping it where a join is undefined.  ``witness``
+    is formatted with ``p``, ``lhs`` and ``rhs``."""
+    for p in parameters:
         try:
-            lhs = dagger(pfix_functional(psi, p, policy))
-            rhs = pfix_functional(conjugate, dagger(p), policy)
+            lhs, rhs = sides(p)
         except IncompatibleJoin:
-            checker.skip("pfix-adjoint")
+            checker.skip(law)
             continue
         checker.check(
-            "pfix-adjoint",
-            lhs.isclose(rhs, tolerance),
-            lambda p=p, lhs=lhs, rhs=rhs: f"p={p!r} lhs={lhs!r} rhs={rhs!r}",
+            law,
+            lhs.isclose(rhs),
+            lambda p=p, lhs=lhs, rhs=rhs: witness.format(p=p, lhs=lhs, rhs=rhs),
         )
     return checker.done()
 
 
-def check_conj_preservation(
-    psi: ParamExpr,
-    policy: Optional[FixPolicy] = None,
-    parameters=None,
-    tolerance: float = 1e-9,
-) -> LawReport:
+def check_pfix_adjoint(psi: ParamExpr) -> LawReport:
+    """(pfix psi)(p)+ must equal (pfix conj(psi))(p+) for each parameter."""
+    conjugate = conj_param(psi)
+    return _pointwise(
+        Checker("pfix-adjoint"),
+        "pfix-adjoint",
+        psi.param_space.morphisms(),
+        lambda p: (dagger(pfix_functional(psi, p)), pfix_functional(conjugate, dagger(p))),
+        "p={p!r} lhs={lhs!r} rhs={rhs!r}",
+    )
+
+
+def check_conj_preservation(psi: ParamExpr) -> LawReport:
     """conj(pfix psi) = pfix(conj psi), pointwise on parameters.
 
     The left side conjugates the one-argument fixed-point functional:
     p |-> ((pfix psi)(p+))+.
     """
-    checker = Checker("conj-preservation")
     conjugate = conj_param(psi)
-    for p in _parameters_for(conjugate, parameters):
-        try:
-            lhs = dagger(pfix_functional(psi, dagger(p), policy))
-            rhs = pfix_functional(conjugate, p, policy)
-        except IncompatibleJoin:
-            checker.skip("conj-preservation")
-            continue
-        checker.check(
-            "conj-preservation",
-            lhs.isclose(rhs, tolerance),
-            lambda p=p, lhs=lhs, rhs=rhs: f"p={p!r} lhs={lhs!r} rhs={rhs!r}",
-        )
-    return checker.done()
+    return _pointwise(
+        Checker("conj-preservation"),
+        "conj-preservation",
+        conjugate.param_space.morphisms(),
+        lambda p: (dagger(pfix_functional(psi, dagger(p))), pfix_functional(conjugate, p)),
+        "p={p!r} lhs={lhs!r} rhs={rhs!r}",
+    )
 
 
-def check_pfix_identity(
-    psi: ParamExpr,
-    policy: Optional[FixPolicy] = None,
-    parameters=None,
-    tolerance: float = 1e-9,
-) -> LawReport:
+def check_pfix_identity(psi: ParamExpr) -> LawReport:
     """pfix psi = psi . <pfix psi, id> at each parameter."""
-    checker = Checker("pfix-identity")
-    for p in _parameters_for(psi, parameters):
-        try:
-            v = pfix_functional(psi, p, policy)
-            w = apply_param(psi, v, p)
-        except IncompatibleJoin:
-            checker.skip("pfix-fixpoint")
-            continue
-        checker.check(
-            "pfix-fixpoint",
-            w.isclose(v, tolerance),
-            lambda p=p, v=v, w=w: f"p={p!r} pfix={v!r} psi(pfix,p)={w!r}",
-        )
-    return checker.done()
+
+    def sides(p):
+        v = pfix_functional(psi, p)
+        return apply_param(psi, v, p), v
+
+    return _pointwise(
+        Checker("pfix-identity"),
+        "pfix-fixpoint",
+        psi.param_space.morphisms(),
+        sides,
+        "p={p!r} pfix={rhs!r} psi(pfix,p)={lhs!r}",
+    )
 
 
 # -- seeded random expression trees ----------------------------------------

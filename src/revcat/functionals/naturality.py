@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Optional
+from typing import Callable
 
 from ..cat import FinObject, bottom, compose, dagger
 from ..errors import IncompatibleJoin
-from ..order import FixPolicy
 from ..report import Checker, LawReport
 from .expr import FunctionalExpr, conj
 from .fixpoints import pfix_functional
@@ -89,7 +88,6 @@ def check_naturality(
     y: FinObject,
     yp: FinObject,
     fuel: int = 10,
-    policy: Optional[FixPolicy] = None,
 ) -> LawReport:
     """Naturality squares from component (x, y) to component (xp, yp).
 
@@ -137,7 +135,7 @@ def check_naturality(
     def pfix_at(j: int) -> int:
         """Index of pfix(alpha, p_j)."""
         if fixed[j] is None:
-            fixed[j] = kept(lambda: pfix_functional(alpha, p_homs[j], policy))
+            fixed[j] = kept(lambda: pfix_functional(alpha, p_homs[j]))
         return _reraise(fixed[j])
 
     for u in u_homs:
@@ -178,7 +176,7 @@ def check_naturality(
 
                 if ok:
                     try:
-                        lhs = pfix_functional(alpha_p, p_t, policy)
+                        lhs = pfix_functional(alpha_p, p_t)
                         rhs = moved[pfix_at(j)]
                     except IncompatibleJoin:
                         checker.skip("pfix-square")
@@ -199,12 +197,7 @@ def _reraise(kept):
     return kept
 
 
-def check_self_conjugate(
-    family: NaturalFamily,
-    x: FinObject,
-    y: FinObject,
-    tolerance: float = 1e-9,
-) -> LawReport:
+def check_self_conjugate(family: NaturalFamily, x: FinObject, y: FinObject) -> LawReport:
     """alpha_{X,Y}(f)+ = alpha_{Y,X}(f+), and the conjugate formulation
     alpha_{X,Y} = conj(alpha_{Y,X}); the two must agree instance by instance.
 
@@ -226,8 +219,8 @@ def check_self_conjugate(
         except IncompatibleJoin:
             checker.skip("dagger-preservation")
             continue
-        first = dagger(direct).isclose(swapped, tolerance)
-        second = via_conj.isclose(direct, tolerance)
+        first = dagger(direct).isclose(swapped)
+        second = via_conj.isclose(direct)
         witness = lambda args=args: " ".join(f"{n}={a!r}" for n, a in zip(names, args))
         checker.check("dagger-preservation", first, witness)
         checker.check("conjugate-formulation", second, witness)

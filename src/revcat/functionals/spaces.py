@@ -23,8 +23,8 @@ class HomSpace:
     def bottom(self):
         return bottom(self.category, self.src, self.dst)
 
-    def domain(self, tolerance: float = 1e-9) -> HomDomain:
-        return hom_domain(self.category, self.src, self.dst, tolerance=tolerance)
+    def domain(self) -> HomDomain:
+        return hom_domain(self.category, self.src, self.dst)
 
     def morphisms(self) -> list:
         return enumerate_homs(self.category, self.src, self.dst)

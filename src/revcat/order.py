@@ -1,31 +1,31 @@
-"""Pointed partial orders over hom-sets and the Kleene fixed-point engine.
+"""The Kleene fixed-point engine over one hom-set.
 
-A ``HomDomain`` packages everything the engine needs to iterate inside one
-hom-set: the least element, the order, suprema of ascending chains,
-enumeration (which may refuse), and a metric where there is one.
-Continuity of the step functions handed to ``kleene_fix``/``kleene_pfix``
-is a caller obligation that the engine does not check.
+A ``HomDomain`` holds what the engine reads while it iterates inside one
+hom-set: its two objects, the least element, the membership test each
+iterate must pass, and a metric where there is one.  The order, suprema and
+enumeration of a hom-set are its morphism class's own ``leq``, ``sup`` and
+``homs``.  Continuity of the step functions handed to
+``kleene_fix``/``kleene_pfix`` is a caller obligation that the engine does
+not check.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from .errors import DomainMismatch, InvalidArgument, NonConvergence
 
 
 @dataclass(frozen=True)
 class HomDomain:
-    """A pointed partial order of morphisms between two fixed objects."""
+    """The least element of a hom-set, membership in it and its metric."""
 
     objects: tuple[Any, Any]
     bottom: Any
-    leq: Callable[[Any, Any], bool]
-    sup_chain: Callable[[Sequence[Any]], Any]
-    elements: Callable[[], list]
+    contains: Callable[[Any], bool]
     metric: Optional[Callable[[Any, Any], float]] = None
-    contains: Optional[Callable[[Any], bool]] = None
 
 
 class FixMode(enum.Enum):
@@ -42,8 +42,8 @@ class FixPolicy:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise InvalidArgument("max_iterations must be at least 1")
-        if self.tolerance < 0:
-            raise InvalidArgument("tolerance must be nonnegative")
+        if not (self.tolerance >= 0 and math.isfinite(self.tolerance)):
+            raise InvalidArgument("tolerance must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def _iterate(step1, domain: HomDomain, policy: FixPolicy) -> KleeneResult:
     for _ in range(policy.max_iterations):
         nxt = step1(current)
         iterations += 1
-        if domain.contains is not None and not domain.contains(nxt):
+        if not domain.contains(nxt):
             raise DomainMismatch(
                 f"step left the hom-set {domain.objects} after {iterations} iteration(s)"
             )

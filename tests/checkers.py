@@ -4,9 +4,8 @@ Each returns a LawReport like the suites in ``revcat``, so a test can
 assert both that a law holds and, on broken input, that it is caught.
 """
 from random import Random
-from typing import Optional
 
-from revcat.cat import FinObject, compose, dagger, identity
+from revcat.cat import FinObject, compose, dagger, identity, leq
 from revcat.errors import IncompatibleJoin
 from revcat.functionals import (
     ArgP,
@@ -21,7 +20,6 @@ from revcat.functionals import (
     pfix_functional,
 )
 from revcat.functionals.trace import trace
-from revcat.order import FixPolicy, HomDomain
 from revcat.report import Checker, LawReport
 from revcat.revlang import UNDEFINED, ValidationFailed, eval_program, random_value, validate_program
 
@@ -74,7 +72,6 @@ def mixed_family() -> NaturalFamily:
 def check_fix_pfix_agreement(
     phi,
     param_space: HomSpace,
-    policy: Optional[FixPolicy] = None,
     parameters=None,
     tolerance: float = 1e-9,
 ) -> LawReport:
@@ -86,13 +83,13 @@ def check_fix_pfix_agreement(
     checker = Checker("fix-pfix-derivations")
     lifted = PApply(phi, ArgX(phi.dom, param_space))
     try:
-        fixed = fix_functional(phi, policy)
+        fixed = fix_functional(phi)
     except IncompatibleJoin:
         checker.skip("pfix-from-fix")
         return checker.done()
     for p in param_space.morphisms() if parameters is None else list(parameters):
         try:
-            v = pfix_functional(lifted, p, policy)
+            v = pfix_functional(lifted, p)
         except IncompatibleJoin:
             checker.skip("pfix-from-fix")
             continue
@@ -104,15 +101,15 @@ def check_fix_pfix_agreement(
     return checker.done()
 
 
-def spot_check_monotone(step, domain: HomDomain, sample_pairs) -> LawReport:
+def spot_check_monotone(step, sample_pairs) -> LawReport:
     """Probe step for monotonicity on pairs already known to satisfy f <= g."""
     checker = Checker("monotone-spot-check")
     for f, g in sample_pairs:
-        if not domain.leq(f, g):
+        if not leq(f, g):
             raise ValueError("sample pair is not ordered: expected f <= g")
         checker.check(
             "monotonicity",
-            domain.leq(step(f), step(g)),
+            leq(step(f), step(g)),
             lambda f=f, g=g: f"f={f!r} g={g!r}",
         )
     return checker.done()

@@ -234,7 +234,7 @@ class ReferenceEvaluator:
 # -- plain nested loop for naturality -----------------------------------------
 
 
-def reference_naturality(family, x, xp, y, yp, fuel=10, policy=None):
+def reference_naturality(family, x, xp, y, yp, fuel=10):
     """``check_naturality`` as one loop over (u, v, p, h) that recomputes
     every transport, application and fixed point at each instance."""
     checker = Checker("naturality")
@@ -290,8 +290,8 @@ def reference_naturality(family, x, xp, y, yp, fuel=10, policy=None):
 
                 if ok:
                     try:
-                        lhs = pfix_functional(alpha_p, p_t, policy)
-                        rhs = transport(fv, pfix_functional(alpha, p, policy), fu)
+                        lhs = pfix_functional(alpha_p, p_t)
+                        rhs = transport(fv, pfix_functional(alpha, p), fu)
                     except IncompatibleJoin:
                         checker.skip("pfix-square")
                         continue

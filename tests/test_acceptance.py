@@ -114,7 +114,7 @@ def test_criterion_4_parametrized_fixed_point_theorems():
     for _ in range(100):
         psi = random_param_functional(space, space, rng, depth=4)
         for checker in (check_pfix_adjoint, check_pfix_identity, check_conj_preservation):
-            report = checker(psi, parameters=parameters)
+            report = checker(psi)
             ok = ok and report.passed and report.checked == 16
     _conclude(4, "pfix adjoint + pfix identity + conjugation preservation", ok)
 

@@ -325,6 +325,39 @@ def test_roundtrip_refuses_non_positive_fuel(capture, add_file):
         assert "--fuel must be positive" in err
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf"])
+def test_laws_refuses_a_non_finite_tolerance(capture, tolerance):
+    code, out, err = capture(
+        "laws", "--category", "dstoch", "--seed", "1", "--trials", "5", "--sizes", "2",
+        "--tolerance", tolerance,
+    )
+    assert (code, out) == (2, "")
+    assert "--tolerance must be positive and finite" in err
+
+
+def test_roundtrip_refuses_a_value_bound_below_one_before_loading(capture, add_file, monkeypatch):
+    import revcat.cli
+
+    loaded = []
+    monkeypatch.setattr(revcat.cli, "_load_program", loaded.append)
+    for bound in ("0", "-1"):
+        code, out, err = capture(
+            "roundtrip", add_file, "add", "--seed", "1", "--trials", "20", "--value-bound", bound
+        )
+        assert (code, out) == (2, "")
+        assert "--value-bound must be at least 1" in err
+    assert loaded == []
+
+
+def test_roundtrip_takes_a_value_bound_of_one(capture, add_file):
+    code, out, _ = capture(
+        "roundtrip", add_file, "add", "--seed", "1", "--trials", "20", "--value-bound", "1",
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["config"]["value_bound"] == 1
+
+
 def test_an_unexpected_exception_exits_four_without_a_traceback(capture, monkeypatch):
     import revcat.cli
 
@@ -357,10 +390,13 @@ def test_a_library_value_or_key_error_exits_four(capture, monkeypatch, exc):
         ["trace", "{doc}", "--x", "-1", "--y", "1", "--u", "0"],
         ["fix", "{doc}", "--max-iterations", "0"],
         ["fix", "{doc}", "--mode", "metric"],
+        ["fix", "{doc}", "--tolerance", "nan"],
+        ["fix", "{doc}", "--tolerance", "inf"],
         ["roundtrip", "{program}", "map", "--seed", "1", "--bind", "g=nope", "--values", "list"],
         ["run", "{conflicting}", "f", "--arg", "Z"],
     ],
     ids=["negative-size", "negative-trace-size", "no-iterations", "metric-without-metric",
+         "nan-fix-tolerance", "inf-fix-tolerance",
          "binding-to-unknown-function", "conflicting-parameter-lists"],
 )
 def test_bad_values_reaching_the_library_exit_two(capture, tmp_path, argv):

@@ -3,13 +3,14 @@ from random import Random
 import pytest
 
 from revcat.cat import FinObject, RelMorphism, compose, dagger, enumerate_homs, join
-from revcat.errors import DimensionMismatch
+from revcat.errors import DimensionMismatch, DomainMismatch
 from revcat.functionals import (
     ArgP,
     ArgX,
     Const,
     DaggerFn,
     HomSpace,
+    Host,
     IdentityFn,
     JoinWith,
     PApply,
@@ -31,6 +32,7 @@ from revcat.functionals import (
     random_endo_functional,
     random_param_functional,
 )
+from revcat.functionals import expr, fixpoints, param
 
 from checkers import check_fix_pfix_agreement
 from oracles import reachability_closure
@@ -184,6 +186,41 @@ def test_pfix_functional_examples():
     assert pfix_functional(ignore, p) == RelMorphism.bottom(X3, X3)
 
 
+def test_pfix_functional_checks_the_parameter_before_iterating(monkeypatch):
+    iterated = []
+    monkeypatch.setattr(fixpoints, "kleene_pfix", lambda *args: iterated.append(args))
+    outside = RelMorphism.bottom(FinObject(2), FinObject(2))
+    with pytest.raises(DimensionMismatch, match="is not in"):
+        pfix_functional(param_psi(), outside)
+    assert iterated == []
+
+
+def test_fix_functional_refuses_a_host_step_that_leaves_the_hom_set():
+    other = RelMorphism.bottom(FinObject(2), FinObject(2))
+    escaping = Host(lambda h: other, S3, S3, name="escape")
+    with pytest.raises(DomainMismatch):
+        fix_functional(escaping)
+
+
+def test_fixed_points_apply_each_step_without_a_checked_application(monkeypatch):
+    checked = []
+
+    def spy(original):
+        def counted(*args):
+            checked.append(args)
+            return original(*args)
+
+        return counted
+
+    for module in (expr, param, fixpoints):
+        for name in ("apply_functional", "apply_param"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(getattr(module, name)))
+    assert set(fix_functional(CLOSURE).pairs) == reachability_closure([(0, 1), (1, 2)], 3)
+    assert set(pfix_functional(param_psi(), rel3([(0, 1)])).pairs) == {(0, 1), (0, 2)}
+    assert checked == []
+
+
 def test_apply_param_and_conj_param_pointwise():
     psi = param_psi()
     conjugate = conj_param(psi)
@@ -211,9 +248,8 @@ def test_pfix_adjoint_exhaustive_over_parameters():
 
 def test_conj_preservation_and_pfix_identity_exhaustive():
     psi = param_psi()
-    small_params = enumerate_homs("rel", X3, X3)[:32]
-    assert check_conj_preservation(psi, parameters=small_params).passed
-    assert check_pfix_identity(psi, parameters=small_params).passed
+    assert check_conj_preservation(psi).passed
+    assert check_pfix_identity(psi).passed
 
 
 def test_fix_pfix_derivations_agree():
@@ -225,11 +261,10 @@ def test_fix_pfix_derivations_agree():
 def test_parametrized_theorems_on_random_trees(category):
     rng = Random(77)
     space = spaces(category, 2)
-    params = space.morphisms()
     for _ in range(40):
         psi = random_param_functional(space, space, rng, depth=3)
         for checker in (check_pfix_adjoint, check_conj_preservation, check_pfix_identity):
-            report = checker(psi, parameters=params)
+            report = checker(psi)
             assert report.passed, (checker.__name__, report.violations[:1])
 
 

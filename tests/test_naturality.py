@@ -109,10 +109,10 @@ def test_naturality_applies_alpha_once_per_argument_pair(monkeypatch):
             applied[h, p] += 1
         return apply_param(psi, h, p)
 
-    def pfix_spy(psi, p, policy=None):
+    def pfix_spy(psi, p):
         if psi == alpha:
             fixed[p] += 1
-        return pfix_functional(psi, p, policy)
+        return pfix_functional(psi, p)
 
     monkeypatch.setattr(naturality, "apply_param", apply_spy)
     monkeypatch.setattr(naturality, "pfix_functional", pfix_spy)

@@ -11,6 +11,7 @@ import pytest
 from revcat.cat.laws import SUITES
 from revcat.cli import main
 from revcat.cli import REGISTRY
+from revcat import functionals
 from revcat.functionals.trace import check_dagger_trace
 from revcat.revlang.programs import ADD
 
@@ -57,6 +58,18 @@ def test_src_holds_only_the_checkers_a_command_runs():
         p.annotation in (bool, "bool") or isinstance(p.default, bool)
         for p in signature(check_dagger_trace).parameters.values()
     )
+
+
+def test_checkers_and_fixed_points_take_no_knobs():
+    names = [
+        name
+        for name in functionals.__all__
+        if name.startswith("check_") or name in ("fix_functional", "pfix_functional")
+    ]
+    assert len(names) >= 9
+    for name in names:
+        taken = set(signature(getattr(functionals, name)).parameters)
+        assert not taken & {"policy", "tolerance", "parameters"}, name
 
 
 def test_unsupported_suite_is_refused_before_any_suite_runs(capture, runner_calls):
