@@ -21,7 +21,7 @@ from .errors import (
     UnknownFunction,
     UnsupportedOperation,
 )
-from .order import FixMode, FixPolicy, HomDomain, KleeneResult, kleene_fix, kleene_pfix
+from .order import FixMode, FixPolicy, KleeneResult, kleene_fix, kleene_pfix
 from .report import Checker, LawReport, Violation
 
 __version__ = "0.1.0"
@@ -32,7 +32,6 @@ __all__ = [
     "DomainMismatch",
     "FixMode",
     "FixPolicy",
-    "HomDomain",
     "IncompatibleJoin",
     "KleeneResult",
     "LawReport",

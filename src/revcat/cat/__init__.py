@@ -6,11 +6,10 @@ from .ops import (
     DSTOCH,
     PINJ,
     REL,
+    HomSpace,
     bottom,
     compose,
     dagger,
-    enumerate_homs,
-    hom_domain,
     identity,
     is_hermitian,
     is_unitary,
@@ -31,6 +30,7 @@ __all__ = [
     "CATEGORIES",
     "DSTOCH",
     "FinObject",
+    "HomSpace",
     "LawConfig",
     "PINJ",
     "PInjMorphism",
@@ -42,10 +42,8 @@ __all__ = [
     "compose",
     "dagger",
     "dumps_morphism",
-    "enumerate_homs",
     "enumerate_pinj",
     "enumerate_rel",
-    "hom_domain",
     "identity",
     "is_hermitian",
     "is_unitary",

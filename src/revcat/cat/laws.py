@@ -13,7 +13,7 @@ from typing import Optional
 from ..report import Checker, LawReport
 from .dstoch import random_chain, random_ordered_pair, random_stoch
 from .objects import FinObject
-from .ops import DSTOCH, bottom, compose, dagger, enumerate_homs, identity, leq, sup_chain
+from .ops import DSTOCH, HomSpace, bottom, compose, dagger, identity, leq, sup_chain
 
 SUITES = ("dagger", "enrichment", "monotone-dagger", "order-iso")
 
@@ -45,7 +45,7 @@ def law_suite(category: str, suite: str, config: LawConfig = LawConfig()) -> Law
 def _run_finite(category: str, suite: str, config: LawConfig, checker: Checker) -> None:
     objects = [FinObject(s) for s in config.sizes]
     homs = {
-        (x, y): enumerate_homs(category, x, y)
+        (x, y): HomSpace(category, x, y).morphisms()
         for x in objects
         for y in objects
     }

@@ -1,8 +1,8 @@
-"""Category-generic operations over the three concrete morphism families."""
+"""Category-generic operations over the three concrete morphism families,
+and ``HomSpace``, the one type of hom-set."""
 from __future__ import annotations
 
-from ..errors import DimensionMismatch
-from ..order import HomDomain
+from ..errors import DimensionMismatch, InvalidArgument
 from .dstoch import StochMorphism
 from .objects import FinObject
 from .pinj import PInjMorphism
@@ -11,6 +11,50 @@ from .rel import RelMorphism
 MORPHISM_CLASSES = {cls.category: cls for cls in (RelMorphism, PInjMorphism, StochMorphism)}
 CATEGORIES = tuple(MORPHISM_CLASSES)
 REL, PINJ, DSTOCH = CATEGORIES
+
+
+class HomSpace:
+    """Hom(src, dst) in one category: the pointed domain in which fixed
+    points and their adjoints are taken.
+
+    There is one instance per (category, src, dst) per process, so spaces
+    compare by identity.  A space holds what the Kleene engine reads (its
+    ``bottom``, ``contains`` and ``metric``, None where the category has
+    none) and lists its morphisms once, on first use of ``morphisms``; a
+    hom-set that cannot be listed raises again on every call.
+    """
+
+    __slots__ = ("category", "src", "dst", "bottom", "metric", "_cls", "_morphisms")
+    _interned: dict = {}
+
+    def __new__(cls, category: str, src: FinObject, dst: FinObject) -> "HomSpace":
+        key = (category, src, dst)
+        space = cls._interned.get(key)
+        if space is None:
+            morphism_cls = MORPHISM_CLASSES.get(category)
+            if morphism_cls is None:
+                raise InvalidArgument(f"unknown category {category!r}")
+            space = super().__new__(cls)
+            space.category, space.src, space.dst = key
+            space.bottom = morphism_cls.bottom(src, dst)
+            space.metric = morphism_cls.distance if morphism_cls.has_metric else None
+            space._cls, space._morphisms = morphism_cls, None
+            cls._interned[key] = space
+        return space
+
+    def contains(self, m) -> bool:
+        return isinstance(m, self._cls) and m.src == self.src and m.dst == self.dst
+
+    def morphisms(self) -> tuple:
+        if self._morphisms is None:
+            self._morphisms = tuple(self._cls.homs(self.src, self.dst))
+        return self._morphisms
+
+    def flipped(self) -> "HomSpace":
+        return HomSpace(self.category, self.dst, self.src)
+
+    def __repr__(self):
+        return f"{self.category}({self.src.size}->{self.dst.size})"
 
 
 def compose(g, f):
@@ -40,10 +84,6 @@ def bottom(category: str, src: FinObject, dst: FinObject):
     return MORPHISM_CLASSES[category].bottom(src, dst)
 
 
-def enumerate_homs(category: str, src: FinObject, dst: FinObject) -> list:
-    return MORPHISM_CLASSES[category].homs(src, dst)
-
-
 def is_hermitian(f) -> bool:
     if f.src != f.dst:
         raise DimensionMismatch("hermitian only makes sense on endomorphisms")
@@ -64,14 +104,3 @@ def sup_chain(category: str, chain):
     if not seq:
         raise ValueError("chain must be non-empty")
     return MORPHISM_CLASSES[category].sup(seq)
-
-
-def hom_domain(category: str, src: FinObject, dst: FinObject) -> HomDomain:
-    """The hom-set as seen by the fixed-point engine."""
-    cls = MORPHISM_CLASSES[category]
-    return HomDomain(
-        objects=(src, dst),
-        bottom=cls.bottom(src, dst),
-        contains=lambda m: isinstance(m, cls) and m.src == src and m.dst == dst,
-        metric=cls.distance if cls.has_metric else None,
-    )

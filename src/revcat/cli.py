@@ -269,7 +269,7 @@ def cmd_fix(args) -> int:
     if phi.dom != phi.cod:
         raise DimensionMismatch(f"not an endo-functional: {phi.dom!r} -> {phi.cod!r}")
     policy = FixPolicy(args.max_iterations, args.tolerance, FixMode[args.mode.upper()])
-    result = kleene_fix(phi.apply, phi.dom.domain(), policy)
+    result = kleene_fix(phi.apply, phi.dom, policy)
     doc = {
         "command": "fix",
         "config": {
@@ -386,7 +386,11 @@ def cmd_roundtrip(args) -> int:
         raise ConfigError("--trials must be positive")
     if args.fuel <= 0:
         raise ConfigError("--fuel must be positive")
-    if args.value_bound < 1:
+    # Unset unless given on the command line or in --config.
+    if args.value_bound is not None and args.values != "tree":
+        raise ConfigError(f"--value-bound bounds tree values only, not {args.values} values")
+    value_bound = 16 if args.value_bound is None else args.value_bound
+    if value_bound < 1:
         raise ConfigError("--value-bound must be at least 1")
     program = _load_program(args.file)
     bindings = _bindings_from(args)
@@ -403,8 +407,12 @@ def cmd_roundtrip(args) -> int:
         fuel=args.fuel,
         seed=args.seed,
         value_gen=gen,
-        value_bound=args.value_bound,
+        value_bound=value_bound,
     )
+    if not report.checked:
+        raise ConfigError(
+            f"all {args.trials} trials were skipped (no forward run gave a value), so nothing was checked"
+        )
     doc = {
         "command": "roundtrip",
         "config": {
@@ -414,7 +422,7 @@ def cmd_roundtrip(args) -> int:
             "fuel": args.fuel,
             "seed": args.seed,
             "values": args.values,
-            "value_bound": args.value_bound,
+            "value_bound": value_bound,
         },
         "report": report.to_doc(),
     }
@@ -491,7 +499,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--seed", type=int)
     p.add_argument("--bind", action="append")
     p.add_argument("--values", choices=("tree", "peano", "list"), default="tree")
-    p.add_argument("--value-bound", type=int, default=16)
+    p.add_argument("--value-bound", type=int, help="size bound of tree values (default 16)")
     p.set_defaults(fn=cmd_roundtrip)
 
     return parser, commands

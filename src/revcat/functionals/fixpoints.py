@@ -5,7 +5,7 @@ from random import Random
 
 from ..cat import dagger
 from ..errors import DimensionMismatch, IncompatibleJoin
-from ..order import FixMode, FixPolicy, HomDomain, kleene_fix, kleene_pfix
+from ..order import kleene_fix, kleene_pfix
 from .expr import (
     Const,
     DaggerFn,
@@ -18,14 +18,9 @@ from .expr import (
     Seq,
     conj,
 )
-from .param import ArgP, ArgX, ParamExpr, PApply, PConst, PJoin, apply_param, conj_param
+from .param import ArgP, ArgX, ParamExpr, PApply, PConst, PJoin, conj_param
 from .spaces import HomSpace, space_of
 from ..report import Checker, LawReport
-
-
-def default_policy(domain: HomDomain) -> FixPolicy:
-    """Metric convergence where the hom-set has a metric, else exact stabilization."""
-    return FixPolicy(mode=FixMode.EXACT if domain.metric is None else FixMode.METRIC)
 
 
 def fix_functional(phi: FunctionalExpr):
@@ -35,8 +30,7 @@ def fix_functional(phi: FunctionalExpr):
     applies ``phi`` directly."""
     if phi.dom != phi.cod:
         raise DimensionMismatch(f"not an endo-functional: {phi.dom!r} -> {phi.cod!r}")
-    domain = phi.dom.domain()
-    return kleene_fix(phi.apply, domain, default_policy(domain)).value
+    return kleene_fix(phi.apply, phi.dom).value
 
 
 def pfix_functional(psi: ParamExpr, p):
@@ -50,8 +44,7 @@ def pfix_functional(psi: ParamExpr, p):
         )
     if space_of(p) != psi.param_space:
         raise DimensionMismatch(f"{p!r} is not in {psi.param_space!r}")
-    domain = psi.arg_space.domain()
-    return kleene_pfix(psi.apply, p, domain, default_policy(domain)).value
+    return kleene_pfix(psi.apply, p, psi.arg_space).value
 
 
 def check_fixed_point_adjoint(phi: FunctionalExpr) -> LawReport:
@@ -118,11 +111,12 @@ def check_conj_preservation(psi: ParamExpr) -> LawReport:
 
 
 def check_pfix_identity(psi: ParamExpr) -> LawReport:
-    """pfix psi = psi . <pfix psi, id> at each parameter."""
+    """pfix psi = psi . <pfix psi, id> at each parameter, where ``psi``
+    applies unchecked: both arguments come from its own spaces."""
 
     def sides(p):
         v = pfix_functional(psi, p)
-        return apply_param(psi, v, p), v
+        return psi.apply(v, p), v
 
     return _pointwise(
         Checker("pfix-identity"),

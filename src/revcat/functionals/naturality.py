@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable
 
-from ..cat import FinObject, bottom, compose, dagger
+from ..cat import FinObject, compose, dagger
 from ..errors import IncompatibleJoin
 from ..report import Checker, LawReport
 from .expr import FunctionalExpr, conj
 from .fixpoints import pfix_functional
 from .functors import IdentityFunctor
-from .param import ArgP, ArgX, ParamExpr, PJoin, apply_param, conj_param
+from .param import ArgP, ArgX, ParamExpr, PJoin, conj_param
 from .spaces import HomSpace
 
 
@@ -32,14 +32,6 @@ class NaturalFamily:
     F: object
     G: object
     component: Callable[[FinObject, FinObject], object] = field(compare=False)
-
-    def spaces(self, x: FinObject, y: FinObject) -> tuple[HomSpace, HomSpace]:
-        fx, fy = self.F.apply_obj(x), self.F.apply_obj(y)
-        gx, gy = self.G.apply_obj(x), self.G.apply_obj(y)
-        return (
-            HomSpace(self.category, fx, fy),
-            HomSpace(self.category, gx, gy),
-        )
 
 
 def join_family(category: str, functor=None) -> NaturalFamily:
@@ -102,11 +94,14 @@ def check_naturality(
     walk the same table.  An IncompatibleJoin is kept in place of the value
     it stopped and raised again at each instance that needs it, so checks,
     skips and witnesses come in the order of the plain nested loop.
+
+    alpha applies unchecked to arguments enumerated from its own spaces, and
+    alpha' to transports, which ``compose`` has type-checked.
     """
     checker = Checker("naturality")
     alpha = family.component(x, y)
     alpha_p = family.component(xp, yp)
-    arg1, par1 = family.spaces(x, y)
+    arg1, par1 = alpha.arg_space, alpha.param_space
     F, G = family.F, family.G
 
     u_homs = HomSpace(family.category, xp, x).morphisms()
@@ -114,8 +109,7 @@ def check_naturality(
     h_homs = arg1.morphisms()
     p_homs = par1.morphisms()
     index = {h: i for i, h in enumerate(h_homs)}
-    bot1 = index[arg1.bottom()]
-    bot2 = bottom(family.category, F.apply_obj(xp), F.apply_obj(yp))
+    bot1, bot2 = index[arg1.bottom], alpha_p.arg_space.bottom
     applied = [[None] * len(h_homs) for _ in p_homs]
     fixed = [None] * len(p_homs)
 
@@ -129,7 +123,7 @@ def check_naturality(
         """Index of alpha(h_i, p_j)."""
         row = applied[j]
         if row[i] is None:
-            row[i] = kept(lambda: apply_param(alpha, h_homs[i], p_homs[j]))
+            row[i] = kept(lambda: alpha.apply(h_homs[i], p_homs[j]))
         return _reraise(row[i])
 
     def pfix_at(j: int) -> int:
@@ -148,7 +142,7 @@ def check_naturality(
 
                 for i, h in enumerate(h_homs):
                     try:
-                        lhs = apply_param(alpha_p, moved[i], p_t)
+                        lhs = alpha_p.apply(moved[i], p_t)
                         rhs = moved[alpha_at(i, j)]
                     except IncompatibleJoin:
                         checker.skip("family-square")
@@ -164,7 +158,7 @@ def check_naturality(
                 try:
                     for n in range(1, fuel + 1):
                         a = alpha_at(a, j)
-                        b = apply_param(alpha_p, b, p_t)
+                        b = alpha_p.apply(b, p_t)
                         checker.check(
                             "iterate-square",
                             b == moved[a],
@@ -202,20 +196,21 @@ def check_self_conjugate(family: NaturalFamily, x: FinObject, y: FinObject) -> L
     alpha_{X,Y} = conj(alpha_{Y,X}); the two must agree instance by instance.
 
     A two-argument family is checked on every (h, p), a one-argument one on
-    every f; conjugation daggers each argument."""
+    every f, drawn from the spaces of alpha_{X,Y}; conjugation daggers each
+    argument.  All three formulations apply unchecked."""
     checker = Checker("self-conjugate")
     a_xy = family.component(x, y)
     a_yx = family.component(y, x)
     if isinstance(a_xy, ParamExpr):
-        names, spaces, conj_yx = ("h", "p"), family.spaces(x, y), conj_param(a_yx)
+        names, spaces, conj_yx = ("h", "p"), (a_xy.arg_space, a_xy.param_space), conj_param(a_yx)
     else:
         names, spaces, conj_yx = ("f",), (a_xy.dom,), conj(a_yx)
 
     for args in product(*(space.morphisms() for space in spaces)):
         try:
-            direct = a_xy(*args)
-            swapped = a_yx(*map(dagger, args))
-            via_conj = conj_yx(*args)
+            direct = a_xy.apply(*args)
+            swapped = a_yx.apply(*map(dagger, args))
+            via_conj = conj_yx.apply(*args)
         except IncompatibleJoin:
             checker.skip("dagger-preservation")
             continue

@@ -12,7 +12,7 @@ which validates.  Inputs whose walk never leaves U stay undefined.
 """
 from __future__ import annotations
 
-from ..cat import FinObject, compose, dagger, hom_domain
+from ..cat import FinObject, compose, dagger
 from ..errors import DimensionMismatch
 from ..order import kleene_fix
 from ..report import Checker, LawReport
@@ -34,8 +34,8 @@ def trace(f, x: FinObject, y: FinObject, u: FinObject):
     f_xu = r.block(0, xs, ys, ys + us)
     f_uy = r.block(xs, xs + us, 0, ys)
     f_uu = r.block(xs, xs + us, ys, ys + us)
-    exit_domain = hom_domain(r.category, f_uy.src, f_uy.dst)
-    exits = kleene_fix(lambda g: f_uy.join(g.compose(f_uu)), exit_domain).value
+    exit_space = HomSpace(r.category, f_uy.src, f_uy.dst)
+    exits = kleene_fix(lambda g: f_uy.join(g.compose(f_uu)), exit_space).value
     return type(f).from_rel(f_xy.join(exits.compose(f_xu)))
 
 

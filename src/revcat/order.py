@@ -1,8 +1,8 @@
 """The Kleene fixed-point engine over one hom-set.
 
-A ``HomDomain`` holds what the engine reads while it iterates inside one
-hom-set: its two objects, the least element, the membership test each
-iterate must pass, and a metric where there is one.  The order, suprema and
+The engine iterates inside a ``revcat.cat.HomSpace``: it starts at the
+space's ``bottom``, checks each iterate with its ``contains`` and, in metric
+mode, measures each step with its ``metric``.  The order, suprema and
 enumeration of a hom-set are its morphism class's own ``leq``, ``sup`` and
 ``homs``.  Continuity of the step functions handed to
 ``kleene_fix``/``kleene_pfix`` is a caller obligation that the engine does
@@ -13,19 +13,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
+from .cat import HomSpace
 from .errors import DomainMismatch, InvalidArgument, NonConvergence
-
-
-@dataclass(frozen=True)
-class HomDomain:
-    """The least element of a hom-set, membership in it and its metric."""
-
-    objects: tuple[Any, Any]
-    bottom: Any
-    contains: Callable[[Any], bool]
-    metric: Optional[Callable[[Any, Any], float]] = None
 
 
 class FixMode(enum.Enum):
@@ -54,23 +45,27 @@ class KleeneResult:
     residual: Optional[float] = None
 
 
-def _iterate(step1, domain: HomDomain, policy: FixPolicy) -> KleeneResult:
-    if policy.mode is FixMode.METRIC and domain.metric is None:
+# The policies used where a caller gives none.
+_EXACT, _METRIC = FixPolicy(), FixPolicy(mode=FixMode.METRIC)
+
+
+def _iterate(step1, space: HomSpace, policy: Optional[FixPolicy]) -> KleeneResult:
+    if policy is None:
+        policy = _EXACT if space.metric is None else _METRIC
+    elif policy.mode is FixMode.METRIC and space.metric is None:
         raise InvalidArgument("metric-convergence mode needs a domain metric")
-    current = domain.bottom
+    current = space.bottom
     iterations = 0
     for _ in range(policy.max_iterations):
         nxt = step1(current)
         iterations += 1
-        if not domain.contains(nxt):
-            raise DomainMismatch(
-                f"step left the hom-set {domain.objects} after {iterations} iteration(s)"
-            )
+        if not space.contains(nxt):
+            raise DomainMismatch(f"step left the hom-set {space!r} after {iterations} iteration(s)")
         if policy.mode is FixMode.EXACT:
             if nxt == current:
                 return KleeneResult(nxt, iterations, True)
         else:
-            dist = domain.metric(current, nxt)
+            dist = space.metric(current, nxt)
             if dist < policy.tolerance:
                 return KleeneResult(nxt, iterations, True, dist)
         current = nxt
@@ -81,16 +76,19 @@ def _iterate(step1, domain: HomDomain, policy: FixPolicy) -> KleeneResult:
     )
 
 
-def kleene_fix(step, domain: HomDomain, policy: FixPolicy = FixPolicy()) -> KleeneResult:
-    """Least fixed point of ``step`` as the limit of step^n(bottom)."""
-    return _iterate(step, domain, policy)
+def kleene_fix(step, space: HomSpace, policy: Optional[FixPolicy] = None) -> KleeneResult:
+    """Least fixed point of ``step`` as the limit of step^n(bottom).
+
+    Without a ``policy``, iteration runs to metric convergence where
+    ``space`` has a metric, and to exact stabilization otherwise."""
+    return _iterate(step, space, policy)
 
 
 def kleene_pfix(
     step2,
     parameter,
-    domain: HomDomain,
-    policy: FixPolicy = FixPolicy(),
+    space: HomSpace,
+    policy: Optional[FixPolicy] = None,
 ) -> KleeneResult:
     """Least x with x = step2(x, parameter), iterating from bottom."""
-    return _iterate(lambda x: step2(x, parameter), domain, policy)
+    return _iterate(lambda x: step2(x, parameter), space, policy)

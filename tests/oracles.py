@@ -240,7 +240,7 @@ def reference_naturality(family, x, xp, y, yp, fuel=10):
     checker = Checker("naturality")
     alpha = family.component(x, y)
     alpha_p = family.component(xp, yp)
-    arg1, par1 = family.spaces(x, y)
+    arg1, par1 = alpha.arg_space, alpha.param_space
     F, G = family.F, family.G
 
     def transport(v, m, u):
@@ -250,7 +250,7 @@ def reference_naturality(family, x, xp, y, yp, fuel=10):
     v_homs = HomSpace(family.category, y, yp).morphisms()
     h_homs = arg1.morphisms()
     p_homs = par1.morphisms()
-    bot1 = arg1.bottom()
+    bot1 = arg1.bottom
     bot2 = bottom(family.category, F.apply_obj(xp), F.apply_obj(yp))
 
     for u in u_homs:

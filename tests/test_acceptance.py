@@ -28,7 +28,7 @@ from revcat.functionals import (
 from revcat.functionals.trace import trace
 from revcat.functionals.expr import JoinWith, PostCompose, Seq
 from revcat.order import FixMode, FixPolicy, kleene_fix
-from revcat.cat import StochMorphism, hom_domain
+from revcat.cat import HomSpace, StochMorphism
 from revcat.revlang import (
     CallRef,
     alpha_equivalent,
@@ -162,7 +162,7 @@ def test_criterion_7_stochastic_numerics():
     ok = report.passed and report.checked == 1000
 
     obj = FinObject(1)
-    domain = hom_domain("dstoch", obj, obj)
+    domain = HomSpace("dstoch", obj, obj)
 
     def affine(a):
         return StochMorphism(obj, obj, [[0.25 + 0.5 * a.rows[0][0]]])

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from revcat.cli import main
+from revcat.revlang.programs import bundled_source
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -28,6 +29,13 @@ def add_file(tmp_path):
         "fun add (Z, y) = (Z, y)\n"
         "fun add (S x, y) = let (x2, y2) = add (x, y) in (S x2, S y2)\n"
     )
+    return str(path)
+
+
+@pytest.fixture()
+def map_file(tmp_path):
+    path = tmp_path / "map.rvl"
+    path.write_text(bundled_source("map"))
     return str(path)
 
 
@@ -349,13 +357,43 @@ def test_roundtrip_refuses_a_value_bound_below_one_before_loading(capture, add_f
     assert loaded == []
 
 
-def test_roundtrip_takes_a_value_bound_of_one(capture, add_file):
+def test_roundtrip_takes_a_value_bound_of_one(capture, map_file):
+    # map<inc> is defined on the leaf Nil, which a bound of 1 draws.
     code, out, _ = capture(
-        "roundtrip", add_file, "add", "--seed", "1", "--trials", "20", "--value-bound", "1",
-        "--format", "json",
+        "roundtrip", map_file, "map", "--bind", "g=inc", "--seed", "1", "--trials", "20",
+        "--value-bound", "1", "--format", "json",
     )
     assert code == 0
-    assert json.loads(out)["config"]["value_bound"] == 1
+    doc = json.loads(out)
+    assert doc["config"]["value_bound"] == 1
+    assert doc["report"]["checked"] == 18
+
+
+def test_roundtrip_that_checks_nothing_exits_two(capture, add_file):
+    # A bound of 1 draws only leaves, and add is defined on none of them.
+    code, out, err = capture(
+        "roundtrip", add_file, "add", "--seed", "1", "--trials", "20", "--value-bound", "1"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: all 20 trials were skipped") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("values", ["peano", "list"])
+def test_roundtrip_refuses_a_value_bound_it_would_ignore(capture, add_file, map_file, tmp_path, values):
+    program = [add_file, "add"] if values == "peano" else [map_file, "map", "--bind", "g=inc"]
+    argv = ["roundtrip", *program, "--seed", "3", "--trials", "5", "--values", values]
+    code, out, err = capture(*argv, "--value-bound", "16")
+    assert (code, out) == (2, "")
+    assert "--value-bound bounds tree values only" in err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"value_bound": 4}))
+    code, out, err = capture("--config", str(config), *argv)
+    assert (code, out) == (2, "")
+    assert "--value-bound bounds tree values only" in err
+    # Left unset, it is reported at its default.
+    code, out, _ = capture(*argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["config"]["value_bound"] == 16
 
 
 def test_an_unexpected_exception_exits_four_without_a_traceback(capture, monkeypatch):

@@ -6,10 +6,10 @@ from hypothesis import given, strategies as st
 
 from revcat.cat import (
     FinObject,
+    HomSpace,
     StochMorphism,
     compose,
     dagger,
-    enumerate_homs,
     is_hermitian,
     is_unitary,
     join,
@@ -66,7 +66,7 @@ def test_joins_and_enumeration_are_not_provided():
     with pytest.raises(UnsupportedOperation):
         join(f, f)
     with pytest.raises(UnsupportedOperation):
-        enumerate_homs("dstoch", X2, X2)
+        HomSpace("dstoch", X2, X2).morphisms()
 
 
 def test_unitary_permutation_matrix():

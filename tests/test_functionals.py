@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from revcat.cat import FinObject, RelMorphism, compose, dagger, enumerate_homs, join
+from revcat.cat import FinObject, RelMorphism, compose, dagger, join
 from revcat.errors import DimensionMismatch, DomainMismatch
 from revcat.functionals import (
     ArgP,
@@ -23,16 +23,21 @@ from revcat.functionals import (
     apply_param,
     check_conj_preservation,
     check_fixed_point_adjoint,
+    check_naturality,
     check_pfix_adjoint,
     check_pfix_identity,
+    check_self_conjugate,
     conj,
     conj_param,
     fix_functional,
+    identity_family,
+    join_family,
     pfix_functional,
     random_endo_functional,
     random_param_functional,
+    trace_family,
 )
-from revcat.functionals import expr, fixpoints, param
+from revcat.functionals import expr, fixpoints, naturality, param
 
 from checkers import check_fix_pfix_agreement
 from oracles import reachability_closure
@@ -212,7 +217,7 @@ def test_fixed_points_apply_each_step_without_a_checked_application(monkeypatch)
 
         return counted
 
-    for module in (expr, param, fixpoints):
+    for module in (expr, param, fixpoints, naturality):
         for name in ("apply_functional", "apply_param"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy(getattr(module, name)))
@@ -220,11 +225,27 @@ def test_fixed_points_apply_each_step_without_a_checked_application(monkeypatch)
     assert set(pfix_functional(param_psi(), rel3([(0, 1)])).pairs) == {(0, 1), (0, 2)}
     assert checked == []
 
+    # The checkers draw their arguments from the spaces they check, so they
+    # apply nodes unchecked too.
+    one, two = FinObject(1), FinObject(2)
+    space = spaces(n=2)
+    m = RelMorphism.from_pairs(two, two, [(1, 0)])
+    psi = PJoin(PApply(PostCompose(m, space), ArgX(space, space)), ArgP(space, space))
+    reports = [
+        check_naturality(join_family("rel"), two, one, one, two, fuel=3),
+        check_pfix_identity(psi),
+        check_self_conjugate(join_family("rel"), two, one),
+        check_self_conjugate(identity_family("rel"), two, one),
+        check_self_conjugate(trace_family("rel", one), one, one),
+    ]
+    assert all(report.passed and report.checked > 0 for report in reports)
+    assert checked == []
+
 
 def test_apply_param_and_conj_param_pointwise():
     psi = param_psi()
     conjugate = conj_param(psi)
-    homs = enumerate_homs("rel", X3, X3)[:40]
+    homs = S3.morphisms()[:40]
     for x in homs[:8]:
         for p in homs[5:13]:
             assert apply_param(conjugate, x, p) == dagger(
@@ -253,7 +274,7 @@ def test_conj_preservation_and_pfix_identity_exhaustive():
 
 
 def test_fix_pfix_derivations_agree():
-    report = check_fix_pfix_agreement(CLOSURE, S3, parameters=enumerate_homs("rel", X3, X3)[:16])
+    report = check_fix_pfix_agreement(CLOSURE, S3, parameters=S3.morphisms()[:16])
     assert report.passed
 
 

@@ -1,8 +1,7 @@
 """Nested static arguments: parametrized functions passed as parameters."""
-from revcat.cat import FinObject, enumerate_homs, enumerate_rel
+from revcat.cat import FinObject, HomSpace, StochMorphism, enumerate_rel
 from revcat.errors import TooLarge
 from revcat.order import FixMode, FixPolicy, kleene_fix
-from revcat.cat import StochMorphism, hom_domain
 from revcat.revlang import (
     bundled_program,
     dagger_ref,
@@ -40,13 +39,13 @@ def test_nested_binding_inversion_names():
 def test_enumeration_cap_raises_too_large():
     big = FinObject(4)
     with pytest.raises(TooLarge):
-        enumerate_homs("rel", big, big)
+        HomSpace("rel", big, big).morphisms()
     assert len(enumerate_rel(big, big, cap=16)) == 2 ** 16
 
 
 def test_metric_kleene_result_carries_residual():
     obj = FinObject(1)
-    domain = hom_domain("dstoch", obj, obj)
+    domain = HomSpace("dstoch", obj, obj)
 
     def affine(a):
         return StochMorphism(obj, obj, [[0.25 + 0.5 * a.rows[0][0]]])

@@ -5,19 +5,18 @@ import pytest
 
 from revcat.cat import (
     FinObject,
+    HomSpace,
     PInjMorphism,
     RelMorphism,
     StochMorphism,
     bottom,
-    enumerate_homs,
-    hom_domain,
     leq,
     morphism_from_doc,
     sup_chain,
 )
 from revcat.errors import DimensionMismatch, UnsupportedOperation
-from revcat.functionals import HomSpace, JoinWith, default_policy
-from revcat.order import FixMode
+from revcat.functionals import JoinWith
+from revcat.order import kleene_fix
 
 X2 = FinObject(2)
 
@@ -34,8 +33,8 @@ def test_category_is_a_class_constant_not_a_field(cls, body):
 @pytest.mark.parametrize("category", ["rel", "pinj"])
 def test_blocks_of_a_block_sum_give_back_the_summands(category):
     one, two = FinObject(1), FinObject(2)
-    for f in enumerate_homs(category, one, two):
-        for g in enumerate_homs(category, two, one):
+    for f in HomSpace(category, one, two).morphisms():
+        for g in HomSpace(category, two, one).morphisms():
             s = f.block_sum(g)
             assert (s.src.size, s.dst.size) == (3, 3)
             assert s.block(0, 1, 0, 2) == f
@@ -88,19 +87,19 @@ def test_dstoch_has_no_rel_embedding_and_no_enumeration():
 
 @pytest.mark.parametrize("category", ["rel", "pinj", "dstoch"])
 def test_hom_domains_are_read_off_the_class(category):
-    domain = hom_domain(category, X2, X2)
+    domain = HomSpace(category, X2, X2)
     cls = type(domain.bottom)
     assert cls.category == category
     assert (domain.metric is not None) == cls.has_metric == (category == "dstoch")
     assert cls.has_joins == (category != "dstoch")
-    want = FixMode.METRIC if cls.has_metric else FixMode.EXACT
-    assert default_policy(domain).mode is want
+    # Without a policy the engine converges by the metric where there is one.
+    assert (kleene_fix(lambda m: m, domain).residual is not None) == cls.has_metric
     f = cls.identity(X2)
     assert domain.contains(f) and not domain.contains(cls.identity(FinObject(1)))
     assert leq(domain.bottom, f) and f.leq(f, 0.0)
     assert sup_chain(category, [domain.bottom, f]) == f
     if cls.has_joins:
-        assert enumerate_homs(category, X2, X2) == cls.homs(X2, X2)
+        assert domain.morphisms() == tuple(cls.homs(X2, X2))
 
 
 def test_join_with_refuses_a_category_without_joins():

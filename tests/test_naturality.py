@@ -6,7 +6,6 @@ from revcat.cat import FinObject, RelMorphism, compose, dagger
 from revcat.functionals import (
     DisjointUnionWith,
     IdentityFunctor,
-    apply_param,
     check_naturality,
     check_self_conjugate,
     identity_family,
@@ -103,18 +102,21 @@ def test_naturality_applies_alpha_once_per_argument_pair(monkeypatch):
     h_count = len(alpha.arg_space.morphisms())
     p_homs = alpha.param_space.morphisms()
     applied, fixed = Counter(), Counter()
+    apply = type(alpha).apply
 
     def apply_spy(psi, h, p):
         if psi == alpha:
             applied[h, p] += 1
-        return apply_param(psi, h, p)
+        return apply(psi, h, p)
 
     def pfix_spy(psi, p):
         if psi == alpha:
             fixed[p] += 1
         return pfix_functional(psi, p)
 
-    monkeypatch.setattr(naturality, "apply_param", apply_spy)
+    # Every application of alpha, checked or not, including the steps of
+    # its parametrized fixed points.
+    monkeypatch.setattr(type(alpha), "apply", apply_spy)
     monkeypatch.setattr(naturality, "pfix_functional", pfix_spy)
     report = check_naturality(family, O2, O1, O1, O2, fuel=fuel)
     assert report.passed and report.by_law["pfix-square"] > 0

@@ -4,9 +4,8 @@ from revcat.cat import (
     FinObject,
     RelMorphism,
     StochMorphism,
+    HomSpace,
     compose,
-    enumerate_homs,
-    hom_domain,
     join,
     leq,
     sup_chain,
@@ -20,7 +19,7 @@ from oracles import geometric_fixed_point, iterate_param_step, reachability_clos
 X3 = FinObject(3)
 R_EDGES = [(0, 1), (1, 2)]
 R = RelMorphism.from_pairs(X3, X3, R_EDGES)
-REL_DOM = hom_domain("rel", X3, X3)
+REL_DOM = HomSpace("rel", X3, X3)
 
 
 def closure_step(current):
@@ -45,7 +44,7 @@ def test_kleene_fix_identity_step_returns_bottom_in_one_iteration():
 
 def test_kleene_fix_affine_metric_matches_closed_form():
     obj = FinObject(1)
-    dom = hom_domain("dstoch", obj, obj)
+    dom = HomSpace("dstoch", obj, obj)
 
     def step(a):
         return StochMorphism(obj, obj, [[0.25 + 0.5 * a.rows[0][0]]])
@@ -59,7 +58,7 @@ def test_kleene_fix_affine_metric_matches_closed_form():
 
 def test_kleene_fix_raises_non_convergence_on_oscillation():
     obj = FinObject(1)
-    dom = hom_domain("dstoch", obj, obj)
+    dom = HomSpace("dstoch", obj, obj)
 
     def step(a):
         return StochMorphism(obj, obj, [[1.0 - a.rows[0][0]]])
@@ -115,7 +114,7 @@ def test_kleene_pfix_identity_step_gives_bottom():
 
 
 def test_pfix_with_ignored_parameter_equals_fix():
-    for p in enumerate_homs("rel", X3, X3)[:10]:
+    for p in REL_DOM.morphisms()[:10]:
         via_pfix = kleene_pfix(lambda x, q: closure_step(x), p, REL_DOM, FixPolicy())
         via_fix = kleene_fix(closure_step, REL_DOM, FixPolicy())
         assert via_pfix.value == via_fix.value
@@ -133,15 +132,15 @@ def test_kleene_chain_is_ascending_and_result_is_least_fixed_point():
         assert leq(earlier, later)
     # least among all enumerated fixed points
     value = result.value
-    for candidate in enumerate_homs("rel", X3, X3):
+    for candidate in REL_DOM.morphisms():
         if closure_step(candidate) == candidate:
             assert leq(value, candidate)
 
 
 def test_exact_mode_converges_within_hom_size():
     small = FinObject(2)
-    dom = hom_domain("rel", small, small)
-    k = len(enumerate_homs("rel", small, small))
+    dom = HomSpace("rel", small, small)
+    k = len(dom.morphisms())
     extra = RelMorphism.from_pairs(small, small, [(0, 0), (1, 1)])
     result = kleene_fix(lambda r: join(r, extra), dom, FixPolicy())
     assert result.iterations <= k
@@ -149,8 +148,8 @@ def test_exact_mode_converges_within_hom_size():
 
 def test_hom_domain_order_axioms_on_enumerated_triples():
     small = FinObject(2)
-    dom = hom_domain("rel", small, FinObject(1))
-    elements = enumerate_homs("rel", small, FinObject(1))
+    dom = HomSpace("rel", small, FinObject(1))
+    elements = dom.morphisms()
     for f in elements:
         assert leq(f, f)
         assert leq(dom.bottom, f)
@@ -166,7 +165,7 @@ def test_hom_domain_order_axioms_on_enumerated_triples():
 
 def test_spot_check_monotone_composition_is_clean_and_complement_is_not():
     small = FinObject(2)
-    elements = enumerate_homs("rel", small, small)
+    elements = HomSpace("rel", small, small).morphisms()
     pairs = [(f, g) for f in elements for g in elements if leq(f, g)]
     r = RelMorphism.from_pairs(small, small, [(0, 1)])
 

@@ -3,10 +3,10 @@ from hypothesis import given, strategies as st
 
 from revcat.cat import (
     FinObject,
+    HomSpace,
     PInjMorphism,
     compose,
     dagger,
-    enumerate_homs,
     join,
     leq,
 )
@@ -66,9 +66,9 @@ def test_join_requires_compatibility():
 
 
 def test_enumeration_matches_counting_formula():
-    assert len(enumerate_homs("pinj", X2, X2)) == count_partial_injections(2, 2) == 7
-    assert len(enumerate_homs("pinj", X3, X3)) == count_partial_injections(3, 3) == 34
-    homs = enumerate_homs("pinj", X3, X2)
+    assert len(HomSpace("pinj", X2, X2).morphisms()) == count_partial_injections(2, 2) == 7
+    assert len(HomSpace("pinj", X3, X3).morphisms()) == count_partial_injections(3, 3) == 34
+    homs = HomSpace("pinj", X3, X2).morphisms()
     assert len(homs) == len(set(homs)) == count_partial_injections(3, 2)
 
 
@@ -100,7 +100,7 @@ def test_embedding_commutes_with_dagger_on_random_injections(f):
 
 
 def test_embedding_into_rel_is_a_faithful_dagger_functor():
-    homs2 = enumerate_homs("pinj", X2, X2)
+    homs2 = HomSpace("pinj", X2, X2).morphisms()
     for f in homs2:
         assert dagger(f).to_rel() == dagger(f.to_rel())
         for g in homs2:

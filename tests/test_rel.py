@@ -3,10 +3,10 @@ from hypothesis import given, strategies as st
 
 from revcat.cat import (
     FinObject,
+    HomSpace,
     RelMorphism,
     compose,
     dagger,
-    enumerate_homs,
     is_hermitian,
     is_unitary,
     join,
@@ -81,9 +81,9 @@ def test_strict_composition():
 
 
 def test_enumeration_counts():
-    assert len(enumerate_homs("rel", FinObject(1), FinObject(1))) == 2
-    assert len(enumerate_homs("rel", X2, X2)) == 16
-    homs = enumerate_homs("rel", X2, X2)
+    assert len(HomSpace("rel", FinObject(1), FinObject(1)).morphisms()) == 2
+    assert len(HomSpace("rel", X2, X2).morphisms()) == 16
+    homs = HomSpace("rel", X2, X2).morphisms()
     assert len(set(homs)) == 16  # each exactly once
 
 

@@ -3,7 +3,7 @@ from types import ModuleType
 
 import pytest
 
-from revcat.cat import FinObject, PInjMorphism, RelMorphism, dagger, enumerate_pinj, enumerate_rel
+from revcat.cat import FinObject, HomSpace, PInjMorphism, RelMorphism, dagger, enumerate_pinj, enumerate_rel
 from revcat.errors import DimensionMismatch, IncompatibleJoin
 import revcat.functionals.trace as trace_module
 from revcat.functionals import check_dagger_trace
@@ -158,11 +158,11 @@ def test_trace_is_one_least_fixed_point(monkeypatch):
     kleene_fix = trace_module.kleene_fix
     calls = []
 
-    def counting(step, domain, *rest):
-        calls.append(domain.objects)
-        return kleene_fix(step, domain, *rest)
+    def counting(step, space, *rest):
+        calls.append(space)
+        return kleene_fix(step, space, *rest)
 
     monkeypatch.setattr(trace_module, "kleene_fix", counting)
     for f in enumerate_pinj(X3, X3):
         trace(f, O1, O1, O2)
-    assert calls == [(O2, O1)] * len(enumerate_pinj(X3, X3))
+    assert calls == [HomSpace("rel", O2, O1)] * len(enumerate_pinj(X3, X3))

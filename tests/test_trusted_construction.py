@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from revcat.cat import FinObject, PInjMorphism, RelMorphism, StochMorphism, enumerate_homs
+from revcat.cat import FinObject, HomSpace, PInjMorphism, RelMorphism, StochMorphism
 from revcat.cat.serialize import loads_morphism
 from revcat.errors import DimensionMismatch
 
@@ -27,7 +27,7 @@ def validated(m):
 
 
 def homs(category, n, m):
-    return enumerate_homs(category, FinObject(n), FinObject(m))
+    return HomSpace(category, FinObject(n), FinObject(m)).morphisms()
 
 
 def test_rel_ops_agree_with_the_scalar_oracles_on_every_hom_set_up_to_2x2():
