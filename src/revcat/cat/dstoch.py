@@ -9,7 +9,7 @@ from an explicit seed.
 Values are validated when built through the public constructor, ``from_doc``
 and ``sup``; the other operations build their results with
 ``StochMorphism._make``, which skips that check, because a result computed
-from valid operands is valid.
+from valid operands is valid; as in ``rel``, it fills the slots directly.
 """
 from __future__ import annotations
 
@@ -23,14 +23,15 @@ from random import Random
 from typing import ClassVar
 
 from ..errors import DimensionMismatch, ParseError, UnsupportedOperation
-from .objects import FinObject, read_nat, require_fields
+from .objects import FinObject, read_nat, require_fields, same_hom, trusted_make
 
 DEFAULT_TOLERANCE = 1e-9
 
 Rows = tuple[tuple[float, ...], ...]
 
 
-@dataclass(frozen=True)
+@trusted_make
+@dataclass(frozen=True, slots=True)
 class StochMorphism:
     category: ClassVar[str] = "dstoch"
     has_joins: ClassVar[bool] = False
@@ -47,17 +48,6 @@ class StochMorphism:
         rows = _parse_rows(self.rows, self.src.size)
         _validate(rows)
         object.__setattr__(self, "rows", rows)
-
-    @classmethod
-    def _make(cls, src: FinObject, dst: FinObject, rows: Rows) -> "StochMorphism":
-        """Build without validation: only for rows valid by construction."""
-        # Set the fields as the dataclass __init__ does: writing through
-        # __dict__ would give each instance a dict of its own.
-        self = object.__new__(cls)
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "rows", rows)
-        return self
 
     @classmethod
     def bottom(cls, src: FinObject, dst: FinObject) -> "StochMorphism":
@@ -92,7 +82,7 @@ class StochMorphism:
 
     def compose(self, other: "StochMorphism") -> "StochMorphism":
         """self . other, i.e. run ``other`` first (rows index sources)."""
-        if other.dst != self.src:
+        if other.dst is not self.src and other.dst != self.src:
             raise DimensionMismatch(f"cannot compose {self!r} after {other!r}")
         cols = tuple(zip(*self.rows))
         return StochMorphism._make(
@@ -105,7 +95,7 @@ class StochMorphism:
         return StochMorphism._make(self.dst, self.src, tuple(zip(*self.rows)))
 
     def leq(self, other: "StochMorphism", tolerance: float = DEFAULT_TOLERANCE) -> bool:
-        self._same_hom(other)
+        same_hom(self, other)
         bounds = map(add, _entries(other.rows), repeat(tolerance))
         return all(map(le, _entries(self.rows), bounds))
 
@@ -123,12 +113,8 @@ class StochMorphism:
 
     def distance(self, other: "StochMorphism") -> float:
         """Largest entrywise difference; 0.0 between maps on the empty set."""
-        self._same_hom(other)
+        same_hom(self, other)
         return max(map(abs, map(sub, _entries(self.rows), _entries(other.rows))), default=0.0)
-
-    def _same_hom(self, other):
-        if self.src != other.src or self.dst != other.dst:
-            raise DimensionMismatch(f"{self!r} and {other!r} live in different hom-sets")
 
     def __repr__(self):
         return f"DStoch({self.src.size}, {[list(r) for r in self.rows]})"

@@ -1,7 +1,8 @@
-"""Finite objects: a size plus an optional label."""
+"""Finite objects (a size plus an optional label), and what the three
+morphism classes share: document readers, the hom-set check and ``_make``."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from ..errors import DimensionMismatch, InvalidArgument, ParseError
@@ -45,3 +46,30 @@ def read_nat(value, field: str) -> int:
 def require_block(f, row_lo: int, row_hi: int, col_lo: int, col_hi: int) -> None:
     if not (0 <= row_lo <= row_hi <= f.src.size and 0 <= col_lo <= col_hi <= f.dst.size):
         raise DimensionMismatch(f"block [{row_lo}:{row_hi}, {col_lo}:{col_hi}] does not fit {f!r}")
+
+
+def same_hom(f, g) -> None:
+    """Refuse ``g`` unless it lies in ``f``'s hom-set; objects are compared by
+    identity first, as operands of one hom-set nearly always share them."""
+    if (f.src is not g.src and f.src != g.src) or (f.dst is not g.dst and f.dst != g.dst):
+        raise DimensionMismatch(f"{f!r} and {g!r} live in different hom-sets")
+
+
+def trusted_make(cls):
+    """Give the frozen, slotted dataclass ``cls`` over ``(src, dst, body)``
+    its ``_make(src, dst, body)``: a value built without validation, only for
+    bodies valid by construction.  It sets the fields through the class's own
+    slot descriptors, bound here once, which write past the frozen
+    ``__setattr__``."""
+    new = object.__new__
+    set_src, set_dst, set_body = (vars(cls)[field.name].__set__ for field in fields(cls))
+
+    def _make(src: FinObject, dst: FinObject, body):
+        self = new(cls)
+        set_src(self, src)
+        set_dst(self, dst)
+        set_body(self, body)
+        return self
+
+    cls._make = staticmethod(_make)
+    return cls

@@ -6,8 +6,9 @@ only for compatible graphs and otherwise raise IncompatibleJoin.
 
 As in ``rel``, values are validated when built through the public
 constructors, and operations whose results are valid by construction build
-them with ``PInjMorphism._make``.  ``join`` and ``from_rel`` validate, as a
-join of compatible graphs can be non-injective; ``block`` checks its ranges.
+them with ``PInjMorphism._make``, which fills the slots directly.  ``join``
+and ``from_rel`` validate, as a join of compatible graphs can be
+non-injective; ``block`` checks its ranges.
 """
 from __future__ import annotations
 
@@ -17,11 +18,12 @@ from itertools import combinations, permutations
 from typing import ClassVar, Optional
 
 from ..errors import DimensionMismatch, IncompatibleJoin, ParseError, TooLarge
-from .objects import ENUMERATION_CAP, FinObject, read_nat, require_block, require_fields
+from .objects import ENUMERATION_CAP, FinObject, read_nat, require_block, require_fields, same_hom, trusted_make
 from .rel import RelMorphism
 
 
-@dataclass(frozen=True)
+@trusted_make
+@dataclass(frozen=True, slots=True)
 class PInjMorphism:
     category: ClassVar[str] = "pinj"
     has_joins: ClassVar[bool] = True
@@ -44,19 +46,6 @@ class PInjMorphism:
             if j in seen:
                 raise DimensionMismatch(f"not injective: target {j} hit twice")
             seen.add(j)
-
-    @classmethod
-    def _make(
-        cls, src: FinObject, dst: FinObject, table: tuple[Optional[int], ...]
-    ) -> "PInjMorphism":
-        """Build without validation: only for tables valid by construction."""
-        # Set the fields as the dataclass __init__ does: writing through
-        # __dict__ would give each instance a dict of its own.
-        self = object.__new__(cls)
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "table", table)
-        return self
 
     @classmethod
     def from_map(cls, src: FinObject, dst: FinObject, mapping: dict) -> "PInjMorphism":
@@ -117,7 +106,7 @@ class PInjMorphism:
 
     def compose(self, other: "PInjMorphism") -> "PInjMorphism":
         """self . other, i.e. run ``other`` first."""
-        if other.dst != self.src:
+        if other.dst is not self.src and other.dst != self.src:
             raise DimensionMismatch(f"cannot compose {self!r} after {other!r}")
         table = tuple(
             self.table[j] if j is not None else None for j in other.table
@@ -132,13 +121,13 @@ class PInjMorphism:
         return PInjMorphism._make(self.dst, self.src, tuple(table))
 
     def leq(self, other: "PInjMorphism", tolerance: float = 0.0) -> bool:
-        self._same_hom(other)
+        same_hom(self, other)
         return all(
             j is None or other.table[i] == j for i, j in enumerate(self.table)
         )
 
     def join(self, other: "PInjMorphism") -> "PInjMorphism":
-        self._same_hom(other)
+        same_hom(self, other)
         table: list[Optional[int]] = list(self.table)
         for i, j in enumerate(other.table):
             if j is None:
@@ -178,10 +167,6 @@ class PInjMorphism:
 
     def to_rel(self) -> RelMorphism:
         return RelMorphism.from_pairs(self.src, self.dst, self.mapping.items())
-
-    def _same_hom(self, other):
-        if self.src != other.src or self.dst != other.dst:
-            raise DimensionMismatch(f"{self!r} and {other!r} live in different hom-sets")
 
     def __repr__(self):
         return f"PInj({self.src.size}->{self.dst.size}, {self.mapping})"

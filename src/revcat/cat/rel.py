@@ -6,7 +6,9 @@ subset order is bitwise implication, and joins are bitwise or.
 
 Values are validated when built through the public constructors; the
 operations build their results with ``RelMorphism._make``, which skips that
-check, because a result computed from valid operands is valid.
+check, because a result computed from valid operands is valid.  Values have
+slots and no ``__dict__``, and ``_make`` (``objects.trusted_make``) fills the
+slots directly.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from itertools import product
 from typing import ClassVar
 
 from ..errors import DimensionMismatch, ParseError, TooLarge
-from .objects import ENUMERATION_CAP, FinObject, read_nat, require_block, require_fields
+from .objects import ENUMERATION_CAP, FinObject, read_nat, require_block, require_fields, same_hom, trusted_make
 
 # The cache holds twice the largest hom-set ``enumerate_rel`` builds at its
 # default cap, so the daggers of one exhaustive suite all stay cached.
@@ -34,7 +36,8 @@ def _transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
     return tuple(cols)
 
 
-@dataclass(frozen=True)
+@trusted_make
+@dataclass(frozen=True, slots=True)
 class RelMorphism:
     category: ClassVar[str] = "rel"
     has_joins: ClassVar[bool] = True
@@ -52,17 +55,6 @@ class RelMorphism:
         for row in self.rows:
             if row < 0 or row & ~mask:
                 raise DimensionMismatch("relation bits outside target range")
-
-    @classmethod
-    def _make(cls, src: FinObject, dst: FinObject, rows: tuple[int, ...]) -> "RelMorphism":
-        """Build without validation: only for rows valid by construction."""
-        # Set the fields as the dataclass __init__ does: writing through
-        # __dict__ would give each instance a dict of its own.
-        self = object.__new__(cls)
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "rows", rows)
-        return self
 
     @classmethod
     def from_pairs(cls, src: FinObject, dst: FinObject, pairs) -> "RelMorphism":
@@ -129,7 +121,7 @@ class RelMorphism:
 
     def compose(self, other: "RelMorphism") -> "RelMorphism":
         """self . other, i.e. run ``other`` first."""
-        if other.dst != self.src:
+        if other.dst is not self.src and other.dst != self.src:
             raise DimensionMismatch(f"cannot compose {self!r} after {other!r}")
         mine = self.rows
         rows = []
@@ -148,11 +140,11 @@ class RelMorphism:
         return RelMorphism._make(self.dst, self.src, _transpose(self.rows, self.dst.size))
 
     def leq(self, other: "RelMorphism", tolerance: float = 0.0) -> bool:
-        self._same_hom(other)
+        same_hom(self, other)
         return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
 
     def join(self, other: "RelMorphism") -> "RelMorphism":
-        self._same_hom(other)
+        same_hom(self, other)
         return RelMorphism._make(
             self.src, self.dst, tuple(a | b for a, b in zip(self.rows, other.rows))
         )
@@ -180,10 +172,6 @@ class RelMorphism:
     def complement(self) -> "RelMorphism":
         mask = (1 << self.dst.size) - 1
         return RelMorphism._make(self.src, self.dst, tuple(mask ^ row for row in self.rows))
-
-    def _same_hom(self, other):
-        if self.src != other.src or self.dst != other.dst:
-            raise DimensionMismatch(f"{self!r} and {other!r} live in different hom-sets")
 
     def __repr__(self):
         return f"Rel({self.src.size}->{self.dst.size}, {self.pairs})"

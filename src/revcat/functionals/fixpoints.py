@@ -33,18 +33,25 @@ def fix_functional(phi: FunctionalExpr):
     return kleene_fix(phi.apply, phi.dom).value
 
 
-def pfix_functional(psi: ParamExpr, p):
-    """Parametrized least fixed point of psi at parameter p.
+def _pfix_of(psi: ParamExpr):
+    """p |-> (pfix psi)(p), for parameters known to lie in ``psi.param_space``,
+    as the checkers' are: drawn from it, or daggers of parameters of the
+    conjugate.  ``psi``'s spaces are checked once, here; the engine checks
+    each iterate, so each step applies ``psi`` directly."""
+    arg_space = psi.arg_space
+    if psi.cod != arg_space:
+        raise DimensionMismatch(f"not endo in the recursion argument: {psi.cod!r} vs {arg_space!r}")
+    step = psi.apply
+    return lambda p: kleene_pfix(step, p, arg_space).value
 
-    ``p`` is checked against ``psi.param_space`` once, here; the engine
-    checks each iterate, so each step applies ``psi`` directly."""
-    if psi.cod != psi.arg_space:
-        raise DimensionMismatch(
-            f"not endo in the recursion argument: {psi.cod!r} vs {psi.arg_space!r}"
-        )
+
+def pfix_functional(psi: ParamExpr, p):
+    """Parametrized least fixed point of psi at parameter p, with ``p``
+    checked against ``psi.param_space``."""
+    pfix = _pfix_of(psi)
     if space_of(p) != psi.param_space:
         raise DimensionMismatch(f"{p!r} is not in {psi.param_space!r}")
-    return kleene_pfix(psi.apply, p, psi.arg_space).value
+    return pfix(p)
 
 
 def check_fixed_point_adjoint(phi: FunctionalExpr) -> LawReport:
@@ -84,12 +91,12 @@ def _pointwise(checker: Checker, law: str, parameters, sides, witness: str) -> L
 
 def check_pfix_adjoint(psi: ParamExpr) -> LawReport:
     """(pfix psi)(p)+ must equal (pfix conj(psi))(p+) for each parameter."""
-    conjugate = conj_param(psi)
+    pfix, pfix_conj = _pfix_of(psi), _pfix_of(conj_param(psi))
     return _pointwise(
         Checker("pfix-adjoint"),
         "pfix-adjoint",
         psi.param_space.morphisms(),
-        lambda p: (dagger(pfix_functional(psi, p)), pfix_functional(conjugate, dagger(p))),
+        lambda p: (dagger(pfix(p)), pfix_conj(dagger(p))),
         "p={p!r} lhs={lhs!r} rhs={rhs!r}",
     )
 
@@ -101,11 +108,12 @@ def check_conj_preservation(psi: ParamExpr) -> LawReport:
     p |-> ((pfix psi)(p+))+.
     """
     conjugate = conj_param(psi)
+    pfix, pfix_conj = _pfix_of(psi), _pfix_of(conjugate)
     return _pointwise(
         Checker("conj-preservation"),
         "conj-preservation",
         conjugate.param_space.morphisms(),
-        lambda p: (dagger(pfix_functional(psi, dagger(p))), pfix_functional(conjugate, p)),
+        lambda p: (dagger(pfix(dagger(p))), pfix_conj(p)),
         "p={p!r} lhs={lhs!r} rhs={rhs!r}",
     )
 
@@ -113,9 +121,10 @@ def check_conj_preservation(psi: ParamExpr) -> LawReport:
 def check_pfix_identity(psi: ParamExpr) -> LawReport:
     """pfix psi = psi . <pfix psi, id> at each parameter, where ``psi``
     applies unchecked: both arguments come from its own spaces."""
+    pfix = _pfix_of(psi)
 
     def sides(p):
-        v = pfix_functional(psi, p)
+        v = pfix(p)
         return psi.apply(v, p), v
 
     return _pointwise(

@@ -200,6 +200,35 @@ def test_pfix_functional_checks_the_parameter_before_iterating(monkeypatch):
     assert iterated == []
 
 
+@pytest.mark.parametrize("checker", [check_pfix_adjoint, check_conj_preservation, check_pfix_identity])
+def test_pfix_checkers_look_up_spaces_a_fixed_number_of_times(monkeypatch, checker):
+    """psi's spaces are checked once per checker call, not once per
+    parameter: Hom(1, 1) has 2 parameters and Hom(2, 2) has 16."""
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    original = expr.space_of
+    for module in (expr, param, fixpoints):
+        monkeypatch.setattr(module, "space_of", counted)
+
+    def space_of_calls(n):
+        space = spaces(n=n)
+        c = RelMorphism.identity(space.src)
+        psi = PJoin(
+            PApply(JoinWith(c), ArgX(space, space)),
+            PJoin(PConst(c, space, space), ArgP(space, space)),
+        )
+        calls.clear()
+        report = checker(psi)
+        assert report.passed and report.checked == len(space.morphisms())
+        return len(calls)
+
+    assert space_of_calls(1) == space_of_calls(2) > 0
+
+
 def test_fix_functional_refuses_a_host_step_that_leaves_the_hom_set():
     other = RelMorphism.bottom(FinObject(2), FinObject(2))
     escaping = Host(lambda h: other, S3, S3, name="escape")

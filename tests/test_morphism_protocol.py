@@ -14,6 +14,7 @@ from revcat.cat import (
     morphism_from_doc,
     sup_chain,
 )
+from revcat.cat.ops import MORPHISM_CLASSES
 from revcat.errors import DimensionMismatch, UnsupportedOperation
 from revcat.functionals import JoinWith
 from revcat.order import kleene_fix
@@ -106,3 +107,40 @@ def test_join_with_refuses_a_category_without_joins():
     with pytest.raises(UnsupportedOperation, match="dstoch"):
         JoinWith(StochMorphism.identity(X2))
     assert JoinWith(RelMorphism.identity(X2)).dom == HomSpace("rel", X2, X2)
+
+
+def _pair(category, obj):
+    """Two morphisms on ``obj``, the second above the first."""
+    cls = MORPHISM_CLASSES[category]
+    if category == "dstoch":
+        return cls(obj, obj, ((0.25, 0.0), (0.0, 0.25))), cls(obj, obj, ((0.5, 0.0), (0.0, 0.5)))
+    return cls.bottom(obj, obj), cls.identity(obj)
+
+
+@pytest.mark.parametrize("category", ["rel", "pinj", "dstoch"])
+def test_equal_objects_that_are_distinct_instances_still_match(category):
+    a, b = FinObject(2), FinObject(2)
+    assert a is not b
+    f, g = _pair(category, a)
+    f_b, g_b = _pair(category, b)
+    assert g_b.compose(f) == f.compose(g_b)
+    assert f.leq(g_b) and not g_b.leq(f)
+    if MORPHISM_CLASSES[category].has_joins:
+        assert f.join(g_b) == g_b.join(f) == g
+    space = HomSpace(category, FinObject(2), FinObject(2))
+    assert space.src is not b and space.contains(f_b) and space.contains(g_b)
+
+
+@pytest.mark.parametrize("category", ["rel", "pinj", "dstoch"])
+def test_objects_with_different_labels_do_not_match(category):
+    a, b = FinObject(2, "a"), FinObject(2, "b")
+    f, _ = _pair(category, a)
+    g, _ = _pair(category, b)
+    with pytest.raises(DimensionMismatch):
+        g.compose(f)
+    with pytest.raises(DimensionMismatch):
+        f.leq(g)
+    if MORPHISM_CLASSES[category].has_joins:
+        with pytest.raises(DimensionMismatch):
+            f.join(g)
+    assert not HomSpace(category, a, a).contains(g)

@@ -5,13 +5,14 @@ The fast operations are checked against the scalar oracles in
 validation, and the public constructors, ``from_*`` and ``block`` must
 still refuse what they refused before.
 """
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from revcat.cat import FinObject, HomSpace, PInjMorphism, RelMorphism, StochMorphism
+from revcat.cat.ops import MORPHISM_CLASSES
 from revcat.cat.serialize import loads_morphism
 from revcat.errors import DimensionMismatch
 
@@ -107,10 +108,20 @@ def test_trusted_and_public_construction_give_the_same_value(cls, body):
     assert made == built and built == made
     assert hash(made) == hash(built)
     assert repr(made) == repr(built)
-    assert vars(made) == vars(built)
+    assert [getattr(made, f.name) for f in fields(cls)] == [getattr(built, f.name) for f in fields(cls)]
     assert len({made, built}) == 1
     with pytest.raises(FrozenInstanceError):
         made.src = x
+
+
+@pytest.mark.parametrize("cls", MORPHISM_CLASSES.values(), ids=MORPHISM_CLASSES.keys())
+def test_morphism_values_are_slotted(cls):
+    x = FinObject(2)
+    assert cls.__slots__ == tuple(f.name for f in fields(cls))
+    made = cls.identity(x)
+    built = cls(*(getattr(made, f.name) for f in fields(cls)))
+    for m in (made, built, made.dagger(), made.compose(built)):
+        assert not hasattr(m, "__dict__")
 
 
 X2 = FinObject(2)
