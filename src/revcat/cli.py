@@ -60,7 +60,6 @@ from .report import LawReport
 from .revlang import (
     UNDEFINED,
     STUCK,
-    ValidationFailed,
     closed_ref,
     eval_ref,
     invert_program,
@@ -69,10 +68,10 @@ from .revlang import (
     parse_value,
     random_nat_list,
     random_peano_pair,
+    require_valid,
     roundtrip_check,
     show_program,
     show_term,
-    validate_program,
 )
 
 
@@ -311,11 +310,7 @@ def cmd_trace(args) -> int:
 
 
 def _load_program(path: str):
-    program = parse_program(_read_text(path))
-    report = validate_program(program)
-    if not report.ok:
-        raise ValidationFailed(report)
-    return program
+    return require_valid(parse_program(_read_text(path)))
 
 
 def _bindings_from(args) -> dict:

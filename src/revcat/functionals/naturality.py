@@ -19,7 +19,7 @@ from ..cat import FinObject, compose, dagger
 from ..errors import IncompatibleJoin
 from ..report import Checker, LawReport
 from .expr import FunctionalExpr, conj
-from .fixpoints import pfix_functional
+from .fixpoints import _pfix_of
 from .functors import IdentityFunctor
 from .param import ArgP, ArgX, ParamExpr, PJoin, conj_param
 from .spaces import HomSpace
@@ -96,12 +96,14 @@ def check_naturality(
     skips and witnesses come in the order of the plain nested loop.
 
     alpha applies unchecked to arguments enumerated from its own spaces, and
-    alpha' to transports, which ``compose`` has type-checked.
+    alpha' to transports, which ``compose`` has type-checked; the same holds
+    for their parametrized fixed points, whose spaces are checked once.
     """
     checker = Checker("naturality")
     alpha = family.component(x, y)
     alpha_p = family.component(xp, yp)
     arg1, par1 = alpha.arg_space, alpha.param_space
+    pfix, pfix_p = _pfix_of(alpha), _pfix_of(alpha_p)
     F, G = family.F, family.G
 
     u_homs = HomSpace(family.category, xp, x).morphisms()
@@ -129,7 +131,7 @@ def check_naturality(
     def pfix_at(j: int) -> int:
         """Index of pfix(alpha, p_j)."""
         if fixed[j] is None:
-            fixed[j] = kept(lambda: pfix_functional(alpha, p_homs[j]))
+            fixed[j] = kept(lambda: pfix(p_homs[j]))
         return _reraise(fixed[j])
 
     for u in u_homs:
@@ -170,7 +172,7 @@ def check_naturality(
 
                 if ok:
                     try:
-                        lhs = pfix_functional(alpha_p, p_t)
+                        lhs = pfix_p(p_t)
                         rhs = moved[pfix_at(j)]
                     except IncompatibleJoin:
                         checker.skip("pfix-square")

@@ -15,17 +15,11 @@ from ..report import Checker, LawReport
 from .interp import Evaluator, closed_ref
 from .invert import invert_binding, invert_program, toggle_suffix
 from .syntax import Atom, CallRef, Cons, Nil, Pair, Program, S, Term, Z
-from .validate import validate_program
+from .validate import require_valid
 
 
 class DenotationNotInjective(RevcatError):
     pass
-
-
-class ValidationFailed(RevcatError):
-    def __init__(self, report):
-        super().__init__(str(report))
-        self.report = report
 
 
 def enumerate_values(bound: int, atoms: tuple[str, ...] = ()) -> list[Term]:
@@ -51,12 +45,6 @@ def enumerate_values(bound: int, atoms: tuple[str, ...] = ()) -> list[Term]:
     return out
 
 
-def _gate(program: Program) -> None:
-    report = validate_program(program)
-    if not report.ok:
-        raise ValidationFailed(report)
-
-
 def denote(
     program: Program,
     fname: str,
@@ -66,7 +54,7 @@ def denote(
     max_universe: int = 50_000,
 ) -> PInjMorphism:
     """The partial injection realized on the truncated universe."""
-    _gate(program)
+    require_valid(program)
     universe = enumerate_values(universe_bound, program.atoms)
     if len(universe) > max_universe:
         raise TooLarge(
@@ -142,7 +130,7 @@ def roundtrip_check(
     """Forward-then-inverse recovery on random values, plus the fuel-indexed
     form: at any shared fuel, the forward and inverse runs realize each
     other's converse on the sampled points."""
-    _gate(program)
+    require_valid(program)
     checker = Checker("roundtrip")
     inverted = invert_program(program, suffix)
     inv_bindings = {

@@ -100,13 +100,17 @@ def _mentions(ref: CallRef, params: tuple[str, ...]) -> bool:
 def closed_ref(
     program: Program, fname: str, bindings: dict[str, CallRef], inverted: bool = False
 ) -> CallRef:
-    """The reference that runs ``fname`` with its static parameters bound."""
+    """The reference that runs ``fname`` with its static parameters bound;
+    every binding must name one of them."""
     fdef = program.defs.get(fname)
     if fdef is None:
-        raise UnknownFunction(fname)
+        raise UnknownFunction(f"unknown function {fname!r}")
     missing = [p for p in fdef.params if p not in bindings]
     if missing:
         raise UnboundParameter(f"missing binding(s) for: {', '.join(missing)}")
+    unknown = [p for p in bindings if p not in fdef.params]
+    if unknown:
+        raise UnboundParameter(f"{fname} has no parameter(s): {', '.join(unknown)}")
     return CallRef(fname, tuple(bindings[p] for p in fdef.params), inverted)
 
 
@@ -121,7 +125,7 @@ class Evaluator:
     def _compile(self, name: str, inverted: bool) -> tuple:
         fdef = self.program.defs.get(name)
         if fdef is None:
-            raise UnknownFunction(name)
+            raise UnknownFunction(f"unknown function {name!r}")
         if inverted:
             fdef = invert_def(fdef)
         clauses = []

@@ -7,9 +7,10 @@
     fun map<g> Nil = Nil
     fun map<g> (Cons x xs) = let y = g x in let ys = map<g> xs in Cons y ys
 
-Line comments start with --.  Uppercase names are constructors (Z, S,
-Nil, Cons, Pair only), lowercase names are variables or function names,
-'name is an atom literal, and a trailing ~ marks an inverse call.
+Line comments start with --.  Uppercase names are constructors (those
+in ``syntax.CONSTRUCTORS``, each taking as many arguments as it has child
+fields), lowercase names are variables or function names, 'name is an
+atom literal, and a trailing ~ marks an inverse call.
 """
 from __future__ import annotations
 
@@ -17,23 +18,20 @@ from dataclasses import dataclass
 
 from ..errors import ParseError
 from .syntax import (
+    CONSTRUCTORS,
     Atom,
     CallRef,
     Clause,
-    Cons,
     FuncDef,
     LetStep,
-    Nil,
     Pair,
     Program,
-    S,
     Term,
     Var,
-    Z,
+    is_value,
 )
 
 KEYWORDS = {"fun", "let", "in", "atom"}
-CONSTRUCTORS = {"Z", "S", "Nil", "Cons", "Pair"}
 PUNCT = "(),<>=~"
 
 
@@ -136,27 +134,22 @@ class _Parser:
 
     def parse_term(self) -> Term:
         tok = self.current
-        if tok.kind == "cons" and tok.text in ("S", "Cons", "Pair"):
+        cls = CONSTRUCTORS.get(tok.text) if tok.kind == "cons" else None
+        if cls is not None and cls.child_fields:
             self.advance()
-            if tok.text == "S":
-                return S(self.parse_atomic_term())
-            first = self.parse_atomic_term()
-            second = self.parse_atomic_term()
-            return Cons(first, second) if tok.text == "Cons" else Pair(first, second)
+            return cls(*[self.parse_atomic_term() for _ in cls.child_fields])
         return self.parse_atomic_term()
 
     def parse_atomic_term(self) -> Term:
         tok = self.current
         if tok.kind == "cons":
-            if tok.text == "Z":
-                self.advance()
-                return Z()
-            if tok.text == "Nil":
-                self.advance()
-                return Nil()
-            if tok.text in ("S", "Cons", "Pair"):
+            cls = CONSTRUCTORS.get(tok.text)
+            if cls is None:
+                self.fail(f"unknown constructor {tok.text!r}")
+            if cls.child_fields:
                 self.fail(f"constructor {tok.text} takes arguments; parenthesize it")
-            self.fail(f"unknown constructor {tok.text!r}")
+            self.advance()
+            return cls()
         if tok.kind == "atomlit":
             self.advance()
             return Atom(tok.text)
@@ -255,8 +248,6 @@ def parse_value(text: str) -> Term:
     term = parser.parse_term()
     if parser.current.kind != "eof":
         parser.fail(f"trailing input after value: {parser.current.text!r}")
-    from .syntax import is_value
-
     if not is_value(term):
         raise ParseError("value literals cannot contain variables")
     return term

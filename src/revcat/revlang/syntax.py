@@ -1,96 +1,85 @@
 """Terms, patterns, and program structure for the reversible language.
 
 One constructor-term type serves both values (variable-free terms) and
-patterns.  Programs are clause-based: every clause has a left pattern, an
-ordered chain of let-bound calls, and an output pattern.  Calls reference
-defined functions or static function parameters, optionally carrying
-static arguments and an inversion mark (written ``~``).
+patterns.  A term's children are its ``Term``-typed fields, in order;
+``Atom`` and ``Var`` hold a name.  ``CONSTRUCTORS`` lists the classes the
+concrete syntax names.  Programs are clause-based: every clause has a
+left pattern, an ordered chain of let-bound calls, and an output
+pattern.  Calls reference defined functions or static function
+parameters, optionally carrying static arguments and an inversion mark
+(written ``~``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Collection, Optional
 
 from ..errors import ParseError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Term:
+    def __repr__(self):
+        values = ", ".join(str(getattr(self, f.name)) for f in fields(self))
+        return f"{type(self).__name__}({values})" if values else type(self).__name__
+
+
+def _term(cls):
+    """Declare a term class; its ``child_fields`` are the fields annotated
+    ``"Term"`` (annotations are strings under ``from __future__``)."""
+    cls = dataclass(frozen=True, repr=False)(cls)
+    cls.child_fields = tuple(f.name for f in fields(cls) if f.type == "Term")
+    return cls
+
+
+@_term
+class Z(Term):
     pass
 
 
-@dataclass(frozen=True)
-class Z(Term):
-    def __repr__(self):
-        return "Z"
-
-
-@dataclass(frozen=True)
+@_term
 class S(Term):
     arg: Term
 
-    def __repr__(self):
-        return f"S({self.arg!r})"
 
-
-@dataclass(frozen=True)
+@_term
 class Nil(Term):
-    def __repr__(self):
-        return "Nil"
+    pass
 
 
-@dataclass(frozen=True)
+@_term
 class Cons(Term):
     head: Term
     tail: Term
 
-    def __repr__(self):
-        return f"Cons({self.head!r}, {self.tail!r})"
 
-
-@dataclass(frozen=True)
+@_term
 class Pair(Term):
     left: Term
     right: Term
 
-    def __repr__(self):
-        return f"Pair({self.left!r}, {self.right!r})"
 
-
-@dataclass(frozen=True)
+@_term
 class Atom(Term):
     name: str
 
-    def __repr__(self):
-        return f"Atom({self.name})"
 
-
-@dataclass(frozen=True)
+@_term
 class Var(Term):
     name: str
 
-    def __repr__(self):
-        return f"Var({self.name})"
+
+# The constructors of the concrete syntax, by name; their arity is the
+# number of their child fields.
+CONSTRUCTORS = {cls.__name__: cls for cls in (Z, S, Nil, Cons, Pair)}
 
 
 def children(t: Term) -> tuple[Term, ...]:
-    if isinstance(t, S):
-        return (t.arg,)
-    if isinstance(t, Cons):
-        return (t.head, t.tail)
-    if isinstance(t, Pair):
-        return (t.left, t.right)
-    return ()
+    return tuple([getattr(t, name) for name in t.child_fields])
 
 
 def rebuild(t: Term, kids: tuple[Term, ...]) -> Term:
-    if isinstance(t, S):
-        return S(kids[0])
-    if isinstance(t, Cons):
-        return Cons(kids[0], kids[1])
-    if isinstance(t, Pair):
-        return Pair(kids[0], kids[1])
-    return t
+    return type(t)(*kids) if kids else t
 
 
 def term_size(t: Term) -> int:
@@ -206,10 +195,14 @@ class CallRef:
         return f"CallRef({show_callref(self)!r})"
 
 
-def dagger_ref(ref: CallRef) -> CallRef:
+def dagger_ref(ref: CallRef, params: Collection[str] = ()) -> CallRef:
     """Reference to the inverse function: toggle the mark, invert the
-    static arguments (a parametrized call inverts with inverted parameters)."""
-    return CallRef(ref.name, tuple(dagger_ref(a) for a in ref.args), not ref.inverted)
+    static arguments (a parametrized call inverts with inverted parameters).
+    A reference to a name in ``params`` is left as it is: inside a
+    definition, the caller that binds a parameter decides its direction."""
+    if ref.name in params:
+        return ref
+    return CallRef(ref.name, tuple(dagger_ref(a, params) for a in ref.args), not ref.inverted)
 
 
 @dataclass(frozen=True)
@@ -259,22 +252,16 @@ class Program:
 
 
 def show_term(t: Term, atomic: bool = False) -> str:
-    if isinstance(t, Z):
-        return "Z"
-    if isinstance(t, Nil):
-        return "Nil"
     if isinstance(t, Atom):
         return f"'{t.name}"
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Pair):
         return f"({show_term(t.left)}, {show_term(t.right)})"
-    if isinstance(t, S):
-        text = f"S {show_term(t.arg, atomic=True)}"
-    elif isinstance(t, Cons):
-        text = f"Cons {show_term(t.head, atomic=True)} {show_term(t.tail, atomic=True)}"
-    else:
-        raise TypeError(f"not a term: {t!r}")
+    kids = children(t)
+    if not kids:
+        return type(t).__name__
+    text = " ".join([type(t).__name__, *(show_term(k, atomic=True) for k in kids)])
     return f"({text})" if atomic else text
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..errors import RevcatError
 from .syntax import CallRef, Clause, FuncDef, Program, term_atoms, term_vars, unifiable
 
 
@@ -125,3 +126,17 @@ def validate_program(program: Program) -> ValidationReport:
                 if unifiable(fdef.clauses[i].out, fdef.clauses[j].out):
                     add_def(f"clauses {i + 1} and {j + 1} have overlapping outputs")
     return report
+
+
+class ValidationFailed(RevcatError):
+    def __init__(self, report):
+        super().__init__(str(report))
+        self.report = report
+
+
+def require_valid(program: Program) -> Program:
+    """``program`` itself, if it validates; else raise ``ValidationFailed``."""
+    report = validate_program(program)
+    if not report.ok:
+        raise ValidationFailed(report)
+    return program

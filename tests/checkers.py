@@ -21,7 +21,7 @@ from revcat.functionals import (
 )
 from revcat.functionals.trace import trace
 from revcat.report import Checker, LawReport
-from revcat.revlang import UNDEFINED, ValidationFailed, eval_program, random_value, validate_program
+from revcat.revlang import UNDEFINED, eval_program, random_value, require_valid
 
 
 def check_dagger_functor(functor, category: str, sizes=(0, 1, 2)) -> LawReport:
@@ -146,9 +146,7 @@ def fuel_monotonicity_check(
     value_bound: int = 12,
 ) -> LawReport:
     """Defined at fuel n implies defined with the same value at any higher fuel."""
-    validation = validate_program(program)
-    if not validation.ok:
-        raise ValidationFailed(validation)
+    require_valid(program)
     checker = Checker("fuel-monotonicity")
     rng = Random(seed)
     gen = value_gen or (lambda r: random_value(r, value_bound, program.atoms))

@@ -432,10 +432,13 @@ def test_a_library_value_or_key_error_exits_four(capture, monkeypatch, exc):
         ["fix", "{doc}", "--tolerance", "inf"],
         ["roundtrip", "{program}", "map", "--seed", "1", "--bind", "g=nope", "--values", "list"],
         ["run", "{conflicting}", "f", "--arg", "Z"],
+        ["run", "{program}", "inc", "--bind", "x=inc", "--arg", "Z"],
+        ["roundtrip", "{program}", "inc", "--seed", "1", "--bind", "x=inc"],
     ],
     ids=["negative-size", "negative-trace-size", "no-iterations", "metric-without-metric",
          "nan-fix-tolerance", "inf-fix-tolerance",
-         "binding-to-unknown-function", "conflicting-parameter-lists"],
+         "binding-to-unknown-function", "conflicting-parameter-lists",
+         "run-binding-no-parameter", "roundtrip-binding-no-parameter"],
 )
 def test_bad_values_reaching_the_library_exit_two(capture, tmp_path, argv):
     doc = tmp_path / "doc.json"
@@ -448,6 +451,13 @@ def test_bad_values_reaching_the_library_exit_two(capture, tmp_path, argv):
     code, out, err = capture(*(paths.get(a, a) for a in argv))
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "internal" not in err
+
+
+def test_unknown_parameter_and_function_names_are_named(capture, map_file):
+    code, out, err = capture("run", map_file, "inc", "--bind", "x=inc", "--bind", "y=inc", "--arg", "Z")
+    assert (code, out, err) == (2, "", "error: inc has no parameter(s): x, y\n")
+    code, out, err = capture("run", map_file, "nope", "--arg", "Z")
+    assert (code, out, err) == (2, "", "error: unknown function 'nope'\n")
 
 
 @pytest.mark.parametrize("content", [b"{", b"\xff\xfe{"], ids=["bad-json", "not-utf8"])

@@ -8,14 +8,15 @@ from revcat.functionals import (
     IdentityFunctor,
     check_naturality,
     check_self_conjugate,
+    fixpoints,
     identity_family,
     join_family,
-    naturality,
     pad_with_identity,
     pfix_functional,
     projection_family,
     trace_family,
 )
+from revcat.order import kleene_pfix
 
 from checkers import check_dagger_functor, mixed_family, postcompose_family
 from oracles import reference_naturality
@@ -109,15 +110,15 @@ def test_naturality_applies_alpha_once_per_argument_pair(monkeypatch):
             applied[h, p] += 1
         return apply(psi, h, p)
 
-    def pfix_spy(psi, p):
-        if psi == alpha:
+    def pfix_spy(step, p, space, policy=None):
+        if getattr(step, "__self__", None) == alpha:
             fixed[p] += 1
-        return pfix_functional(psi, p)
+        return kleene_pfix(step, p, space, policy)
 
     # Every application of alpha, checked or not, including the steps of
-    # its parametrized fixed points.
+    # its parametrized fixed points; every fixed point iterated on alpha.
     monkeypatch.setattr(type(alpha), "apply", apply_spy)
-    monkeypatch.setattr(naturality, "pfix_functional", pfix_spy)
+    monkeypatch.setattr(fixpoints, "kleene_pfix", pfix_spy)
     report = check_naturality(family, O2, O1, O1, O2, fuel=fuel)
     assert report.passed and report.by_law["pfix-square"] > 0
     assert sum(applied.values()) <= h_count * len(p_homs) + fuel * len(p_homs)

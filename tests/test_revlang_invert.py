@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from revcat.cat import dagger
@@ -6,16 +8,19 @@ from revcat.revlang import (
     ValidationFailed,
     alpha_equivalent,
     bundled_program,
+    bundled_source,
     denote,
     enumerate_values,
     eval_program,
     invert_binding,
     invert_program,
+    parse_callref_text,
     parse_program,
     parse_value,
     random_nat_list,
     random_peano_pair,
     roundtrip_check,
+    show_callref,
     show_program,
     toggle_suffix,
     validate_program,
@@ -25,6 +30,62 @@ from revcat.revlang import (
 def test_inverted_swap_is_the_flipped_clause():
     inv = invert_program(bundled_program("swap"))
     assert show_program(inv) == "fun swap_inv (b, a) = (a, b)\n"
+
+
+PROGRAMS = Path(__file__).resolve().parents[1] / "bench" / "programs"
+INVERTED_ADD = (
+    "fun add_inv (Z, y) = (Z, y)\n"
+    "fun add_inv (S x2, S y2) = let (x, y) = add_inv (x2, y2) in (S x, y)\n"
+)
+INVERTED_MAP = (
+    "fun inc_inv (S x) = x\n"
+    "fun map_inv<g> Nil = Nil\n"
+    "fun map_inv<g> (Cons y ys) = let xs = map_inv<g> ys in let x = g y in Cons x xs\n"
+)
+# Marked calls, marked parameters, nested static arguments, and a definition
+# whose name already carries the suffix.
+SHIFT = """\
+fun inc x = S x
+fun map<g> Nil = Nil
+fun map<g> (Cons x xs) = let y = g x in let ys = map<g> xs in Cons y ys
+fun shift<h> xs = let ys = map<inc~> xs in let zs = map<h> ys in let w = h~ zs in S w
+fun shift_inv<h> (S a) = let b = map<map<h>~> a in let c = inc_inv b in c
+fun inc_inv (S x) = x
+"""
+INVERTED_SHIFT = (
+    "fun inc_inv (S x) = x\n"
+    "fun map_inv<g> Nil = Nil\n"
+    "fun map_inv<g> (Cons y ys) = let xs = map_inv<g> ys in let x = g y in Cons x xs\n"
+    "fun shift_inv<h> (S w) = let zs = h~ w in let ys = map_inv<h> zs in "
+    "let xs = map_inv<inc_inv~> ys in xs\n"
+    "fun shift<h> c = let b = inc c in let a = map_inv<map_inv<h>~> b in S a\n"
+    "fun inc x = S x\n"
+)
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        (bundled_source("add"), INVERTED_ADD),
+        (bundled_source("map"), INVERTED_MAP),
+        ((PROGRAMS / "add.rvl").read_text(encoding="utf-8"), INVERTED_ADD),
+        ((PROGRAMS / "map.rvl").read_text(encoding="utf-8"), INVERTED_MAP),
+        (SHIFT, INVERTED_SHIFT),
+    ],
+    ids=["add", "map", "add.rvl", "map.rvl", "shift"],
+)
+def test_inverted_programs_print_as_pinned(source, expected):
+    program = parse_program(source)
+    assert validate_program(program).ok
+    assert show_program(invert_program(program)) == expected
+
+
+def test_inverted_bindings_name_the_renamed_definitions():
+    program = parse_program(SHIFT)
+    assert show_callref(invert_binding(parse_callref_text("map<inc~>~"), program)) == \
+        "map_inv<inc_inv~>~"
+    assert show_callref(invert_binding(parse_callref_text("shift_inv<map<inc>>"), program)) == \
+        "shift<map_inv<inc_inv>>"
 
 
 def test_inverted_program_validates_and_runs_backwards():
