@@ -60,8 +60,8 @@ from .report import LawReport
 from .revlang import (
     UNDEFINED,
     STUCK,
+    Evaluator,
     closed_ref,
-    eval_ref,
     invert_program,
     parse_callref_text,
     parse_program,
@@ -91,11 +91,14 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
 
 
 def _sizes_from(args) -> tuple[int, ...]:
-    if args.sizes:
+    if args.sizes is not None:
         try:
-            return tuple(int(s) for s in args.sizes.split(","))
+            sizes = tuple(int(s) for s in args.sizes.split(","))
         except ValueError as exc:
             raise ConfigError(f"bad --sizes value {args.sizes!r}") from exc
+        if len(set(sizes)) != len(sizes):
+            raise ConfigError(f"--sizes {args.sizes!r} repeats a size")
+        return sizes
     if args.max_size < 0:
         raise ConfigError("--max-size must not be negative")
     return tuple(range(args.max_size + 1))
@@ -327,14 +330,8 @@ def cmd_run(args) -> int:
     if args.fuel <= 0:
         raise ConfigError("--fuel must be positive")
     program = _load_program(args.file)
-    ref = parse_callref_text(args.fname)
-    bindings = _bindings_from(args)
-    if bindings:
-        if ref.args:
-            raise ConfigError("give static arguments either inline or via --bind")
-        ref = closed_ref(program, ref.name, bindings, ref.inverted)
-    value = parse_value(args.arg)
-    result = eval_ref(program, ref, value, args.fuel)
+    ref = closed_ref(program, parse_callref_text(args.fname), _bindings_from(args))
+    result = Evaluator(program).call(ref, parse_value(args.arg), args.fuel)
     if result is UNDEFINED:
         outcome, shown = "undefined", "undefined (fuel exhausted)"
     elif result is STUCK:
@@ -500,6 +497,34 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, commands
 
 
+def _config_defaults(command: argparse.ArgumentParser, defaults) -> dict:
+    """The config file's option values, each converted and checked by its
+    option's own ``type`` and ``choices``, as the flag would be."""
+    if not isinstance(defaults, dict):
+        raise ConfigError("expected a JSON object")
+    actions = {a.dest: a for a in command._actions if a.option_strings and a.dest != "help"}
+    unknown = sorted(set(defaults) - actions.keys())
+    if unknown:
+        raise ConfigError(", ".join(f"unknown key {k!r}" for k in unknown))
+    converted = {}
+    for key, value in defaults.items():
+        action = actions[key]
+        repeatable = isinstance(action, argparse._AppendAction)
+        items = value if repeatable and isinstance(value, list) else [value]
+        for item in items:
+            if isinstance(item, bool) or not isinstance(item, (str, int, float)):
+                raise ConfigError(f"argument {action.option_strings[-1]}: "
+                                  f"expected a string or a number, got {json.dumps(item)}")
+        try:
+            values = [command._get_value(action, str(item)) for item in items]
+            for v in values:
+                command._check_value(action, v)
+        except argparse.ArgumentError as exc:
+            raise ConfigError(str(exc)) from exc
+        converted[key] = values if repeatable else values[0]
+    return converted
+
+
 def main(argv=None) -> int:
     parser, commands = build_parser()
     args, _ = parser.parse_known_args(argv)
@@ -511,15 +536,11 @@ def main(argv=None) -> int:
             print(f"error: bad config file: {exc}", file=sys.stderr)
             return 2
         command = commands[args.command]
-        options = {a.dest for a in command._actions if a.option_strings} - {"help"}
-        if not isinstance(defaults, dict):
-            problem = "expected a JSON object"
-        else:
-            problem = ", ".join(f"unknown key {k!r}" for k in sorted(set(defaults) - options))
-        if problem:
-            print(f"error: bad config file for {args.command}: {problem}", file=sys.stderr)
+        try:
+            command.set_defaults(**_config_defaults(command, defaults))
+        except ConfigError as exc:
+            print(f"error: bad config file for {args.command}: {exc}", file=sys.stderr)
             return 2
-        command.set_defaults(**defaults)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

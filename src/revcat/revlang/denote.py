@@ -13,7 +13,8 @@ from ..cat import FinObject, PInjMorphism
 from ..errors import RevcatError, TooLarge
 from ..report import Checker, LawReport
 from .interp import Evaluator, closed_ref
-from .invert import invert_binding, invert_program, toggle_suffix
+from .invert import invert_binding, invert_program
+from .parser import parse_callref_text
 from .syntax import Atom, CallRef, Cons, Nil, Pair, Program, S, Term, Z
 from .validate import require_valid
 
@@ -61,7 +62,7 @@ def denote(
             f"universe of {len(universe)} terms exceeds the limit of {max_universe}"
         )
     index = {v: i for i, v in enumerate(universe)}
-    ref = closed_ref(program, fname, bindings)
+    ref = closed_ref(program, parse_callref_text(fname), bindings)
     evaluator = Evaluator(program)
     obj = FinObject(len(universe), label=f"terms<={universe_bound}")
     table: list[int | None] = [None] * len(universe)
@@ -132,13 +133,9 @@ def roundtrip_check(
     other's converse on the sampled points."""
     require_valid(program)
     checker = Checker("roundtrip")
-    inverted = invert_program(program, suffix)
-    inv_bindings = {
-        p: invert_binding(r, program, suffix) for p, r in bindings.items()
-    }
-    forward, backward = Evaluator(program), Evaluator(inverted)
-    fref = closed_ref(program, fname, bindings)
-    bref = closed_ref(inverted, toggle_suffix(fname, suffix), inv_bindings)
+    fref = closed_ref(program, parse_callref_text(fname), bindings)
+    bref = invert_binding(fref, program, suffix)
+    forward, backward = Evaluator(program), Evaluator(invert_program(program, suffix))
     rng = Random(seed)
     gen = value_gen or (lambda r: random_value(r, value_bound, program.atoms))
     for _ in range(trials):

@@ -22,7 +22,9 @@ from operator import itemgetter
 
 from ..errors import UnboundParameter, UnknownFunction
 from .invert import invert_def
+from .parser import parse_callref_text
 from .syntax import Atom, CallRef, Cons, Pair, Program, S, Term, Var, dagger_ref, is_value
+from .validate import check_ref
 
 
 class _Undefined:
@@ -97,21 +99,28 @@ def _mentions(ref: CallRef, params: tuple[str, ...]) -> bool:
     return ref.name in params or any(_mentions(a, params) for a in ref.args)
 
 
-def closed_ref(
-    program: Program, fname: str, bindings: dict[str, CallRef], inverted: bool = False
-) -> CallRef:
-    """The reference that runs ``fname`` with its static parameters bound;
-    every binding must name one of them."""
-    fdef = program.defs.get(fname)
+def closed_ref(program: Program, ref: CallRef, bindings: dict[str, CallRef] | None = None):
+    """``ref`` with its static parameters bound, inline (``map<inc>``) or by
+    ``bindings`` but not both, then checked whole as the validator checks
+    a call, so that evaluating it needs no further check."""
+    fdef = program.defs.get(ref.name)
     if fdef is None:
-        raise UnknownFunction(f"unknown function {fname!r}")
-    missing = [p for p in fdef.params if p not in bindings]
-    if missing:
-        raise UnboundParameter(f"missing binding(s) for: {', '.join(missing)}")
-    unknown = [p for p in bindings if p not in fdef.params]
-    if unknown:
-        raise UnboundParameter(f"{fname} has no parameter(s): {', '.join(unknown)}")
-    return CallRef(fname, tuple(bindings[p] for p in fdef.params), inverted)
+        raise UnknownFunction(f"unknown function {ref.name!r}")
+    if bindings:
+        if ref.args:
+            raise UnboundParameter(f"give {ref.name}'s static arguments inline or bound, not both")
+        missing = [p for p in fdef.params if p not in bindings]
+        if missing:
+            raise UnboundParameter(f"missing binding(s) for: {', '.join(missing)}")
+        unknown = [p for p in bindings if p not in fdef.params]
+        if unknown:
+            raise UnboundParameter(f"{ref.name} has no parameter(s): {', '.join(unknown)}")
+        ref = CallRef(ref.name, tuple(bindings[p] for p in fdef.params), ref.inverted)
+    errors: list[Exception] = []
+    check_ref(ref, program, (), errors.append)
+    if errors:
+        raise errors[0]
+    return ref
 
 
 class Evaluator:
@@ -154,6 +163,9 @@ class Evaluator:
     def call(self, ref: CallRef, value: Term, fuel: int):
         """Run ``ref`` on ``value``: a term, ``UNDEFINED`` or ``STUCK``.
 
+        ``ref`` must come from ``closed_ref``: then, in a valid program,
+        every callee gets as many static arguments as it takes.
+
         Each frame is ``[steps, i, env, out, fuel, bindings]``: a clause
         waiting for the result of its let ``steps[i]``.  UNDEFINED and STUCK
         end the whole call at once, since a let passes either straight up.
@@ -167,10 +179,6 @@ class Evaluator:
                 compiled.get((ref.name, ref.inverted))
                 or self._compile(ref.name, ref.inverted)
             )
-            if len(ref.args) != len(params):
-                raise UnboundParameter(
-                    f"{ref.name} expects {len(params)} static argument(s)"
-                )
             for lhs, steps, out in clauses:
                 env = {}
                 if lhs(value, env):
@@ -209,11 +217,11 @@ def eval_program(
     value: Term,
     fuel: int,
 ):
-    """Run ``fname`` on ``value`` with the given static parameter bindings."""
-    ref = closed_ref(program, fname, bindings)
+    """Run the reference ``fname`` (e.g. ``add~``) on ``value`` with ``bindings``."""
+    ref = closed_ref(program, parse_callref_text(fname), bindings)
     return Evaluator(program).call(ref, value, fuel)
 
 
 def eval_ref(program: Program, ref: CallRef, value: Term, fuel: int):
-    """Run a closed call reference, e.g. the result of parsing ``map<inc>~``."""
-    return Evaluator(program).call(ref, value, fuel)
+    """Run a call reference, e.g. the result of parsing ``map<inc>~``."""
+    return Evaluator(program).call(closed_ref(program, ref), value, fuel)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Collection
 
-from ..errors import UnknownFunction
+from ..errors import InvalidArgument, UnknownFunction
 from .syntax import CallRef, Clause, FuncDef, LetStep, Program, dagger_ref
 
 
@@ -57,6 +57,10 @@ def _renamed(ref: CallRef, program: Program, params: Collection[str], suffix: st
 
 
 def invert_program(program: Program, suffix: str = "_inv") -> Program:
+    """``program`` inverted, each ``f`` renamed to ``f`` + ``suffix``; the
+    suffix must be name characters, so that the result can be parsed."""
+    if not suffix or not all(ch.isalnum() or ch == "_" for ch in suffix):
+        raise InvalidArgument(f"suffix must be letters, digits and _, got {suffix!r}")
     inverted = Program(atoms=program.atoms)
     for fdef in program.defs.values():
         name = toggle_suffix(fdef.name, suffix)

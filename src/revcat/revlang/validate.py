@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import RevcatError
+from ..errors import RevcatError, UnboundParameter, UnknownFunction
 from .syntax import CallRef, Clause, FuncDef, Program, term_atoms, term_vars, unifiable
 
 
@@ -39,31 +39,29 @@ class ValidationReport:
         return "\n".join(str(issue) for issue in self.issues)
 
 
-def _check_ref(
-    ref: CallRef, program: Program, params: tuple[str, ...], add, allow_args=True
-) -> None:
+def check_ref(ref: CallRef, program: Program, params: tuple[str, ...], add) -> None:
+    """Pass ``add`` an error for each undefined name and wrong static
+    argument count in ``ref``, a call in a definition with ``params``."""
     if ref.name in params:
         if ref.args:
-            add(f"parameter {ref.name!r} cannot take static arguments")
+            add(UnboundParameter(f"parameter {ref.name!r} cannot take static arguments"))
         return
     target = program.defs.get(ref.name)
     if target is None:
-        add(f"unknown function {ref.name!r}")
+        add(UnknownFunction(f"unknown function {ref.name!r}"))
         return
     if len(ref.args) != len(target.params):
-        add(
-            f"call to {ref.name!r} passes {len(ref.args)} static argument(s), "
-            f"expected {len(target.params)}"
-        )
+        add(UnboundParameter(f"call to {ref.name!r} passes {len(ref.args)} static "
+                             f"argument(s), expected {len(target.params)}"))
     for arg in ref.args:
-        _check_ref(arg, program, params, add)
+        check_ref(arg, program, params, add)
 
 
 def _check_clause(
     fdef: FuncDef, index: int, clause: Clause, program: Program, report: ValidationReport
 ) -> None:
-    def add(message: str) -> None:
-        report.issues.append(Issue(fdef.name, index, message))
+    def add(message: str | Exception) -> None:
+        report.issues.append(Issue(fdef.name, index, str(message)))
 
     bound: list[str] = list(term_vars(clause.lhs))
     used: list[str] = []
@@ -76,7 +74,7 @@ def _check_clause(
             used.append(v)
             if v not in available:
                 add(f"variable {v!r} used before being bound")
-        _check_ref(step.callee, program, fdef.params, add)
+        check_ref(step.callee, program, fdef.params, add)
         step_vars = term_vars(step.pattern)
         for v in step_vars:
             if v in available:

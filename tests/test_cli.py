@@ -5,8 +5,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
-from revcat.cli import main
+from revcat.cli import build_parser, main
 from revcat.revlang.programs import bundled_source
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -458,6 +459,140 @@ def test_unknown_parameter_and_function_names_are_named(capture, map_file):
     assert (code, out, err) == (2, "", "error: inc has no parameter(s): x, y\n")
     code, out, err = capture("run", map_file, "nope", "--arg", "Z")
     assert (code, out, err) == (2, "", "error: unknown function 'nope'\n")
+
+
+@pytest.mark.parametrize(
+    "ref, bind, message",
+    [
+        ("map<nope>", [], "unknown function 'nope'"),
+        ("map", ["--bind", "g=nope"], "unknown function 'nope'"),
+        ("map<map>", [], "call to 'map' passes 0 static argument(s), expected 1"),
+        ("map", ["--bind", "g=map"], "call to 'map' passes 0 static argument(s), expected 1"),
+        ("map<inc>", ["--bind", "g=inc"], "give map's static arguments inline or bound, not both"),
+    ],
+)
+def test_a_bad_reference_is_refused_whatever_the_input(capture, map_file, ref, bind, message):
+    for arg in ("Nil", "Cons Z Nil"):
+        assert capture("run", map_file, ref, *bind, "--arg", arg) == (2, "", f"error: {message}\n")
+    argv = ["roundtrip", map_file, ref, *bind, "--seed", "1", "--values", "list"]
+    assert capture(*argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "program, ref, values",
+    [("map", "map<inc>", "list"), ("map", "map<inc~>~", "list"), ("add", "add~", "peano")],
+)
+def test_roundtrip_takes_the_references_run_takes(capture, tmp_path, program, ref, values):
+    path = tmp_path / "program.rvl"
+    path.write_text(bundled_source(program))
+    code, out, _ = capture(
+        "roundtrip", str(path), ref, "--seed", "1", "--trials", "50", "--values", values,
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["report"]["checked"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv, config, option",
+    [
+        (["fix", "{doc}"], {"mode": "fuzzy"}, "--mode"),
+        (["laws", "--category", "rel", "--suite", "dagger"], {"max_size": [1]}, "--max-size"),
+        (["roundtrip", "{program}", "add", "--seed", "1"], {"trials": True}, "--trials"),
+        (["roundtrip", "{program}", "add", "--seed", "1"], {"values": "bogus"}, "--values"),
+        (["fix", "{doc}"], {"format": "yaml"}, "--format"),
+        (["run", "{program}", "add", "--arg", "Z"], {"fuel": 2.5}, "--fuel"),
+        (["run", "{program}", "add", "--arg", "Z"], {"bind": {"g": "inc"}}, "--bind"),
+    ],
+    ids=["mode", "max-size", "trials", "values", "format", "fuel", "bind"],
+)
+def test_a_config_value_gets_the_checks_of_its_flag(capture, tmp_path, argv, config, option):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"op": "joinwith", "m": {"type": "rel", "src": 1, "dst": 1, "pairs": []}}))
+    program = tmp_path / "add.rvl"
+    program.write_text(bundled_source("add"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    paths = {"{doc}": str(doc), "{program}": str(program)}
+    code, out, err = capture("--config", str(path), *(paths.get(a, a) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad config file for {argv[0]}: argument {option}")
+    assert err.count("\n") == 1
+
+
+def test_config_values_are_converted_as_flags_are(capture, map_file, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"bind": "g=inc", "fuel": "50", "format": "json"}))
+    code, out, _ = capture("--config", str(config), "run", map_file, "map", "--arg", "Cons Z Nil")
+    assert code == 0
+    assert json.loads(out)["value"] == "Cons (S Z) Nil"
+    assert json.loads(out)["config"]["fuel"] == 50
+
+
+@pytest.mark.parametrize("sizes", ["1,1", "0,2,0", ""])
+def test_laws_refuses_repeated_or_empty_sizes(capture, tmp_path, sizes):
+    argv = ["laws", "--category", "rel", "--suite", "dagger", "--sizes", sizes]
+    code, out, err = capture(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sizes": sizes}))
+    assert capture("--config", str(config), *argv[:-2]) == (code, out, err)
+
+
+@pytest.mark.parametrize("suffix", ["", "~x", "a b", "-", "_inv~"])
+def test_invert_refuses_a_suffix_it_could_not_read_back(capture, add_file, tmp_path, suffix):
+    code, out, err = capture("invert", add_file, f"--suffix={suffix}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: suffix must be") and err.count("\n") == 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"suffix": suffix}))
+    assert capture("--config", str(config), "invert", add_file) == (code, out, err)
+
+
+# Each subcommand with explicit flags that keep its work small; a config
+# value for an option given here is converted and checked, then overridden.
+SMALL_RUNS = {
+    "laws": ["laws", "--category", "rel", "--suite", "dagger", "--sizes", "1", "--trials", "2"],
+    "fix": ["fix", "doc.json"],
+    "trace": ["trace", "m.json", "--x", "1", "--y", "1", "--u", "0"],
+    "run": ["run", "add.rvl", "add", "--arg", "(S Z, Z)"],
+    "invert": ["invert", "add.rvl"],
+    "roundtrip": ["roundtrip", "add.rvl", "add", "--trials", "2", "--seed", "1", "--values", "peano"],
+}
+_, COMMANDS = build_parser()
+CONFIG_KEYS = {
+    name: sorted(a.dest for a in p._actions if a.option_strings and a.dest not in ("help", "output"))
+    for name, p in COMMANDS.items()
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from(["json", "peano", "metric", "g=inc", "1,1", "", "-1", "0", "2", "dagger"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@seed(14)
+@settings(
+    max_examples=150, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_no_config_value_crashes_a_command(tmp_path, monkeypatch, data):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "add.rvl").write_text(bundled_source("add"))
+    rel = {"type": "rel", "src": 1, "dst": 1, "pairs": [[0, 0]]}
+    (tmp_path / "m.json").write_text(json.dumps(rel))
+    (tmp_path / "doc.json").write_text(json.dumps({"op": "joinwith", "m": rel}))
+    command = data.draw(st.sampled_from(sorted(SMALL_RUNS)))
+    key = data.draw(st.sampled_from(CONFIG_KEYS[command]))
+    (tmp_path / "config.json").write_text(json.dumps({key: data.draw(JSON_VALUES)}))
+    try:
+        code = main(["--config", "config.json", *SMALL_RUNS[command]])
+    except SystemExit as exc:  # argparse refusing the command line
+        code = exc.code
+    assert code in (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize("content", [b"{", b"\xff\xfe{"], ids=["bad-json", "not-utf8"])

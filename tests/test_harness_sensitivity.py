@@ -1,5 +1,7 @@
 """The checkers must be able to fail: feed them deliberately broken input."""
-from revcat.cat import FinObject, RelMorphism, dagger
+import pytest
+
+from revcat.cat import FinObject, LawConfig, RelMorphism, StochMorphism, dagger, law_suite
 from revcat.functionals import (
     ArgP,
     ArgX,
@@ -91,3 +93,34 @@ def test_iteration_identity_registry_is_keyed_by_name():
     report = check_fix_pfix_agreement(IdentityFn(space), space)
     assert report.suite == "fix-pfix-derivations"
     assert report.passed
+
+
+def _failed_laws(category, suite, config):
+    return {v.law for v in law_suite(category, suite, config).violations}
+
+
+@pytest.mark.parametrize(
+    "suite, laws",
+    [
+        ("dagger", {"identity-dagger", "compose-dagger"}),
+        ("monotone-dagger", {"dagger-monotone"}),
+        ("order-iso", {"order-iso", "dagger-preserves-sup", "dagger-strict"}),
+    ],
+)
+def test_dagger_suites_flag_a_rel_dagger_that_complements(monkeypatch, suite, laws):
+    converse = RelMorphism.dagger
+    monkeypatch.setattr(RelMorphism, "dagger", lambda f: converse(f).complement())
+    assert laws <= _failed_laws("rel", suite, LawConfig(sizes=(1, 2)))
+
+
+def test_enrichment_suite_flags_a_rel_compose_that_relates_everything(monkeypatch):
+    monkeypatch.setattr(
+        RelMorphism, "compose", lambda g, f: RelMorphism.bottom(f.src, g.dst).complement()
+    )
+    failed = _failed_laws("rel", "enrichment", LawConfig(sizes=(1, 2)))
+    assert {"bottom-after", "bottom-before"} <= failed
+
+
+def test_dstoch_dagger_suite_flags_a_dagger_that_transposes_nothing(monkeypatch):
+    monkeypatch.setattr(StochMorphism, "dagger", lambda f: f)
+    assert "compose-dagger" in _failed_laws("dstoch", "dagger", LawConfig(trials=50, seed=1))

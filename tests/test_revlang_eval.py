@@ -6,6 +6,7 @@ from revcat.revlang import (
     UNDEFINED,
     CallRef,
     bundled_program,
+    closed_ref,
     dagger_ref,
     eval_program,
     eval_ref,
@@ -86,6 +87,42 @@ def test_binding_errors():
         eval_program(program, "map", {}, parse_value("Nil"), 10)
     with pytest.raises(UnknownFunction):
         eval_program(program, "nope", {}, parse_value("Nil"), 10)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("nope", UnknownFunction),
+        ("map<nope>", UnknownFunction),
+        ("map<g>", UnknownFunction),
+        ("map", UnboundParameter),
+        ("map<map>", UnboundParameter),
+        ("map<inc, inc>", UnboundParameter),
+        ("map<inc<inc>>~", UnboundParameter),
+    ],
+)
+def test_closed_ref_checks_the_whole_reference_before_any_run(text, error):
+    program = bundled_program("map")
+    with pytest.raises(error):
+        closed_ref(program, parse_callref_text(text))
+    for value in ("Nil", "Cons Z Nil"):
+        with pytest.raises(error):
+            eval_ref(program, parse_callref_text(text), parse_value(value), 10)
+        with pytest.raises(error):
+            eval_program(program, text, {}, parse_value(value), 10)
+
+
+def test_closed_ref_binds_static_parameters_inline_or_by_name():
+    program = bundled_program("map")
+    inc = CallRef("inc")
+    assert closed_ref(program, parse_callref_text("map<inc>~")) == parse_callref_text("map<inc>~")
+    assert closed_ref(program, parse_callref_text("map~"), {"g": inc}) == parse_callref_text("map<inc>~")
+    with pytest.raises(UnknownFunction):
+        closed_ref(program, CallRef("map"), {"g": CallRef("nope")})
+    with pytest.raises(UnboundParameter, match="inline or bound, not both"):
+        closed_ref(program, parse_callref_text("map<inc>"), {"g": inc})
+    with pytest.raises(UnboundParameter, match="inc has no parameter"):
+        closed_ref(program, CallRef("inc"), {"g": inc})
 
 
 def test_fuel_monotonicity_on_sampled_points():

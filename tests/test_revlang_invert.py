@@ -1,9 +1,12 @@
+import importlib
 from pathlib import Path
 
 import pytest
 
 from revcat.cat import dagger
+from revcat.errors import InvalidArgument
 from revcat.revlang import (
+    BUNDLED,
     CallRef,
     ValidationFailed,
     alpha_equivalent,
@@ -108,6 +111,21 @@ def test_suffix_toggling():
     assert toggle_suffix("f", "_rev") == "f_rev"
 
 
+@pytest.mark.parametrize("suffix", ["_inv", "_rev", "2", "Back", "_"])
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_an_inverted_program_prints_as_text_that_parses_back(name, suffix):
+    inverted = invert_program(bundled_program(name), suffix)
+    assert alpha_equivalent(parse_program(show_program(inverted)), inverted)
+
+
+@pytest.mark.parametrize("suffix", ["", "~x", "_inv ", "-", "'"])
+def test_a_suffix_that_cannot_be_part_of_a_name_is_refused(suffix):
+    with pytest.raises(InvalidArgument):
+        invert_program(bundled_program("add"), suffix)
+    with pytest.raises(InvalidArgument):
+        roundtrip_check(bundled_program("add"), "add", {}, trials=1, fuel=10, seed=0, suffix=suffix)
+
+
 def test_alpha_equivalence_ignores_consistent_renaming():
     p1 = parse_program("fun f (a, b) = (b, a)")
     p2 = parse_program("fun f (x, y) = (y, x)")
@@ -135,6 +153,24 @@ def test_roundtrip_map_inc_on_short_lists():
     )
     assert report.passed
     assert report.by_law["roundtrip"] == 100
+
+
+def test_roundtrip_runs_backwards_the_inverse_of_the_checked_reference(monkeypatch):
+    module = importlib.import_module("revcat.revlang.denote")
+    seen = []
+
+    def spy(function):
+        def wrapper(*args):
+            result = function(*args)
+            seen.append((function.__name__, show_callref(result)))
+            return result
+
+        return wrapper
+
+    for name in ("closed_ref", "invert_binding"):
+        monkeypatch.setattr(module, name, spy(getattr(module, name)))
+    roundtrip_check(bundled_program("map"), "map", {"g": CallRef("inc")}, trials=3, fuel=50, seed=1)
+    assert seen == [("closed_ref", "map<inc>"), ("invert_binding", "map_inv<inc_inv>")]
 
 
 def test_roundtrip_rejects_invalid_programs_before_running():
