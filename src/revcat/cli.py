@@ -525,9 +525,19 @@ def _config_defaults(command: argparse.ArgumentParser, defaults) -> dict:
     return converted
 
 
+def _refuse_empty_values(actions, args) -> None:
+    """argparse reads ``--name=--`` as an empty list, past the option's type
+    and choices; refuse it as the missing value it is."""
+    for action in actions:
+        value = getattr(args, action.dest, None)
+        if action.option_strings and isinstance(value, list) and (not value or [] in value):
+            raise ConfigError(f"argument {'/'.join(action.option_strings)}: expected one argument")
+
+
 def main(argv=None) -> int:
     parser, commands = build_parser()
     args, _ = parser.parse_known_args(argv)
+    repeated = {}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as handle:
@@ -537,12 +547,19 @@ def main(argv=None) -> int:
             return 2
         command = commands[args.command]
         try:
-            command.set_defaults(**_config_defaults(command, defaults))
+            defaults = _config_defaults(command, defaults)
         except ConfigError as exc:
             print(f"error: bad config file for {args.command}: {exc}", file=sys.stderr)
             return 2
+        # A repeatable option's flags replace the file's list, not extend it.
+        repeated = {key: v for key, v in defaults.items() if isinstance(v, list)}
+        command.set_defaults(**{key: v for key, v in defaults.items() if key not in repeated})
     args = parser.parse_args(argv)
     try:
+        _refuse_empty_values([*parser._actions, *commands[args.command]._actions], args)
+        for key, values in repeated.items():
+            if getattr(args, key) is None:
+                setattr(args, key, values)
         return args.fn(args)
     except NonConvergence as exc:
         print(f"error: non-convergence: {exc}", file=sys.stderr)

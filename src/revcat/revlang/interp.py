@@ -23,7 +23,7 @@ from operator import itemgetter
 from ..errors import UnboundParameter, UnknownFunction
 from .invert import invert_def
 from .parser import parse_callref_text
-from .syntax import Atom, CallRef, Cons, Pair, Program, S, Term, Var, dagger_ref, is_value
+from .syntax import CallRef, Cons, Pair, Program, S, Term, Var, dagger_ref, is_value
 from .validate import check_ref
 
 
@@ -44,15 +44,18 @@ STUCK = _Stuck()
 def _matcher(p: Term, bound: set[str]):
     """A closure ``m(v, env) -> bool`` that tests ``v`` against ``p``.
 
-    The first occurrence of a variable binds it in ``env``.  A variable in
-    ``bound``, bound earlier in the clause, must equal the value bound to
-    it, so a non-linear pattern matches as ``syntax.match`` does.
+    Terms are interned, so a subpattern with no variables matches only
+    itself.  The first occurrence of a variable binds it in ``env``; a
+    variable in ``bound``, bound earlier in the clause, must be the value
+    bound to it, so a non-linear pattern matches as ``syntax.match`` does.
     """
+    if is_value(p):
+        return lambda v, env: v is p
     cls = type(p)
     if cls is Var:
         name = p.name
         if name in bound:
-            return lambda v, env: env[name] == v
+            return lambda v, env: env[name] is v
         bound.add(name)
 
         def bind(v, env):
@@ -67,14 +70,9 @@ def _matcher(p: Term, bound: set[str]):
         head = _matcher(p.head, bound)
         tail = _matcher(p.tail, bound)
         return lambda v, env: type(v) is Cons and head(v.head, env) and tail(v.tail, env)
-    if cls is Pair:
-        left = _matcher(p.left, bound)
-        right = _matcher(p.right, bound)
-        return lambda v, env: type(v) is Pair and left(v.left, env) and right(v.right, env)
-    if cls is Atom:
-        name = p.name
-        return lambda v, env: type(v) is Atom and v.name == name
-    return lambda v, env: type(v) is cls
+    left = _matcher(p.left, bound)
+    right = _matcher(p.right, bound)
+    return lambda v, env: type(v) is Pair and left(v.left, env) and right(v.right, env)
 
 
 def _builder(t: Term):

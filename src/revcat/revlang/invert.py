@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Callable, Collection
 
 from ..errors import InvalidArgument, UnknownFunction
+from .parser import KEYWORDS
 from .syntax import CallRef, Clause, FuncDef, LetStep, Program, dagger_ref
 
 
@@ -57,13 +58,22 @@ def _renamed(ref: CallRef, program: Program, params: Collection[str], suffix: st
 
 
 def invert_program(program: Program, suffix: str = "_inv") -> Program:
-    """``program`` inverted, each ``f`` renamed to ``f`` + ``suffix``; the
-    suffix must be name characters, so that the result can be parsed."""
+    """``program`` inverted, each ``f`` renamed to ``f`` + ``suffix`` and each
+    ``f`` + ``suffix`` to ``f``.  The suffix must be name characters and the
+    renaming must undo itself and make no keyword, so that the result parses
+    and inverts back to ``program``."""
     if not suffix or not all(ch.isalnum() or ch == "_" for ch in suffix):
         raise InvalidArgument(f"suffix must be letters, digits and _, got {suffix!r}")
     inverted = Program(atoms=program.atoms)
     for fdef in program.defs.values():
         name = toggle_suffix(fdef.name, suffix)
+        if name in KEYWORDS:
+            raise InvalidArgument(f"cannot invert {fdef.name!r}: its inverse would be "
+                                  f"named {name!r}, a keyword")
+        # Renaming twice must give each name back; then no two names meet.
+        if toggle_suffix(name, suffix) != fdef.name:
+            raise InvalidArgument(f"cannot invert {fdef.name!r}: it ends in {suffix!r} twice, "
+                                  f"so {name!r} would not invert back to it")
         inverted.defs[name] = _backwards(
             fdef, name, lambda ref: _renamed(ref, program, fdef.params, suffix)
         )

@@ -1,4 +1,5 @@
-"""Tokenizer and recursive-descent parser for the concrete syntax.
+"""Tokenizer and parser for the concrete syntax: recursive descent, except
+that terms are parsed on an explicit stack, so a value may nest any depth.
 
     atom red green
     fun swap (a, b) = (b, a)
@@ -33,6 +34,10 @@ from .syntax import (
 
 KEYWORDS = {"fun", "let", "in", "atom"}
 PUNCT = "(),<>=~"
+# The deepest nesting of brackets in program text and call references.  The
+# evaluator's compiled matchers and builders and the walks over call
+# references recurse once per level; value literals have no bound.
+MAX_NESTING = 200
 
 
 @dataclass(frozen=True)
@@ -132,53 +137,80 @@ class _Parser:
 
     # -- terms -------------------------------------------------------------
 
-    def parse_term(self) -> Term:
-        tok = self.current
-        cls = CONSTRUCTORS.get(tok.text) if tok.kind == "cons" else None
-        if cls is not None and cls.child_fields:
-            self.advance()
-            return cls(*[self.parse_atomic_term() for _ in cls.child_fields])
-        return self.parse_atomic_term()
-
-    def parse_atomic_term(self) -> Term:
-        tok = self.current
-        if tok.kind == "cons":
-            cls = CONSTRUCTORS.get(tok.text)
-            if cls is None:
-                self.fail(f"unknown constructor {tok.text!r}")
-            if cls.child_fields:
-                self.fail(f"constructor {tok.text} takes arguments; parenthesize it")
-            self.advance()
-            return cls()
-        if tok.kind == "atomlit":
-            self.advance()
-            return Atom(tok.text)
-        if tok.kind == "name" and tok.text not in KEYWORDS:
-            self.advance()
-            return Var(tok.text)
-        if self.at_punct("("):
-            self.advance()
-            inner = self.parse_term()
-            if self.at_punct(","):
+    def parse_term(self, atomic: bool = False, limit: int | None = MAX_NESTING) -> Term:
+        """A term, parsed on an explicit stack; with ``atomic``, one that can
+        stand as a constructor's argument.  Parentheses nested deeper than
+        ``limit`` are refused (None: no bound)."""
+        # Open frames: [cls, args] gathers a constructor's arguments, and
+        # [None, left] is a parenthesis, holding a pair's left once read.
+        stack: list[list] = []
+        parens = 0
+        while True:
+            tok = self.current
+            if tok.kind == "cons":
+                cls = CONSTRUCTORS.get(tok.text)
+                if cls is None:
+                    self.fail(f"unknown constructor {tok.text!r}")
+                if cls.child_fields and atomic:
+                    self.fail(f"constructor {tok.text} takes arguments; parenthesize it")
                 self.advance()
-                right = self.parse_term()
-                self.expect_punct(")")
-                return Pair(inner, right)
-            self.expect_punct(")")
-            return inner
-        self.fail(f"expected a term, found {tok.text!r}")
+                if cls.child_fields:
+                    stack.append([cls, []])
+                    atomic = True
+                    continue
+                term = cls()
+            elif tok.kind == "atomlit":
+                self.advance()
+                term = Atom(tok.text)
+            elif tok.kind == "name" and tok.text not in KEYWORDS:
+                self.advance()
+                term = Var(tok.text)
+            elif self.at_punct("("):
+                parens += 1
+                if limit is not None and parens > limit:
+                    self.fail(f"brackets nested deeper than {limit}")
+                self.advance()
+                stack.append([None, []])
+                atomic = False
+                continue
+            else:
+                self.fail(f"expected a term, found {tok.text!r}")
+            # ``term`` is whole: hand it to the frames it completes.
+            while stack:
+                cls, args = stack[-1]
+                if cls is not None:
+                    args.append(term)
+                    if len(args) < len(cls.child_fields):
+                        atomic = True
+                        break
+                    stack.pop()
+                    term = cls(*args)
+                elif not args and self.at_punct(","):
+                    self.advance()
+                    args.append(term)
+                    atomic = False
+                    break
+                else:
+                    self.expect_punct(")")
+                    parens -= 1
+                    stack.pop()
+                    term = Pair(args[0], term) if args else term
+            else:
+                return term
 
     # -- call references ----------------------------------------------------
 
-    def parse_callref(self) -> CallRef:
+    def parse_callref(self, depth: int = 0) -> CallRef:
         name = self.expect_name().text
         args: tuple[CallRef, ...] = ()
         if self.at_punct("<"):
+            if depth == MAX_NESTING:
+                self.fail(f"brackets nested deeper than {MAX_NESTING}")
             self.advance()
-            collected = [self.parse_callref()]
+            collected = [self.parse_callref(depth + 1)]
             while self.at_punct(","):
                 self.advance()
-                collected.append(self.parse_callref())
+                collected.append(self.parse_callref(depth + 1))
             self.expect_punct(">")
             args = tuple(collected)
         inverted = False
@@ -190,18 +222,18 @@ class _Parser:
     # -- clauses and programs ------------------------------------------------
 
     def parse_body(self) -> tuple[tuple[LetStep, ...], Term]:
-        if self.at_keyword("let"):
+        lets = []
+        while self.at_keyword("let"):
             self.advance()
             pattern = self.parse_term()
             self.expect_punct("=")
             callee = self.parse_callref()
-            arg = self.parse_atomic_term()
+            arg = self.parse_term(atomic=True)
             if not self.at_keyword("in"):
                 self.fail("expected 'in' after let binding")
             self.advance()
-            lets, out = self.parse_body()
-            return (LetStep(pattern, callee, arg),) + lets, out
-        return (), self.parse_term()
+            lets.append(LetStep(pattern, callee, arg))
+        return tuple(lets), self.parse_term()
 
     def parse_fundef_clause(self) -> tuple[str, tuple[str, ...], Clause]:
         line = self.current.line
@@ -216,7 +248,7 @@ class _Parser:
                 collected.append(self.expect_name().text)
             self.expect_punct(">")
             params = tuple(collected)
-        lhs = self.parse_atomic_term()
+        lhs = self.parse_term(atomic=True)
         self.expect_punct("=")
         lets, out = self.parse_body()
         return name, params, Clause(lhs, lets, out, line)
@@ -245,7 +277,7 @@ def parse_program(source: str) -> Program:
 def parse_value(text: str) -> Term:
     """Parse a closed value literal, e.g. ``(S Z, Cons 'a Nil)``."""
     parser = _Parser(tokenize(text))
-    term = parser.parse_term()
+    term = parser.parse_term(limit=None)
     if parser.current.kind != "eof":
         parser.fail(f"trailing input after value: {parser.current.text!r}")
     if not is_value(term):

@@ -2,8 +2,10 @@
 
 One constructor-term type serves both values (variable-free terms) and
 patterns.  A term's children are its ``Term``-typed fields, in order;
-``Atom`` and ``Var`` hold a name.  ``CONSTRUCTORS`` lists the classes the
-concrete syntax names.  Programs are clause-based: every clause has a
+``Atom`` and ``Var`` hold a name.  Terms are interned, one object per
+value, so ``==`` and ``hash`` are identity; walks over a term and its
+printing run on explicit stacks, so a value may nest any depth.
+``CONSTRUCTORS`` lists the classes the concrete syntax names.  Programs are clause-based: every clause has a
 left pattern, an ordered chain of let-bound calls, and an output
 pattern.  Calls reference defined functions or static function
 parameters, optionally carrying static arguments and an inversion mark
@@ -17,18 +19,43 @@ from typing import Collection, Optional
 from ..errors import ParseError
 
 
-@dataclass(frozen=True, repr=False)
 class Term:
+    """A constructor term.  Each class interns its terms, so there is one
+    object per class and field values: terms compare and hash by identity."""
+
+    __slots__ = ()
+
     def __repr__(self):
-        values = ", ".join(str(getattr(self, f.name)) for f in fields(self))
-        return f"{type(self).__name__}({values})" if values else type(self).__name__
+        return _text(self, _repr_layout)
 
 
 def _term(cls):
-    """Declare a term class; its ``child_fields`` are the fields annotated
-    ``"Term"`` (annotations are strings under ``from __future__``)."""
-    cls = dataclass(frozen=True, repr=False)(cls)
+    """Declare a term class: a frozen, slotted dataclass whose constructor
+    returns the one term with the given field values, made on first use.
+    Its ``child_fields`` are the fields annotated ``"Term"`` (annotations
+    are strings under ``from __future__``)."""
+    # With no docstring, dataclass would make one by parsing a signature.
+    cls.__doc__ = cls.__doc__ or f"The term constructor {cls.__name__}."
+    cls = dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)(cls)
     cls.child_fields = tuple(f.name for f in fields(cls) if f.type == "Term")
+    # The slot descriptors write past the frozen ``__setattr__``.
+    setters = [vars(cls)[f.name].__set__ for f in fields(cls)]
+    table: dict[tuple, Term] = {}
+    new = object.__new__
+
+    def __new__(cls, *values):
+        term = table.get(values)
+        if term is None:
+            if len(values) != len(setters):
+                raise TypeError(f"{cls.__name__} takes {len(setters)} field(s), got {len(values)}")
+            term = new(cls)
+            for put, value in zip(setters, values):
+                put(term, value)
+            # Published whole, and once: threads that race here share one term.
+            term = table.setdefault(values, term)
+        return term
+
+    cls.__new__ = staticmethod(__new__)
     return cls
 
 
@@ -82,31 +109,30 @@ def rebuild(t: Term, kids: tuple[Term, ...]) -> Term:
     return type(t)(*kids) if kids else t
 
 
+def subterms(t: Term):
+    """``t`` and every term below it, in textual order, on an explicit stack."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        stack.extend([getattr(t, name) for name in reversed(t.child_fields)])
+
+
 def term_size(t: Term) -> int:
-    return 1 + sum(term_size(c) for c in children(t))
+    return sum(1 for _ in subterms(t))
 
 
 def term_vars(t: Term) -> list[str]:
     """Variable names in textual order (with repetitions, if any)."""
-    if isinstance(t, Var):
-        return [t.name]
-    out: list[str] = []
-    for c in children(t):
-        out.extend(term_vars(c))
-    return out
+    return [s.name for s in subterms(t) if type(s) is Var]
 
 
 def term_atoms(t: Term) -> set[str]:
-    if isinstance(t, Atom):
-        return {t.name}
-    out: set[str] = set()
-    for c in children(t):
-        out |= term_atoms(c)
-    return out
+    return {s.name for s in subterms(t) if type(s) is Atom}
 
 
 def is_value(t: Term) -> bool:
-    return not term_vars(t)
+    return not any(type(s) is Var for s in subterms(t))
 
 
 def match(pattern: Term, value: Term, env: Optional[dict] = None) -> Optional[dict]:
@@ -251,18 +277,48 @@ class Program:
 # -- concrete syntax out -----------------------------------------------------
 
 
+def _text(t: Term, layout, atomic: bool = False) -> str:
+    """Print ``t`` on an explicit stack.  ``layout(t, atomic)`` lists the
+    pieces of ``t``'s text: strings, and ``(child, atomic)`` pairs that
+    print in their place."""
+    out: list[str] = []
+    stack: list = [(t, atomic)]
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            out.append(piece)
+        else:
+            stack.extend(reversed(layout(*piece)))
+    return "".join(out)
+
+
+def _repr_layout(t: Term, atomic: bool) -> list:
+    values = [getattr(t, name) for name in t.__slots__]
+    if not values:
+        return [type(t).__name__]
+    pieces = [type(t).__name__ + "("]
+    for value in values:
+        pieces += [value if type(value) is str else (value, False), ", "]
+    pieces[-1] = ")"
+    return pieces
+
+
+def _show_layout(t: Term, atomic: bool) -> list:
+    cls = type(t)
+    if cls is Atom:
+        return ["'" + t.name]
+    if cls is Var:
+        return [t.name]
+    if cls is Pair:
+        return ["(", (t.left, False), ", ", (t.right, False), ")"]
+    pieces = [cls.__name__]
+    for kid in children(t):
+        pieces += [" ", (kid, True)]
+    return ["(", *pieces, ")"] if atomic and len(pieces) > 1 else pieces
+
+
 def show_term(t: Term, atomic: bool = False) -> str:
-    if isinstance(t, Atom):
-        return f"'{t.name}"
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Pair):
-        return f"({show_term(t.left)}, {show_term(t.right)})"
-    kids = children(t)
-    if not kids:
-        return type(t).__name__
-    text = " ".join([type(t).__name__, *(show_term(k, atomic=True) for k in kids)])
-    return f"({text})" if atomic else text
+    return _text(t, _show_layout, atomic)
 
 
 def show_callref(ref: CallRef) -> str:
@@ -295,39 +351,3 @@ def show_program(program: Program) -> str:
         for clause in fdef.clauses:
             lines.append(show_clause(fdef.name, fdef.params, clause))
     return "\n".join(lines) + "\n"
-
-
-# -- alpha-equivalence -------------------------------------------------------
-
-
-def _canonical_clause(clause: Clause) -> Clause:
-    mapping: dict[str, str] = {}
-
-    def canon(t: Term) -> Term:
-        if isinstance(t, Var):
-            if t.name not in mapping:
-                mapping[t.name] = f"v{len(mapping)}"
-            return Var(mapping[t.name])
-        return rebuild(t, tuple(canon(c) for c in children(t)))
-
-    lhs = canon(clause.lhs)
-    lets = tuple(
-        LetStep(canon(s.pattern), s.callee, canon(s.arg)) for s in clause.lets
-    )
-    return Clause(lhs, lets, canon(clause.out))
-
-
-def alpha_equivalent(p1: Program, p2: Program) -> bool:
-    """Structural equality up to consistent renaming of clause variables."""
-    if tuple(p1.atoms) != tuple(p2.atoms):
-        return False
-    if list(p1.defs) != list(p2.defs):
-        return False
-    for name in p1.defs:
-        d1, d2 = p1.defs[name], p2.defs[name]
-        if d1.params != d2.params or len(d1.clauses) != len(d2.clauses):
-            return False
-        for c1, c2 in zip(d1.clauses, d2.clauses):
-            if _canonical_clause(c1) != _canonical_clause(c2):
-                return False
-    return True

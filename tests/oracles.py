@@ -7,9 +7,12 @@ for ``dstoch``: its validation, product, transpose and seeded generators,
 on ndarrays.  ``ReferenceEvaluator`` is the recursive revlang evaluator
 that re-walks each pattern with ``syntax.match`` and ``instantiate`` on
 every call, the reference for the compiled ``Evaluator``.
+``reference_repr`` and ``reference_show`` print terms by direct recursion,
+the reference for the stack printer behind ``repr`` and ``show_term``.
 ``reference_naturality`` is the plain nested loop that the per-call tables
 of ``check_naturality`` must agree with, check for check.
 """
+from dataclasses import fields
 from itertools import product
 from math import comb, factorial
 
@@ -19,7 +22,18 @@ from revcat.cat import bottom, compose
 from revcat.errors import IncompatibleJoin, UnboundParameter, UnknownFunction
 from revcat.functionals import HomSpace, apply_param, pfix_functional
 from revcat.report import Checker
-from revcat.revlang import STUCK, UNDEFINED, CallRef, dagger_ref, instantiate, invert_def, match
+from revcat.revlang import (
+    STUCK,
+    UNDEFINED,
+    Atom,
+    CallRef,
+    Pair,
+    Var,
+    dagger_ref,
+    instantiate,
+    invert_def,
+    match,
+)
 
 
 def reachability_closure(edges, n):
@@ -229,6 +243,31 @@ class ReferenceEvaluator:
                     return STUCK
             return instantiate(clause.out, env)
         return STUCK
+
+
+def reference_repr(t):
+    """``repr(t)``: the class name, then the fields in parentheses."""
+    values = [getattr(t, f.name) for f in fields(t)]
+    if not values:
+        return type(t).__name__
+    inner = ", ".join(v if isinstance(v, str) else reference_repr(v) for v in values)
+    return f"{type(t).__name__}({inner})"
+
+
+def reference_show(t, atomic=False):
+    """``show_term(t, atomic)``: concrete syntax, constructor arguments in
+    parentheses where they take arguments themselves."""
+    if isinstance(t, Atom):
+        return f"'{t.name}"
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Pair):
+        return f"({reference_show(t.left)}, {reference_show(t.right)})"
+    kids = [getattr(t, f.name) for f in fields(t)]
+    if not kids:
+        return type(t).__name__
+    text = " ".join([type(t).__name__, *(reference_show(k, atomic=True) for k in kids)])
+    return f"({text})" if atomic else text
 
 
 # -- plain nested loop for naturality -----------------------------------------

@@ -266,6 +266,92 @@ def test_run_map_with_inline_static_argument(capture, tmp_path):
     assert out.strip() == "Cons (S Z) Nil"
 
 
+def _numeral(n):
+    """``S (S (... Z))`` with ``n`` S, as ``show_term`` prints it."""
+    return "Z" if n == 0 else "S (" * (n - 1) + "S Z" + ")" * (n - 1)
+
+
+def test_run_adds_numerals_of_depth_300(capture, add_file):
+    code, out, err = capture("run", add_file, "add", "--arg", f"({_numeral(300)}, {_numeral(300)})")
+    assert (code, err) == (0, "")
+    assert out == f"({_numeral(300)}, {_numeral(600)})\n"
+
+
+def test_run_takes_a_numeral_of_depth_20000_on_its_command_line(add_file):
+    # One argv string may hold 128 KiB on Linux: about 32,000 levels.
+    argv = ["run", add_file, "add", "--arg", f"({_numeral(20_000)}, S Z)", "--fuel", "20001"]
+    result = subprocess.run(
+        [sys.executable, "-m", "revcat.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == f"({_numeral(20_000)}, {_numeral(20_001)})\n"
+
+
+@pytest.mark.parametrize(
+    "source, ref",
+    [
+        ("fun f (" + "S (" * 3000 + "x" + ")" * 3001 + " = x\n", "f"),
+        ("fun inc x = S x\n", "map<" * 2000 + "inc" + ">" * 2000),
+    ],
+    ids=["pattern-3000-deep", "reference-2000-deep"],
+)
+def test_over_deep_program_text_and_references_exit_two(capture, tmp_path, source, ref):
+    path = tmp_path / "deep.rvl"
+    path.write_text(source)
+    code, out, err = capture("run", str(path), ref, "--arg", "Z")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: brackets nested deeper than 200") and err.count("\n") == 1
+
+
+def test_invert_refuses_a_renaming_that_would_drop_a_definition(capture, tmp_path):
+    path = tmp_path / "clash.rvl"
+    path.write_text("fun f x = S x\nfun f_inv_inv (S x) = x\n")
+    code, out, err = capture("invert", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot invert 'f_inv_inv'") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["run", "{add}", "add", "--arg", "Z", "--fuel=--"], "--fuel"),
+        (["run", "{add}", "add", "--arg=--"], "--arg"),
+        (["run", "{add}", "add", "--arg", "Z", "--format=--"], "--format"),
+        (["laws", "--category", "rel", "--suite=--", "--sizes", "1"], "--suite"),
+        (["laws", "--category", "rel", "--suite", "dagger", "--sizes=--"], "--sizes"),
+        (["invert", "{add}", "--output=--"], "-o/--output"),
+        (["--config=--", "laws", "--category", "rel", "--suite", "dagger"], "--config"),
+    ],
+)
+def test_an_option_given_as_dashes_is_refused_by_name(capture, add_file, argv, option):
+    code, out, err = capture(*(add_file if a == "{add}" else a for a in argv))
+    assert (code, out) == (2, "")
+    assert err == f"error: argument {option}: expected one argument\n"
+
+
+def test_repeatable_flags_replace_the_config_files_list(capture, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"suite": ["dagger"]}))
+    base = ("--config", str(config), "laws", "--category", "rel", "--sizes", "1", "--format", "json")
+    for flags, suites in [((), ["dagger"]), (("--suite", "enrichment"), ["enrichment"]),
+                          (("--suite", "dagger"), ["dagger"])]:
+        code, out, err = capture(*base, *flags)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"]["suites"] == suites
+
+
+def test_a_bind_flag_replaces_the_config_files_bindings(capture, map_file, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"bind": ["h=inc"]}))  # map has no parameter h
+    code, out, err = capture("--config", str(config), "run", map_file, "map",
+                             "--bind", "g=inc", "--arg", "Cons Z Nil")
+    assert (code, out, err) == (0, "Cons (S Z) Nil\n", "")
+
+
 def test_invert_writes_a_runnable_program(capture, add_file, tmp_path):
     out_path = tmp_path / "add_inv.rvl"
     code, _, _ = capture("invert", add_file, "-o", str(out_path))

@@ -1,7 +1,6 @@
 """Value-universe enumeration and multi-parameter definitions."""
 from revcat.revlang import (
     CallRef,
-    alpha_equivalent,
     enumerate_values,
     eval_program,
     invert_program,
@@ -64,7 +63,7 @@ def test_multi_parameter_definition_runs_and_inverts():
         50,
     )
     assert recovered == value
-    assert alpha_equivalent(invert_program(inverse), program)
+    assert invert_program(inverse) == program
 
     report = roundtrip_check(
         program, "both", bindings, trials=60, fuel=100, seed=17,
