@@ -542,7 +542,7 @@ def main(argv=None) -> int:
         try:
             with open(args.config, encoding="utf-8") as handle:
                 defaults = json.load(handle)
-        except (OSError, ValueError) as exc:  # unreadable, undecodable or not JSON
+        except (OSError, ValueError, RecursionError) as exc:  # unreadable, not JSON, too deep
             print(f"error: bad config file: {exc}", file=sys.stderr)
             return 2
         command = commands[args.command]

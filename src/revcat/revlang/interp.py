@@ -15,6 +15,14 @@ clause's environment in place, and every let argument and output becomes
 a builder closure.  ``Evaluator.call`` runs on an explicit stack of
 frames, so the depth of a computation is bounded by memory, not by
 Python's recursion limit.
+
+Evaluation is deterministic and the approximants ascend, so a call's
+outcome depends only on its reference and value, and it is defined at
+fuel n exactly when n reaches the least fuel it needs.  Each
+``Evaluator`` keeps a call table of these facts, and every call, top-level
+or nested, is answered from it when it can be.  A call is evaluated again
+only at a fuel above every fuel it has failed at, and the answers are the
+same as without the table at every fuel.
 """
 from __future__ import annotations
 
@@ -39,6 +47,8 @@ class _Stuck:
 
 UNDEFINED = _Undefined()
 STUCK = _Stuck()
+# The call table's answer for a call it has not seen: undefined at fuel 0.
+_UNSEEN = (UNDEFINED, 0)
 
 
 def _matcher(p: Term, bound: set[str]):
@@ -128,6 +138,10 @@ class Evaluator:
         # (lhs matcher, steps, output builder) and each step is
         # (argument builder, callee, callee mentions a parameter, pattern matcher).
         self._compiled: dict[tuple[str, bool], tuple] = {}
+        # The call table, ref -> value -> (outcome, least fuel it needs), or
+        # (UNDEFINED, largest fuel seen to fail) for a call not yet defined.
+        # Keyed by reference first, so each entry's key is the value alone.
+        self._table: dict[CallRef, dict[Term, tuple]] = {}
 
     def _compile(self, name: str, inverted: bool) -> tuple:
         fdef = self.program.defs.get(name)
@@ -164,44 +178,75 @@ class Evaluator:
         ``ref`` must come from ``closed_ref``: then, in a valid program,
         every callee gets as many static arguments as it takes.
 
-        Each frame is ``[steps, i, env, out, fuel, bindings]``: a clause
-        waiting for the result of its let ``steps[i]``.  UNDEFINED and STUCK
-        end the whole call at once, since a let passes either straight up.
+        A call the table holds as ``(outcome, need)`` is answered
+        ``outcome`` at fuel ``need`` or more and ``UNDEFINED`` below; one it
+        holds as ``(UNDEFINED, failed)`` is answered ``UNDEFINED`` at fuel
+        ``failed`` or less.  Any other call is evaluated.  A call that needs
+        no let needs fuel 1, whether a clause matches or none does; one with
+        lets needs one more than the most any let it ran needed, the let
+        that got ``STUCK`` included.
+
+        Each frame is ``[steps, i, env, out, fuel, bindings, row, value,
+        need]``: a clause waiting for the result of its let ``steps[i]``,
+        its table row and value, and the most its lets so far needed.  A
+        result passes up the stack, and each frame it ends is recorded as
+        it unwinds: ``UNDEFINED`` makes every frame undefined at its own
+        fuel, and ``STUCK`` makes every frame ``STUCK``.
         """
         compiled = self._compiled
+        table = self._table
         frames: list[list] = []
         while True:
             if fuel <= 0:
-                return UNDEFINED
-            params, clauses = (
-                compiled.get((ref.name, ref.inverted))
-                or self._compile(ref.name, ref.inverted)
-            )
-            for lhs, steps, out in clauses:
-                env = {}
-                if lhs(value, env):
-                    break
+                result = UNDEFINED
             else:
-                return STUCK
-            if steps:
-                bindings = dict(zip(params, ref.args)) if params else None
-                frame = [steps, 0, env, out, fuel, bindings]
-                frames.append(frame)
-            else:
-                result = out(env)
-                while True:
-                    if not frames:
-                        return result
-                    frame = frames[-1]
+                row = table.get(ref)
+                if row is None:
+                    row = table[ref] = {}
+                result, need = row.get(value, _UNSEEN)
+                if result is UNDEFINED and fuel > need:
+                    params, clauses = (
+                        compiled.get((ref.name, ref.inverted))
+                        or self._compile(ref.name, ref.inverted)
+                    )
+                    for lhs, steps, out in clauses:
+                        env = {}
+                        if lhs(value, env):
+                            break
+                    else:
+                        steps = None
+                    if steps:
+                        bindings = dict(zip(params, ref.args)) if params else None
+                        frames.append([steps, 0, env, out, fuel, bindings, row, value, 0])
+                        result = None
+                    else:
+                        result = STUCK if steps is None else out(env)
+                        need = 1
+                        row[value] = (result, 1)
+                elif fuel < need:
+                    result = UNDEFINED
+            while result is not None:
+                if not frames:
+                    return result
+                frame = frames[-1]
+                if result is UNDEFINED:
+                    entry = (UNDEFINED, frame[4])
+                else:
+                    if need > frame[8]:
+                        frame[8] = need
                     steps, i, env = frame[0], frame[1], frame[2]
-                    if not steps[i][3](result, env):
-                        return STUCK
-                    i += 1
-                    if i < len(steps):
-                        frame[1] = i
+                    if result is STUCK or not steps[i][3](result, env):
+                        result = STUCK
+                    elif i + 1 < len(steps):
+                        frame[1] = i + 1
                         break
-                    frames.pop()
-                    result = frame[3](env)
+                    else:
+                        result = frame[3](env)
+                    need = frame[8] + 1
+                    entry = (result, need)
+                frames.pop()
+                frame[6][frame[7]] = entry
+            frame = frames[-1]
             arg, callee, dynamic, _ = frame[0][frame[1]]
             value = arg(frame[2])
             ref = self._resolve(callee, frame[5]) if dynamic else callee

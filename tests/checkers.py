@@ -23,6 +23,8 @@ from revcat.functionals.trace import trace
 from revcat.report import Checker, LawReport
 from revcat.revlang import UNDEFINED, eval_program, random_value, require_valid
 
+from oracles import ReferenceEvaluator
+
 
 def check_dagger_functor(functor, category: str, sizes=(0, 1, 2)) -> LawReport:
     """F(f+) = F(f)+ over every enumerated test morphism."""
@@ -163,5 +165,21 @@ def fuel_monotonicity_check(
             lambda v=v, low=low, high=high, a=at_low, b=at_high: (
                 f"v={v!r} fuel {low}->{high}: {a!r} then {b!r}"
             ),
+        )
+    return checker.done()
+
+
+def check_call_table(evaluator, ref, queries) -> LawReport:
+    """One ``Evaluator`` answers ``queries``, ``(value, fuel)`` pairs asked in
+    order, so that later answers may come from its call table; each answer
+    must be what a fresh recursive ``ReferenceEvaluator`` gives at that fuel."""
+    checker = Checker("call-table")
+    for value, fuel in queries:
+        got = evaluator.call(ref, value, fuel)
+        want = ReferenceEvaluator(evaluator.program).call(ref, value, fuel)
+        checker.check(
+            "exact-at-every-fuel",
+            got == want,
+            lambda v=value, n=fuel, got=got, want=want: f"v={v!r} fuel={n}: {got!r}, want {want!r}",
         )
     return checker.done()

@@ -6,7 +6,7 @@ pointwise orbit walks.  The ``stoch_*`` functions are the numpy reference
 for ``dstoch``: its validation, product, transpose and seeded generators,
 on ndarrays.  ``ReferenceEvaluator`` is the recursive revlang evaluator
 that re-walks each pattern with ``syntax.match`` and ``instantiate`` on
-every call, the reference for the compiled ``Evaluator``.
+every call, the reference for the compiled ``Evaluator`` and its call table.
 ``reference_repr`` and ``reference_show`` print terms by direct recursion,
 the reference for the stack printer behind ``repr`` and ``show_term``.
 ``reference_naturality`` is the plain nested loop that the per-call tables

@@ -701,6 +701,17 @@ def test_every_loader_refuses_unreadable_input_with_exit_two(capture, tmp_path, 
     assert err.startswith("error:") and "internal" not in err
 
 
+def test_a_config_file_nested_past_the_decoders_depth_exits_two(capture, tmp_path):
+    # json.load raises RecursionError, not ValueError, about 1,000 levels deep.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5_000 + "]" * 5_000)
+    code, out, err = capture(
+        "--config", str(path), "laws", "--category", "rel", "--suite", "dagger", "--sizes", "1"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad config file:") and err.count("\n") == 1
+
+
 def test_config_file_supplies_defaults(capture, add_file, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"fuel": 1}))

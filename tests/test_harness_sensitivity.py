@@ -18,8 +18,17 @@ from revcat.functionals import (
     fix_functional,
 )
 from revcat.functionals.expr import JoinWith, PostCompose, PreCompose, Seq
+from revcat.revlang import (
+    UNDEFINED,
+    CallRef,
+    Evaluator,
+    bundled_program,
+    parse_value,
+    random_peano_pair,
+    roundtrip_check,
+)
 
-from checkers import check_fix_pfix_agreement, mixed_family
+from checkers import check_call_table, check_fix_pfix_agreement, mixed_family
 
 
 def test_non_natural_family_is_flagged():
@@ -124,3 +133,37 @@ def test_enrichment_suite_flags_a_rel_compose_that_relates_everything(monkeypatc
 def test_dstoch_dagger_suite_flags_a_dagger_that_transposes_nothing(monkeypatch):
     monkeypatch.setattr(StochMorphism, "dagger", lambda f: f)
     assert "compose-dagger" in _failed_laws("dstoch", "dagger", LawConfig(trials=50, seed=1))
+
+
+class _AnyFuelRow(dict):
+    """A call-table row that answers a recorded outcome at any fuel."""
+
+    def get(self, value, default=None):
+        entry = dict.get(self, value, default)
+        if entry is not None and entry[0] is not UNDEFINED:
+            return entry[0], 1
+        return entry
+
+
+class _AnyFuelTable(dict):
+    def get(self, ref, default=None):
+        return self.setdefault(ref, _AnyFuelRow())
+
+
+def test_call_table_check_flags_a_table_that_ignores_least_fuel(monkeypatch):
+    init = Evaluator.__init__
+
+    def forgetful_init(self, program):
+        init(self, program)
+        self._table = _AnyFuelTable()
+
+    monkeypatch.setattr(Evaluator, "__init__", forgetful_init)
+    add = bundled_program("add")
+    value = parse_value("(S (S Z), Z)")  # needs fuel 3
+    report = check_call_table(Evaluator(add), CallRef("add"), [(value, 10), (value, 2)])
+    assert not report.passed
+    # The roundtrip laws cannot catch this: fuel-adjoint runs the forward
+    # and the backward call at one fuel, and below their least fuel both
+    # answer their recorded outcomes, so both sides are wrong in the same
+    # way and the law holds.
+    assert roundtrip_check(add, "add", {}, 50, 30, 1, value_gen=random_peano_pair).passed
