@@ -11,20 +11,13 @@ from .ops import (
     compose,
     dagger,
     identity,
-    is_hermitian,
-    is_unitary,
     join,
     leq,
     sup_chain,
 )
 from .pinj import PInjMorphism, enumerate_pinj
 from .rel import RelMorphism, enumerate_rel
-from .serialize import (
-    dumps_morphism,
-    loads_morphism,
-    morphism_from_doc,
-    morphism_to_doc,
-)
+from .serialize import loads_morphism, morphism_from_doc, morphism_to_doc
 
 __all__ = [
     "CATEGORIES",
@@ -41,12 +34,9 @@ __all__ = [
     "bottom",
     "compose",
     "dagger",
-    "dumps_morphism",
     "enumerate_pinj",
     "enumerate_rel",
     "identity",
-    "is_hermitian",
-    "is_unitary",
     "join",
     "law_suite",
     "leq",

@@ -105,9 +105,6 @@ class StochMorphism:
     def isclose(self, other: "StochMorphism", tolerance: float = DEFAULT_TOLERANCE) -> bool:
         return self.distance(other) <= tolerance
 
-    def block(self, row_lo: int, row_hi: int, col_lo: int, col_hi: int):
-        raise UnsupportedOperation("sub-blocks exist for rel and pinj only")
-
     def block_sum(self, other):
         raise UnsupportedOperation("block sums exist for rel and pinj only")
 

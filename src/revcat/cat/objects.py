@@ -1,9 +1,8 @@
-"""Finite objects (a size plus an optional label), and what the three
-morphism classes share: document readers, the hom-set check and ``_make``."""
+"""Finite objects, each a size, and what the three morphism classes share:
+document readers, the hom-set check and ``_make``."""
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
 
 from ..errors import DimensionMismatch, InvalidArgument, ParseError
 
@@ -15,16 +14,13 @@ ENUMERATION_CAP = 9
 @dataclass(frozen=True)
 class FinObject:
     size: int
-    label: Optional[str] = None
 
     def __post_init__(self):
         if self.size < 0:
             raise InvalidArgument(f"object size must be nonnegative, got {self.size}")
 
     def __repr__(self):
-        if self.label is None:
-            return f"FinObject({self.size})"
-        return f"FinObject({self.size}, {self.label!r})"
+        return f"FinObject({self.size})"
 
 
 def require_fields(doc: dict, fields: set[str]) -> None:
@@ -41,11 +37,6 @@ def read_nat(value, field: str) -> int:
     if type(value) is not int or value < 0:
         raise ParseError(f"expected an integer >= 0 in {field!r}, got {value!r}")
     return value
-
-
-def require_block(f, row_lo: int, row_hi: int, col_lo: int, col_hi: int) -> None:
-    if not (0 <= row_lo <= row_hi <= f.src.size and 0 <= col_lo <= col_hi <= f.dst.size):
-        raise DimensionMismatch(f"block [{row_lo}:{row_hi}, {col_lo}:{col_hi}] does not fit {f!r}")
 
 
 def same_hom(f, g) -> None:

@@ -88,20 +88,6 @@ def bottom(category: str, src: FinObject, dst: FinObject):
     return MORPHISM_CLASSES[category].bottom(src, dst)
 
 
-def is_hermitian(f) -> bool:
-    if f.src != f.dst:
-        raise DimensionMismatch("hermitian only makes sense on endomorphisms")
-    return f.isclose(f.dagger())
-
-
-def is_unitary(f) -> bool:
-    left = compose(f.dagger(), f)
-    right = compose(f, f.dagger())
-    id_src = identity(f.category, f.src)
-    id_dst = identity(f.category, f.dst)
-    return left.isclose(id_src) and right.isclose(id_dst)
-
-
 def sup_chain(category: str, chain):
     """Supremum of a finite ascending sequence within one hom-set."""
     seq = list(chain)

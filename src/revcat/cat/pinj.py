@@ -8,7 +8,7 @@ As in ``rel``, values are validated when built through the public
 constructors, and operations whose results are valid by construction build
 them with ``PInjMorphism._make``, which fills the slots directly.  ``join``
 and ``from_rel`` validate, as a join of compatible graphs can be
-non-injective; ``block`` checks its ranges.
+non-injective.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 from typing import ClassVar, Optional
 
 from ..errors import DimensionMismatch, IncompatibleJoin, ParseError, TooLarge
-from .objects import ENUMERATION_CAP, FinObject, read_nat, require_block, require_fields, same_hom, trusted_make
+from .objects import ENUMERATION_CAP, FinObject, read_nat, require_fields, same_hom, trusted_make
 from .rel import RelMorphism
 
 
@@ -145,15 +145,6 @@ class PInjMorphism:
     def isclose(self, other: "PInjMorphism", tolerance: float = 0.0) -> bool:
         """Exact equality: partial injections have no rounding to tolerate."""
         return self == other
-
-    def block(self, row_lo: int, row_hi: int, col_lo: int, col_hi: int) -> "PInjMorphism":
-        """Sub-map on index ranges [row_lo, row_hi) x [col_lo, col_hi)."""
-        require_block(self, row_lo, row_hi, col_lo, col_hi)
-        table = tuple(
-            j - col_lo if j is not None and col_lo <= j < col_hi else None
-            for j in self.table[row_lo:row_hi]
-        )
-        return PInjMorphism._make(FinObject(row_hi - row_lo), FinObject(col_hi - col_lo), table)
 
     def block_sum(self, other: "PInjMorphism") -> "PInjMorphism":
         """self (+) other: self on the leading blocks, other on the trailing ones."""

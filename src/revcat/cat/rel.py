@@ -18,7 +18,7 @@ from itertools import product
 from typing import ClassVar
 
 from ..errors import DimensionMismatch, ParseError, TooLarge
-from .objects import ENUMERATION_CAP, FinObject, read_nat, require_block, require_fields, same_hom, trusted_make
+from .objects import ENUMERATION_CAP, FinObject, read_nat, require_fields, same_hom, trusted_make
 
 # The cache holds twice the largest hom-set ``enumerate_rel`` builds at its
 # default cap, so the daggers of one exhaustive suite all stay cached.
@@ -155,7 +155,8 @@ class RelMorphism:
 
     def block(self, row_lo: int, row_hi: int, col_lo: int, col_hi: int) -> "RelMorphism":
         """Sub-relation on index ranges [row_lo, row_hi) x [col_lo, col_hi)."""
-        require_block(self, row_lo, row_hi, col_lo, col_hi)
+        if not (0 <= row_lo <= row_hi <= self.src.size and 0 <= col_lo <= col_hi <= self.dst.size):
+            raise DimensionMismatch(f"block [{row_lo}:{row_hi}, {col_lo}:{col_hi}] does not fit {self!r}")
         mask = (1 << col_hi) - (1 << col_lo)
         rows = tuple((r & mask) >> col_lo for r in self.rows[row_lo:row_hi])
         return RelMorphism._make(FinObject(row_hi - row_lo), FinObject(col_hi - col_lo), rows)
@@ -168,10 +169,6 @@ class RelMorphism:
             FinObject(self.dst.size + other.dst.size),
             rows,
         )
-
-    def complement(self) -> "RelMorphism":
-        mask = (1 << self.dst.size) - 1
-        return RelMorphism._make(self.src, self.dst, tuple(mask ^ row for row in self.rows))
 
     def __repr__(self):
         return f"Rel({self.src.size}->{self.dst.size}, {self.pairs})"

@@ -29,13 +29,15 @@ def morphism_to_doc(m) -> dict:
     return m.to_doc()
 
 
-def loads_morphism(text: str):
+def read_json(text: str):
+    """The value of one JSON input: a morphism or functional document, or a
+    config file.  Any failure of the decoder is a ParseError: malformed
+    text, nesting past its depth, or an integer past Python's digit limit."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
-    return morphism_from_doc(doc)
 
 
-def dumps_morphism(m) -> str:
-    return json.dumps(morphism_to_doc(m), sort_keys=True)
+def loads_morphism(text: str):
+    return morphism_from_doc(read_json(text))

@@ -31,6 +31,7 @@ from .cat import (
     loads_morphism,
 )
 from .cat.laws import SUITES as CORE_SUITES
+from .cat.serialize import read_json
 from .errors import (
     DimensionMismatch,
     NonConvergence,
@@ -540,9 +541,8 @@ def main(argv=None) -> int:
     repeated = {}
     if args.config:
         try:
-            with open(args.config, encoding="utf-8") as handle:
-                defaults = json.load(handle)
-        except (OSError, ValueError, RecursionError) as exc:  # unreadable, not JSON, too deep
+            defaults = read_json(_read_text(args.config))
+        except (OSError, RevcatError) as exc:
             print(f"error: bad config file: {exc}", file=sys.stderr)
             return 2
         command = commands[args.command]

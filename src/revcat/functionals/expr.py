@@ -8,7 +8,6 @@ Both agree pointwise with h |-> phi(h+)+.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from functools import cache
 from typing import Callable, ClassVar, get_type_hints
@@ -21,10 +20,10 @@ from ..cat import (
     dagger,
     join,
     morphism_from_doc,
-    morphism_to_doc,
 )
 from ..cat.dstoch import read_entry
 from ..cat.objects import read_nat
+from ..cat.serialize import read_json
 from ..errors import DimensionMismatch, ParseError, UnsupportedOperation
 from .spaces import HomSpace, space_of
 
@@ -246,13 +245,9 @@ def conj(phi: FunctionalExpr) -> FunctionalExpr:
     return rebuild(phi, CONJ_RULES, _CONJ_CLASS.get(type(phi)))
 
 
-# -- serialization ----------------------------------------------------------
+# -- documents --------------------------------------------------------------
 # A document is {"op": op} plus one key per field ("m" for ``value``); a
 # node without sub-expressions may take a leading stage as "inner".
-
-
-def _space_to_doc(space: HomSpace) -> dict:
-    return {"cat": space.category, "src": space.src.size, "dst": space.dst.size}
 
 
 def _space_from_doc(doc: dict) -> HomSpace:
@@ -265,28 +260,10 @@ def _space_from_doc(doc: dict) -> HomSpace:
 
 
 _DOC_KEY = {"value": "m"}
-_TO_DOC = {
-    object: morphism_to_doc,
-    HomSpace: _space_to_doc,
-    FunctionalExpr: lambda phi: functional_to_doc(phi),
-}
 
 
 def _takes_inner(cls) -> bool:
     return all(kind is not FunctionalExpr for _, kind in node_fields(cls))
-
-
-def functional_to_doc(phi: FunctionalExpr) -> dict:
-    if isinstance(phi, Host):
-        raise TypeError(f"{phi!r} is not serializable")
-    doc = {"op": phi.op}
-    for name, kind in node_fields(type(phi)):
-        doc[_DOC_KEY.get(name, name)] = _TO_DOC[kind](getattr(phi, name))
-    # A later stage takes the leading one as "inner" only if it has no
-    # sub-expressions: a nested Seq's document may already hold an "inner".
-    if isinstance(phi, Seq) and _takes_inner(type(phi.second)):
-        return {**doc["second"], "inner": doc["first"]}
-    return doc
 
 
 def _affine_host(doc: dict) -> Host:
@@ -386,12 +363,4 @@ def functional_from_doc(doc: dict, dom: HomSpace | None = None) -> FunctionalExp
 
 
 def loads_functional(text: str) -> FunctionalExpr:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return functional_from_doc(doc)
-
-
-def dumps_functional(phi: FunctionalExpr) -> str:
-    return json.dumps(functional_to_doc(phi), sort_keys=True)
+    return functional_from_doc(read_json(text))

@@ -19,6 +19,11 @@ from .syntax import Atom, CallRef, Cons, Nil, Pair, Program, S, Term, Z
 from .validate import require_valid
 
 
+# The most terms ``denote`` evaluates its program on: a universe bound of 9
+# holds 38,962 terms without atoms, and 10 already holds 165,588.
+MAX_UNIVERSE = 50_000
+
+
 class DenotationNotInjective(RevcatError):
     pass
 
@@ -52,19 +57,18 @@ def denote(
     bindings: dict[str, CallRef],
     universe_bound: int,
     fuel: int,
-    max_universe: int = 50_000,
 ) -> PInjMorphism:
     """The partial injection realized on the truncated universe."""
     require_valid(program)
     universe = enumerate_values(universe_bound, program.atoms)
-    if len(universe) > max_universe:
+    if len(universe) > MAX_UNIVERSE:
         raise TooLarge(
-            f"universe of {len(universe)} terms exceeds the limit of {max_universe}"
+            f"universe of {len(universe)} terms exceeds the limit of {MAX_UNIVERSE}"
         )
     index = {v: i for i, v in enumerate(universe)}
     ref = closed_ref(program, parse_callref_text(fname), bindings)
     evaluator = Evaluator(program)
-    obj = FinObject(len(universe), label=f"terms<={universe_bound}")
+    obj = FinObject(len(universe))
     table: list[int | None] = [None] * len(universe)
     hit: dict[int, Term] = {}
     for i, v in enumerate(universe):
@@ -126,7 +130,6 @@ def roundtrip_check(
     seed: int,
     value_gen=None,
     value_bound: int = 16,
-    suffix: str = "_inv",
 ) -> LawReport:
     """Forward-then-inverse recovery on random values, plus the fuel-indexed
     form: at any shared fuel, the forward and inverse runs realize each
@@ -134,8 +137,8 @@ def roundtrip_check(
     require_valid(program)
     checker = Checker("roundtrip")
     fref = closed_ref(program, parse_callref_text(fname), bindings)
-    bref = invert_binding(fref, program, suffix)
-    forward, backward = Evaluator(program), Evaluator(invert_program(program, suffix))
+    bref = invert_binding(fref, program)
+    forward, backward = Evaluator(program), Evaluator(invert_program(program))
     rng = Random(seed)
     gen = value_gen or (lambda r: random_value(r, value_bound, program.atoms))
     for _ in range(trials):

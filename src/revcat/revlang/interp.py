@@ -30,7 +30,6 @@ from operator import itemgetter
 
 from ..errors import UnboundParameter, UnknownFunction
 from .invert import invert_def
-from .parser import parse_callref_text
 from .syntax import CallRef, Cons, Pair, Program, S, Term, Var, dagger_ref, is_value
 from .validate import check_ref
 
@@ -252,19 +251,3 @@ class Evaluator:
             ref = self._resolve(callee, frame[5]) if dynamic else callee
             fuel = frame[4] - 1
 
-
-def eval_program(
-    program: Program,
-    fname: str,
-    bindings: dict[str, CallRef],
-    value: Term,
-    fuel: int,
-):
-    """Run the reference ``fname`` (e.g. ``add~``) on ``value`` with ``bindings``."""
-    ref = closed_ref(program, parse_callref_text(fname), bindings)
-    return Evaluator(program).call(ref, value, fuel)
-
-
-def eval_ref(program: Program, ref: CallRef, value: Term, fuel: int):
-    """Run a call reference, e.g. the result of parsing ``map<inc>~``."""
-    return Evaluator(program).call(closed_ref(program, ref), value, fuel)

@@ -118,10 +118,6 @@ def subterms(t: Term):
         stack.extend([getattr(t, name) for name in reversed(t.child_fields)])
 
 
-def term_size(t: Term) -> int:
-    return sum(1 for _ in subterms(t))
-
-
 def term_vars(t: Term) -> list[str]:
     """Variable names in textual order (with repetitions, if any)."""
     return [s.name for s in subterms(t) if type(s) is Var]

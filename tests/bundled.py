@@ -1,8 +1,6 @@
-"""Bundled example programs."""
-from __future__ import annotations
-
-from .parser import parse_program
-from .syntax import Program
+"""Example programs the tests run.  ``ADD`` and ``MAP`` have the same text
+as ``bench/programs/add.rvl`` and ``map.rvl``."""
+from revcat.revlang import Program, parse_program
 
 SWAP = """\
 fun swap (a, b) = (b, a)
@@ -21,10 +19,6 @@ fun map<g> (Cons x xs) = let y = g x in let ys = map<g> xs in Cons y ys
 """
 
 BUNDLED = {"swap": SWAP, "add": ADD, "map": MAP}
-
-
-def bundled_source(name: str) -> str:
-    return BUNDLED[name]
 
 
 def bundled_program(name: str) -> Program:

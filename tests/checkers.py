@@ -2,6 +2,7 @@
 
 Each returns a LawReport like the suites in ``revcat``, so a test can
 assert both that a law holds and, on broken input, that it is caught.
+``evaluate`` runs one function reference as ``revcat run`` does.
 """
 from random import Random
 
@@ -21,9 +22,17 @@ from revcat.functionals import (
 )
 from revcat.functionals.trace import trace
 from revcat.report import Checker, LawReport
-from revcat.revlang import UNDEFINED, eval_program, random_value, require_valid
+from revcat.revlang import UNDEFINED, Evaluator, closed_ref, parse_callref_text, random_value, require_valid
 
 from oracles import ReferenceEvaluator
+
+
+def evaluate(program, fname: str, bindings: dict, value, fuel: int):
+    """Run the reference ``fname`` (such as ``add~`` or ``map<inc>``) on
+    ``value`` as ``revcat run`` does: bound and checked by ``closed_ref``,
+    then one ``Evaluator.call``."""
+    ref = closed_ref(program, parse_callref_text(fname), bindings)
+    return Evaluator(program).call(ref, value, fuel)
 
 
 def check_dagger_functor(functor, category: str, sizes=(0, 1, 2)) -> LawReport:
@@ -156,8 +165,8 @@ def fuel_monotonicity_check(
         v = gen(rng)
         low = rng.randrange(0, max_fuel)
         high = rng.randrange(low, max_fuel + 1)
-        at_low = eval_program(program, fname, bindings, v, low)
-        at_high = eval_program(program, fname, bindings, v, high)
+        at_low = evaluate(program, fname, bindings, v, low)
+        at_high = evaluate(program, fname, bindings, v, high)
         ok = at_low is UNDEFINED or at_low == at_high
         checker.check(
             "fuel-monotone",

@@ -10,7 +10,9 @@ every call, the reference for the compiled ``Evaluator`` and its call table.
 ``reference_repr`` and ``reference_show`` print terms by direct recursion,
 the reference for the stack printer behind ``repr`` and ``show_term``.
 ``reference_naturality`` is the plain nested loop that the per-call tables
-of ``check_naturality`` must agree with, check for check.
+of ``check_naturality`` must agree with, check for check.  ``complement``
+and ``term_size`` are fixtures: a relation that breaks the dagger and order
+laws, and the node count that bounds ``enumerate_values``.
 """
 from dataclasses import fields
 from itertools import product
@@ -34,6 +36,7 @@ from revcat.revlang import (
     invert_def,
     match,
 )
+from revcat.revlang.syntax import subterms
 
 
 def reachability_closure(edges, n):
@@ -92,6 +95,18 @@ def orbit_trace(mapping, x_size, y_size, u_size):
         if position is not None and position < y_size:
             out[x] = position
     return out
+
+
+def complement(f):
+    """The relation holding exactly where ``f`` does not: it reverses the
+    order, so the sensitivity tests use it to break laws."""
+    mask = (1 << f.dst.size) - 1
+    return type(f)(f.src, f.dst, tuple(mask ^ row for row in f.rows))
+
+
+def term_size(t):
+    """The number of nodes of the term ``t``."""
+    return sum(1 for _ in subterms(t))
 
 
 def all_relations(n, m):

@@ -31,7 +31,6 @@ from revcat.order import FixMode, FixPolicy, kleene_fix
 from revcat.cat import HomSpace, StochMorphism
 from revcat.revlang import (
     CallRef,
-    bundled_program,
     denote,
     invert_binding,
     invert_program,
@@ -41,6 +40,7 @@ from revcat.revlang import (
     toggle_suffix,
 )
 
+from bundled import bundled_program
 from checkers import check_functors, fuel_monotonicity_check
 from oracles import reachability_closure
 

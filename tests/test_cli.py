@@ -8,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from revcat.cli import build_parser, main
-from revcat.revlang.programs import bundled_source
+
+from bundled import BUNDLED
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -36,7 +37,7 @@ def add_file(tmp_path):
 @pytest.fixture()
 def map_file(tmp_path):
     path = tmp_path / "map.rvl"
-    path.write_text(bundled_source("map"))
+    path.write_text(BUNDLED["map"])
     return str(path)
 
 
@@ -221,6 +222,29 @@ def test_trace_cycling_orbit_is_absent_from_the_output_map(capture, tmp_path):
     code, out, _ = capture("trace", path.as_posix(), "--x", "1", "--y", "1", "--u", "2", "--format", "json")
     assert code == 0
     assert json.loads(out)["trace"]["pairs"] == []
+
+
+DSTOCH_1 = {"cat": "dstoch", "src": 1, "dst": 1}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["fix", "--mode", "metric"],
+         {"op": "joinof", "left": {"op": "identity", "dom": DSTOCH_1},
+          "right": {"op": "identity", "dom": DSTOCH_1}},
+         "binary joins are not provided for dstoch"),
+        (["trace", "--x", "1", "--y", "1", "--u", "1"],
+         {"type": "dstoch", "n": 2, "rows": [[0.5, 0], [0, 0.5]]},
+         "the trace exists for rel and pinj only"),
+    ],
+    ids=["fix-joinof", "trace"],
+)
+def test_a_dstoch_document_reaching_a_refused_operation_exits_two(capture, tmp_path, argv, doc, message):
+    path = tmp_path / "dstoch.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = capture(argv[0], str(path), *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_trace_dimension_error_exits_two(capture, tmp_path):
@@ -570,7 +594,7 @@ def test_a_bad_reference_is_refused_whatever_the_input(capture, map_file, ref, b
 )
 def test_roundtrip_takes_the_references_run_takes(capture, tmp_path, program, ref, values):
     path = tmp_path / "program.rvl"
-    path.write_text(bundled_source(program))
+    path.write_text(BUNDLED[program])
     code, out, _ = capture(
         "roundtrip", str(path), ref, "--seed", "1", "--trials", "50", "--values", values,
         "--format", "json",
@@ -596,7 +620,7 @@ def test_a_config_value_gets_the_checks_of_its_flag(capture, tmp_path, argv, con
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps({"op": "joinwith", "m": {"type": "rel", "src": 1, "dst": 1, "pairs": []}}))
     program = tmp_path / "add.rvl"
-    program.write_text(bundled_source("add"))
+    program.write_text(BUNDLED["add"])
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     paths = {"{doc}": str(doc), "{program}": str(program)}
@@ -667,7 +691,7 @@ JSON_VALUES = st.recursive(
 @given(st.data())
 def test_no_config_value_crashes_a_command(tmp_path, monkeypatch, data):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "add.rvl").write_text(bundled_source("add"))
+    (tmp_path / "add.rvl").write_text(BUNDLED["add"])
     rel = {"type": "rel", "src": 1, "dst": 1, "pairs": [[0, 0]]}
     (tmp_path / "m.json").write_text(json.dumps(rel))
     (tmp_path / "doc.json").write_text(json.dumps({"op": "joinwith", "m": rel}))
@@ -681,7 +705,11 @@ def test_no_config_value_crashes_a_command(tmp_path, monkeypatch, data):
     assert code in (0, 1, 2, 3)
 
 
-@pytest.mark.parametrize("content", [b"{", b"\xff\xfe{"], ids=["bad-json", "not-utf8"])
+@pytest.mark.parametrize(
+    "content",
+    [b"{", b"\xff\xfe{", b"[" * 5_000 + b"]" * 5_000, b"1" * 5_000],
+    ids=["bad-json", "not-utf8", "too-deep", "5000-digits"],
+)
 @pytest.mark.parametrize(
     "argv",
     [
@@ -698,7 +726,7 @@ def test_every_loader_refuses_unreadable_input_with_exit_two(capture, tmp_path, 
     path.write_bytes(content)
     code, out, err = capture(*(str(path) if a == "{file}" else a for a in argv))
     assert (code, out) == (2, "")
-    assert err.startswith("error:") and "internal" not in err
+    assert err.startswith("error:") and "internal" not in err and err.count("\n") == 1
 
 
 def test_a_config_file_nested_past_the_decoders_depth_exits_two(capture, tmp_path):

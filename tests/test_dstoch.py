@@ -10,8 +10,6 @@ from revcat.cat import (
     StochMorphism,
     compose,
     dagger,
-    is_hermitian,
-    is_unitary,
     join,
     random_chain,
     random_ordered_pair,
@@ -67,12 +65,6 @@ def test_joins_and_enumeration_are_not_provided():
         join(f, f)
     with pytest.raises(UnsupportedOperation):
         HomSpace("dstoch", X2, X2).morphisms()
-
-
-def test_unitary_permutation_matrix():
-    swap = StochMorphism(X2, X2, [[0.0, 1.0], [1.0, 0.0]])
-    assert is_unitary(swap)
-    assert not is_hermitian(StochMorphism(X2, X2, [[0.0, 0.5], [0.0, 0.0]]))
 
 
 def test_invariants_preserved_by_compose_dagger_and_sup():

@@ -3,10 +3,9 @@ from revcat.cat import FinObject, HomSpace, StochMorphism, enumerate_rel
 from revcat.errors import TooLarge
 from revcat.order import FixMode, FixPolicy, kleene_fix
 from revcat.revlang import (
-    bundled_program,
+    Evaluator,
+    closed_ref,
     dagger_ref,
-    eval_program,
-    eval_ref,
     invert_binding,
     invert_program,
     parse_callref_text,
@@ -16,14 +15,17 @@ from revcat.revlang import (
 
 import pytest
 
+from bundled import bundled_program
+from checkers import evaluate
+
 
 def test_map_of_map_roundtrips_on_nested_lists():
     program = bundled_program("map")
-    ref = parse_callref_text("map<map<inc>>")
+    ref = closed_ref(program, parse_callref_text("map<map<inc>>"))
     value = parse_value("Cons (Cons Z Nil) (Cons (Cons (S Z) Nil) Nil)")
-    image = eval_ref(program, ref, value, 1000)
+    image = Evaluator(program).call(ref, value, 1000)
     assert image == parse_value("Cons (Cons (S Z) Nil) (Cons (Cons (S (S Z)) Nil) Nil)")
-    assert eval_ref(program, dagger_ref(ref), image, 1000) == value
+    assert Evaluator(program).call(closed_ref(program, dagger_ref(ref)), image, 1000) == value
 
 
 def test_nested_binding_inversion_names():
@@ -32,8 +34,8 @@ def test_nested_binding_inversion_names():
     assert show_callref(binding) == "map_inv<inc_inv>"
     inverse = invert_program(program)
     value = parse_value("Cons (Cons Z Nil) Nil")
-    image = eval_ref(program, parse_callref_text("map<map<inc>>"), value, 1000)
-    assert eval_program(inverse, "map_inv", {"g": binding}, image, 1000) == value
+    image = evaluate(program, "map<map<inc>>", {}, value, 1000)
+    assert evaluate(inverse, "map_inv", {"g": binding}, image, 1000) == value
 
 
 def test_enumeration_cap_raises_too_large():

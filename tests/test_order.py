@@ -14,7 +14,7 @@ from revcat.errors import DomainMismatch, InvalidArgument, NonConvergence
 from revcat.order import FixMode, FixPolicy, kleene_fix, kleene_pfix
 
 from checkers import spot_check_monotone
-from oracles import geometric_fixed_point, iterate_param_step, reachability_closure
+from oracles import complement, geometric_fixed_point, iterate_param_step, reachability_closure
 
 X3 = FinObject(3)
 R_EDGES = [(0, 1), (1, 2)]
@@ -175,7 +175,7 @@ def test_spot_check_monotone_composition_is_clean_and_complement_is_not():
     report = spot_check_monotone(lambda m: m, pairs)
     assert report.passed
 
-    report = spot_check_monotone(lambda m: m.complement(), pairs)
+    report = spot_check_monotone(complement, pairs)
     assert not report.passed
 
     with pytest.raises(ValueError):

@@ -7,8 +7,6 @@ from revcat.cat import (
     RelMorphism,
     compose,
     dagger,
-    is_hermitian,
-    is_unitary,
     join,
     leq,
 )
@@ -87,17 +85,6 @@ def test_enumeration_counts():
     assert len(set(homs)) == 16  # each exactly once
 
 
-def test_hermitian_and_unitary():
-    assert is_hermitian(RelMorphism.identity(X2))
-    assert is_unitary(RelMorphism.identity(X2))
-    swap = rel([(0, 1), (1, 0)])
-    assert is_hermitian(swap)
-    assert is_unitary(swap)
-    assert not is_unitary(rel([(0, 0)]))
-    with pytest.raises(DimensionMismatch):
-        is_hermitian(RelMorphism.bottom(X2, X3))
-
-
 def test_dimension_checks():
     with pytest.raises(DimensionMismatch):
         compose(rel([(0, 0)]), RelMorphism.bottom(X2, X3))
@@ -105,10 +92,3 @@ def test_dimension_checks():
         RelMorphism.from_pairs(X2, X2, [(0, 5)])
     with pytest.raises(DimensionMismatch):
         leq(rel([(0, 0)]), RelMorphism.bottom(X3, X3))
-
-
-def test_complement_reverses_strict_inclusion():
-    f, g = rel([(0, 1)]), rel([(0, 1), (1, 1)])
-    assert leq(f, g)
-    assert leq(g.complement(), f.complement())
-    assert not leq(f.complement(), g.complement())

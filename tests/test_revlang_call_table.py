@@ -21,7 +21,6 @@ from revcat.revlang import (
     Pair,
     S,
     Z,
-    bundled_program,
     dagger_ref,
     parse_callref_text,
     parse_program,
@@ -29,6 +28,7 @@ from revcat.revlang import (
     show_term,
 )
 
+from bundled import bundled_program
 from checkers import check_call_table
 from oracles import ReferenceEvaluator
 

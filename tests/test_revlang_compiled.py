@@ -14,7 +14,6 @@ from revcat.revlang import (
     Pair,
     S,
     Z,
-    bundled_program,
     dagger_ref,
     invert_binding,
     invert_program,
@@ -27,6 +26,7 @@ from revcat.revlang import (
     toggle_suffix,
 )
 
+from bundled import bundled_program
 from oracles import ReferenceEvaluator
 
 PROGRAMS = Path(__file__).resolve().parents[1] / "bench" / "programs"

@@ -5,18 +5,17 @@ from revcat.revlang import (
     STUCK,
     UNDEFINED,
     CallRef,
-    bundled_program,
+    Evaluator,
     closed_ref,
     dagger_ref,
-    eval_program,
-    eval_ref,
     parse_callref_text,
     parse_program,
     parse_value,
     random_peano_pair,
 )
 
-from checkers import fuel_monotonicity_check
+from bundled import bundled_program
+from checkers import evaluate, fuel_monotonicity_check
 
 
 def nat(n):
@@ -24,7 +23,7 @@ def nat(n):
 
 
 def run(program, fname, text, fuel=100, bindings=None):
-    return eval_program(program, fname, bindings or {}, parse_value(text), fuel)
+    return evaluate(program, fname, bindings or {}, parse_value(text), fuel)
 
 
 def test_add_computes_sum_in_second_component():
@@ -62,7 +61,7 @@ def test_stuck_when_let_pattern_rejects_result():
 def test_map_with_static_parameter():
     program = bundled_program("map")
     bindings = {"g": CallRef("inc")}
-    assert eval_program(
+    assert evaluate(
         program, "map", bindings, parse_value("Cons Z (Cons (S Z) Nil)"), 100
     ) == parse_value("Cons (S Z) (Cons (S (S Z)) Nil)")
     assert run(program, "map", "Nil", bindings=bindings) == parse_value("Nil")
@@ -70,13 +69,13 @@ def test_map_with_static_parameter():
 
 def test_marked_calls_run_the_inverse():
     program = bundled_program("add")
-    ref = parse_callref_text("add~")
-    assert eval_ref(program, ref, parse_value("(S Z, S (S Z))"), 100) == parse_value(
+    ref = closed_ref(program, parse_callref_text("add~"))
+    assert Evaluator(program).call(ref, parse_value("(S Z, S (S Z))"), 100) == parse_value(
         "(S Z, S Z)"
     )
     mapped = bundled_program("map")
-    entry = dagger_ref(parse_callref_text("map<inc>"))
-    assert eval_ref(mapped, entry, parse_value("Cons (S Z) Nil"), 100) == parse_value(
+    entry = closed_ref(mapped, dagger_ref(parse_callref_text("map<inc>")))
+    assert Evaluator(mapped).call(entry, parse_value("Cons (S Z) Nil"), 100) == parse_value(
         "Cons Z Nil"
     )
 
@@ -84,9 +83,9 @@ def test_marked_calls_run_the_inverse():
 def test_binding_errors():
     program = bundled_program("map")
     with pytest.raises(UnboundParameter):
-        eval_program(program, "map", {}, parse_value("Nil"), 10)
+        evaluate(program, "map", {}, parse_value("Nil"), 10)
     with pytest.raises(UnknownFunction):
-        eval_program(program, "nope", {}, parse_value("Nil"), 10)
+        evaluate(program, "nope", {}, parse_value("Nil"), 10)
 
 
 @pytest.mark.parametrize(
@@ -107,9 +106,7 @@ def test_closed_ref_checks_the_whole_reference_before_any_run(text, error):
         closed_ref(program, parse_callref_text(text))
     for value in ("Nil", "Cons Z Nil"):
         with pytest.raises(error):
-            eval_ref(program, parse_callref_text(text), parse_value(value), 10)
-        with pytest.raises(error):
-            eval_program(program, text, {}, parse_value(value), 10)
+            evaluate(program, text, {}, parse_value(value), 10)
 
 
 def test_closed_ref_binds_static_parameters_inline_or_by_name():

@@ -22,8 +22,6 @@ from revcat.revlang import (
     Term,
     Var,
     Z,
-    bundled_program,
-    eval_program,
     instantiate,
     invert_program,
     parse_callref_text,
@@ -41,7 +39,9 @@ from revcat.revlang import (
 from revcat.revlang import syntax
 from revcat.revlang.parser import KEYWORDS, MAX_NESTING
 
-from oracles import reference_repr, reference_show
+from bundled import bundled_program
+from checkers import evaluate
+from oracles import reference_repr, reference_show, term_size
 
 TERM_CLASSES = [Z, S, Nil, Cons, Pair, Atom, Var]
 
@@ -238,7 +238,7 @@ def test_a_deep_value_parses_prints_compares_and_hashes(deep):
         built = S(built)
     assert built == value and built is value
     assert hash(built) == hash(value) and {built: 1}[value] == 1
-    assert syntax.term_size(value) == DEPTH + 1 and syntax.is_value(value)
+    assert term_size(value) == DEPTH + 1 and syntax.is_value(value)
 
 
 def test_a_deep_value_round_trips(deep):
@@ -267,9 +267,9 @@ def test_a_program_nested_at_the_bound_validates_inverts_and_runs():
     assert parse_program(show_program(inverted)) == inverted
     value = parse_value(_nest(MAX_NESTING - 1, "S Z"))
     assert unifiable(program.defs["f"].clauses[0].lhs, value)
-    image = eval_program(program, "f", {}, value, 5)
+    image = evaluate(program, "f", {}, value, 5)
     assert _count_s(image) == MAX_NESTING + 1
-    assert eval_program(inverted, "f_inv", {}, image, 5) is value
+    assert evaluate(inverted, "f_inv", {}, image, 5) is value
 
 
 @pytest.mark.parametrize(

@@ -6,14 +6,10 @@ import pytest
 from revcat.cat import dagger
 from revcat.errors import InvalidArgument
 from revcat.revlang import (
-    BUNDLED,
     CallRef,
     ValidationFailed,
-    bundled_program,
-    bundled_source,
     denote,
     enumerate_values,
-    eval_program,
     invert_binding,
     invert_program,
     parse_callref_text,
@@ -27,6 +23,9 @@ from revcat.revlang import (
     toggle_suffix,
     validate_program,
 )
+
+from bundled import BUNDLED, bundled_program
+from checkers import evaluate
 
 
 def test_inverted_swap_is_the_flipped_clause():
@@ -68,8 +67,8 @@ INVERTED_SHIFT = (
 @pytest.mark.parametrize(
     "source, expected",
     [
-        (bundled_source("add"), INVERTED_ADD),
-        (bundled_source("map"), INVERTED_MAP),
+        (BUNDLED["add"], INVERTED_ADD),
+        (BUNDLED["map"], INVERTED_MAP),
         ((PROGRAMS / "add.rvl").read_text(encoding="utf-8"), INVERTED_ADD),
         ((PROGRAMS / "map.rvl").read_text(encoding="utf-8"), INVERTED_MAP),
         (SHIFT, INVERTED_SHIFT),
@@ -94,7 +93,7 @@ def test_inverted_program_validates_and_runs_backwards():
     add = bundled_program("add")
     inv = invert_program(add)
     assert validate_program(inv).ok
-    assert eval_program(inv, "add_inv", {}, parse_value("(S Z, S (S Z))"), 10) == \
+    assert evaluate(inv, "add_inv", {}, parse_value("(S Z, S (S Z))"), 10) == \
         parse_value("(S Z, S Z)")
 
 
@@ -121,8 +120,6 @@ def test_an_inverted_program_prints_as_text_that_parses_back(name, suffix):
 def test_a_suffix_that_cannot_be_part_of_a_name_is_refused(suffix):
     with pytest.raises(InvalidArgument):
         invert_program(bundled_program("add"), suffix)
-    with pytest.raises(InvalidArgument):
-        roundtrip_check(bundled_program("add"), "add", {}, trials=1, fuel=10, seed=0, suffix=suffix)
 
 
 @pytest.mark.parametrize(
@@ -234,8 +231,8 @@ def test_map_inverse_binding_semantics():
     program = bundled_program("map")
     inverse = invert_program(program)
     value = parse_value("Cons (S (S Z)) (Cons Z Nil)")
-    image = eval_program(program, "map", {"g": CallRef("inc")}, value, 100)
-    recovered = eval_program(
+    image = evaluate(program, "map", {"g": CallRef("inc")}, value, 100)
+    recovered = evaluate(
         inverse, "map_inv", {"g": CallRef("inc_inv")}, image, 100
     )
     assert recovered == value

@@ -12,8 +12,6 @@ from revcat.revlang import (
     S,
     Var,
     Z,
-    bundled_program,
-    bundled_source,
     parse_callref_text,
     parse_program,
     parse_value,
@@ -21,6 +19,8 @@ from revcat.revlang import (
     show_program,
     show_term,
 )
+
+from bundled import BUNDLED, bundled_program
 
 
 def test_swap_parses_to_one_clause():
@@ -120,7 +120,7 @@ def test_show_term_parenthesizes_arguments():
 
 
 def test_clauses_merge_across_lines_and_conflicting_params_rejected():
-    program = parse_program(bundled_source("add"))
+    program = parse_program(BUNDLED["add"])
     assert len(program.defs["add"].clauses) == 2
     with pytest.raises(ParseError):
         parse_program("fun f<g> Z = Z\nfun f (S x) = x")

@@ -10,7 +10,6 @@ from revcat.revlang import (
     Nil,
     Atom,
     denote,
-    eval_program,
     invert_program,
     parse_program,
     parse_value,
@@ -18,6 +17,8 @@ from revcat.revlang import (
     show_program,
     validate_program,
 )
+
+from checkers import evaluate
 
 DEC = """\
 fun inc x = S x
@@ -44,8 +45,8 @@ def program(source):
 
 def test_source_level_inverse_calls_run_backwards():
     p = program(DEC)
-    assert eval_program(p, "dec", {}, parse_value("S (S Z)"), 10) == parse_value("S Z")
-    assert eval_program(p, "dec", {}, parse_value("Z"), 10) is STUCK
+    assert evaluate(p, "dec", {}, parse_value("S (S Z)"), 10) == parse_value("S Z")
+    assert evaluate(p, "dec", {}, parse_value("Z"), 10) is STUCK
 
 
 def test_inverting_a_program_with_marked_calls():
@@ -55,14 +56,14 @@ def test_inverting_a_program_with_marked_calls():
     # dec ran inc backwards, so dec_inv runs inc forwards via a marked
     # reference to the renamed definition
     assert "inc_inv~" in show_program(inv)
-    assert eval_program(inv, "dec_inv", {}, parse_value("S Z"), 10) == parse_value("S (S Z)")
+    assert evaluate(inv, "dec_inv", {}, parse_value("S Z"), 10) == parse_value("S (S Z)")
 
 
 def test_sequential_composition_inverts_in_reverse_order():
     p = program(INC2)
     inv = invert_program(p)
-    assert eval_program(p, "inc2", {}, parse_value("Z"), 10) == parse_value("S (S Z)")
-    assert eval_program(inv, "inc2_inv", {}, parse_value("S (S Z)"), 10) == parse_value("Z")
+    assert evaluate(p, "inc2", {}, parse_value("Z"), 10) == parse_value("S (S Z)")
+    assert evaluate(inv, "inc2_inv", {}, parse_value("S (S Z)"), 10) == parse_value("Z")
     report = roundtrip_check(p, "inc2", {}, trials=50, fuel=50, seed=3)
     assert report.passed
 
@@ -78,8 +79,8 @@ def test_mirror_is_an_involution_and_self_adjoint():
     rng = Random(31)
     for _ in range(50):
         tree = random_leaf_tree(rng)
-        once = eval_program(p, "mirror", {}, tree, 100)
-        twice = eval_program(p, "mirror", {}, once, 100)
+        once = evaluate(p, "mirror", {}, tree, 100)
+        twice = evaluate(p, "mirror", {}, once, 100)
         assert twice == tree
 
     forward = denote(p, "mirror", {}, universe_bound=6, fuel=16)
@@ -97,7 +98,7 @@ def test_mirror_is_an_involution_and_self_adjoint():
 
 def test_mirror_is_stuck_off_the_tree_domain():
     p = program(MIRROR)
-    assert eval_program(p, "mirror", {}, Nil(), 10) is STUCK
+    assert evaluate(p, "mirror", {}, Nil(), 10) is STUCK
 
 
 @pytest.mark.parametrize("source", [DEC, INC2, MIRROR])

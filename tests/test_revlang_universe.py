@@ -1,16 +1,22 @@
 """Value-universe enumeration and multi-parameter definitions."""
+import pytest
+
+from revcat.errors import TooLarge
 from revcat.revlang import (
     CallRef,
+    denote,
     enumerate_values,
-    eval_program,
     invert_program,
     parse_program,
     parse_value,
     roundtrip_check,
     show_program,
-    term_size,
     validate_program,
 )
+
+from bundled import bundled_program
+from checkers import evaluate
+from oracles import term_size
 
 
 def universe_counts_by_recurrence(bound):
@@ -37,6 +43,13 @@ def test_universe_contains_each_term_once_and_respects_atoms():
     assert all(term_size(v) <= 4 for v in universe)
 
 
+def test_denote_refuses_a_universe_past_its_limit():
+    swap = bundled_program("swap")
+    assert len(denote(swap, "swap", {}, universe_bound=9, fuel=1).table) == 38_962
+    with pytest.raises(TooLarge, match="165588 terms exceeds the limit of 50000"):
+        denote(swap, "swap", {}, universe_bound=10, fuel=1)
+
+
 def test_pair_constructor_sugar_forms_agree():
     assert parse_value("Pair Z Nil") == parse_value("(Z, Nil)")
 
@@ -50,12 +63,12 @@ def test_multi_parameter_definition_runs_and_inverts():
     assert validate_program(program).ok
     bindings = {"g": CallRef("inc"), "h": CallRef("inc", (), True)}
     value = parse_value("(Z, S Z)")
-    image = eval_program(program, "both", bindings, value, 50)
+    image = evaluate(program, "both", bindings, value, 50)
     assert image == parse_value("(Z, S Z)")  # inc up on a, inc down on b, swapped
 
     inverse = invert_program(program)
     assert "fun both_inv<g, h>" in show_program(inverse)
-    recovered = eval_program(
+    recovered = evaluate(
         inverse,
         "both_inv",
         {"g": CallRef("inc_inv"), "h": CallRef("inc_inv", (), True)},

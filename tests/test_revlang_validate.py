@@ -1,4 +1,6 @@
-from revcat.revlang import bundled_program, parse_program, validate_program
+from revcat.revlang import parse_program, validate_program
+
+from bundled import BUNDLED, bundled_program
 
 
 def issues_of(source):
@@ -6,7 +8,7 @@ def issues_of(source):
 
 
 def test_bundled_programs_are_valid():
-    for name in ("swap", "add", "map"):
+    for name in BUNDLED:
         assert validate_program(bundled_program(name)).ok
 
 

@@ -13,7 +13,8 @@ from revcat.cli import main
 from revcat.cli import REGISTRY
 from revcat import functionals
 from revcat.functionals.trace import check_dagger_trace
-from revcat.revlang.programs import ADD
+
+from bundled import ADD
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "bench" / "golden"

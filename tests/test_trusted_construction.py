@@ -2,8 +2,8 @@
 
 The fast operations are checked against the scalar oracles in
 ``oracles.py``; every result must also pass the public constructor's
-validation, and the public constructors, ``from_*`` and ``block`` must
-still refuse what they refused before.
+validation, and the public constructors, ``from_*`` and rel's ``block``
+must still refuse what they refused before.
 """
 from dataclasses import FrozenInstanceError, fields
 from itertools import product
@@ -39,7 +39,6 @@ def test_rel_ops_agree_with_the_scalar_oracles_on_every_hom_set_up_to_2x2():
             d = f.dagger()
             assert d.rows == transpose_rows(f.rows, m)
             assert validated(d) == d and d.dagger() == f
-            assert validated(f.complement()) == f.complement()
             for f2 in fs:
                 joined = f.join(f2)
                 assert set(joined.pairs) == set(f.pairs) | set(f2.pairs)
@@ -137,7 +136,6 @@ X2 = FinObject(2)
         lambda: PInjMorphism(X2, X2, (2, None)),
         lambda: PInjMorphism(X2, X2, (0,)),
         lambda: RelMorphism.identity(X2).block(0, 3, 0, 2),
-        lambda: PInjMorphism.identity(X2).block(1, 3, 0, 2),
         lambda: RelMorphism.from_doc({"type": "rel", "src": 2, "dst": 2, "pairs": [[0, 2]]}),
         lambda: loads_morphism('{"type": "pinj", "src": 2, "dst": 2, "map": {"0": 5}}'),
     ],
