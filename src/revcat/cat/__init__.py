@@ -7,17 +7,14 @@ from .ops import (
     PINJ,
     REL,
     HomSpace,
-    bottom,
     compose,
     dagger,
     identity,
     join,
-    leq,
-    sup_chain,
 )
 from .pinj import PInjMorphism, enumerate_pinj
 from .rel import RelMorphism, enumerate_rel
-from .serialize import loads_morphism, morphism_from_doc, morphism_to_doc
+from .serialize import loads_morphism, morphism_from_doc
 
 __all__ = [
     "CATEGORIES",
@@ -31,7 +28,6 @@ __all__ = [
     "RelMorphism",
     "StochMorphism",
     "SUITES",
-    "bottom",
     "compose",
     "dagger",
     "enumerate_pinj",
@@ -39,12 +35,9 @@ __all__ = [
     "identity",
     "join",
     "law_suite",
-    "leq",
     "loads_morphism",
     "morphism_from_doc",
-    "morphism_to_doc",
     "random_chain",
     "random_ordered_pair",
     "random_stoch",
-    "sup_chain",
 ]

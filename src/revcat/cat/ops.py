@@ -72,25 +72,9 @@ def dagger(f):
     return f.dagger()
 
 
-def leq(f, g) -> bool:
-    return f.leq(g)
-
-
 def join(f, g):
     return f.join(g)
 
 
 def identity(category: str, obj: FinObject):
     return MORPHISM_CLASSES[category].identity(obj)
-
-
-def bottom(category: str, src: FinObject, dst: FinObject):
-    return MORPHISM_CLASSES[category].bottom(src, dst)
-
-
-def sup_chain(category: str, chain):
-    """Supremum of a finite ascending sequence within one hom-set."""
-    seq = list(chain)
-    if not seq:
-        raise ValueError("chain must be non-empty")
-    return MORPHISM_CLASSES[category].sup(seq)

@@ -11,9 +11,18 @@ class reads and writes its own document (``from_doc`` / ``to_doc``); the
 from __future__ import annotations
 
 import json
+import re
 
 from ..errors import ParseError
 from .ops import MORPHISM_CLASSES
+
+# The deepest nesting of arrays and objects in a JSON input.  Functional
+# documents are decoded, applied and conjugated by recursion, up to four
+# frames per level (``conj``), so this keeps every walk well inside Python's
+# default recursion limit of 1,000.
+MAX_NESTING = 100
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+_BRACKET = re.compile(r"[][{}]")
 
 
 def morphism_from_doc(doc: dict):
@@ -25,14 +34,16 @@ def morphism_from_doc(doc: dict):
     return cls.from_doc(doc)
 
 
-def morphism_to_doc(m) -> dict:
-    return m.to_doc()
-
-
 def read_json(text: str):
     """The value of one JSON input: a morphism or functional document, or a
-    config file.  Any failure of the decoder is a ParseError: malformed
-    text, nesting past its depth, or an integer past Python's digit limit."""
+    config file.  Nesting deeper than ``MAX_NESTING`` is a ParseError, as is
+    any failure of the decoder: malformed text, or an integer past Python's
+    digit limit."""
+    depth = 0
+    for bracket in _BRACKET.findall(_STRING.sub("", text)):
+        depth += 1 if bracket in "[{" else -1
+        if depth > MAX_NESTING:
+            raise ParseError(f"invalid JSON: nested deeper than {MAX_NESTING}")
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:

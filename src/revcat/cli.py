@@ -27,7 +27,6 @@ from .cat import (
     PINJ,
     REL,
     law_suite,
-    morphism_to_doc,
     loads_morphism,
 )
 from .cat.laws import SUITES as CORE_SUITES
@@ -281,13 +280,13 @@ def cmd_fix(args) -> int:
             "max_iterations": args.max_iterations,
             "tolerance": args.tolerance,
         },
-        "fixed_point": morphism_to_doc(result.value),
+        "fixed_point": result.value.to_doc(),
         "iterations": result.iterations,
         "converged": result.converged,
         "residual": result.residual,
     }
     lines = [
-        f"fixed point: {json.dumps(morphism_to_doc(result.value), sort_keys=True)}",
+        f"fixed point: {json.dumps(result.value.to_doc(), sort_keys=True)}",
         f"iterations: {result.iterations} converged: {result.converged}"
         + (f" residual: {result.residual:.3g}" if result.residual is not None else ""),
     ]
@@ -304,9 +303,9 @@ def cmd_trace(args) -> int:
     doc = {
         "command": "trace",
         "config": {"file": args.file, "x": args.x, "y": args.y, "u": args.u},
-        "trace": morphism_to_doc(traced),
+        "trace": traced.to_doc(),
     }
-    _emit(args, doc, [json.dumps(morphism_to_doc(traced), sort_keys=True)])
+    _emit(args, doc, [json.dumps(traced.to_doc(), sort_keys=True)])
     return 0
 
 

@@ -80,8 +80,8 @@ def invert_program(program: Program, suffix: str = "_inv") -> Program:
     return inverted
 
 
-def invert_binding(ref: CallRef, program: Program, suffix: str = "_inv") -> CallRef:
+def invert_binding(ref: CallRef, program: Program) -> CallRef:
     """The binding to hand to an inverted definition so that it computes the
     inverse of the original instantiation: the inverse of each bound function,
-    named in the renamed program."""
-    return _renamed(ref, program, (), suffix)
+    named in the program inverted with the default suffix ``_inv``."""
+    return _renamed(ref, program, (), "_inv")

@@ -15,7 +15,7 @@ atom literal, and a trailing ~ marks an inverse call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from ..errors import ParseError
 from .syntax import (
@@ -33,107 +33,88 @@ from .syntax import (
 )
 
 KEYWORDS = {"fun", "let", "in", "atom"}
-PUNCT = "(),<>=~"
 # The deepest nesting of brackets in program text and call references.  The
 # evaluator's compiled matchers and builders and the walks over call
 # references recurse once per level; value literals have no bound.
 MAX_NESTING = 200
 
+# One alternative per kind of lexeme; ``bad`` is any character no other
+# alternative takes.  Names are letters, digits and _ (as str.isalnum), but
+# start with a letter or _.  Comments take no columns: the end of input after
+# one is reported where the comment starts.
+_LEXEME = re.compile(
+    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>--[^\n]*)"
+    r"|'(?P<atomlit>\w*)|(?P<word>\w+)|(?P<punct>[(),<>=~])|(?P<bad>.)",
+    re.DOTALL,
+)
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # name | cons | atomlit | punct | eof
-    text: str
-    line: int
-    col: int
 
-
-def tokenize(source: str) -> list[Token]:
+def tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    """``(kind, text, line, col)`` for each token, kind being one of name,
+    cons, atomlit, punct, and eof for the last."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    m = None
+    for m in _LEXEME.finditer(source):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "space" or kind == "comment":
             continue
-        if source.startswith("--", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch == "'":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            if j == i + 1:
-                raise ParseError("empty atom literal", line, start_col)
-            tokens.append(Token("atomlit", source[i + 1 : j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
+        text = m[kind]
+        col = m.start() - line_start + 1
+        if kind == "word":
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise ParseError(f"unexpected character {text[0]!r}", line, col)
             kind = "cons" if text[0].isupper() else "name"
-            tokens.append(Token(kind, text, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in PUNCT:
-            tokens.append(Token("punct", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(Token("eof", "", line, col))
+        elif kind == "atomlit" and not text:
+            raise ParseError("empty atom literal", line, col)
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        tokens.append((kind, text, line, col))
+    end = m.start() if m is not None and m.lastgroup == "comment" else len(source)
+    tokens.append(("eof", "", line, end - line_start + 1))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[tuple[str, str, int, int]]):
         self.tokens = tokens
         self.pos = 0
 
     @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
+    def kind(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def advance(self) -> Token:
-        tok = self.current
+    @property
+    def text(self) -> str:
+        return self.tokens[self.pos][1]
+
+    def advance(self) -> str:
+        """Step past the current token; its text."""
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1][1]
 
     def fail(self, message: str):
-        tok = self.current
-        raise ParseError(message, tok.line, tok.col)
+        _, _, line, col = self.tokens[self.pos]
+        raise ParseError(message, line, col)
 
-    def expect_punct(self, text: str) -> Token:
-        tok = self.current
-        if tok.kind != "punct" or tok.text != text:
-            self.fail(f"expected {text!r}, found {tok.text!r}")
-        return self.advance()
+    def expect_punct(self, text: str) -> None:
+        if self.kind != "punct" or self.text != text:
+            self.fail(f"expected {text!r}, found {self.text!r}")
+        self.advance()
 
-    def expect_name(self) -> Token:
-        tok = self.current
-        if tok.kind != "name" or tok.text in KEYWORDS:
-            self.fail(f"expected a name, found {tok.text!r}")
+    def expect_name(self) -> str:
+        if self.kind != "name" or self.text in KEYWORDS:
+            self.fail(f"expected a name, found {self.text!r}")
         return self.advance()
 
     def at_punct(self, text: str) -> bool:
-        return self.current.kind == "punct" and self.current.text == text
+        return self.kind == "punct" and self.text == text
 
     def at_keyword(self, word: str) -> bool:
-        return self.current.kind == "name" and self.current.text == word
+        return self.kind == "name" and self.text == word
 
     # -- terms -------------------------------------------------------------
 
@@ -146,25 +127,25 @@ class _Parser:
         stack: list[list] = []
         parens = 0
         while True:
-            tok = self.current
-            if tok.kind == "cons":
-                cls = CONSTRUCTORS.get(tok.text)
+            kind, text, _, _ = self.tokens[self.pos]
+            if kind == "cons":
+                cls = CONSTRUCTORS.get(text)
                 if cls is None:
-                    self.fail(f"unknown constructor {tok.text!r}")
+                    self.fail(f"unknown constructor {text!r}")
                 if cls.child_fields and atomic:
-                    self.fail(f"constructor {tok.text} takes arguments; parenthesize it")
+                    self.fail(f"constructor {text} takes arguments; parenthesize it")
                 self.advance()
                 if cls.child_fields:
                     stack.append([cls, []])
                     atomic = True
                     continue
                 term = cls()
-            elif tok.kind == "atomlit":
+            elif kind == "atomlit":
                 self.advance()
-                term = Atom(tok.text)
-            elif tok.kind == "name" and tok.text not in KEYWORDS:
+                term = Atom(text)
+            elif kind == "name" and text not in KEYWORDS:
                 self.advance()
-                term = Var(tok.text)
+                term = Var(text)
             elif self.at_punct("("):
                 parens += 1
                 if limit is not None and parens > limit:
@@ -174,7 +155,7 @@ class _Parser:
                 atomic = False
                 continue
             else:
-                self.fail(f"expected a term, found {tok.text!r}")
+                self.fail(f"expected a term, found {text!r}")
             # ``term`` is whole: hand it to the frames it completes.
             while stack:
                 cls, args = stack[-1]
@@ -201,7 +182,7 @@ class _Parser:
     # -- call references ----------------------------------------------------
 
     def parse_callref(self, depth: int = 0) -> CallRef:
-        name = self.expect_name().text
+        name = self.expect_name()
         args: tuple[CallRef, ...] = ()
         if self.at_punct("<"):
             if depth == MAX_NESTING:
@@ -236,16 +217,16 @@ class _Parser:
         return tuple(lets), self.parse_term()
 
     def parse_fundef_clause(self) -> tuple[str, tuple[str, ...], Clause]:
-        line = self.current.line
+        line = self.tokens[self.pos][2]
         self.advance()  # 'fun'
-        name = self.expect_name().text
+        name = self.expect_name()
         params: tuple[str, ...] = ()
         if self.at_punct("<"):
             self.advance()
-            collected = [self.expect_name().text]
+            collected = [self.expect_name()]
             while self.at_punct(","):
                 self.advance()
-                collected.append(self.expect_name().text)
+                collected.append(self.expect_name())
             self.expect_punct(">")
             params = tuple(collected)
         lhs = self.parse_term(atomic=True)
@@ -256,16 +237,16 @@ class _Parser:
     def parse_program(self) -> Program:
         program = Program()
         atoms: list[str] = []
-        while self.current.kind != "eof":
+        while self.kind != "eof":
             if self.at_keyword("atom"):
                 self.advance()
-                while self.current.kind == "name" and self.current.text not in KEYWORDS:
-                    atoms.append(self.advance().text)
+                while self.kind == "name" and self.text not in KEYWORDS:
+                    atoms.append(self.advance())
             elif self.at_keyword("fun"):
                 name, params, clause = self.parse_fundef_clause()
                 program.define(FuncDef(name, params, (clause,), clause.line))
             else:
-                self.fail(f"expected 'fun' or 'atom', found {self.current.text!r}")
+                self.fail(f"expected 'fun' or 'atom', found {self.text!r}")
         program.atoms = tuple(dict.fromkeys(atoms))
         return program
 
@@ -278,8 +259,8 @@ def parse_value(text: str) -> Term:
     """Parse a closed value literal, e.g. ``(S Z, Cons 'a Nil)``."""
     parser = _Parser(tokenize(text))
     term = parser.parse_term(limit=None)
-    if parser.current.kind != "eof":
-        parser.fail(f"trailing input after value: {parser.current.text!r}")
+    if parser.kind != "eof":
+        parser.fail(f"trailing input after value: {parser.text!r}")
     if not is_value(term):
         raise ParseError("value literals cannot contain variables")
     return term
@@ -289,6 +270,6 @@ def parse_callref_text(text: str) -> CallRef:
     """Parse a call reference such as ``map<inc~>`` or ``add~``."""
     parser = _Parser(tokenize(text))
     ref = parser.parse_callref()
-    if parser.current.kind != "eof":
-        parser.fail(f"trailing input after reference: {parser.current.text!r}")
+    if parser.kind != "eof":
+        parser.fail(f"trailing input after reference: {parser.text!r}")
     return ref

@@ -6,7 +6,7 @@ assert both that a law holds and, on broken input, that it is caught.
 """
 from random import Random
 
-from revcat.cat import FinObject, compose, dagger, identity, leq
+from revcat.cat import FinObject, compose, dagger, identity
 from revcat.errors import IncompatibleJoin
 from revcat.functionals import (
     ArgP,
@@ -116,11 +116,11 @@ def spot_check_monotone(step, sample_pairs) -> LawReport:
     """Probe step for monotonicity on pairs already known to satisfy f <= g."""
     checker = Checker("monotone-spot-check")
     for f, g in sample_pairs:
-        if not leq(f, g):
+        if not f.leq(g):
             raise ValueError("sample pair is not ordered: expected f <= g")
         checker.check(
             "monotonicity",
-            leq(step(f), step(g)),
+            step(f).leq(step(g)),
             lambda f=f, g=g: f"f={f!r} g={g!r}",
         )
     return checker.done()

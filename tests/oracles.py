@@ -20,7 +20,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from revcat.cat import bottom, compose
+from revcat.cat import HomSpace, compose
 from revcat.errors import IncompatibleJoin, UnboundParameter, UnknownFunction
 from revcat.functionals import HomSpace, apply_param, pfix_functional
 from revcat.report import Checker
@@ -305,7 +305,7 @@ def reference_naturality(family, x, xp, y, yp, fuel=10):
     h_homs = arg1.morphisms()
     p_homs = par1.morphisms()
     bot1 = arg1.bottom
-    bot2 = bottom(family.category, F.apply_obj(xp), F.apply_obj(yp))
+    bot2 = HomSpace(family.category, F.apply_obj(xp), F.apply_obj(yp)).bottom
 
     for u in u_homs:
         fu, gu = F.apply_mor(u), G.apply_mor(u)

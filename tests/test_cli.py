@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
+from revcat.cat.serialize import MAX_NESTING
 from revcat.cli import build_parser, main
+from revcat.functionals import loads_functional
+from revcat.functionals.expr import conj
 
 from bundled import BUNDLED
 
@@ -738,6 +741,51 @@ def test_a_config_file_nested_past_the_decoders_depth_exits_two(capture, tmp_pat
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: bad config file:") and err.count("\n") == 1
+
+
+# An input of each JSON reader nested ``depth`` deep, and its command line.
+NESTED = {
+    # Daggers around an identity: a functional that ``fix`` runs.
+    "fix": (
+        lambda depth: '{"op": "dagger", "inner": ' * (depth - 2)
+        + '{"op": "identity", "dom": {"cat": "rel", "src": 1, "dst": 1}}'
+        + "}" * (depth - 2),
+        ["fix", "{file}"],
+    ),
+    # Nested lists where a morphism's pairs, or an option's value, belong.
+    "trace": (
+        lambda depth: '{"type": "rel", "src": 1, "dst": 1, "pairs": '
+        + "[" * (depth - 1) + "]" * (depth - 1) + "}",
+        ["trace", "{file}", "--x", "1", "--y", "1", "--u", "0"],
+    ),
+    "config": (
+        lambda depth: '{"seed": ' + "[" * (depth - 1) + "]" * (depth - 1) + "}",
+        ["--config", "{file}", "laws", "--category", "rel", "--suite", "dagger", "--sizes", "1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NESTED))
+def test_json_is_read_to_the_nesting_bound_and_refused_past_it(capture, tmp_path, command):
+    document, argv = NESTED[command]
+    path = tmp_path / "input.json"
+    argv = [str(path) if a == "{file}" else a for a in argv]
+    path.write_text(document(MAX_NESTING))
+    code, out, err = capture(*argv)
+    # At the bound the reader hands the value on: fix runs it, and trace and
+    # laws refuse it for what it holds, as they would at any depth.
+    if command == "fix":
+        assert (code, err) == (0, "") and out.startswith("fixed point: ")
+        # conj, the deepest walk (four frames a level), also takes it.
+        phi = loads_functional(path.read_text())
+        assert conj(phi).apply(phi.dom.bottom) == phi.dom.bottom
+    else:
+        assert (code, out) == (2, "") and "nested" not in err and err.count("\n") == 1
+    path.write_text(document(MAX_NESTING + 1))
+    code, out, err = capture(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.endswith(f"invalid JSON: nested deeper than {MAX_NESTING}\n")
 
 
 def test_config_file_supplies_defaults(capture, add_file, tmp_path):

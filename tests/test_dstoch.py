@@ -14,7 +14,6 @@ from revcat.cat import (
     random_chain,
     random_ordered_pair,
     random_stoch,
-    sup_chain,
 )
 from revcat.cat.serialize import loads_morphism
 from revcat.errors import DimensionMismatch, ParseError, UnsupportedOperation
@@ -78,7 +77,7 @@ def test_invariants_preserved_by_compose_dagger_and_sup():
             assert np.all(m.sum(axis=0) <= 1 + 1e-9)
             assert np.all(m.sum(axis=1) <= 1 + 1e-9)
         chain = random_chain(X2, rng, 4)
-        sup = sup_chain("dstoch", chain)
+        sup = StochMorphism.sup(chain)
         m = np.array(sup.rows)
         assert np.all(m.sum(axis=0) <= 1 + 1e-9)
         assert np.all(m.sum(axis=1) <= 1 + 1e-9)
@@ -135,7 +134,7 @@ def test_sup_of_a_non_chain_that_leaves_the_category_is_refused():
     f = StochMorphism(X2, X2, [[0.9, 0.0], [0.0, 0.0]])
     g = StochMorphism(X2, X2, [[0.0, 0.9], [0.0, 0.0]])
     with pytest.raises(DimensionMismatch):
-        sup_chain("dstoch", [f, g])
+        StochMorphism.sup([f, g])
 
 
 @st.composite
@@ -176,11 +175,11 @@ def test_tuple_ops_agree_with_the_numpy_oracle_up_to_6x6(fg, tolerance):
         assert abs(x.distance(y) - (np.abs(p - q).max() if n else 0.0)) <= 1e-12
     joined = np.maximum(a, b)
     if stoch_valid(joined):
-        assert close(sup_chain("dstoch", [f, g]).rows, joined)
+        assert close(StochMorphism.sup([f, g]).rows, joined)
     else:
         with pytest.raises(DimensionMismatch):
-            sup_chain("dstoch", [f, g])
-    assert sup_chain("dstoch", [damped, f]) == f
+            StochMorphism.sup([f, g])
+    assert StochMorphism.sup([damped, f]) == f
 
 
 @given(st.integers(0, 6), st.integers(0, 2 ** 32))

@@ -1,7 +1,15 @@
 """The checkers must be able to fail: feed them deliberately broken input."""
 import pytest
 
-from revcat.cat import FinObject, LawConfig, RelMorphism, StochMorphism, dagger, law_suite
+from revcat.cat import (
+    FinObject,
+    LawConfig,
+    PInjMorphism,
+    RelMorphism,
+    StochMorphism,
+    dagger,
+    law_suite,
+)
 from revcat.functionals import (
     ArgP,
     ArgX,
@@ -18,6 +26,7 @@ from revcat.functionals import (
     fix_functional,
 )
 from revcat.functionals.expr import JoinWith, PostCompose, PreCompose, Seq
+from revcat.report import Violation
 from revcat.revlang import (
     UNDEFINED,
     CallRef,
@@ -134,6 +143,31 @@ def test_enrichment_suite_flags_a_rel_compose_that_relates_everything(monkeypatc
 def test_dstoch_dagger_suite_flags_a_dagger_that_transposes_nothing(monkeypatch):
     monkeypatch.setattr(StochMorphism, "dagger", lambda f: f)
     assert "compose-dagger" in _failed_laws("dstoch", "dagger", LawConfig(trials=50, seed=1))
+
+
+@pytest.mark.parametrize(
+    "suite, laws",
+    [("dagger", {"identity-dagger", "double-dagger"}), ("order-iso", {"order-iso"})],
+)
+def test_dagger_suites_flag_a_pinj_dagger_that_forgets_every_point(monkeypatch, suite, laws):
+    monkeypatch.setattr(PInjMorphism, "dagger", lambda f: PInjMorphism.bottom(f.dst, f.src))
+    report = law_suite("pinj", suite, LawConfig(sizes=(1, 2)))
+    assert laws <= {v.law for v in report.violations}
+    if suite == "dagger":
+        assert report.violations[0] == Violation("identity-dagger", "PInj(1->1, {0: 0})")
+
+
+@pytest.mark.parametrize(
+    "suite, laws",
+    [
+        ("enrichment", {"compose-monotone-left", "compose-monotone-right"}),
+        ("monotone-dagger", {"dagger-monotone"}),
+        ("order-iso", {"order-iso-ordered"}),
+    ],
+)
+def test_order_suites_flag_a_dstoch_leq_that_refuses_everything(monkeypatch, suite, laws):
+    monkeypatch.setattr(StochMorphism, "leq", lambda f, g, tolerance=0.0: False)
+    assert laws <= _failed_laws("dstoch", suite, LawConfig(sizes=(1, 2), trials=20, seed=1))
 
 
 class _AnyFuelRow(dict):

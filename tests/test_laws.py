@@ -1,7 +1,9 @@
+from string import Formatter
+
 import pytest
 
-from revcat.cat import LawConfig, law_suite
-from revcat.cat.laws import SUITES
+from revcat.cat import CATEGORIES, LawConfig, law_suite
+from revcat.cat.laws import LAWS, SUITES
 from revcat.report import LawReport, Violation
 
 
@@ -70,3 +72,19 @@ def test_reports_merge_associatively():
     assert left.by_law == right.by_law == {"law": 3}
     with pytest.raises(ValueError):
         a.merge(LawReport("other"))
+
+
+def test_every_law_is_checked_and_the_categories_check_the_same_laws():
+    config = LawConfig(sizes=(1, 2), trials=3, seed=1)
+    laws = {(c, s): set(law_suite(c, s, config).by_law) for c in CATEGORIES for s in SUITES}
+    assert set().union(*laws.values()) == set(LAWS)
+    for suite in SUITES:
+        # Only the randomized suite draws ordered pairs apart from its order-iso pair.
+        assert laws["rel", suite] == laws["pinj", suite] == laws["dstoch", suite] - {"order-iso-ordered"}
+
+
+def test_every_witness_names_every_argument_of_its_instance():
+    for law, (holds, witness) in LAWS.items():
+        arity = holds.__code__.co_argcount - 1  # the tolerance comes last
+        fields = {int(name) for _, name, _, _ in Formatter().parse(witness) if name is not None}
+        assert fields == set(range(arity)), law

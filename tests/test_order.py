@@ -7,8 +7,6 @@ from revcat.cat import (
     HomSpace,
     compose,
     join,
-    leq,
-    sup_chain,
 )
 from revcat.errors import DomainMismatch, InvalidArgument, NonConvergence
 from revcat.order import FixMode, FixPolicy, kleene_fix, kleene_pfix
@@ -129,12 +127,12 @@ def test_kleene_chain_is_ascending_and_result_is_least_fixed_point():
 
     result = kleene_fix(recording_step, REL_DOM, FixPolicy())
     for earlier, later in zip(iterates, iterates[1:]):
-        assert leq(earlier, later)
+        assert earlier.leq(later)
     # least among all enumerated fixed points
     value = result.value
     for candidate in REL_DOM.morphisms():
         if closure_step(candidate) == candidate:
-            assert leq(value, candidate)
+            assert value.leq(candidate)
 
 
 def test_exact_mode_converges_within_hom_size():
@@ -151,22 +149,22 @@ def test_hom_domain_order_axioms_on_enumerated_triples():
     dom = HomSpace("rel", small, FinObject(1))
     elements = dom.morphisms()
     for f in elements:
-        assert leq(f, f)
-        assert leq(dom.bottom, f)
+        assert f.leq(f)
+        assert dom.bottom.leq(f)
         for g in elements:
-            if leq(f, g) and leq(g, f):
+            if f.leq(g) and g.leq(f):
                 assert f == g
             for h in elements:
-                if leq(f, g) and leq(g, h):
-                    assert leq(f, h)
+                if f.leq(g) and g.leq(h):
+                    assert f.leq(h)
     constant = elements[-1]
-    assert sup_chain("rel", [constant, constant, constant]) == constant
+    assert RelMorphism.sup([constant, constant, constant]) == constant
 
 
 def test_spot_check_monotone_composition_is_clean_and_complement_is_not():
     small = FinObject(2)
     elements = HomSpace("rel", small, small).morphisms()
-    pairs = [(f, g) for f in elements for g in elements if leq(f, g)]
+    pairs = [(f, g) for f in elements for g in elements if f.leq(g)]
     r = RelMorphism.from_pairs(small, small, [(0, 1)])
 
     report = spot_check_monotone(lambda m: compose(r, m), pairs)

@@ -8,7 +8,6 @@ from revcat.cat import (
     compose,
     dagger,
     join,
-    leq,
 )
 from revcat.errors import DimensionMismatch, IncompatibleJoin
 
@@ -48,9 +47,9 @@ def test_strictness_of_composition():
 
 
 def test_leq_is_graph_extension():
-    assert leq(pinj({0: 1}), pinj({0: 1, 1: 2}))
-    assert not leq(pinj({0: 1}), pinj({0: 2}))
-    assert leq(PInjMorphism.bottom(X3, X3), pinj({2: 2}))
+    assert pinj({0: 1}).leq(pinj({0: 1, 1: 2}))
+    assert not pinj({0: 1}).leq(pinj({0: 2}))
+    assert PInjMorphism.bottom(X3, X3).leq(pinj({2: 2}))
 
 
 def test_join_requires_compatibility():
@@ -105,5 +104,5 @@ def test_embedding_into_rel_is_a_faithful_dagger_functor():
         assert dagger(f).to_rel() == dagger(f.to_rel())
         for g in homs2:
             assert compose(g, f).to_rel() == compose(g.to_rel(), f.to_rel())
-            assert leq(f, g) == leq(f.to_rel(), g.to_rel())
+            assert f.leq(g) == f.to_rel().leq(g.to_rel())
     assert len({f.to_rel() for f in homs2}) == len(homs2)  # faithful

@@ -8,7 +8,6 @@ from revcat.cat import (
     compose,
     dagger,
     join,
-    leq,
 )
 from revcat.errors import DimensionMismatch
 
@@ -57,11 +56,11 @@ def test_dagger_is_converse_and_involutive():
 
 
 def test_leq_is_subset_and_bottom_is_least():
-    assert leq(rel([(0, 1)]), rel([(0, 1), (1, 1)]))
-    assert not leq(rel([(0, 0)]), rel([(0, 1)]))
+    assert rel([(0, 1)]).leq(rel([(0, 1), (1, 1)]))
+    assert not rel([(0, 0)]).leq(rel([(0, 1)]))
     bottom = RelMorphism.bottom(X2, X2)
     for pairs in all_relations(2, 2):
-        assert leq(bottom, rel(sorted(pairs)))
+        assert bottom.leq(rel(sorted(pairs)))
 
 
 def test_join_is_union_and_bottom_is_unit():
@@ -91,4 +90,4 @@ def test_dimension_checks():
     with pytest.raises(DimensionMismatch):
         RelMorphism.from_pairs(X2, X2, [(0, 5)])
     with pytest.raises(DimensionMismatch):
-        leq(rel([(0, 0)]), RelMorphism.bottom(X3, X3))
+        rel([(0, 0)]).leq(RelMorphism.bottom(X3, X3))

@@ -72,9 +72,23 @@ def test_value_enumeration_order():
         ("fun f S = Z", "constructor S takes arguments; parenthesize it at 1:7"),
         ("fun f x = Cons Quux x", "unknown constructor 'Quux' at 1:16"),
         ("fun f (Pair) = x", "expected a term, found ')' at 1:12"),
+        # The scanner: a comment takes no columns, a tab or CR takes one.
+        ("S -- a comment", "expected a term, found '' at 1:3"),
+        ("S\t\r(", "expected a term, found '' at 1:5"),
+        ("fun f x = x\n  3x", "unexpected character '3' at 2:3"),
+        ("fun f x = \u00bd", "unexpected character '\u00bd' at 1:11"),
+        ("fun f x = ' x", "empty atom literal at 1:11"),
+        ("fun f x = x -\n", "unexpected character '-' at 1:13"),
     ],
 )
 def test_parse_errors_keep_their_text_and_position(source, message):
     with pytest.raises(ParseError) as err:
         parse_program(source) if source.startswith("fun") else parse_value(source)
     assert str(err.value) == message
+
+
+def test_names_take_any_letter_and_lines_may_end_in_cr_lf():
+    program = parse_program("fun \u0192_1 x\t=\r\n  Cons '\u00e9 x -- id\n")
+    (fdef,) = program.defs.values()
+    assert fdef.name == "\u0192_1"
+    assert show_term(fdef.clauses[0].out) == "Cons '\u00e9 x"
