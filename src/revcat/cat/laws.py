@@ -103,8 +103,7 @@ def law_suite(category: str, suite: str, config: LawConfig = LawConfig()) -> Law
     for law, instances in batches:
         holds, witness = LAWS[law]
         for args in instances:
-            ok = holds(*args, tol)
-            check(law, ok, "" if ok else witness.format(*args))
+            check(law, holds(*args, tol), witness, *args)
     return checker.done()
 
 

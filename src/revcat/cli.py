@@ -73,6 +73,7 @@ from .revlang import (
     show_program,
     show_term,
 )
+from .revlang.invert import SUFFIX
 
 
 class ConfigError(RevcatError):
@@ -479,7 +480,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common(p)
     p.add_argument("file")
     p.add_argument("-o", "--output")
-    p.add_argument("--suffix", default="_inv")
+    p.add_argument("--suffix", default=SUFFIX)
     p.set_defaults(fn=cmd_invert)
 
     p = commands["roundtrip"] = sub.add_parser("roundtrip", help="forward/backward recovery check")

@@ -66,7 +66,7 @@ def check_fixed_point_adjoint(phi: FunctionalExpr) -> LawReport:
     checker.check(
         "fix-adjoint",
         adjoint.isclose(dagger(direct)),
-        lambda: f"fix={direct!r} fix-of-conjugate={adjoint!r}",
+        "fix={0!r} fix-of-conjugate={1!r}", direct, adjoint,
     )
     return checker.done()
 
@@ -74,18 +74,14 @@ def check_fixed_point_adjoint(phi: FunctionalExpr) -> LawReport:
 def _pointwise(checker: Checker, law: str, parameters, sides, witness: str) -> LawReport:
     """Check ``law`` as ``lhs.isclose(rhs)`` for ``lhs, rhs = sides(p)`` at
     each parameter ``p``, skipping it where a join is undefined.  ``witness``
-    is formatted with ``p``, ``lhs`` and ``rhs``."""
+    is a template over ``p``, ``lhs`` and ``rhs``, in that order."""
     for p in parameters:
         try:
             lhs, rhs = sides(p)
         except IncompatibleJoin:
             checker.skip(law)
             continue
-        checker.check(
-            law,
-            lhs.isclose(rhs),
-            lambda p=p, lhs=lhs, rhs=rhs: witness.format(p=p, lhs=lhs, rhs=rhs),
-        )
+        checker.check(law, lhs.isclose(rhs), witness, p, lhs, rhs)
     return checker.done()
 
 
@@ -97,7 +93,7 @@ def check_pfix_adjoint(psi: ParamExpr) -> LawReport:
         "pfix-adjoint",
         psi.param_space.morphisms(),
         lambda p: (dagger(pfix(p)), pfix_conj(dagger(p))),
-        "p={p!r} lhs={lhs!r} rhs={rhs!r}",
+        "p={0!r} lhs={1!r} rhs={2!r}",
     )
 
 
@@ -114,7 +110,7 @@ def check_conj_preservation(psi: ParamExpr) -> LawReport:
         "conj-preservation",
         conjugate.param_space.morphisms(),
         lambda p: (dagger(pfix(dagger(p))), pfix_conj(p)),
-        "p={p!r} lhs={lhs!r} rhs={rhs!r}",
+        "p={0!r} lhs={1!r} rhs={2!r}",
     )
 
 
@@ -132,7 +128,7 @@ def check_pfix_identity(psi: ParamExpr) -> LawReport:
         "pfix-fixpoint",
         psi.param_space.morphisms(),
         sides,
-        "p={p!r} pfix={rhs!r} psi(pfix,p)={lhs!r}",
+        "p={0!r} pfix={2!r} psi(pfix,p)={1!r}",
     )
 
 

@@ -152,7 +152,7 @@ def check_naturality(
                     checker.check(
                         "family-square",
                         lhs == rhs,
-                        lambda u=u, v=v, h=h, p=p: f"u={u!r} v={v!r} h={h!r} p={p!r}",
+                        "u={0!r} v={1!r} h={2!r} p={3!r}", u, v, h, p,
                     )
 
                 a, b = bot1, bot2
@@ -164,7 +164,7 @@ def check_naturality(
                         checker.check(
                             "iterate-square",
                             b == moved[a],
-                            lambda u=u, v=v, p=p, n=n: f"n={n} u={u!r} v={v!r} p={p!r}",
+                            "n={0} u={1!r} v={2!r} p={3!r}", n, u, v, p,
                         )
                 except IncompatibleJoin:
                     checker.skip("iterate-square")
@@ -180,7 +180,7 @@ def check_naturality(
                     checker.check(
                         "pfix-square",
                         lhs == rhs,
-                        lambda u=u, v=v, p=p: f"u={u!r} v={v!r} p={p!r}",
+                        "u={0!r} v={1!r} p={2!r}", u, v, p,
                     )
     return checker.done()
 
@@ -204,9 +204,10 @@ def check_self_conjugate(family: NaturalFamily, x: FinObject, y: FinObject) -> L
     a_xy = family.component(x, y)
     a_yx = family.component(y, x)
     if isinstance(a_xy, ParamExpr):
-        names, spaces, conj_yx = ("h", "p"), (a_xy.arg_space, a_xy.param_space), conj_param(a_yx)
+        witness, conj_yx = "h={0!r} p={1!r}", conj_param(a_yx)
+        spaces = (a_xy.arg_space, a_xy.param_space)
     else:
-        names, spaces, conj_yx = ("f",), (a_xy.dom,), conj(a_yx)
+        witness, spaces, conj_yx = "f={0!r}", (a_xy.dom,), conj(a_yx)
 
     for args in product(*(space.morphisms() for space in spaces)):
         try:
@@ -218,8 +219,7 @@ def check_self_conjugate(family: NaturalFamily, x: FinObject, y: FinObject) -> L
             continue
         first = dagger(direct).isclose(swapped)
         second = via_conj.isclose(direct)
-        witness = lambda args=args: " ".join(f"{n}={a!r}" for n, a in zip(names, args))
-        checker.check("dagger-preservation", first, witness)
-        checker.check("conjugate-formulation", second, witness)
-        checker.check("formulations-agree", first == second, witness)
+        checker.check("dagger-preservation", first, witness, *args)
+        checker.check("conjugate-formulation", second, witness, *args)
+        checker.check("formulations-agree", first == second, witness, *args)
     return checker.done()

@@ -69,7 +69,7 @@ def check_dagger_trace(category: str, x_size: int, y_size: int, u_size: int) -> 
         checker.check(
             "trace-dagger",
             dagger(trace(f, x, y, u)) == trace(dagger(f), y, x, u),
-            lambda f=f: f"f={f!r}",
+            "f={0!r}", f,
         )
 
     a_homs = HomSpace(category, x, x).morphisms()
@@ -83,6 +83,6 @@ def check_dagger_trace(category: str, x_size: int, y_size: int, u_size: int) -> 
                 checker.check(
                     "trace-natural",
                     trace(moved, x, y, u) == compose(b, compose(tr_f, a)),
-                    lambda f=f, a=a, b=b: f"f={f!r} a={a!r} b={b!r}",
+                    "f={0!r} a={1!r} b={2!r}", f, a, b,
                 )
     return checker.done()

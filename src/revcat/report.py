@@ -72,12 +72,13 @@ class Checker:
         self.report = LawReport(suite=suite)
         self._start = perf_counter()
 
-    def check(self, law: str, ok: bool, witness) -> bool:
+    def check(self, law: str, ok: bool, witness: str, *args) -> bool:
+        """Count one instance of ``law``; if it fails, record the ``str.format``
+        template ``witness`` filled with ``args``.  A pass formats nothing."""
         self.report.checked += 1
         self.report.by_law[law] = self.report.by_law.get(law, 0) + 1
         if not ok:
-            text = witness() if callable(witness) else str(witness)
-            self.report.violations.append(Violation(law, text))
+            self.report.violations.append(Violation(law, witness.format(*args)))
         return ok
 
     def skip(self, law: str) -> None:

@@ -151,7 +151,7 @@ def roundtrip_check(
         checker.check(
             "roundtrip",
             back == v,
-            lambda v=v, w=w, back=back: f"v={v!r} w={w!r} back={back!r}",
+            "v={0!r} w={1!r} back={2!r}", v, w, back,
         )
         n = rng.randrange(1, fuel + 1)
         forward_n = forward.call(fref, v, n)
@@ -159,6 +159,6 @@ def roundtrip_check(
         checker.check(
             "fuel-adjoint",
             (forward_n == w) == (backward_n == v),
-            lambda v=v, w=w, n=n: f"v={v!r} w={w!r} fuel={n}",
+            "v={0!r} w={1!r} fuel={2}", v, w, n,
         )
     return checker.done()

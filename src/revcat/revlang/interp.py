@@ -9,11 +9,12 @@ Undefined (fuel ran out) is distinct from Stuck (no clause matched, or a
 let pattern rejected a call result): more fuel can resolve the former,
 never the latter.
 
-An ``Evaluator`` compiles each definition, per direction, the first time
-it is called: every pattern becomes a matcher closure that binds into the
-clause's environment in place, and every let argument and output becomes
-a builder closure.  ``Evaluator.call`` runs on an explicit stack of
-frames, so the depth of a computation is bounded by memory, not by
+An ``Evaluator`` compiles each closed reference the first time it is
+called: its definition, in its direction, with the static arguments bound
+into every callee.  Every pattern becomes a matcher closure that binds
+into the clause's environment in place, and every let argument and output
+becomes a builder closure.  ``Evaluator.call`` runs on an explicit stack
+of frames, so the depth of a computation is bounded by memory, not by
 Python's recursion limit.
 
 Evaluation is deterministic and the approximants ascend, so a call's
@@ -102,8 +103,14 @@ def _builder(t: Term):
     return lambda env: Pair(left(env), right(env))
 
 
-def _mentions(ref: CallRef, params: tuple[str, ...]) -> bool:
-    return ref.name in params or any(_mentions(a, params) for a in ref.args)
+def _bind(ref: CallRef, bindings: dict[str, CallRef]) -> CallRef:
+    """``ref``, a callee in a definition, with the definition's static
+    parameters replaced by the closed references bound to them; ``p~``
+    becomes the inverse of what ``p`` is bound to."""
+    if ref.name in bindings:
+        bound = bindings[ref.name]
+        return dagger_ref(bound) if ref.inverted else bound
+    return CallRef(ref.name, tuple([_bind(a, bindings) for a in ref.args]), ref.inverted)
 
 
 def closed_ref(program: Program, ref: CallRef, bindings: dict[str, CallRef] | None = None):
@@ -133,43 +140,31 @@ def closed_ref(program: Program, ref: CallRef, bindings: dict[str, CallRef] | No
 class Evaluator:
     def __init__(self, program: Program):
         self.program = program
-        # (name, inverted) -> (params, clauses); each clause is
-        # (lhs matcher, steps, output builder) and each step is
-        # (argument builder, callee, callee mentions a parameter, pattern matcher).
-        self._compiled: dict[tuple[str, bool], tuple] = {}
-        # The call table, ref -> value -> (outcome, least fuel it needs), or
-        # (UNDEFINED, largest fuel seen to fail) for a call not yet defined.
-        # Keyed by reference first, so each entry's key is the value alone.
-        self._table: dict[CallRef, dict[Term, tuple]] = {}
+        # Closed reference -> (clauses, its row of the call table).  Each
+        # clause is (lhs matcher, steps, output builder) and each step is
+        # (argument builder, closed callee, pattern matcher).  The row maps
+        # value -> (outcome, least fuel it needs), or (UNDEFINED, largest
+        # fuel seen to fail) for a call not yet defined.
+        self._compiled: dict[CallRef, tuple] = {}
 
-    def _compile(self, name: str, inverted: bool) -> tuple:
-        fdef = self.program.defs.get(name)
+    def _compile(self, ref: CallRef) -> tuple:
+        fdef = self.program.defs.get(ref.name)
         if fdef is None:
-            raise UnknownFunction(f"unknown function {name!r}")
-        if inverted:
+            raise UnknownFunction(f"unknown function {ref.name!r}")
+        if ref.inverted:
             fdef = invert_def(fdef)
+        bindings = dict(zip(fdef.params, ref.args))
         clauses = []
         for clause in fdef.clauses:
             bound: set[str] = set()
             lhs = _matcher(clause.lhs, bound)
             steps = tuple(
-                (_builder(s.arg), s.callee, _mentions(s.callee, fdef.params),
-                 _matcher(s.pattern, bound))
+                (_builder(s.arg), _bind(s.callee, bindings), _matcher(s.pattern, bound))
                 for s in clause.lets
             )
             clauses.append((lhs, steps, _builder(clause.out)))
-        self._compiled[name, inverted] = code = (fdef.params, tuple(clauses))
+        self._compiled[ref] = code = (tuple(clauses), {})
         return code
-
-    def _resolve(self, ref: CallRef, bindings: dict[str, CallRef]) -> CallRef:
-        if ref.name in bindings:
-            bound = bindings[ref.name]
-            return dagger_ref(bound) if ref.inverted else bound
-        return CallRef(
-            ref.name,
-            tuple(self._resolve(a, bindings) for a in ref.args),
-            ref.inverted,
-        )
 
     def call(self, ref: CallRef, value: Term, fuel: int):
         """Run ``ref`` on ``value``: a term, ``UNDEFINED`` or ``STUCK``.
@@ -185,29 +180,22 @@ class Evaluator:
         lets needs one more than the most any let it ran needed, the let
         that got ``STUCK`` included.
 
-        Each frame is ``[steps, i, env, out, fuel, bindings, row, value,
-        need]``: a clause waiting for the result of its let ``steps[i]``,
-        its table row and value, and the most its lets so far needed.  A
-        result passes up the stack, and each frame it ends is recorded as
-        it unwinds: ``UNDEFINED`` makes every frame undefined at its own
-        fuel, and ``STUCK`` makes every frame ``STUCK``.
+        Each frame is ``[steps, i, env, out, fuel, row, value, need]``: a
+        clause waiting for the result of its let ``steps[i]``, its table row
+        and value, and the most its lets so far needed.  A result passes up
+        the stack, and each frame it ends is recorded as it unwinds:
+        ``UNDEFINED`` makes every frame undefined at its own fuel, and
+        ``STUCK`` makes every frame ``STUCK``.
         """
         compiled = self._compiled
-        table = self._table
         frames: list[list] = []
         while True:
             if fuel <= 0:
                 result = UNDEFINED
             else:
-                row = table.get(ref)
-                if row is None:
-                    row = table[ref] = {}
+                clauses, row = compiled.get(ref) or self._compile(ref)
                 result, need = row.get(value, _UNSEEN)
                 if result is UNDEFINED and fuel > need:
-                    params, clauses = (
-                        compiled.get((ref.name, ref.inverted))
-                        or self._compile(ref.name, ref.inverted)
-                    )
                     for lhs, steps, out in clauses:
                         env = {}
                         if lhs(value, env):
@@ -215,8 +203,7 @@ class Evaluator:
                     else:
                         steps = None
                     if steps:
-                        bindings = dict(zip(params, ref.args)) if params else None
-                        frames.append([steps, 0, env, out, fuel, bindings, row, value, 0])
+                        frames.append([steps, 0, env, out, fuel, row, value, 0])
                         result = None
                     else:
                         result = STUCK if steps is None else out(env)
@@ -231,23 +218,21 @@ class Evaluator:
                 if result is UNDEFINED:
                     entry = (UNDEFINED, frame[4])
                 else:
-                    if need > frame[8]:
-                        frame[8] = need
+                    if need > frame[7]:
+                        frame[7] = need
                     steps, i, env = frame[0], frame[1], frame[2]
-                    if result is STUCK or not steps[i][3](result, env):
+                    if result is STUCK or not steps[i][2](result, env):
                         result = STUCK
                     elif i + 1 < len(steps):
                         frame[1] = i + 1
                         break
                     else:
                         result = frame[3](env)
-                    need = frame[8] + 1
+                    need = frame[7] + 1
                     entry = (result, need)
                 frames.pop()
-                frame[6][frame[7]] = entry
+                frame[5][frame[6]] = entry
             frame = frames[-1]
-            arg, callee, dynamic, _ = frame[0][frame[1]]
+            arg, ref, _ = frame[0][frame[1]]
             value = arg(frame[2])
-            ref = self._resolve(callee, frame[5]) if dynamic else callee
             fuel = frame[4] - 1
-

@@ -8,8 +8,8 @@ distinct clauses are both pairwise non-overlapping, the result is again a
 valid program.
 
 ``invert_def`` keeps each name and flips each call's mark (``dagger_ref``);
-``invert_program`` renames each ``f`` to ``f_inv`` and keeps the marks, as
-``invert_binding`` does for a binding.
+``invert_program`` renames each ``f`` to ``f_inv`` (``SUFFIX``) and keeps the
+marks, as ``invert_binding`` does for a binding.
 
 Parameter references are left untouched: the caller of an inverted
 definition binds inverted functions, so the flip happens at binding time.
@@ -22,8 +22,11 @@ from ..errors import InvalidArgument, UnknownFunction
 from .parser import KEYWORDS
 from .syntax import CallRef, Clause, FuncDef, LetStep, Program, dagger_ref
 
+# The suffix that names each definition's inverse, unless another is given.
+SUFFIX = "_inv"
 
-def toggle_suffix(name: str, suffix: str = "_inv") -> str:
+
+def toggle_suffix(name: str, suffix: str = SUFFIX) -> str:
     if name.endswith(suffix) and len(name) > len(suffix):
         return name[: -len(suffix)]
     return name + suffix
@@ -57,7 +60,7 @@ def _renamed(ref: CallRef, program: Program, params: Collection[str], suffix: st
     )
 
 
-def invert_program(program: Program, suffix: str = "_inv") -> Program:
+def invert_program(program: Program, suffix: str = SUFFIX) -> Program:
     """``program`` inverted, each ``f`` renamed to ``f`` + ``suffix`` and each
     ``f`` + ``suffix`` to ``f``.  The suffix must be name characters and the
     renaming must undo itself and make no keyword, so that the result parses
@@ -83,5 +86,5 @@ def invert_program(program: Program, suffix: str = "_inv") -> Program:
 def invert_binding(ref: CallRef, program: Program) -> CallRef:
     """The binding to hand to an inverted definition so that it computes the
     inverse of the original instantiation: the inverse of each bound function,
-    named in the program inverted with the default suffix ``_inv``."""
-    return _renamed(ref, program, (), "_inv")
+    named in the program inverted with the default suffix, ``SUFFIX``."""
+    return _renamed(ref, program, (), SUFFIX)

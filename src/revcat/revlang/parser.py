@@ -34,8 +34,8 @@ from .syntax import (
 
 KEYWORDS = {"fun", "let", "in", "atom"}
 # The deepest nesting of brackets in program text and call references.  The
-# evaluator's compiled matchers and builders and the walks over call
-# references recurse once per level; value literals have no bound.
+# compiled matchers and builders and the walks over written references recurse
+# once per level; values and references built at run time have no bound.
 MAX_NESTING = 200
 
 # One alternative per kind of lexeme; ``bad`` is any character no other

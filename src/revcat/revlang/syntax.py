@@ -13,7 +13,7 @@ parameters, optionally carrying static arguments and an inversion mark
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Collection, Optional
 
 from ..errors import ParseError
@@ -29,69 +29,75 @@ class Term:
         return _text(self, _repr_layout)
 
 
-def _term(cls):
-    """Declare a term class: a frozen, slotted dataclass whose constructor
-    returns the one term with the given field values, made on first use.
-    Its ``child_fields`` are the fields annotated ``"Term"`` (annotations
-    are strings under ``from __future__``)."""
+def _interned(cls):
+    """Declare an interned class: a frozen, slotted dataclass whose
+    constructor returns the one instance with the given field values, made
+    on first use, so instances compare and hash by identity.  Trailing
+    fields with defaults may be left out.  Its ``child_fields`` are the
+    fields annotated ``"Term"`` (annotations are strings under ``from
+    __future__``)."""
     # With no docstring, dataclass would make one by parsing a signature.
     cls.__doc__ = cls.__doc__ or f"The term constructor {cls.__name__}."
     cls = dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)(cls)
     cls.child_fields = tuple(f.name for f in fields(cls) if f.type == "Term")
     # The slot descriptors write past the frozen ``__setattr__``.
     setters = [vars(cls)[f.name].__set__ for f in fields(cls)]
-    table: dict[tuple, Term] = {}
+    defaults = tuple(f.default for f in fields(cls) if f.default is not MISSING)
+    least = len(setters) - len(defaults)
+    table: dict[tuple, object] = {}
     new = object.__new__
 
     def __new__(cls, *values):
-        term = table.get(values)
-        if term is None:
+        made = table.get(values)
+        if made is None:
+            if least <= len(values) < len(setters):
+                return __new__(cls, *values, *defaults[len(values) - least:])
             if len(values) != len(setters):
                 raise TypeError(f"{cls.__name__} takes {len(setters)} field(s), got {len(values)}")
-            term = new(cls)
+            made = new(cls)
             for put, value in zip(setters, values):
-                put(term, value)
-            # Published whole, and once: threads that race here share one term.
-            term = table.setdefault(values, term)
-        return term
+                put(made, value)
+            # Published whole, and once: threads that race here share one object.
+            made = table.setdefault(values, made)
+        return made
 
     cls.__new__ = staticmethod(__new__)
     return cls
 
 
-@_term
+@_interned
 class Z(Term):
     pass
 
 
-@_term
+@_interned
 class S(Term):
     arg: Term
 
 
-@_term
+@_interned
 class Nil(Term):
     pass
 
 
-@_term
+@_interned
 class Cons(Term):
     head: Term
     tail: Term
 
 
-@_term
+@_interned
 class Pair(Term):
     left: Term
     right: Term
 
 
-@_term
+@_interned
 class Atom(Term):
     name: str
 
 
-@_term
+@_interned
 class Var(Term):
     name: str
 
@@ -204,10 +210,10 @@ def unifiable(p: Term, q: Term) -> bool:
 # -- program structure -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_interned
 class CallRef:
     """Reference to a function: a defined name or an in-scope parameter,
-    with optional static arguments and an inversion mark."""
+    with optional static arguments and an inversion mark.  Interned."""
 
     name: str
     args: tuple["CallRef", ...] = ()
@@ -217,14 +223,34 @@ class CallRef:
         return f"CallRef({show_callref(self)!r})"
 
 
+# Each reference ``dagger_ref`` has met, and its inverse, both ways.
+_INVERSES: dict[CallRef, CallRef] = {}
+
+
 def dagger_ref(ref: CallRef, params: Collection[str] = ()) -> CallRef:
     """Reference to the inverse function: toggle the mark, invert the
     static arguments (a parametrized call inverts with inverted parameters).
     A reference to a name in ``params`` is left as it is: inside a
-    definition, the caller that binds a parameter decides its direction."""
-    if ref.name in params:
-        return ref
-    return CallRef(ref.name, tuple(dagger_ref(a, params) for a in ref.args), not ref.inverted)
+    definition, the caller that binds a parameter decides its direction.
+    The walk runs on an explicit stack and stops at known inverses, so a
+    reference of any depth inverts in time linear in what is new in it."""
+    inverses = {} if params else _INVERSES
+    stack = [ref]
+    while stack:
+        top = stack[-1]
+        if top in inverses:
+            stack.pop()
+        elif top.name in params:
+            inverses[top] = top
+        else:
+            todo = [a for a in top.args if a not in inverses]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            inverse = CallRef(top.name, tuple([inverses[a] for a in top.args]), not top.inverted)
+            inverses[top], inverses[inverse] = inverse, top
+    return inverses[ref]
 
 
 @dataclass(frozen=True)

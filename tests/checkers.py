@@ -45,7 +45,8 @@ def check_dagger_functor(functor, category: str, sizes=(0, 1, 2)) -> LawReport:
                 checker.check(
                     "functor-preserves-dagger",
                     functor.apply_mor(dagger(f)) == dagger(functor.apply_mor(f)),
-                    lambda f=f: f"F={functor!r} f={f!r}",
+                    "F={0!r} f={1!r}",
+                    functor, f,
                 )
     return checker.done()
 
@@ -107,7 +108,8 @@ def check_fix_pfix_agreement(
         checker.check(
             "pfix-from-fix",
             v.isclose(fixed, tolerance),
-            lambda p=p, v=v: f"p={p!r} pfix={v!r} fix={fixed!r}",
+            "p={0!r} pfix={1!r} fix={2!r}",
+            p, v, fixed,
         )
     return checker.done()
 
@@ -121,7 +123,8 @@ def spot_check_monotone(step, sample_pairs) -> LawReport:
         checker.check(
             "monotonicity",
             step(f).leq(step(g)),
-            lambda f=f, g=g: f"f={f!r} g={g!r}",
+            "f={0!r} g={1!r}",
+            f, g,
         )
     return checker.done()
 
@@ -141,7 +144,8 @@ def check_trace_sliding(category: str, x_size: int, y_size: int, u_size: int) ->
             checker.check(
                 "trace-sliding",
                 lhs == rhs,
-                lambda g=g, s=s: f"g={g!r} s={s!r}",
+                "g={0!r} s={1!r}",
+                g, s,
             )
     return checker.done()
 
@@ -171,9 +175,8 @@ def fuel_monotonicity_check(
         checker.check(
             "fuel-monotone",
             ok,
-            lambda v=v, low=low, high=high, a=at_low, b=at_high: (
-                f"v={v!r} fuel {low}->{high}: {a!r} then {b!r}"
-            ),
+            "v={0!r} fuel {1}->{2}: {3!r} then {4!r}",
+            v, low, high, at_low, at_high,
         )
     return checker.done()
 
@@ -189,6 +192,7 @@ def check_call_table(evaluator, ref, queries) -> LawReport:
         checker.check(
             "exact-at-every-fuel",
             got == want,
-            lambda v=value, n=fuel, got=got, want=want: f"v={v!r} fuel={n}: {got!r}, want {want!r}",
+            "v={0!r} fuel={1}: {2!r}, want {3!r}",
+            value, fuel, got, want,
         )
     return checker.done()

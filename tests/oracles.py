@@ -324,7 +324,8 @@ def reference_naturality(family, x, xp, y, yp, fuel=10):
                     checker.check(
                         "family-square",
                         lhs == rhs,
-                        lambda u=u, v=v, h=h, p=p: f"u={u!r} v={v!r} h={h!r} p={p!r}",
+                        "u={0!r} v={1!r} h={2!r} p={3!r}",
+                        u, v, h, p,
                     )
 
                 a, b = bot1, bot2
@@ -336,7 +337,8 @@ def reference_naturality(family, x, xp, y, yp, fuel=10):
                         checker.check(
                             "iterate-square",
                             b == transport(fv, a, fu),
-                            lambda u=u, v=v, p=p, n=n: f"n={n} u={u!r} v={v!r} p={p!r}",
+                            "n={0} u={1!r} v={2!r} p={3!r}",
+                            n, u, v, p,
                         )
                 except IncompatibleJoin:
                     checker.skip("iterate-square")
@@ -352,6 +354,7 @@ def reference_naturality(family, x, xp, y, yp, fuel=10):
                     checker.check(
                         "pfix-square",
                         lhs == rhs,
-                        lambda u=u, v=v, p=p: f"u={u!r} v={v!r} p={p!r}",
+                        "u={0!r} v={1!r} p={2!r}",
+                        u, v, p,
                     )
     return checker.done()

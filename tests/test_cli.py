@@ -788,6 +788,66 @@ def test_json_is_read_to_the_nesting_bound_and_refused_past_it(capture, tmp_path
     assert err.endswith(f"invalid JSON: nested deeper than {MAX_NESTING}\n")
 
 
+# Each JSON reader's command line, and documents that hold the nested value
+# ``@`` where the reader looks for one: whole, or as one field.
+HOSTS = {
+    "fix": (["fix", "{file}"], ["@", '{"op": "dagger", "inner": @}', '{"op": "joinwith", "m": @}']),
+    "trace": (
+        ["trace", "{file}", "--x", "1", "--y", "1", "--u", "0"],
+        ["@", '{"type": "rel", "src": 1, "dst": 1, "pairs": @}'],
+    ),
+    "config": (
+        ["--config", "{file}", "laws", "--category", "rel", "--suite", "dagger", "--sizes", "1"],
+        ["@", '{"seed": @}', '{"suite": @}'],
+    ),
+}
+
+
+DAGGER = '{"op": "dagger", "inner": '
+IDENTITY = '{"op": "identity", "dom": {"cat": "rel", "src": 1, "dst": 1}}'
+
+
+@st.composite
+def nested_json(draw):
+    """JSON text nested 1 to 300 levels deep: in arrays, in objects, or in
+    both, mixed level by level.  Objects are dagger nodes around an identity
+    functional, which ``fix`` walks at any depth it is handed, or have one
+    field of a name the readers look for."""
+    depth = draw(st.integers(1, 300))
+    shape = draw(st.sampled_from(["arrays", "objects", "mixed"]))
+    arrays = (
+        draw(st.lists(st.booleans(), min_size=depth, max_size=depth))
+        if shape == "mixed" else [shape == "arrays"] * depth
+    )
+    if draw(st.booleans()):
+        opens = "".join("[" if array else DAGGER for array in arrays)
+        leaf = IDENTITY
+    else:
+        keys = draw(st.lists(st.sampled_from(["op", "inner", "m", "pairs", "src", "seed"]),
+                             min_size=depth, max_size=depth))
+        opens = "".join("[" if array else f'{{"{key}": ' for array, key in zip(arrays, keys))
+        leaf = draw(st.sampled_from(["0", "1", '"x"', "null", "[]", "{}"]))
+    return opens + leaf + "".join("]" if array else "}" for array in reversed(arrays))
+
+
+@settings(
+    max_examples=150, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_no_nesting_of_json_crashes_a_reader(capture, tmp_path, data):
+    command = data.draw(st.sampled_from(sorted(HOSTS)))
+    argv, hosts = HOSTS[command]
+    path = tmp_path / "input.json"
+    path.write_text(data.draw(st.sampled_from(hosts)).replace("@", data.draw(nested_json())))
+    try:
+        code, out, err = capture(*[str(path) if a == "{file}" else a for a in argv])
+    except SystemExit as exc:  # argparse refusing the command line
+        code, err = exc.code, ""
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err and "internal" not in err
+
+
 def test_config_file_supplies_defaults(capture, add_file, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"fuel": 1}))

@@ -1,4 +1,7 @@
 """The checkers must be able to fail: feed them deliberately broken input."""
+import importlib
+from types import SimpleNamespace
+
 import pytest
 
 from revcat.cat import (
@@ -17,7 +20,11 @@ from revcat.functionals import (
     Host,
     IdentityFunctor,
     NaturalFamily,
+    PApply,
+    PConst,
     PJoin,
+    check_conj_preservation,
+    check_dagger_trace,
     check_fixed_point_adjoint,
     check_naturality,
     check_pfix_adjoint,
@@ -25,12 +32,14 @@ from revcat.functionals import (
     check_self_conjugate,
     fix_functional,
 )
+from revcat.functionals import fixpoints
 from revcat.functionals.expr import JoinWith, PostCompose, PreCompose, Seq
 from revcat.report import Violation
 from revcat.revlang import (
     UNDEFINED,
     CallRef,
     Evaluator,
+    parse_program,
     parse_value,
     random_peano_pair,
     roundtrip_check,
@@ -39,6 +48,10 @@ from revcat.revlang import (
 from bundled import bundled_program
 from checkers import check_call_table, check_fix_pfix_agreement, mixed_family
 from oracles import complement
+
+# The packages export functions under these modules' names.
+trace_module = importlib.import_module("revcat.functionals.trace")
+denote_module = importlib.import_module("revcat.revlang.denote")
 
 
 def test_non_natural_family_is_flagged():
@@ -180,19 +193,15 @@ class _AnyFuelRow(dict):
         return entry
 
 
-class _AnyFuelTable(dict):
-    def get(self, ref, default=None):
-        return self.setdefault(ref, _AnyFuelRow())
-
-
 def test_call_table_check_flags_a_table_that_ignores_least_fuel(monkeypatch):
-    init = Evaluator.__init__
+    compile_ = Evaluator._compile
 
-    def forgetful_init(self, program):
-        init(self, program)
-        self._table = _AnyFuelTable()
+    def forgetful_compile(self, ref):
+        clauses, _ = compile_(self, ref)
+        self._compiled[ref] = code = (clauses, _AnyFuelRow())
+        return code
 
-    monkeypatch.setattr(Evaluator, "__init__", forgetful_init)
+    monkeypatch.setattr(Evaluator, "_compile", forgetful_compile)
     add = bundled_program("add")
     value = parse_value("(S (S Z), Z)")  # needs fuel 3
     report = check_call_table(Evaluator(add), CallRef("add"), [(value, 10), (value, 2)])
@@ -202,3 +211,127 @@ def test_call_table_check_flags_a_table_that_ignores_least_fuel(monkeypatch):
     # answer their recorded outcomes, so both sides are wrong in the same
     # way and the law holds.
     assert roundtrip_check(add, "add", {}, 50, 30, 1, value_gen=random_peano_pair).passed
+
+
+# -- the text of a violation's witness -------------------------------------------
+
+X2 = FinObject(2)
+REL2 = HomSpace("rel", X2, X2)
+STEP = RelMorphism.from_pairs(X2, X2, [(0, 1)])
+SEED = RelMorphism.from_pairs(X2, X2, [(0, 0)])
+
+
+def _skewed_family():
+    def component(a, b):
+        space = HomSpace("rel", a, b)
+        skew = RelMorphism.from_pairs(b, b, [(0, 1)])
+        return Seq(PostCompose(skew, space), JoinWith(skew))
+
+    return NaturalFamily("skewed", "rel", IdentityFunctor(), IdentityFunctor(), component)
+
+
+def _skewed_pfix():
+    """p |-> least h with h = STEP.h v p: not self-conjugate."""
+    return PJoin(PApply(PostCompose(STEP, REL2), ArgX(REL2, REL2)), ArgP(REL2, REL2))
+
+
+def _fix_adjoint(monkeypatch):
+    monkeypatch.setattr(fixpoints, "conj", lambda phi: phi)
+    return check_fixed_point_adjoint(Seq(PostCompose(STEP, REL2), JoinWith(SEED)))
+
+
+def _pfix_adjoint(monkeypatch):
+    monkeypatch.setattr(fixpoints, "conj_param", lambda psi: psi)
+    return check_pfix_adjoint(_skewed_pfix())
+
+
+def _conj_preservation(monkeypatch):
+    monkeypatch.setattr(fixpoints, "conj_param", lambda psi: psi)
+    return check_conj_preservation(_skewed_pfix())
+
+
+def _pfix_identity(monkeypatch):
+    monkeypatch.setattr(fixpoints, "kleene_pfix", lambda step, p, space: SimpleNamespace(value=space.bottom))
+    return check_pfix_identity(PJoin(ArgX(REL2, REL2), ArgP(REL2, REL2)))
+
+
+def _dagger_trace(monkeypatch):
+    # A "trace" that relates the last input to the first output: its dagger
+    # relates the first input to the last output, so neither law holds.
+    monkeypatch.setattr(
+        trace_module, "trace", lambda f, x, y, u: RelMorphism.from_pairs(x, y, [(x.size - 1, 0)])
+    )
+    return check_dagger_trace("rel", 1, 2, 1)
+
+
+def _naturality(monkeypatch):
+    return check_naturality(mixed_family(), X2, X2, X2, FinObject(1), fuel=4)
+
+
+def _naturality_of_a_constant(monkeypatch):
+    # h, p |-> h v p v {(0, 0)} in every hom-set: the constant does not
+    # transport, so the iterates and the fixed points do not commute either.
+    def component(a, b):
+        space = HomSpace("rel", a, b)
+        corner = RelMorphism.from_pairs(a, b, [(0, 0)])
+        return PJoin(PJoin(ArgX(space, space), ArgP(space, space)), PConst(corner, space, space))
+
+    family = NaturalFamily("corner", "rel", IdentityFunctor(), IdentityFunctor(), component)
+    return check_naturality(family, X2, X2, FinObject(1), FinObject(1), fuel=2)
+
+
+def _self_conjugate(monkeypatch):
+    return check_self_conjugate(_skewed_family(), X2, X2)
+
+
+def _roundtrip(monkeypatch):
+    # An "inverse" of swap that leaves its input as it is.
+    monkeypatch.setattr(denote_module, "invert_program", lambda p: parse_program("fun swap_inv x = x\n"))
+    pairs = lambda rng: random_peano_pair(rng, limit=4)
+    return roundtrip_check(bundled_program("swap"), "swap", {}, 10, 5, 1, value_gen=pairs)
+
+
+# Checker -> law -> the witness of its first violation.
+WITNESSES = {
+    'dagger-trace': {
+        'trace-dagger': 'f=Rel(2->3, [])',
+        'trace-natural': 'f=Rel(2->3, []) a=Rel(1->1, []) b=Rel(2->2, [])',
+    },
+    'fix-adjoint': {
+        'fix-adjoint': 'fix=Rel(2->2, [(0, 0), (0, 1)]) fix-of-conjugate=Rel(2->2, [(0, 0), (0, 1)])',
+    },
+    'pfix-adjoint': {
+        'pfix-adjoint': 'p=Rel(2->2, [(1, 0)]) lhs=Rel(2->2, [(0, 1), (1, 1)]) rhs=Rel(2->2, [(0, 1)])',
+    },
+    'conj-preservation': {
+        'conj-preservation': 'p=Rel(2->2, [(1, 0)]) lhs=Rel(2->2, [(1, 0)]) rhs=Rel(2->2, [(1, 0), (1, 1)])',
+    },
+    'pfix-identity': {
+        'pfix-fixpoint': 'p=Rel(2->2, [(1, 0)]) pfix=Rel(2->2, []) psi(pfix,p)=Rel(2->2, [(1, 0)])',
+    },
+    'naturality': {
+        'family-square': 'u=Rel(2->2, [(1, 0)]) v=Rel(2->1, [(1, 0)]) h=Rel(2->2, [(0, 1)]) p=Rel(2->2, [])',
+    },
+    'naturality-of-a-constant': {
+        'family-square': 'u=Rel(2->2, []) v=Rel(1->1, []) h=Rel(2->1, []) p=Rel(2->1, [])',
+        'iterate-square': 'n=1 u=Rel(2->2, []) v=Rel(1->1, []) p=Rel(2->1, [])',
+        'pfix-square': 'u=Rel(2->2, []) v=Rel(1->1, []) p=Rel(2->1, [])',
+    },
+    'self-conjugate': {
+        'dagger-preservation': 'f=Rel(2->2, [])',
+        'conjugate-formulation': 'f=Rel(2->2, [])',
+    },
+    'roundtrip': {
+        'roundtrip': 'v=Pair(S(Z), Z) w=Pair(Z, S(Z)) back=Pair(Z, S(Z))',
+        'fuel-adjoint': 'v=Pair(S(Z), Z) w=Pair(Z, S(Z)) fuel=3',
+    },
+}
+
+
+@pytest.mark.parametrize("check", sorted(WITNESSES))
+def test_a_violation_has_the_same_witness_text(monkeypatch, check):
+    report = globals()["_" + check.replace("-", "_")](monkeypatch)
+    first = {}
+    for v in report.violations:
+        first.setdefault(v.law, v.witness)
+    assert first == WITNESSES[check]

@@ -28,7 +28,7 @@ from revcat.revlang import (
     show_term,
 )
 
-from bundled import bundled_program
+from bundled import GROW_INVERTED, bundled_program
 from checkers import check_call_table
 from oracles import ReferenceEvaluator
 
@@ -148,8 +148,17 @@ def test_stuck_after_a_let_is_undefined_below_its_least_fuel():
     assert evaluator.call(case.ref, nat(2), 3) is STUCK
 
 
+def test_a_grown_reference_is_exact_at_every_fuel_and_depth():
+    # Each call binds ``g`` one ``map<...~>`` deeper than its caller.
+    case = Case(parse_program(GROW_INVERTED), parse_callref_text("f<inc>"), [nat(n) for n in range(9)])
+    rising = [(v, fuel) for v, need in zip(case.values, case.needs) for fuel in range(need + 2)]
+    for asked in (rising, rising[::-1]):
+        report = check_call_table(Evaluator(case.program), case.ref, asked)
+        assert report.passed, report.violations[:3]
+
+
 def table_entries(evaluator):
-    return sum(len(row) for row in evaluator._table.values())
+    return sum(len(row) for _, row in evaluator._compiled.values())
 
 
 def test_a_call_made_twice_runs_once(tmp_path, capsys):
