@@ -21,7 +21,7 @@ from .errors import (
     UnknownFunction,
     UnsupportedOperation,
 )
-from .order import FixMode, FixPolicy, KleeneResult, kleene_fix, kleene_pfix
+from .order import FixPolicy, KleeneResult, kleene_fix, kleene_pfix
 from .report import Checker, LawReport, Violation
 
 __version__ = "0.1.0"
@@ -30,7 +30,6 @@ __all__ = [
     "Checker",
     "DimensionMismatch",
     "DomainMismatch",
-    "FixMode",
     "FixPolicy",
     "IncompatibleJoin",
     "KleeneResult",

@@ -35,7 +35,6 @@ Rows = tuple[tuple[float, ...], ...]
 class StochMorphism:
     category: ClassVar[str] = "dstoch"
     has_joins: ClassVar[bool] = False
-    has_metric: ClassVar[bool] = True
     src: FinObject
     dst: FinObject
     # Given as a list or tuple of src.size rows of as many reals; stored as

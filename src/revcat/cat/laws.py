@@ -15,7 +15,7 @@ from random import Random
 from typing import Optional
 
 from ..report import Checker, LawReport
-from .dstoch import random_chain, random_ordered_pair, random_stoch
+from .dstoch import DEFAULT_TOLERANCE, random_chain, random_ordered_pair, random_stoch
 from .objects import FinObject
 from .ops import DSTOCH, HomSpace, identity
 
@@ -27,7 +27,7 @@ class LawConfig:
     sizes: tuple[int, ...] = (0, 1, 2)
     trials: int = 200
     seed: Optional[int] = None
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_TOLERANCE
     fuel: int = 10
     depth: int = 4
 

@@ -19,9 +19,10 @@ class HomSpace:
 
     There is one instance per (category, src, dst) per process, so spaces
     compare by identity.  A space holds what the Kleene engine reads (its
-    ``bottom``, ``contains`` and ``metric``, None where the category has
-    none) and lists its morphisms once, on first use of ``morphisms``; a
-    hom-set that cannot be listed raises again on every call.
+    ``bottom``, ``contains`` and ``metric``: its morphism class's
+    ``distance``, or None where the class has none) and lists its
+    morphisms once, on first use of ``morphisms``; a hom-set that cannot
+    be listed raises again on every call.
     """
 
     __slots__ = ("category", "src", "dst", "bottom", "metric", "_cls", "_morphisms")
@@ -37,7 +38,7 @@ class HomSpace:
             space = super().__new__(cls)
             space.category, space.src, space.dst = key
             space.bottom = morphism_cls.bottom(src, dst)
-            space.metric = morphism_cls.distance if morphism_cls.has_metric else None
+            space.metric = getattr(morphism_cls, "distance", None)
             space._cls, space._morphisms = morphism_cls, None
             cls._interned[key] = space
         return space

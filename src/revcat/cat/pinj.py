@@ -27,7 +27,6 @@ from .rel import RelMorphism
 class PInjMorphism:
     category: ClassVar[str] = "pinj"
     has_joins: ClassVar[bool] = True
-    has_metric: ClassVar[bool] = False
     src: FinObject
     dst: FinObject
     table: tuple[Optional[int], ...]

@@ -41,7 +41,6 @@ def _transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
 class RelMorphism:
     category: ClassVar[str] = "rel"
     has_joins: ClassVar[bool] = True
-    has_metric: ClassVar[bool] = False
     src: FinObject
     dst: FinObject
     rows: tuple[int, ...]

@@ -11,6 +11,7 @@ byte-identical output (wall-clock times are omitted).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -55,7 +56,7 @@ from .functionals import (
     trace_family,
 )
 from .functionals.trace import trace
-from .order import FixMode, FixPolicy, kleene_fix
+from .order import FixPolicy, kleene_fix
 from .report import LawReport
 from .revlang import (
     UNDEFINED,
@@ -74,6 +75,8 @@ from .revlang import (
     show_term,
 )
 from .revlang.invert import SUFFIX
+
+VALUE_BOUND = inspect.signature(roundtrip_check).parameters["value_bound"].default
 
 
 class ConfigError(RevcatError):
@@ -271,13 +274,11 @@ def cmd_fix(args) -> int:
     phi = loads_functional(_read_text(args.file))
     if phi.dom != phi.cod:
         raise DimensionMismatch(f"not an endo-functional: {phi.dom!r} -> {phi.cod!r}")
-    policy = FixPolicy(args.max_iterations, args.tolerance, FixMode[args.mode.upper()])
-    result = kleene_fix(phi.apply, phi.dom, policy)
+    result = kleene_fix(phi.apply, phi.dom, FixPolicy(args.max_iterations, args.tolerance))
     doc = {
         "command": "fix",
         "config": {
             "file": args.file,
-            "mode": args.mode,
             "max_iterations": args.max_iterations,
             "tolerance": args.tolerance,
         },
@@ -382,7 +383,7 @@ def cmd_roundtrip(args) -> int:
     # Unset unless given on the command line or in --config.
     if args.value_bound is not None and args.values != "tree":
         raise ConfigError(f"--value-bound bounds tree values only, not {args.values} values")
-    value_bound = 16 if args.value_bound is None else args.value_bound
+    value_bound = VALUE_BOUND if args.value_bound is None else args.value_bound
     if value_bound < 1:
         raise ConfigError("--value-bound must be at least 1")
     program = _load_program(args.file)
@@ -444,19 +445,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--suite", action="append", help="suite name (repeatable)")
     p.add_argument("--max-size", type=int, default=2)
     p.add_argument("--sizes", help="comma-separated exact object sizes")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=int, default=LawConfig.trials)
     p.add_argument("--seed", type=int)
-    p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--fuel", type=int, default=10)
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--tolerance", type=float, default=LawConfig.tolerance)
+    p.add_argument("--fuel", type=int, default=LawConfig.fuel)
+    p.add_argument("--depth", type=int, default=LawConfig.depth)
     p.set_defaults(fn=cmd_laws)
 
     p = commands["fix"] = sub.add_parser("fix", help="least fixed point of a functional document")
     common(p)
     p.add_argument("file")
-    p.add_argument("--mode", choices=("exact", "metric"), default="exact")
-    p.add_argument("--max-iterations", type=int, default=10_000)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--max-iterations", type=int, default=FixPolicy.max_iterations)
+    p.add_argument("--tolerance", type=float, default=FixPolicy.tolerance)
     p.set_defaults(fn=cmd_fix)
 
     p = commands["trace"] = sub.add_parser("trace", help="trace out the feedback block of a morphism")
@@ -492,7 +492,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--seed", type=int)
     p.add_argument("--bind", action="append")
     p.add_argument("--values", choices=("tree", "peano", "list"), default="tree")
-    p.add_argument("--value-bound", type=int, help="size bound of tree values (default 16)")
+    p.add_argument("--value-bound", type=int, help=f"size bound of tree values (default {VALUE_BOUND})")
     p.set_defaults(fn=cmd_roundtrip)
 
     return parser, commands

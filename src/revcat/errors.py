@@ -14,11 +14,10 @@ class DomainMismatch(RevcatError):
 
 
 class NonConvergence(RevcatError):
-    def __init__(self, message, iterations=0, last=None, residual=None):
+    def __init__(self, message, iterations=0, last=None):
         super().__init__(message)
         self.iterations = iterations
         self.last = last
-        self.residual = residual
 
 
 class InvalidArgument(RevcatError, ValueError):

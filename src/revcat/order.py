@@ -1,34 +1,31 @@
 """The Kleene fixed-point engine over one hom-set.
 
 The engine iterates inside a ``revcat.cat.HomSpace``: it starts at the
-space's ``bottom``, checks each iterate with its ``contains`` and, in metric
-mode, measures each step with its ``metric``.  The order, suprema and
-enumeration of a hom-set are its morphism class's own ``leq``, ``sup`` and
-``homs``.  Continuity of the step functions handed to
+space's ``bottom`` and checks each iterate with its ``contains``.  How the
+chain stops is the space's own rule: where the space has a ``metric`` (its
+morphism class's ``distance``), at the first step that moves at most the
+policy's tolerance; elsewhere, at the first step that changes nothing.  So
+a tolerance of 0 asks a metric space for exact stabilization too.  The
+order, suprema and enumeration of a hom-set are its morphism class's own
+``leq``, ``sup`` and ``homs``.  Continuity of the step functions handed to
 ``kleene_fix``/``kleene_pfix`` is a caller obligation that the engine does
 not check.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
 from .cat import HomSpace
+from .cat.dstoch import DEFAULT_TOLERANCE
 from .errors import DomainMismatch, InvalidArgument, NonConvergence
-
-
-class FixMode(enum.Enum):
-    EXACT = "exact-stabilization"
-    METRIC = "metric-convergence"
 
 
 @dataclass(frozen=True)
 class FixPolicy:
     max_iterations: int = 10_000
-    tolerance: float = 1e-9
-    mode: FixMode = FixMode.EXACT
+    tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -45,42 +42,36 @@ class KleeneResult:
     residual: Optional[float] = None
 
 
-# The policies used where a caller gives none.
-_EXACT, _METRIC = FixPolicy(), FixPolicy(mode=FixMode.METRIC)
+_DEFAULT = FixPolicy()
 
 
 def _iterate(step1, space: HomSpace, policy: Optional[FixPolicy]) -> KleeneResult:
-    if policy is None:
-        policy = _EXACT if space.metric is None else _METRIC
-    elif policy.mode is FixMode.METRIC and space.metric is None:
-        raise InvalidArgument("metric-convergence mode needs a domain metric")
+    policy = policy or _DEFAULT
+    metric = space.metric
     current = space.bottom
-    iterations = 0
-    for _ in range(policy.max_iterations):
+    for iterations in range(1, policy.max_iterations + 1):
         nxt = step1(current)
-        iterations += 1
         if not space.contains(nxt):
             raise DomainMismatch(f"step left the hom-set {space!r} after {iterations} iteration(s)")
-        if policy.mode is FixMode.EXACT:
+        if metric is None:
             if nxt == current:
                 return KleeneResult(nxt, iterations, True)
         else:
-            dist = space.metric(current, nxt)
-            if dist < policy.tolerance:
+            dist = metric(current, nxt)
+            if dist <= policy.tolerance:
                 return KleeneResult(nxt, iterations, True, dist)
         current = nxt
     raise NonConvergence(
         f"no fixed point within {policy.max_iterations} iterations",
-        iterations=iterations,
+        iterations=policy.max_iterations,
         last=current,
     )
 
 
 def kleene_fix(step, space: HomSpace, policy: Optional[FixPolicy] = None) -> KleeneResult:
-    """Least fixed point of ``step`` as the limit of step^n(bottom).
-
-    Without a ``policy``, iteration runs to metric convergence where
-    ``space`` has a metric, and to exact stabilization otherwise."""
+    """Least fixed point of ``step`` as the limit of step^n(bottom), reached
+    by ``space``'s stopping rule (see the module docstring) within
+    ``policy``'s iterations; without a ``policy``, ``FixPolicy()``."""
     return _iterate(step, space, policy)
 
 

@@ -31,7 +31,7 @@ from operator import itemgetter
 
 from ..errors import UnboundParameter, UnknownFunction
 from .invert import invert_def
-from .syntax import CallRef, Cons, Pair, Program, S, Term, Var, dagger_ref, is_value
+from .syntax import CallRef, Cons, Pair, Program, S, Term, Var, dagger_ref, is_value, map_ref
 from .validate import check_ref
 
 
@@ -107,10 +107,13 @@ def _bind(ref: CallRef, bindings: dict[str, CallRef]) -> CallRef:
     """``ref``, a callee in a definition, with the definition's static
     parameters replaced by the closed references bound to them; ``p~``
     becomes the inverse of what ``p`` is bound to."""
-    if ref.name in bindings:
-        bound = bindings[ref.name]
-        return dagger_ref(bound) if ref.inverted else bound
-    return CallRef(ref.name, tuple([_bind(a, bindings) for a in ref.args]), ref.inverted)
+
+    def leaf(r: CallRef) -> CallRef | None:
+        if r.name in bindings:
+            return dagger_ref(bindings[r.name]) if r.inverted else bindings[r.name]
+        return None
+
+    return map_ref(ref, leaf, lambda r, args: CallRef(r.name, args, r.inverted))
 
 
 def closed_ref(program: Program, ref: CallRef, bindings: dict[str, CallRef] | None = None):

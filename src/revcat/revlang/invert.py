@@ -20,7 +20,7 @@ from typing import Callable, Collection
 
 from ..errors import InvalidArgument, UnknownFunction
 from .parser import KEYWORDS
-from .syntax import CallRef, Clause, FuncDef, LetStep, Program, dagger_ref
+from .syntax import CallRef, Clause, FuncDef, LetStep, Program, dagger_ref, map_ref
 
 # The suffix that names each definition's inverse, unless another is given.
 SUFFIX = "_inv"
@@ -49,15 +49,15 @@ def invert_def(fdef: FuncDef) -> FuncDef:
 def _renamed(ref: CallRef, program: Program, params: Collection[str], suffix: str) -> CallRef:
     """The inverse of ``ref`` in the inverted program: every defined name
     toggles its suffix, each mark stays, and names in ``params`` stay."""
-    if ref.name in params:
-        return ref
-    if ref.name not in program.defs:
-        raise UnknownFunction(f"unknown function {ref.name!r}")
-    return CallRef(
-        toggle_suffix(ref.name, suffix),
-        tuple(_renamed(a, program, params, suffix) for a in ref.args),
-        ref.inverted,
-    )
+
+    def leaf(r: CallRef) -> CallRef | None:
+        if r.name in params:
+            return r
+        if r.name not in program.defs:
+            raise UnknownFunction(f"unknown function {r.name!r}")
+        return None
+
+    return map_ref(ref, leaf, lambda r, args: CallRef(toggle_suffix(r.name, suffix), args, r.inverted))
 
 
 def invert_program(program: Program, suffix: str = SUFFIX) -> Program:

@@ -223,6 +223,27 @@ class CallRef:
         return f"CallRef({show_callref(self)!r})"
 
 
+def map_ref(ref: CallRef, leaf, node, images: Optional[dict] = None) -> CallRef:
+    """The image of ``ref``, built on an explicit stack: ``leaf(r)``, called
+    in textual order, or where that is None, ``node(r, images of r.args)``.
+    The walk stops at references already in ``images`` and adds the rest,
+    so it takes time linear in what is new in ``ref``, at any depth."""
+    images = {} if images is None else images
+    stack = [(ref, False)]
+    while stack:
+        top, ready = stack.pop()
+        if ready:
+            images[top] = node(top, tuple([images[a] for a in top.args]))
+        elif top not in images:
+            image = leaf(top)
+            if image is None:
+                stack.append((top, True))
+                stack += [(a, False) for a in reversed(top.args)]
+            else:
+                images[top] = image
+    return images[ref]
+
+
 # Each reference ``dagger_ref`` has met, and its inverse, both ways.
 _INVERSES: dict[CallRef, CallRef] = {}
 
@@ -231,26 +252,15 @@ def dagger_ref(ref: CallRef, params: Collection[str] = ()) -> CallRef:
     """Reference to the inverse function: toggle the mark, invert the
     static arguments (a parametrized call inverts with inverted parameters).
     A reference to a name in ``params`` is left as it is: inside a
-    definition, the caller that binds a parameter decides its direction.
-    The walk runs on an explicit stack and stops at known inverses, so a
-    reference of any depth inverts in time linear in what is new in it."""
+    definition, the caller that binds a parameter decides its direction."""
     inverses = {} if params else _INVERSES
-    stack = [ref]
-    while stack:
-        top = stack[-1]
-        if top in inverses:
-            stack.pop()
-        elif top.name in params:
-            inverses[top] = top
-        else:
-            todo = [a for a in top.args if a not in inverses]
-            if todo:
-                stack += todo
-                continue
-            stack.pop()
-            inverse = CallRef(top.name, tuple([inverses[a] for a in top.args]), not top.inverted)
-            inverses[top], inverses[inverse] = inverse, top
-    return inverses[ref]
+
+    def invert(top: CallRef, args: tuple) -> CallRef:
+        inverse = CallRef(top.name, args, not top.inverted)
+        inverses[inverse] = top
+        return inverse
+
+    return map_ref(ref, lambda r: r if r.name in params else None, invert, inverses)
 
 
 @dataclass(frozen=True)
@@ -299,10 +309,10 @@ class Program:
 # -- concrete syntax out -----------------------------------------------------
 
 
-def _text(t: Term, layout, atomic: bool = False) -> str:
-    """Print ``t`` on an explicit stack.  ``layout(t, atomic)`` lists the
-    pieces of ``t``'s text: strings, and ``(child, atomic)`` pairs that
-    print in their place."""
+def _text(t, layout, atomic: bool = False) -> str:
+    """Print ``t``, a term or a call reference, on an explicit stack.
+    ``layout(t, atomic)`` lists the pieces of ``t``'s text: strings, and
+    ``(child, atomic)`` pairs that print in their place."""
     out: list[str] = []
     stack: list = [(t, atomic)]
     while stack:
@@ -343,13 +353,13 @@ def show_term(t: Term, atomic: bool = False) -> str:
     return _text(t, _show_layout, atomic)
 
 
+def _ref_layout(ref: CallRef, atomic: bool) -> list:
+    args = [piece for arg in ref.args for piece in (", ", (arg, False))]
+    return [ref.name, *(["<", *args[1:], ">"] if args else []), "~" * ref.inverted]
+
+
 def show_callref(ref: CallRef) -> str:
-    text = ref.name
-    if ref.args:
-        text += "<" + ", ".join(show_callref(a) for a in ref.args) + ">"
-    if ref.inverted:
-        text += "~"
-    return text
+    return _text(ref, _ref_layout)
 
 
 def show_clause(name: str, params: tuple[str, ...], clause: Clause) -> str:

@@ -40,21 +40,23 @@ class ValidationReport:
 
 
 def check_ref(ref: CallRef, program: Program, params: tuple[str, ...], add) -> None:
-    """Pass ``add`` an error for each undefined name and wrong static
-    argument count in ``ref``, a call in a definition with ``params``."""
-    if ref.name in params:
-        if ref.args:
-            add(UnboundParameter(f"parameter {ref.name!r} cannot take static arguments"))
-        return
-    target = program.defs.get(ref.name)
-    if target is None:
-        add(UnknownFunction(f"unknown function {ref.name!r}"))
-        return
-    if len(ref.args) != len(target.params):
-        add(UnboundParameter(f"call to {ref.name!r} passes {len(ref.args)} static "
-                             f"argument(s), expected {len(target.params)}"))
-    for arg in ref.args:
-        check_ref(arg, program, params, add)
+    """Pass ``add`` an error, in textual order, for each undefined name and
+    wrong static argument count in ``ref``, a call in a definition with ``params``."""
+    stack = [ref]
+    while stack:
+        ref = stack.pop()
+        if ref.name in params:
+            if ref.args:
+                add(UnboundParameter(f"parameter {ref.name!r} cannot take static arguments"))
+            continue
+        target = program.defs.get(ref.name)
+        if target is None:
+            add(UnknownFunction(f"unknown function {ref.name!r}"))
+            continue
+        if len(ref.args) != len(target.params):
+            add(UnboundParameter(f"call to {ref.name!r} passes {len(ref.args)} static "
+                                 f"argument(s), expected {len(target.params)}"))
+        stack += reversed(ref.args)
 
 
 def _check_clause(

@@ -32,11 +32,9 @@ from revcat.revlang import (
     Pair,
     Var,
     dagger_ref,
-    instantiate,
     invert_def,
-    match,
 )
-from revcat.revlang.syntax import subterms
+from revcat.revlang.syntax import instantiate, match, subterms
 
 
 def reachability_closure(edges, n):

@@ -27,7 +27,7 @@ from revcat.functionals import (
 )
 from revcat.functionals.trace import trace
 from revcat.functionals.expr import JoinWith, PostCompose, Seq
-from revcat.order import FixMode, FixPolicy, kleene_fix
+from revcat.order import FixPolicy, kleene_fix
 from revcat.cat import HomSpace, StochMorphism
 from revcat.revlang import (
     CallRef,
@@ -166,9 +166,7 @@ def test_criterion_7_stochastic_numerics():
     def affine(a):
         return StochMorphism(obj, obj, [[0.25 + 0.5 * a.rows[0][0]]])
 
-    result = kleene_fix(
-        affine, domain, FixPolicy(max_iterations=64, tolerance=1e-9, mode=FixMode.METRIC)
-    )
+    result = kleene_fix(affine, domain, FixPolicy(max_iterations=64, tolerance=1e-9))
     ok = ok and result.converged and result.iterations <= 64
     ok = ok and abs(result.value.rows[0][0] - 0.5) < 1e-9
     _conclude(7, "transpose monotone on 1000 seeded pairs + affine fixed point", ok)

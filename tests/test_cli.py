@@ -110,7 +110,7 @@ def test_fix_const_document(capture, tmp_path):
 def test_fix_affine_metric_mode(capture, tmp_path):
     path = tmp_path / "affine.json"
     path.write_text(json.dumps({"op": "host", "name": "affine", "n": 1, "scale": 0.5, "shift": 0.25}))
-    code, out, _ = capture("fix", str(path), "--mode", "metric", "--format", "json")
+    code, out, _ = capture("fix", str(path), "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["fixed_point"]["rows"][0][0] - 0.5) < 1e-9
@@ -120,7 +120,7 @@ def test_fix_affine_metric_mode(capture, tmp_path):
 def test_fix_non_convergence_exits_three(capture, tmp_path):
     path = tmp_path / "affine.json"
     path.write_text(json.dumps({"op": "host", "name": "affine", "n": 1, "scale": 0.5, "shift": 0.25}))
-    code, _, err = capture("fix", str(path), "--mode", "metric", "--max-iterations", "3")
+    code, _, err = capture("fix", str(path), "--max-iterations", "3")
     assert code == 3
     assert "non-convergence" in err
 
@@ -139,7 +139,7 @@ def test_fix_non_convergence_exits_three(capture, tmp_path):
 def test_fix_refuses_bad_dstoch_matrices_as_input_errors(capture, tmp_path, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    code, out, err = capture("fix", str(path), "--mode", "metric")
+    code, out, err = capture("fix", str(path))
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
@@ -194,6 +194,42 @@ def test_fix_has_no_cap_option(closure_file, capsys):
     assert "--cap" in capsys.readouterr().err
 
 
+def test_fix_stops_by_the_rule_of_its_hom_set(capture, tmp_path):
+    """A dstoch chain stops once a step moves at most --tolerance, so 0 asks
+    for exact stabilization; rel and pinj chains stop when a step changes
+    nothing, whatever the tolerance."""
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps({"op": "host", "name": "affine", "n": 1, "scale": 0.5, "shift": 0.25}))
+    runs = {}
+    for extra in ([], ["--tolerance", "0"]):
+        code, out, _ = capture("fix", str(path), *extra, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        runs[tuple(extra)] = (doc["fixed_point"]["rows"], doc["iterations"], doc["residual"])
+    assert runs[()] == ([[0.4999999990686774]], 29, 9.313225746154785e-10)
+    assert runs[("--tolerance", "0")] == ([[0.5]], 55, 0.0)
+    assert capture("fix", str(path), "--tolerance", "0", "--max-iterations", "54")[0] == 3
+    r = {"type": "rel", "src": 3, "dst": 3, "pairs": [[0, 1], [1, 2]]}
+    path.write_text(json.dumps({"op": "joinwith", "m": r, "inner": {"op": "postcompose", "m": r}}))
+    for tolerance in ("0", "1e-9", "0.5"):
+        code, out, _ = capture("fix", str(path), "--tolerance", tolerance, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["iterations"], doc["residual"]) == (3, None)
+        assert sorted(doc["config"]) == ["file", "max_iterations", "tolerance"]
+
+
+def test_fix_has_no_mode_option(capture, closure_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fix", closure_file, "--mode", "exact"])
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mode": "exact"}))
+    code, out, err = capture("--config", str(config), "fix", closure_file)
+    assert (code, out, err) == (2, "", "error: bad config file for fix: unknown key 'mode'\n")
+
+
 def test_fix_refuses_cap_in_a_config_file(capture, closure_file, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"cap": 3}))
@@ -233,7 +269,7 @@ DSTOCH_1 = {"cat": "dstoch", "src": 1, "dst": 1}
 @pytest.mark.parametrize(
     "argv, doc, message",
     [
-        (["fix", "--mode", "metric"],
+        (["fix"],
          {"op": "joinof", "left": {"op": "identity", "dom": DSTOCH_1},
           "right": {"op": "identity", "dom": DSTOCH_1}},
          "binary joins are not provided for dstoch"),
@@ -541,7 +577,6 @@ def test_a_library_value_or_key_error_exits_four(capture, monkeypatch, exc):
         ["laws", "--category", "rel", "--suite", "dagger", "--sizes", "-1"],
         ["trace", "{doc}", "--x", "-1", "--y", "1", "--u", "0"],
         ["fix", "{doc}", "--max-iterations", "0"],
-        ["fix", "{doc}", "--mode", "metric"],
         ["fix", "{doc}", "--tolerance", "nan"],
         ["fix", "{doc}", "--tolerance", "inf"],
         ["roundtrip", "{program}", "map", "--seed", "1", "--bind", "g=nope", "--values", "list"],
@@ -549,8 +584,7 @@ def test_a_library_value_or_key_error_exits_four(capture, monkeypatch, exc):
         ["run", "{program}", "inc", "--bind", "x=inc", "--arg", "Z"],
         ["roundtrip", "{program}", "inc", "--seed", "1", "--bind", "x=inc"],
     ],
-    ids=["negative-size", "negative-trace-size", "no-iterations", "metric-without-metric",
-         "nan-fix-tolerance", "inf-fix-tolerance",
+    ids=["negative-size", "negative-trace-size", "no-iterations", "nan-fix-tolerance", "inf-fix-tolerance",
          "binding-to-unknown-function", "conflicting-parameter-lists",
          "run-binding-no-parameter", "roundtrip-binding-no-parameter"],
 )
@@ -609,7 +643,7 @@ def test_roundtrip_takes_the_references_run_takes(capture, tmp_path, program, re
 @pytest.mark.parametrize(
     "argv, config, option",
     [
-        (["fix", "{doc}"], {"mode": "fuzzy"}, "--mode"),
+        (["fix", "{doc}"], {"max_iterations": "many"}, "--max-iterations"),
         (["laws", "--category", "rel", "--suite", "dagger"], {"max_size": [1]}, "--max-size"),
         (["roundtrip", "{program}", "add", "--seed", "1"], {"trials": True}, "--trials"),
         (["roundtrip", "{program}", "add", "--seed", "1"], {"values": "bogus"}, "--values"),
@@ -617,7 +651,7 @@ def test_roundtrip_takes_the_references_run_takes(capture, tmp_path, program, re
         (["run", "{program}", "add", "--arg", "Z"], {"fuel": 2.5}, "--fuel"),
         (["run", "{program}", "add", "--arg", "Z"], {"bind": {"g": "inc"}}, "--bind"),
     ],
-    ids=["mode", "max-size", "trials", "values", "format", "fuel", "bind"],
+    ids=["max-iterations", "max-size", "trials", "values", "format", "fuel", "bind"],
 )
 def test_a_config_value_gets_the_checks_of_its_flag(capture, tmp_path, argv, config, option):
     doc = tmp_path / "doc.json"

@@ -1,7 +1,7 @@
 """Nested static arguments: parametrized functions passed as parameters."""
 from revcat.cat import FinObject, HomSpace, StochMorphism, enumerate_rel
 from revcat.errors import TooLarge
-from revcat.order import FixMode, FixPolicy, kleene_fix
+from revcat.order import FixPolicy, kleene_fix
 from revcat.revlang import (
     Evaluator,
     closed_ref,
@@ -52,6 +52,6 @@ def test_metric_kleene_result_carries_residual():
     def affine(a):
         return StochMorphism(obj, obj, [[0.25 + 0.5 * a.rows[0][0]]])
 
-    result = kleene_fix(affine, domain, FixPolicy(mode=FixMode.METRIC))
+    result = kleene_fix(affine, domain, FixPolicy())
     assert result.converged
     assert 0 <= result.residual < 1e-9

@@ -9,7 +9,7 @@ from revcat.cat import (
     join,
 )
 from revcat.errors import DomainMismatch, InvalidArgument, NonConvergence
-from revcat.order import FixMode, FixPolicy, kleene_fix, kleene_pfix
+from revcat.order import FixPolicy, kleene_fix, kleene_pfix
 
 from checkers import spot_check_monotone
 from oracles import complement, geometric_fixed_point, iterate_param_step, reachability_closure
@@ -47,7 +47,7 @@ def test_kleene_fix_affine_metric_matches_closed_form():
     def step(a):
         return StochMorphism(obj, obj, [[0.25 + 0.5 * a.rows[0][0]]])
 
-    result = kleene_fix(step, dom, FixPolicy(mode=FixMode.METRIC, tolerance=1e-9))
+    result = kleene_fix(step, dom, FixPolicy(tolerance=1e-9))
     expected = geometric_fixed_point(0.25, 0.5)
     assert abs(result.value.rows[0][0] - expected) < 1e-9
     assert result.converged and result.iterations <= 64
@@ -62,7 +62,7 @@ def test_kleene_fix_raises_non_convergence_on_oscillation():
         return StochMorphism(obj, obj, [[1.0 - a.rows[0][0]]])
 
     with pytest.raises(NonConvergence):
-        kleene_fix(step, dom, FixPolicy(max_iterations=50, mode=FixMode.METRIC))
+        kleene_fix(step, dom, FixPolicy(max_iterations=50))
 
 
 def test_kleene_fix_detects_domain_escape():
@@ -77,8 +77,6 @@ def test_policy_validation():
     for tolerance in (-1.0, float("nan"), float("inf")):
         with pytest.raises(InvalidArgument):
             FixPolicy(tolerance=tolerance)
-    with pytest.raises(ValueError):
-        kleene_fix(lambda r: r, REL_DOM, FixPolicy(mode=FixMode.METRIC))
 
 
 def test_kleene_pfix_constant_in_first_argument():

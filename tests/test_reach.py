@@ -131,9 +131,9 @@ def _invocations(tmp: Path) -> list[list[str]]:
         ["laws", "--category", "rel", "--suite", "nope"],
         ["fix", path["closure.json"]],
         ["fix", path["every-node.json"], "--format", "json"],
-        ["fix", path["affine.json"], "--mode", "metric"],
-        ["fix", path["slow.json"], "--mode", "metric", "--max-iterations", "2"],
-        ["fix", path["joinof.json"], "--mode", "metric"],
+        ["fix", path["affine.json"]],
+        ["fix", path["slow.json"], "--max-iterations", "2"],
+        ["fix", path["joinof.json"]],
         ["fix", path["bad.json"]],
         ["fix", path["not-endo.json"]],
         ["trace", path["pinj.json"], "--x", "1", "--y", "1", "--u", "2"],

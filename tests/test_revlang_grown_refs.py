@@ -12,11 +12,14 @@ from revcat.revlang import (
     Evaluator,
     closed_ref,
     dagger_ref,
+    invert_binding,
     parse_callref_text,
     parse_program,
     parse_value,
+    show_callref,
     show_term,
 )
+from revcat.revlang.validate import check_ref
 
 from bundled import GROW, GROW_INVERTED, GROW_INVERTED_AT_BASE
 
@@ -110,3 +113,35 @@ def test_a_deep_reference_inverts_on_an_explicit_stack():
         (inverse,) = inverse.args
     assert inverse is CallRef("g")
     assert dagger_ref(dagger_ref(ref)) is ref
+
+
+def test_every_walk_over_a_deep_reference_runs_on_a_stack():
+    depth = 10_000
+    ref = CallRef("inc")
+    for _ in range(depth):
+        ref = CallRef("map", (ref,))
+    text = "map<" * depth + "inc" + ">" * depth
+    program = parse_program(GROW_INVERTED_AT_BASE)
+    assert closed_ref(program, ref) is ref
+    assert show_callref(ref) == text and repr(ref) == f"CallRef({text!r})"
+    renamed = text.replace("map", "map_inv").replace("inc", "inc_inv")
+    assert show_callref(invert_binding(ref, program)) == renamed
+    # ``h<g>`` calls ``g~``: binding it inverts the whole reference.
+    nil = parse_value("Nil")
+    h = closed_ref(program, CallRef("h", (ref,)))
+    assert Evaluator(program).call(h, nil, 10) is nil
+
+
+def test_a_reference_is_checked_in_textual_order():
+    program = parse_program(GROW_INVERTED_AT_BASE)
+    errors = []
+    check_ref(parse_callref_text("map<nope, map<inc, zap>, p<nope>, map>"), program, ("p",),
+              lambda e: errors.append(str(e)))
+    assert errors == [
+        "call to 'map' passes 4 static argument(s), expected 1",
+        "unknown function 'nope'",
+        "call to 'map' passes 2 static argument(s), expected 1",
+        "unknown function 'zap'",
+        "parameter 'p' cannot take static arguments",
+        "call to 'map' passes 0 static argument(s), expected 1",
+    ]

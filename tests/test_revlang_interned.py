@@ -22,7 +22,6 @@ from revcat.revlang import (
     Term,
     Var,
     Z,
-    instantiate,
     invert_program,
     parse_callref_text,
     parse_program,
@@ -37,6 +36,7 @@ from revcat.revlang import (
     validate_program,
 )
 from revcat.revlang import syntax
+from revcat.revlang.syntax import instantiate
 from revcat.revlang.parser import KEYWORDS, MAX_NESTING
 
 from bundled import bundled_program
