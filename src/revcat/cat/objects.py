@@ -9,6 +9,11 @@ from ..errors import DimensionMismatch, InvalidArgument, ParseError
 # The most cells (source size x target size) a hom-set of rel or pinj may
 # have for ``enumerate_rel``/``enumerate_pinj`` to list it: 2**9 relations.
 ENUMERATION_CAP = 9
+# The largest object size, or index, that an input may name.  The costliest
+# step on objects of this size, a dstoch compose (cubic in the size), takes
+# about 50 ms, and one affine step (quadratic) about 4 ms; at twice the
+# size a compose takes eight times as long.
+MAX_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -33,9 +38,12 @@ def require_fields(doc: dict, fields: set[str]) -> None:
 
 
 def read_nat(value, field: str) -> int:
-    """A size or index read from a document: a JSON integer >= 0, not a bool."""
+    """A size or index read from an input: an integer from 0 to ``MAX_SIZE``,
+    not a bool."""
     if type(value) is not int or value < 0:
         raise ParseError(f"expected an integer >= 0 in {field!r}, got {value!r}")
+    if value > MAX_SIZE:
+        raise ParseError(f"{field!r} is {value}, past the bound on object sizes MAX_SIZE = {MAX_SIZE}")
     return value
 
 

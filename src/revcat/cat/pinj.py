@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 from typing import ClassVar, Optional
 
 from ..errors import DimensionMismatch, IncompatibleJoin, ParseError, TooLarge
-from .objects import ENUMERATION_CAP, FinObject, read_nat, require_fields, same_hom, trusted_make
+from .objects import ENUMERATION_CAP, MAX_SIZE, FinObject, read_nat, require_fields, same_hom, trusted_make
 from .rel import RelMorphism
 
 
@@ -163,10 +163,12 @@ class PInjMorphism:
 
 
 def _source_key(key) -> int:
-    """A key of a document's map: an integer >= 0 in plain decimal, such as "10"."""
-    if not (isinstance(key, str) and key.isdecimal() and str(int(key)) == key):
-        raise ParseError(f"expected a key in 'map' written as an integer >= 0, got {key!r}")
-    return int(key)
+    """A key of a document's map: an integer from 0 to ``MAX_SIZE`` in plain
+    decimal, such as "10"; a longer key is refused before ``int`` reads it."""
+    if not (isinstance(key, str) and key.isdecimal() and len(key) <= len(str(MAX_SIZE))
+            and str(int(key)) == key):
+        raise ParseError(f"expected a key in 'map' written as an integer from 0 to {MAX_SIZE}, got {key!r}")
+    return read_nat(int(key), "map")
 
 
 def enumerate_pinj(src: FinObject, dst: FinObject, cap: int = ENUMERATION_CAP) -> list[PInjMorphism]:

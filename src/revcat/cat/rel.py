@@ -176,7 +176,7 @@ class RelMorphism:
 def enumerate_rel(src: FinObject, dst: FinObject, cap: int = ENUMERATION_CAP) -> list[RelMorphism]:
     cells = src.size * dst.size
     if cells > cap:
-        raise TooLarge(f"{2 ** cells} relations exceed the enumeration cap")
+        raise TooLarge(f"2**{cells} relations exceed the enumeration cap")
     mask = (1 << dst.size) - 1
     row_choices = range(mask + 1)
     return [

@@ -31,6 +31,7 @@ from .cat import (
     loads_morphism,
 )
 from .cat.laws import SUITES as CORE_SUITES
+from .cat.objects import read_nat
 from .cat.serialize import read_json
 from .errors import (
     DimensionMismatch,
@@ -102,10 +103,8 @@ def _sizes_from(args) -> tuple[int, ...]:
             raise ConfigError(f"bad --sizes value {args.sizes!r}") from exc
         if len(set(sizes)) != len(sizes):
             raise ConfigError(f"--sizes {args.sizes!r} repeats a size")
-        return sizes
-    if args.max_size < 0:
-        raise ConfigError("--max-size must not be negative")
-    return tuple(range(args.max_size + 1))
+        return tuple(read_nat(s, "--sizes") for s in sizes)
+    return tuple(range(read_nat(args.max_size, "--max-size") + 1))
 
 
 @dataclass(frozen=True)
@@ -284,12 +283,11 @@ def cmd_fix(args) -> int:
         },
         "fixed_point": result.value.to_doc(),
         "iterations": result.iterations,
-        "converged": result.converged,
         "residual": result.residual,
     }
     lines = [
         f"fixed point: {json.dumps(result.value.to_doc(), sort_keys=True)}",
-        f"iterations: {result.iterations} converged: {result.converged}"
+        f"iterations: {result.iterations}"
         + (f" residual: {result.residual:.3g}" if result.residual is not None else ""),
     ]
     _emit(args, doc, lines)
@@ -301,7 +299,8 @@ def cmd_fix(args) -> int:
 
 def cmd_trace(args) -> int:
     f = loads_morphism(_read_text(args.file))
-    traced = trace(f, FinObject(args.x), FinObject(args.y), FinObject(args.u))
+    x, y, u = (FinObject(read_nat(getattr(args, k), f"--{k}")) for k in "xyu")
+    traced = trace(f, x, y, u)
     doc = {
         "command": "trace",
         "config": {"file": args.file, "x": args.x, "y": args.y, "u": args.u},

@@ -14,10 +14,7 @@ class DomainMismatch(RevcatError):
 
 
 class NonConvergence(RevcatError):
-    def __init__(self, message, iterations=0, last=None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.last = last
+    pass
 
 
 class InvalidArgument(RevcatError, ValueError):

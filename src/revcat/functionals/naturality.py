@@ -147,7 +147,7 @@ def check_naturality(
                         lhs = alpha_p.apply(moved[i], p_t)
                         rhs = moved[alpha_at(i, j)]
                     except IncompatibleJoin:
-                        checker.skip("family-square")
+                        checker.skip()
                         continue
                     checker.check(
                         "family-square",
@@ -167,7 +167,7 @@ def check_naturality(
                             "n={0} u={1!r} v={2!r} p={3!r}", n, u, v, p,
                         )
                 except IncompatibleJoin:
-                    checker.skip("iterate-square")
+                    checker.skip()
                     ok = False
 
                 if ok:
@@ -175,7 +175,7 @@ def check_naturality(
                         lhs = pfix_p(p_t)
                         rhs = moved[pfix_at(j)]
                     except IncompatibleJoin:
-                        checker.skip("pfix-square")
+                        checker.skip()
                         continue
                     checker.check(
                         "pfix-square",
@@ -215,7 +215,7 @@ def check_self_conjugate(family: NaturalFamily, x: FinObject, y: FinObject) -> L
             swapped = a_yx.apply(*map(dagger, args))
             via_conj = conj_yx.apply(*args)
         except IncompatibleJoin:
-            checker.skip("dagger-preservation")
+            checker.skip()
             continue
         first = dagger(direct).isclose(swapped)
         second = via_conj.isclose(direct)

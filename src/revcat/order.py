@@ -38,7 +38,6 @@ class FixPolicy:
 class KleeneResult:
     value: Any
     iterations: int
-    converged: bool
     residual: Optional[float] = None
 
 
@@ -55,17 +54,13 @@ def _iterate(step1, space: HomSpace, policy: Optional[FixPolicy]) -> KleeneResul
             raise DomainMismatch(f"step left the hom-set {space!r} after {iterations} iteration(s)")
         if metric is None:
             if nxt == current:
-                return KleeneResult(nxt, iterations, True)
+                return KleeneResult(nxt, iterations)
         else:
             dist = metric(current, nxt)
             if dist <= policy.tolerance:
-                return KleeneResult(nxt, iterations, True, dist)
+                return KleeneResult(nxt, iterations, dist)
         current = nxt
-    raise NonConvergence(
-        f"no fixed point within {policy.max_iterations} iterations",
-        iterations=policy.max_iterations,
-        last=current,
-    )
+    raise NonConvergence(f"no fixed point within {policy.max_iterations} iterations")
 
 
 def kleene_fix(step, space: HomSpace, policy: Optional[FixPolicy] = None) -> KleeneResult:

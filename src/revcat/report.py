@@ -81,7 +81,7 @@ class Checker:
             self.report.violations.append(Violation(law, witness.format(*args)))
         return ok
 
-    def skip(self, law: str) -> None:
+    def skip(self) -> None:
         self.report.skipped += 1
 
     def done(self) -> LawReport:

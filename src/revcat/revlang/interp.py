@@ -24,6 +24,14 @@ fuel n exactly when n reaches the least fuel it needs.  Each
 or nested, is answered from it when it can be.  A call is evaluated again
 only at a fuel above every fuel it has failed at, and the answers are the
 same as without the table at every fuel.
+
+A call that reaches itself, the same reference on the same value, before
+it returns takes the same path at every fuel, so no approximant defines
+it: it is ``UNDEFINED`` however much fuel is left.  A call on the stack is
+held in its row as undefined at every fuel, so such a cycle ends at its
+first repeat, not when the fuel runs out.  Divergence through values or
+references that grow with every call repeats no call and still runs to
+the fuel.
 """
 from __future__ import annotations
 
@@ -49,6 +57,8 @@ UNDEFINED = _Undefined()
 STUCK = _Stuck()
 # The call table's answer for a call it has not seen: undefined at fuel 0.
 _UNSEEN = (UNDEFINED, 0)
+# The entry of a call while it is on the stack: undefined at every fuel.
+_ON_STACK = (UNDEFINED, float("inf"))
 
 
 def _matcher(p: Term, bound: set[str]):
@@ -188,54 +198,63 @@ class Evaluator:
         and value, and the most its lets so far needed.  A result passes up
         the stack, and each frame it ends is recorded as it unwinds:
         ``UNDEFINED`` makes every frame undefined at its own fuel, and
-        ``STUCK`` makes every frame ``STUCK``.
+        ``STUCK`` makes every frame ``STUCK``.  While a frame is on the
+        stack, its row holds ``_ON_STACK``, so a call that reaches itself is
+        answered ``UNDEFINED``; if an exception passes, those rows forget
+        the call.
         """
         compiled = self._compiled
         frames: list[list] = []
-        while True:
-            if fuel <= 0:
-                result = UNDEFINED
-            else:
-                clauses, row = compiled.get(ref) or self._compile(ref)
-                result, need = row.get(value, _UNSEEN)
-                if result is UNDEFINED and fuel > need:
-                    for lhs, steps, out in clauses:
-                        env = {}
-                        if lhs(value, env):
-                            break
-                    else:
-                        steps = None
-                    if steps:
-                        frames.append([steps, 0, env, out, fuel, row, value, 0])
-                        result = None
-                    else:
-                        result = STUCK if steps is None else out(env)
-                        need = 1
-                        row[value] = (result, 1)
-                elif fuel < need:
+        try:
+            while True:
+                if fuel <= 0:
                     result = UNDEFINED
-            while result is not None:
-                if not frames:
-                    return result
-                frame = frames[-1]
-                if result is UNDEFINED:
-                    entry = (UNDEFINED, frame[4])
                 else:
-                    if need > frame[7]:
-                        frame[7] = need
-                    steps, i, env = frame[0], frame[1], frame[2]
-                    if result is STUCK or not steps[i][2](result, env):
-                        result = STUCK
-                    elif i + 1 < len(steps):
-                        frame[1] = i + 1
-                        break
+                    clauses, row = compiled.get(ref) or self._compile(ref)
+                    result, need = row.get(value, _UNSEEN)
+                    if result is UNDEFINED and fuel > need:
+                        for lhs, steps, out in clauses:
+                            env = {}
+                            if lhs(value, env):
+                                break
+                        else:
+                            steps = None
+                        if steps:
+                            frames.append([steps, 0, env, out, fuel, row, value, 0])
+                            row[value] = _ON_STACK
+                            result = None
+                        else:
+                            result = STUCK if steps is None else out(env)
+                            need = 1
+                            row[value] = (result, 1)
+                    elif fuel < need:
+                        result = UNDEFINED
+                while result is not None:
+                    if not frames:
+                        return result
+                    frame = frames[-1]
+                    if result is UNDEFINED:
+                        entry = (UNDEFINED, frame[4])
                     else:
-                        result = frame[3](env)
-                    need = frame[7] + 1
-                    entry = (result, need)
-                frames.pop()
-                frame[5][frame[6]] = entry
-            frame = frames[-1]
-            arg, ref, _ = frame[0][frame[1]]
-            value = arg(frame[2])
-            fuel = frame[4] - 1
+                        if need > frame[7]:
+                            frame[7] = need
+                        steps, i, env = frame[0], frame[1], frame[2]
+                        if result is STUCK or not steps[i][2](result, env):
+                            result = STUCK
+                        elif i + 1 < len(steps):
+                            frame[1] = i + 1
+                            break
+                        else:
+                            result = frame[3](env)
+                        need = frame[7] + 1
+                        entry = (result, need)
+                    frame[5][frame[6]] = entry
+                    frames.pop()
+                frame = frames[-1]
+                arg, ref, _ = frame[0][frame[1]]
+                value = arg(frame[2])
+                fuel = frame[4] - 1
+        except BaseException:
+            for frame in frames:
+                frame[5].pop(frame[6], None)
+            raise

@@ -97,13 +97,13 @@ def check_fix_pfix_agreement(
     try:
         fixed = fix_functional(phi)
     except IncompatibleJoin:
-        checker.skip("pfix-from-fix")
+        checker.skip()
         return checker.done()
     for p in param_space.morphisms() if parameters is None else list(parameters):
         try:
             v = pfix_functional(lifted, p)
         except IncompatibleJoin:
-            checker.skip("pfix-from-fix")
+            checker.skip()
             continue
         checker.check(
             "pfix-from-fix",

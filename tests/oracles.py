@@ -317,7 +317,7 @@ def reference_naturality(family, x, xp, y, yp, fuel=10):
                         lhs = apply_param(alpha_p, transport(fv, h, fu), p_t)
                         rhs = transport(fv, apply_param(alpha, h, p), fu)
                     except IncompatibleJoin:
-                        checker.skip("family-square")
+                        checker.skip()
                         continue
                     checker.check(
                         "family-square",
@@ -339,7 +339,7 @@ def reference_naturality(family, x, xp, y, yp, fuel=10):
                             n, u, v, p,
                         )
                 except IncompatibleJoin:
-                    checker.skip("iterate-square")
+                    checker.skip()
                     ok = False
 
                 if ok:
@@ -347,7 +347,7 @@ def reference_naturality(family, x, xp, y, yp, fuel=10):
                         lhs = pfix_functional(alpha_p, p_t)
                         rhs = transport(fv, pfix_functional(alpha, p), fu)
                     except IncompatibleJoin:
-                        checker.skip("pfix-square")
+                        checker.skip()
                         continue
                     checker.check(
                         "pfix-square",

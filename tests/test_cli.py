@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
+from revcat.cat.objects import MAX_SIZE
 from revcat.cat.serialize import MAX_NESTING
 from revcat.cli import build_parser, main
 from revcat.functionals import loads_functional
@@ -95,7 +96,7 @@ def test_fix_transitive_closure_document(capture, closure_file):
     assert code == 0
     doc = json.loads(out)
     assert sorted(map(tuple, doc["fixed_point"]["pairs"])) == [(0, 1), (0, 2), (1, 2)]
-    assert doc["converged"] is True
+    assert doc.keys() == {"command", "config", "fixed_point", "iterations", "residual"}
 
 
 def test_fix_const_document(capture, tmp_path):
@@ -120,9 +121,17 @@ def test_fix_affine_metric_mode(capture, tmp_path):
 def test_fix_non_convergence_exits_three(capture, tmp_path):
     path = tmp_path / "affine.json"
     path.write_text(json.dumps({"op": "host", "name": "affine", "n": 1, "scale": 0.5, "shift": 0.25}))
-    code, _, err = capture("fix", str(path), "--max-iterations", "3")
-    assert code == 3
-    assert "non-convergence" in err
+    code, out, err = capture("fix", str(path), "--max-iterations", "3")
+    assert (code, out) == (3, "")
+    assert err == "error: non-convergence: no fixed point within 3 iterations\n"
+
+
+def test_fix_text_reports_iterations_and_residual(capture, tmp_path):
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps({"op": "host", "name": "affine", "n": 1, "scale": 0.5, "shift": 0.25}))
+    code, out, _ = capture("fix", str(path), "--tolerance", "0")
+    assert code == 0
+    assert out.splitlines()[1] == "iterations: 55 residual: 0"
 
 
 @pytest.mark.parametrize(
@@ -306,6 +315,20 @@ def test_run_reports_undefined_and_stuck_distinctly(capture, add_file):
     code, out, _ = capture("run", add_file, "add", "--arg", "Nil")
     assert code == 0
     assert "stuck" in out
+
+
+@pytest.mark.parametrize(
+    "source, fname",
+    [
+        ("fun loop x = let y = loop x in y\n", "loop"),
+        ("fun f x = let y = g x in y\nfun g x = let y = f x in y\n", "f"),
+    ],
+)
+def test_run_answers_a_call_that_reaches_itself_at_any_fuel(capture, tmp_path, source, fname):
+    path = tmp_path / "loop.rvl"
+    path.write_text(source)
+    code, out, err = capture("run", str(path), fname, "--arg", "Z", "--fuel", "1000000000")
+    assert (code, out, err) == (0, "undefined (fuel exhausted)\n", "")
 
 
 def test_run_inverse_reference(capture, add_file):
@@ -880,6 +903,83 @@ def test_no_nesting_of_json_crashes_a_reader(capture, tmp_path, data):
         code, err = exc.code, ""
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err and "internal" not in err
+
+
+def _rel(n):
+    return {"type": "rel", "src": n, "dst": n, "pairs": []}
+
+
+def _trace(x, y, u):
+    return ["trace", "{file}", "--x", str(x), "--y", str(y), "--u", str(u)]
+
+
+def _laws(flag, n):
+    return ["laws", "--category", "dstoch", "--suite", "monotone-dagger", "--trials", "1",
+            "--seed", "1", flag, str(n)]
+
+
+# Each reader of an object size: ``n |-> (command line, document or None)``,
+# and its exit code when ``n`` is MAX_SIZE.
+SIZE_READERS = {
+    "rel": (lambda n: (_trace(n, n, 0), _rel(n)), 0),
+    "pinj": (lambda n: (_trace(n, n, 0), {"type": "pinj", "src": n, "dst": n, "map": {}}), 0),
+    "dstoch": (
+        lambda n: (["fix", "{file}"], {"op": "const", "m": {
+            "type": "dstoch", "n": n, "rows": [[0] * n] * n if n <= MAX_SIZE else []}}),
+        0,
+    ),
+    "affine": (
+        lambda n: (["fix", "{file}", "--max-iterations", "1"],
+                   {"op": "host", "name": "affine", "n": n, "scale": 0.5, "shift": 0.25}),
+        3,
+    ),
+    "dom": (lambda n: (["fix", "{file}"], {"op": "identity", "dom": {"cat": "rel", "src": n, "dst": 1}}), 0),
+    "--x": (lambda n: (_trace(n, MAX_SIZE, 0), _rel(MAX_SIZE)), 0),
+    "--y": (lambda n: (_trace(MAX_SIZE, n, 0), _rel(MAX_SIZE)), 0),
+    "--u": (lambda n: (_trace(0, 0, n), _rel(MAX_SIZE)), 0),
+    "--sizes": (lambda n: (_laws("--sizes", n), None), 0),
+    "--max-size": (lambda n: (_laws("--max-size", n), None), 0),
+}
+
+
+def _run_sized(capture, tmp_path, reader, n):
+    argv, doc = SIZE_READERS[reader][0](n)
+    path = tmp_path / "input.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    return capture(*[str(path) if a == "{file}" else a for a in argv])
+
+
+@pytest.mark.parametrize("reader", sorted(SIZE_READERS))
+def test_every_size_an_input_names_is_bounded_where_it_is_read(capture, tmp_path, reader):
+    code, _, err = _run_sized(capture, tmp_path, reader, MAX_SIZE)
+    assert code == SIZE_READERS[reader][1], err
+    code, out, err = _run_sized(capture, tmp_path, reader, MAX_SIZE + 1)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"is {MAX_SIZE + 1}, past the bound on object sizes MAX_SIZE = {MAX_SIZE}" in err
+
+
+@settings(
+    max_examples=100, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_no_size_crashes_a_reader(capture, tmp_path, data):
+    reader = data.draw(st.sampled_from(sorted(SIZE_READERS)))
+    n = data.draw(st.one_of(st.integers(0, 2 * MAX_SIZE), st.integers(0, 10**12)))
+    code, _, err = _run_sized(capture, tmp_path, reader, n)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err and "internal" not in err
+
+
+def test_a_number_too_long_to_read_is_refused_where_a_size_or_index_goes(capture, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"type": "pinj", "src": 1, "dst": 1, "map": {"1" * 5000: 0}}))
+    code, out, err = capture("trace", str(path), "--x", "1", "--y", "1", "--u", "0")
+    assert (code, out) == (2, "") and "expected a key in 'map'" in err
+    code, out, err = capture("laws", "--category", "rel", "--sizes", str(MAX_SIZE), "--suite", "dagger")
+    assert (code, out, err) == (2, "", f"error: 2**{MAX_SIZE ** 2} relations exceed the enumeration cap\n")
 
 
 def test_config_file_supplies_defaults(capture, add_file, tmp_path):

@@ -213,6 +213,59 @@ def test_call_table_check_flags_a_table_that_ignores_least_fuel(monkeypatch):
     assert roundtrip_check(add, "add", {}, 50, 30, 1, value_gen=random_peano_pair).passed
 
 
+INF = float("inf")
+ONLY_THE_REFERENCE = lambda row, value: id(row)  # noqa: E731
+ONLY_THE_VALUE = lambda row, value: value  # noqa: E731
+THE_CALL = lambda row, value: (id(row), value)  # noqa: E731
+
+
+class _CoarseStackRow(dict):
+    """A call-table row that holds a call on the stack as undefined at every
+    fuel, as the evaluator does, but finds a call on the stack by ``key(row,
+    value)``: by its reference alone or by its value alone."""
+
+    def __init__(self, key, on_stack):
+        super().__init__()
+        self.key, self.on_stack = key, on_stack
+
+    def __setitem__(self, value, entry):
+        if entry[1] == INF:
+            self.on_stack.append(self.key(self, value))
+        elif dict.get(self, value, (None, 0))[1] == INF:
+            self.on_stack.remove(self.key(self, value))
+        dict.__setitem__(self, value, entry)
+
+    def get(self, value, default=None):
+        if self.key(self, value) in self.on_stack:
+            return UNDEFINED, INF
+        return dict.get(self, value, default)
+
+
+@pytest.mark.parametrize(
+    "key, program, ref, value",
+    [
+        # add (S Z, Z) calls add (Z, Z): the same reference, another value.
+        (ONLY_THE_REFERENCE, "add", "add", "(S Z, Z)"),
+        # f Z calls g Z: the same value, another reference.
+        (ONLY_THE_VALUE, "fun g x = let y = g2 x in y\nfun g2 x = x\nfun f x = let y = g x in y\n", "f", "Z"),
+    ],
+)
+def test_call_table_check_flags_a_cycle_found_by_half_a_call(monkeypatch, key, program, ref, value):
+    compile_ = Evaluator._compile
+    program = bundled_program(program) if program == "add" else parse_program(program)
+    for stack_key, passes in ((key, False), (THE_CALL, True)):
+        on_stack = []
+
+        def keyed_compile(self, r):
+            clauses, _ = compile_(self, r)
+            self._compiled[r] = code = (clauses, _CoarseStackRow(stack_key, on_stack))
+            return code
+
+        monkeypatch.setattr(Evaluator, "_compile", keyed_compile)
+        report = check_call_table(Evaluator(program), CallRef(ref), [(parse_value(value), 10)])
+        assert report.passed is passes
+
+
 # -- the text of a violation's witness -------------------------------------------
 
 X2 = FinObject(2)

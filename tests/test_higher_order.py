@@ -53,5 +53,4 @@ def test_metric_kleene_result_carries_residual():
         return StochMorphism(obj, obj, [[0.25 + 0.5 * a.rows[0][0]]])
 
     result = kleene_fix(affine, domain, FixPolicy())
-    assert result.converged
     assert 0 <= result.residual < 1e-9

@@ -4,13 +4,17 @@ Each ``Evaluator`` answers a call it has seen from its table: the outcome
 at or above the least fuel the call needs, ``UNDEFINED`` below it.  The
 queries here ask the same calls and their subcalls at fuels below, at and
 above that least fuel, rising and falling, so that answers come from the
-table in every order it can be filled.
+table in every order it can be filled.  A call that reaches itself is
+undefined at every fuel; the reference shows that only up to the fuels its
+recursion reaches, and the evaluator answers it at any fuel.
 """
 from dataclasses import dataclass, field
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from revcat.cli import main
+from revcat.errors import UnknownFunction
 from revcat.revlang import (
     STUCK,
     UNDEFINED,
@@ -45,6 +49,17 @@ fun g x = (x, Z)
 fun f Z = Z
 fun f (S x) = let y = f x in let (z, Nil) = g y in S z
 """
+# Three ways for a call to reach itself: directly, through another
+# definition, and after a let that succeeds (``h`` of Z is STUCK).
+LOOP = "fun loop x = let y = loop x in y\n"
+MUTUAL = """\
+fun f x = let y = g x in y
+fun g x = let y = f x in y
+"""
+AFTER_A_LET = """\
+fun ident x = x
+fun h (S x) = let y = ident x in let z = h (S y) in z
+"""
 
 
 def nat(n):
@@ -62,11 +77,12 @@ def nat_list(heads):
 
 
 def least_fuel(program, ref, value, cap=40):
-    """The least fuel at which the reference evaluator defines the call."""
-    for fuel in range(cap + 1):
+    """The least fuel at which the reference evaluator defines the call, or
+    ``cap`` if it defines it at no fuel below."""
+    for fuel in range(cap):
         if ReferenceEvaluator(program).call(ref, value, fuel) is not UNDEFINED:
             return fuel
-    raise AssertionError(f"{ref!r} on {value!r} is undefined up to fuel {cap}")
+    return cap
 
 
 @dataclass
@@ -108,6 +124,9 @@ def _cases():
         "stuck-after-a-let": Case(
             parse_program(STUCK_AFTER_A_LET), CallRef("f"), [nat(n) for n in range(8)]
         ),
+        "loop": Case(parse_program(LOOP), CallRef("loop"), [Z(), nat(2), Nil(), Pair(Z(), Nil())]),
+        "mutual": Case(parse_program(MUTUAL), CallRef("f"), [Z(), nat(3), Nil()]),
+        "after-a-let": Case(parse_program(AFTER_A_LET), CallRef("h"), [nat(n) for n in range(5)]),
     }
 
 
@@ -175,3 +194,22 @@ def test_a_call_made_twice_runs_once(tmp_path, capsys):
         assert table_entries(evaluator) == n + 1
         assert evaluator.call(f, nat(n), n) is UNDEFINED
         assert table_entries(evaluator) == n + 1
+
+
+@pytest.mark.parametrize("name", ["loop", "mutual", "after-a-let"])
+def test_a_call_that_reaches_itself_is_undefined_at_any_fuel(name):
+    case = CASES[name]
+    evaluator = Evaluator(case.program)
+    for value in case.values:
+        got = evaluator.call(case.ref, value, 10**9)
+        assert got is (STUCK if value is Z() and name == "after-a-let" else UNDEFINED)
+    # No call is left on the stack: every row holds a finite fuel.
+    assert all(need <= 10**9 for _, row in evaluator._compiled.values() for _, need in row.values())
+
+
+def test_a_call_that_raises_leaves_no_call_on_the_stack():
+    program = parse_program("fun f x = let y = nope x in y\n")
+    evaluator = Evaluator(program)
+    for _ in range(2):
+        with pytest.raises(UnknownFunction):
+            evaluator.call(CallRef("f"), Z(), 5)
