@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass
 from functools import reduce
 from random import Random
+from time import perf_counter
 from typing import Callable, Iterator
 
 from .cat import (
@@ -78,10 +79,17 @@ from .revlang import (
 from .revlang.invert import SUFFIX
 
 VALUE_BOUND = inspect.signature(roundtrip_check).parameters["value_bound"].default
+# The value generator of each ``roundtrip --values`` choice; None draws trees.
+VALUES = {"tree": None, "peano": random_peano_pair, "list": random_nat_list}
 
 
 class ConfigError(RevcatError):
     pass
+
+
+def _timed_summary(report: LawReport, seconds: float) -> str:
+    """A report's text line with the wall time of the run that made it."""
+    return f"{report.summary()} [{seconds * 1000:.1f} ms]"
 
 
 def _emit(args, doc: dict, text_lines: list[str]) -> None:
@@ -225,10 +233,12 @@ def cmd_laws(args) -> int:
         fuel=args.fuel,
         depth=args.depth,
     )
-    reports = [
-        reduce(LawReport.merge, suite.run(args.category, config), LawReport(suite.name))
-        for suite in suites
-    ]
+    reports, lines = [], []
+    for suite in suites:
+        start = perf_counter()
+        report = reduce(LawReport.merge, suite.run(args.category, config), LawReport(suite.name))
+        lines.append(_timed_summary(report, perf_counter() - start))
+        reports.append(report)
 
     suite_docs = {}
     for r in reports:
@@ -249,7 +259,6 @@ def cmd_laws(args) -> int:
         },
         "suites": suite_docs,
     }
-    lines = [r.summary() for r in reports]
     for r in reports:
         for v in r.violations[:20]:
             lines.append(f"  {r.suite}/{v.law}: {v.witness}")
@@ -341,7 +350,8 @@ def cmd_run(args) -> int:
         outcome, shown = "value", show_term(result)
     doc = {
         "command": "run",
-        "config": {"file": args.file, "fname": args.fname, "arg": args.arg, "fuel": args.fuel},
+        "config": {"file": args.file, "fname": args.fname, "arg": args.arg, "fuel": args.fuel,
+                   "bind": args.bind or []},
         "outcome": outcome,
         "value": shown if outcome == "value" else None,
     }
@@ -387,11 +397,7 @@ def cmd_roundtrip(args) -> int:
         raise ConfigError("--value-bound must be at least 1")
     program = _load_program(args.file)
     bindings = _bindings_from(args)
-    gen = None
-    if args.values == "peano":
-        gen = lambda rng: random_peano_pair(rng)
-    elif args.values == "list":
-        gen = lambda rng: random_nat_list(rng)
+    start = perf_counter()
     report = roundtrip_check(
         program,
         args.fname,
@@ -399,9 +405,10 @@ def cmd_roundtrip(args) -> int:
         trials=args.trials,
         fuel=args.fuel,
         seed=args.seed,
-        value_gen=gen,
+        value_gen=VALUES[args.values],
         value_bound=value_bound,
     )
+    seconds = perf_counter() - start
     if not report.checked:
         raise ConfigError(
             f"all {args.trials} trials were skipped (no forward run gave a value), so nothing was checked"
@@ -419,7 +426,7 @@ def cmd_roundtrip(args) -> int:
         },
         "report": report.to_doc(),
     }
-    lines = [report.summary()]
+    lines = [_timed_summary(report, seconds)]
     for v in report.violations[:20]:
         lines.append(f"  {v.law}: {v.witness}")
     _emit(args, doc, lines)
@@ -490,7 +497,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--fuel", type=int, default=10_000)
     p.add_argument("--seed", type=int)
     p.add_argument("--bind", action="append")
-    p.add_argument("--values", choices=("tree", "peano", "list"), default="tree")
+    p.add_argument("--values", choices=VALUES, default="tree")
     p.add_argument("--value-bound", type=int, help=f"size bound of tree values (default {VALUE_BOUND})")
     p.set_defaults(fn=cmd_roundtrip)
 

@@ -12,6 +12,7 @@ checked for every finite iterate and for the parametrized fixed point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 from typing import Callable
 
@@ -89,11 +90,10 @@ def check_naturality(
 
     Each value is computed once per call, on first use: the transport of
     each h along (u, v), alpha(h, p) for each (h, p) and pfix(alpha, p) for
-    each p.  Every value alpha takes lies in Hom(FX, FY), so it is kept as
+    each p.  Every value alpha takes lies in Hom(FX, FY), so it is cached as
     its index into that enumerated hom-set; the iterates alpha^n(bottom, p)
-    walk the same table.  An IncompatibleJoin is kept in place of the value
-    it stopped and raised again at each instance that needs it, so checks,
-    skips and witnesses come in the order of the plain nested loop.
+    walk the same cache.  A call that raises IncompatibleJoin is not cached,
+    so it raises again at each instance that needs it, as in the plain loop.
 
     alpha applies unchecked to arguments enumerated from its own spaces, and
     alpha' to transports, which ``compose`` has type-checked; the same holds
@@ -112,27 +112,16 @@ def check_naturality(
     p_homs = par1.morphisms()
     index = {h: i for i, h in enumerate(h_homs)}
     bot1, bot2 = index[arg1.bottom], alpha_p.arg_space.bottom
-    applied = [[None] * len(h_homs) for _ in p_homs]
-    fixed = [None] * len(p_homs)
 
-    def kept(compute):
-        try:
-            return index[compute()]
-        except IncompatibleJoin as exc:
-            return exc
-
+    @cache
     def alpha_at(i: int, j: int) -> int:
         """Index of alpha(h_i, p_j)."""
-        row = applied[j]
-        if row[i] is None:
-            row[i] = kept(lambda: alpha.apply(h_homs[i], p_homs[j]))
-        return _reraise(row[i])
+        return index[alpha.apply(h_homs[i], p_homs[j])]
 
+    @cache
     def pfix_at(j: int) -> int:
         """Index of pfix(alpha, p_j)."""
-        if fixed[j] is None:
-            fixed[j] = kept(lambda: pfix(p_homs[j]))
-        return _reraise(fixed[j])
+        return index[pfix(p_homs[j])]
 
     for u in u_homs:
         fu, gu = F.apply_mor(u), G.apply_mor(u)
@@ -183,14 +172,6 @@ def check_naturality(
                         "u={0!r} v={1!r} p={2!r}", u, v, p,
                     )
     return checker.done()
-
-
-def _reraise(kept):
-    """``kept`` itself, unless it is a stored IncompatibleJoin: raise that."""
-    if isinstance(kept, IncompatibleJoin):
-        # Drop the traceback of the last raise, which would otherwise grow.
-        raise kept.with_traceback(None)
-    return kept
 
 
 def check_self_conjugate(family: NaturalFamily, x: FinObject, y: FinObject) -> LawReport:

@@ -6,7 +6,6 @@ results in any grouping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 
 
 @dataclass(frozen=True)
@@ -21,7 +20,6 @@ class LawReport:
     checked: int = 0
     skipped: int = 0
     violations: list[Violation] = field(default_factory=list)
-    elapsed: float = 0.0
     by_law: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -39,13 +37,12 @@ class LawReport:
             checked=self.checked + other.checked,
             skipped=self.skipped + other.skipped,
             violations=self.violations + other.violations,
-            elapsed=self.elapsed + other.elapsed,
             by_law=merged_by_law,
         )
 
     def to_doc(self) -> dict:
-        # Wall-clock time is reported as null so that repeated runs with the
-        # same seed produce byte-identical structured output.
+        # No wall-clock time enters a document, so repeated runs with the same
+        # seed are byte-identical; the key stays, always null.
         return {
             "suite": self.suite,
             "checked": self.checked,
@@ -58,19 +55,14 @@ class LawReport:
     def summary(self) -> str:
         state = "ok" if self.passed else f"{len(self.violations)} violation(s)"
         skip = f", {self.skipped} skipped" if self.skipped else ""
-        return (
-            f"suite {self.suite}: {self.checked} checked{skip}, {state}"
-            f" [{self.elapsed * 1000:.1f} ms]"
-        )
+        return f"suite {self.suite}: {self.checked} checked{skip}, {state}"
 
 
 class Checker:
-    """Accumulator used while a suite runs, timed from construction to
-    ``done``, which freezes it into a LawReport."""
+    """Accumulator used while a suite runs; ``done`` returns its LawReport."""
 
     def __init__(self, suite: str):
         self.report = LawReport(suite=suite)
-        self._start = perf_counter()
 
     def check(self, law: str, ok: bool, witness: str, *args) -> bool:
         """Count one instance of ``law``; if it fails, record the ``str.format``
@@ -85,5 +77,4 @@ class Checker:
         self.report.skipped += 1
 
     def done(self) -> LawReport:
-        self.report.elapsed = perf_counter() - self._start
         return self.report

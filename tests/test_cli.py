@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from revcat.cat.objects import MAX_SIZE
 from revcat.cat.serialize import MAX_NESTING
-from revcat.cli import build_parser, main
+from revcat.cli import REGISTRY, build_parser, main
 from revcat.functionals import loads_functional
 from revcat.functionals.expr import conj
 
@@ -350,6 +351,12 @@ def test_run_map_with_inline_static_argument(capture, tmp_path):
     code, out, _ = capture("run", str(path), "map", "--bind", "g=inc", "--arg", "Cons Z Nil")
     assert code == 0
     assert out.strip() == "Cons (S Z) Nil"
+    code, out, _ = capture("run", str(path), "map", "--bind", "g=inc", "--arg", "Cons Z Nil",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["config"]["bind"] == ["g=inc"]
+    code, out, _ = capture("run", str(path), "map<inc>", "--arg", "Cons Z Nil", "--format", "json")
+    assert json.loads(out)["config"]["bind"] == []
 
 
 def _numeral(n):
@@ -482,6 +489,23 @@ def test_roundtrip_command_and_reproducibility(capture, add_file):
     assert json.loads(out_a)["report"]["violations"] == []
     _, out_b, _ = capture(*argv)
     assert out_a == out_b
+
+
+def test_the_cli_times_each_whole_suite_once(capture, add_file, monkeypatch):
+    # A clock that moves one second per read: a line shows one interval
+    # exactly when the run it reports read the CLI's clock twice.
+    reads = itertools.count()
+    monkeypatch.setattr("revcat.cli.perf_counter", lambda: float(next(reads)))
+    code, out, _ = capture("laws", "--category", "pinj", "--max-size", "1", "--seed", "1",
+                           "--trials", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == sum("pinj" in suite.categories for suite in REGISTRY.values())
+    assert all(line.startswith("suite ") and line.endswith(" [1000.0 ms]") for line in lines)
+    code, out, _ = capture("roundtrip", add_file, "add", "--trials", "5", "--seed", "1",
+                           "--values", "peano")
+    assert code == 0
+    assert out.splitlines() == ["suite roundtrip: 10 checked, ok [1000.0 ms]"]
 
 
 def test_roundtrip_requires_seed(capture, add_file):
@@ -697,6 +721,7 @@ def test_config_values_are_converted_as_flags_are(capture, map_file, tmp_path):
     assert code == 0
     assert json.loads(out)["value"] == "Cons (S Z) Nil"
     assert json.loads(out)["config"]["fuel"] == 50
+    assert json.loads(out)["config"]["bind"] == ["g=inc"]
 
 
 @pytest.mark.parametrize("sizes", ["1,1", "0,2,0", ""])

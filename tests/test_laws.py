@@ -5,6 +5,9 @@ import pytest
 from revcat.cat import CATEGORIES, LawConfig, law_suite
 from revcat.cat.laws import LAWS, SUITES
 from revcat.report import LawReport, Violation
+from revcat.revlang import random_peano_pair, roundtrip_check
+
+from bundled import bundled_program
 
 
 @pytest.mark.parametrize("category", ["rel", "pinj"])
@@ -62,16 +65,32 @@ def test_pinj_monotone_dagger_exhaustive_up_to_size_three():
 
 def test_reports_merge_associatively():
     def v(name):
-        return LawReport("s", 1, 0, [Violation("law", name)], 0.0, {"law": 1})
+        return LawReport("s", 1, 0, [Violation("law", name)], {"law": 1})
 
     a, b, c = v("a"), v("b"), v("c")
     left = a.merge(b).merge(c)
     right = a.merge(b.merge(c))
-    assert left.checked == right.checked == 3
-    assert [x.witness for x in left.violations] == [x.witness for x in right.violations]
-    assert left.by_law == right.by_law == {"law": 3}
+    assert left == right
+    assert left.checked == 3
+    assert [x.witness for x in left.violations] == ["a", "b", "c"]
+    assert left.by_law == {"law": 3}
     with pytest.raises(ValueError):
         a.merge(LawReport("other"))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: law_suite("dstoch", "order-iso", LawConfig(sizes=(1, 2, 3), trials=50, seed=5)),
+        lambda: roundtrip_check(bundled_program("add"), "add", {}, 50, 30, 1,
+                                value_gen=random_peano_pair),
+    ],
+    ids=["law-suite", "roundtrip"],
+)
+def test_two_runs_of_one_seeded_check_give_equal_reports(run):
+    first, second = run(), run()
+    assert first.checked > 0
+    assert first == second
 
 
 def test_every_law_is_checked_and_the_categories_check_the_same_laws():

@@ -98,32 +98,40 @@ def test_naturality_oracle_cases_reach_skips_and_violations():
 
 
 def test_naturality_applies_alpha_once_per_argument_pair(monkeypatch):
-    family, fuel = join_family("rel", DisjointUnionWith(O1)), 4
-    alpha = family.component(O2, O1)
-    h_count = len(alpha.arg_space.morphisms())
-    p_homs = alpha.param_space.morphisms()
-    applied, fixed = Counter(), Counter()
-    apply = type(alpha).apply
+    fuel = 4
+    # pinj's join raises IncompatibleJoin on some pairs; such a pair is
+    # applied again at each instance that needs it, so only applications
+    # and fixed points that return are counted.
+    for family in (join_family("rel", DisjointUnionWith(O1)), join_family("pinj")):
+        alpha = family.component(O2, O1)
+        h_count = len(alpha.arg_space.morphisms())
+        p_homs = alpha.param_space.morphisms()
+        applied, fixed = Counter(), Counter()
+        apply = type(alpha).apply
 
-    def apply_spy(psi, h, p):
-        if psi == alpha:
-            applied[h, p] += 1
-        return apply(psi, h, p)
+        def apply_spy(psi, h, p):
+            result = apply(psi, h, p)
+            if psi == alpha:
+                applied[h, p] += 1
+            return result
 
-    def pfix_spy(step, p, space, policy=None):
-        if getattr(step, "__self__", None) == alpha:
-            fixed[p] += 1
-        return kleene_pfix(step, p, space, policy)
+        def pfix_spy(step, p, space, policy=None):
+            result = kleene_pfix(step, p, space, policy)
+            if getattr(step, "__self__", None) == alpha:
+                fixed[p] += 1
+            return result
 
-    # Every application of alpha, checked or not, including the steps of
-    # its parametrized fixed points; every fixed point iterated on alpha.
-    monkeypatch.setattr(type(alpha), "apply", apply_spy)
-    monkeypatch.setattr(fixpoints, "kleene_pfix", pfix_spy)
-    report = check_naturality(family, O2, O1, O1, O2, fuel=fuel)
-    assert report.passed and report.by_law["pfix-square"] > 0
-    assert sum(applied.values()) <= h_count * len(p_homs) + fuel * len(p_homs)
-    assert set(fixed) <= set(p_homs)
-    assert max(fixed.values()) == 1
+        # Every application of alpha, checked or not, including the steps of
+        # its parametrized fixed points; every fixed point iterated on alpha.
+        with monkeypatch.context() as patch:
+            patch.setattr(type(alpha), "apply", apply_spy)
+            patch.setattr(fixpoints, "kleene_pfix", pfix_spy)
+            report = check_naturality(family, O2, O1, O1, O2, fuel=fuel)
+        assert report.passed and report.by_law["pfix-square"] > 0
+        assert report.skipped == (18 if family.category == "pinj" else 0)
+        assert sum(applied.values()) <= h_count * len(p_homs) + fuel * len(p_homs)
+        assert set(fixed) <= set(p_homs)
+        assert max(fixed.values()) == 1
 
 
 def test_identity_family_is_self_conjugate():

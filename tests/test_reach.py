@@ -87,7 +87,7 @@ for name, module in list(sys.modules.items()):
         for member in members:
             code = ours(member) if callable(member) else None
             if code is not None:
-                defined[code] = f"{name}.{code.co_qualname}"
+                defined[code] = f"{name}.{inspect.unwrap(member).__qualname__}"
 print(json.dumps({"codes": codes, "unreached": sorted(n for c, n in defined.items() if c not in seen)}))
 """
 
