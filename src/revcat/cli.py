@@ -363,22 +363,16 @@ def cmd_invert(args) -> int:
     program = _load_program(args.file)
     inverted = invert_program(program, args.suffix)
     source = show_program(inverted)
+    doc = {"command": "invert", "config": {"file": args.file, "suffix": args.suffix}}
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(source)
-        _emit(
-            args,
-            {"command": "invert", "config": {"file": args.file, "suffix": args.suffix},
-             "output": args.output},
-            [f"wrote {args.output}"],
-        )
+        doc["output"] = args.output
+        line = f"wrote {args.output}"
     else:
-        _emit(
-            args,
-            {"command": "invert", "config": {"file": args.file, "suffix": args.suffix},
-             "program": source},
-            [source.rstrip("\n")],
-        )
+        doc["program"] = source
+        line = source.rstrip("\n")
+    _emit(args, doc, [line])
     return 0
 
 

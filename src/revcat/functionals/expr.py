@@ -1,10 +1,12 @@
 """A closed DSL of continuous hom-set functionals, plus conjugation.
 
 Every node denotes a continuous map between two hom-sets and applies
-itself.  Conjugation and documents are derived from the node's fields:
-morphisms (declared ``object``), hom-spaces and sub-expressions.  An opaque
-Host node is conjugated extensionally by wrapping it between daggers.
-Both agree pointwise with h |-> phi(h+)+.
+itself.  A ``Param`` leaf reads a parameter that ``apply`` passes down the
+tree, so one tree with such leaves is a two-argument functional
+(``param.ParamExpr``).  Conjugation and documents are derived from the
+node's fields: morphisms (declared ``object``), hom-spaces and
+sub-expressions.  An opaque Host node is conjugated extensionally by
+wrapping it between daggers.  Both agree pointwise with h |-> phi(h+)+.
 """
 from __future__ import annotations
 
@@ -31,7 +33,8 @@ from .spaces import HomSpace, space_of
 @dataclass(frozen=True)
 class FunctionalExpr:
     """Base class; every node exposes declared dom/cod hom-spaces, its
-    document ``op`` and ``apply(h)`` for an ``h`` checked to lie in dom."""
+    document ``op`` and ``apply(h, p=None)`` for an ``h`` checked to lie in
+    dom and the parameter ``p`` its Param leaves return."""
 
     op: ClassVar[str]
 
@@ -49,7 +52,7 @@ class Const(FunctionalExpr):
     def cod(self) -> HomSpace:
         return space_of(self.value)
 
-    def apply(self, h):
+    def apply(self, h, p=None):
         return self.value
 
 
@@ -62,7 +65,7 @@ class IdentityFn(FunctionalExpr):
     def cod(self) -> HomSpace:
         return self.dom
 
-    def apply(self, h):
+    def apply(self, h, p=None):
         return h
 
 
@@ -83,7 +86,7 @@ class PreCompose(FunctionalExpr):
     def cod(self) -> HomSpace:
         return HomSpace(self.dom.category, space_of(self.value).src, self.dom.dst)
 
-    def apply(self, h):
+    def apply(self, h, p=None):
         return h.compose(self.value)
 
 
@@ -104,7 +107,7 @@ class PostCompose(FunctionalExpr):
     def cod(self) -> HomSpace:
         return HomSpace(self.dom.category, self.dom.src, space_of(self.value).dst)
 
-    def apply(self, h):
+    def apply(self, h, p=None):
         return self.value.compose(h)
 
 
@@ -117,7 +120,7 @@ class DaggerFn(FunctionalExpr):
     def cod(self) -> HomSpace:
         return self.dom.flipped()
 
-    def apply(self, h):
+    def apply(self, h, p=None):
         return dagger(h)
 
 
@@ -138,7 +141,7 @@ class JoinWith(FunctionalExpr):
     def cod(self) -> HomSpace:
         return space_of(self.value)
 
-    def apply(self, h):
+    def apply(self, h, p=None):
         return join(h, self.value)
 
 
@@ -162,8 +165,8 @@ class Seq(FunctionalExpr):
     def cod(self) -> HomSpace:
         return self.second.cod
 
-    def apply(self, h):
-        return self.second.apply(self.first.apply(h))
+    def apply(self, h, p=None):
+        return self.second.apply(self.first.apply(h, p), p)
 
 
 @dataclass(frozen=True)
@@ -184,8 +187,8 @@ class JoinOf(FunctionalExpr):
     def cod(self) -> HomSpace:
         return self.left.cod
 
-    def apply(self, h):
-        return join(self.left.apply(h), self.right.apply(h))
+    def apply(self, h, p=None):
+        return join(self.left.apply(h, p), self.right.apply(h, p))
 
 
 @dataclass(frozen=True)
@@ -198,8 +201,22 @@ class Host(FunctionalExpr):
     cod: HomSpace
     name: str = "host"
 
-    def apply(self, h):
+    def apply(self, h, p=None):
         return self.fn(h)
+
+
+@dataclass(frozen=True)
+class Param(FunctionalExpr):
+    """The parameter p of an enclosing ``ParamExpr``, whatever h is.
+
+    No document names it: a one-argument functional has no parameter."""
+
+    op: ClassVar[str] = "param"
+    dom: HomSpace
+    cod: HomSpace
+
+    def apply(self, h, p=None):
+        return p
 
 
 def apply_functional(phi: FunctionalExpr, h):
@@ -215,16 +232,10 @@ def node_fields(cls) -> tuple[tuple[str, type], ...]:
     return tuple((f.name, hints[f.name]) for f in fields(cls))
 
 
-def rebuild(node, rules: dict, cls=None):
-    """A ``cls`` (by default ``node``'s own class) made from ``node``'s
-    fields, each passed through the rule for its declared type."""
-    args = (rules[kind](getattr(node, name)) for name, kind in node_fields(type(node)))
-    return (cls or type(node))(*args)
-
-
 # Conjugation daggers each morphism, flips each space and conjugates each
-# sub-expression (by the module-level name, which a tracer may wrap).
-CONJ_RULES = {
+# sub-expression (by the module-level name, which a tracer may wrap); a
+# Param leaf needs nothing more than its two spaces flipped.
+_CONJ_RULES = {
     object: dagger,
     HomSpace: HomSpace.flipped,
     FunctionalExpr: lambda phi: conj(phi),
@@ -242,7 +253,9 @@ def conj(phi: FunctionalExpr) -> FunctionalExpr:
             phi.cod.flipped(),
             name=f"conj({phi.name})",
         )
-    return rebuild(phi, CONJ_RULES, _CONJ_CLASS.get(type(phi)))
+    node_cls = type(phi)
+    args = (_CONJ_RULES[kind](getattr(phi, name)) for name, kind in node_fields(node_cls))
+    return _CONJ_CLASS.get(node_cls, node_cls)(*args)
 
 
 # -- documents --------------------------------------------------------------
@@ -292,7 +305,9 @@ HOST_BUILDERS = {"affine": _affine_host}
 # What a host document may hold besides "op" and "inner".
 _HOST_KEYS = ("name", "n", "scale", "shift")
 
-_NODES = {cls.op: cls for cls in FunctionalExpr.__subclasses__()}
+# A Param leaf reads the parameter of an enclosing ParamExpr, which no
+# document builds.
+_NODES = {cls.op: cls for cls in FunctionalExpr.__subclasses__() if cls is not Param}
 # The domain of a node whose document gives none, from its morphism's space;
 # any other node without a "dom" takes the domain of its context.
 _DEFAULT_DOM = {

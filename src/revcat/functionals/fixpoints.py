@@ -13,12 +13,13 @@ from .expr import (
     IdentityFn,
     JoinOf,
     JoinWith,
+    Param,
     PostCompose,
     PreCompose,
     Seq,
     conj,
 )
-from .param import ArgP, ArgX, ParamExpr, PApply, PConst, PJoin, conj_param
+from .param import ParamExpr, conj_param
 from .spaces import HomSpace, space_of
 from ..report import Checker, LawReport
 
@@ -117,11 +118,11 @@ def check_conj_preservation(psi: ParamExpr) -> LawReport:
 def check_pfix_identity(psi: ParamExpr) -> LawReport:
     """pfix psi = psi . <pfix psi, id> at each parameter, where ``psi``
     applies unchecked: both arguments come from its own spaces."""
-    pfix = _pfix_of(psi)
+    pfix, apply = _pfix_of(psi), psi.apply
 
     def sides(p):
         v = pfix(p)
-        return psi.apply(v, p), v
+        return apply(v, p), v
 
     return _pointwise(
         Checker("pfix-identity"),
@@ -141,24 +142,24 @@ def _sandwich(space: HomSpace, mid: FunctionalExpr) -> FunctionalExpr:
     return Seq(DaggerFn(space), Seq(mid, DaggerFn(flipped)))
 
 
-def _random_unary(space: HomSpace, rng: Random, homs, src_endos, dst_endos) -> FunctionalExpr:
+def _random_unary(space: HomSpace, rng: Random) -> FunctionalExpr:
+    """A random one-stage endo on ``space``; reindexing morphisms are drawn
+    from the endo hom-sets of its source and target."""
     kind = rng.randrange(5)
     if kind == 0:
         return IdentityFn(space)
     if kind == 1:
-        return JoinWith(rng.choice(homs))
+        return JoinWith(rng.choice(space.morphisms()))
     if kind == 2:
-        return PreCompose(rng.choice(src_endos), space)
+        return PreCompose(rng.choice(HomSpace(space.category, space.src, space.src).morphisms()), space)
     if kind == 3:
-        return PostCompose(rng.choice(dst_endos), space)
-    return _sandwich(space, JoinWith(dagger(rng.choice(homs))))
+        return PostCompose(rng.choice(HomSpace(space.category, space.dst, space.dst).morphisms()), space)
+    return _sandwich(space, JoinWith(dagger(rng.choice(space.morphisms()))))
 
 
 def random_endo_functional(space: HomSpace, rng: Random, depth: int = 4) -> FunctionalExpr:
     """Seeded random endo-functional; leaves drawn uniformly from the hom-set."""
     homs = space.morphisms()
-    src_endos = HomSpace(space.category, space.src, space.src).morphisms()
-    dst_endos = HomSpace(space.category, space.dst, space.dst).morphisms()
 
     def gen(d: int) -> FunctionalExpr:
         if d <= 0 or rng.random() < 0.3:
@@ -175,7 +176,7 @@ def random_endo_functional(space: HomSpace, rng: Random, depth: int = 4) -> Func
             return JoinOf(gen(d - 1), gen(d - 1))
         if kind == 2:
             return _sandwich(space, JoinWith(dagger(rng.choice(homs))))
-        return _random_unary(space, rng, homs, src_endos, dst_endos)
+        return _random_unary(space, rng)
 
     return gen(depth)
 
@@ -186,30 +187,27 @@ def random_param_functional(
     rng: Random,
     depth: int = 4,
 ) -> ParamExpr:
-    """Seeded random parametrized functional, endo in the recursion slot."""
+    """Seeded random parametrized functional, endo in the recursion slot.
+
+    A stage applied last is drawn before the stages it is applied to."""
     homs = arg_space.morphisms()
-    src_endos = HomSpace(arg_space.category, arg_space.src, arg_space.src).morphisms()
-    dst_endos = HomSpace(arg_space.category, arg_space.dst, arg_space.dst).morphisms()
     mixable = param_space == arg_space
 
-    def leaf() -> ParamExpr:
+    def leaf() -> FunctionalExpr:
         kind = rng.randrange(3 if mixable else 2)
         if kind == 0:
-            return ArgX(arg_space, param_space)
+            return IdentityFn(arg_space)
         if kind == 1:
-            return PConst(rng.choice(homs), arg_space, param_space)
-        return ArgP(arg_space, param_space)
+            return Const(rng.choice(homs), arg_space)
+        return Param(arg_space, param_space)
 
-    def gen(d: int) -> ParamExpr:
+    def gen(d: int) -> FunctionalExpr:
         if d <= 0 or rng.random() < 0.3:
             return leaf()
         kind = rng.randrange(3)
         if kind == 0:
-            return PJoin(gen(d - 1), gen(d - 1))
-        if kind == 1:
-            return PApply(
-                _random_unary(arg_space, rng, homs, src_endos, dst_endos), gen(d - 1)
-            )
-        return PApply(JoinWith(rng.choice(homs)), gen(d - 1))
+            return JoinOf(gen(d - 1), gen(d - 1))
+        last = _random_unary(arg_space, rng) if kind == 1 else JoinWith(rng.choice(homs))
+        return Seq(gen(d - 1), last)
 
-    return gen(depth)
+    return ParamExpr(gen(depth), param_space)

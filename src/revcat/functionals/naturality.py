@@ -3,8 +3,9 @@
 A family assigns to each object pair (X, Y) a functional on hom-sets built
 from two endofunctor descriptors F and G.  Two shapes occur:
 
-  one-argument:  Hom(FX, FY) -> Hom(GX, GY)
-  two-argument:  Hom(FX, FY) x Hom(GX, GY) -> Hom(FX, FY)
+  one-argument:  Hom(FX, FY) -> Hom(GX, GY), a ``FunctionalExpr``
+  two-argument:  Hom(FX, FY) x Hom(GX, GY) -> Hom(FX, FY), a ``ParamExpr``
+                 whose Param leaves read the second argument
 
 Two-argument families can be iterated from bottom, so their squares are
 checked for every finite iterate and for the parametrized fixed point.
@@ -19,10 +20,10 @@ from typing import Callable
 from ..cat import FinObject, compose, dagger
 from ..errors import IncompatibleJoin
 from ..report import Checker, LawReport
-from .expr import FunctionalExpr, conj
+from .expr import FunctionalExpr, IdentityFn, JoinOf, Param, conj
 from .fixpoints import _pfix_of
 from .functors import IdentityFunctor
-from .param import ArgP, ArgX, ParamExpr, PJoin, conj_param
+from .param import ParamExpr, conj_param
 from .spaces import HomSpace
 
 
@@ -40,8 +41,8 @@ def join_family(category: str, functor=None) -> NaturalFamily:
     functor = functor or IdentityFunctor()
 
     def component(x: FinObject, y: FinObject) -> ParamExpr:
-        arg_space = HomSpace(category, functor.apply_obj(x), functor.apply_obj(y))
-        return PJoin(ArgX(arg_space, arg_space), ArgP(arg_space, arg_space))
+        space = HomSpace(category, functor.apply_obj(x), functor.apply_obj(y))
+        return ParamExpr(JoinOf(IdentityFn(space), Param(space, space)), space)
 
     return NaturalFamily("join", category, functor, functor, component)
 
@@ -51,16 +52,14 @@ def projection_family(category: str, functor=None) -> NaturalFamily:
     functor = functor or IdentityFunctor()
 
     def component(x: FinObject, y: FinObject) -> ParamExpr:
-        arg_space = HomSpace(category, functor.apply_obj(x), functor.apply_obj(y))
-        return ArgP(arg_space, arg_space)
+        space = HomSpace(category, functor.apply_obj(x), functor.apply_obj(y))
+        return ParamExpr(Param(space, space), space)
 
     return NaturalFamily("projection", category, functor, functor, component)
 
 
 def identity_family(category: str) -> NaturalFamily:
     """One-argument alpha(f) = f."""
-    from .expr import IdentityFn
-
     ident = IdentityFunctor()
 
     def component(x: FinObject, y: FinObject) -> FunctionalExpr:
@@ -91,9 +90,10 @@ def check_naturality(
     Each value is computed once per call, on first use: the transport of
     each h along (u, v), alpha(h, p) for each (h, p) and pfix(alpha, p) for
     each p.  Every value alpha takes lies in Hom(FX, FY), so it is cached as
-    its index into that enumerated hom-set; the iterates alpha^n(bottom, p)
-    walk the same cache.  A call that raises IncompatibleJoin is not cached,
-    so it raises again at each instance that needs it, as in the plain loop.
+    its index into that enumerated hom-set, in one cache per parameter p_j
+    keyed by the index i of h_i; the iterates alpha^n(bottom, p_j) walk the
+    same cache.  A call that raises IncompatibleJoin is not cached, so it
+    raises again at each instance that needs it, as in the plain loop.
 
     alpha applies unchecked to arguments enumerated from its own spaces, and
     alpha' to transports, which ``compose`` has type-checked; the same holds
@@ -103,6 +103,7 @@ def check_naturality(
     alpha = family.component(x, y)
     alpha_p = family.component(xp, yp)
     arg1, par1 = alpha.arg_space, alpha.param_space
+    apply, apply_p = alpha.apply, alpha_p.apply
     pfix, pfix_p = _pfix_of(alpha), _pfix_of(alpha_p)
     F, G = family.F, family.G
 
@@ -113,10 +114,11 @@ def check_naturality(
     index = {h: i for i, h in enumerate(h_homs)}
     bot1, bot2 = index[arg1.bottom], alpha_p.arg_space.bottom
 
-    @cache
-    def alpha_at(i: int, j: int) -> int:
-        """Index of alpha(h_i, p_j)."""
-        return index[alpha.apply(h_homs[i], p_homs[j])]
+    def row_of(p):
+        """i |-> index of alpha(h_i, p), cached."""
+        return cache(lambda i: index[apply(h_homs[i], p)])
+
+    alpha_at = [row_of(p) for p in p_homs]
 
     @cache
     def pfix_at(j: int) -> int:
@@ -130,11 +132,12 @@ def check_naturality(
             moved = [_transport(fv, h, fu) for h in h_homs]
             for j, p in enumerate(p_homs):
                 p_t = _transport(gv, p, gu)
+                alpha_j = alpha_at[j]
 
                 for i, h in enumerate(h_homs):
                     try:
-                        lhs = alpha_p.apply(moved[i], p_t)
-                        rhs = moved[alpha_at(i, j)]
+                        lhs = apply_p(moved[i], p_t)
+                        rhs = moved[alpha_j(i)]
                     except IncompatibleJoin:
                         checker.skip()
                         continue
@@ -148,8 +151,8 @@ def check_naturality(
                 ok = True
                 try:
                     for n in range(1, fuel + 1):
-                        a = alpha_at(a, j)
-                        b = alpha_p.apply(b, p_t)
+                        a = alpha_j(a)
+                        b = apply_p(b, p_t)
                         checker.check(
                             "iterate-square",
                             b == moved[a],
@@ -189,12 +192,13 @@ def check_self_conjugate(family: NaturalFamily, x: FinObject, y: FinObject) -> L
         spaces = (a_xy.arg_space, a_xy.param_space)
     else:
         witness, spaces, conj_yx = "f={0!r}", (a_xy.dom,), conj(a_yx)
+    apply_xy, apply_yx, apply_conj = a_xy.apply, a_yx.apply, conj_yx.apply
 
     for args in product(*(space.morphisms() for space in spaces)):
         try:
-            direct = a_xy.apply(*args)
-            swapped = a_yx.apply(*map(dagger, args))
-            via_conj = conj_yx.apply(*args)
+            direct = apply_xy(*args)
+            swapped = apply_yx(*map(dagger, args))
+            via_conj = apply_conj(*args)
         except IncompatibleJoin:
             checker.skip()
             continue

@@ -1,125 +1,58 @@
-"""Two-argument functional expressions: trees over a recursion argument
-and a parameter argument.
+"""Two-argument functionals: one-argument trees whose Param leaves read the
+parameter.
 
-A node denotes a continuous map Hom(X,Y) x Hom(P,Q) -> Hom(A,B).  Unary
-behaviour is borrowed from the one-argument DSL via PApply, so conjugation
-is the one-argument DSL's field-by-field rewrite, with sub-expressions of
-this DSL conjugated by ``conj_param``.
+``ParamExpr(body, param_space)`` denotes the continuous map
+Hom(X,Y) x Hom(P,Q) -> Hom(A,B), (x, p) |-> body.apply(x, p), where
+Hom(X,Y) is ``body.dom`` and every Param leaf returns p.  Conjugation is
+the one-argument DSL's ``conj`` of the body, with the parameter space
+flipped.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cat import join
 from ..errors import DimensionMismatch
-from .expr import CONJ_RULES, FunctionalExpr, rebuild
+from .expr import FunctionalExpr, Param, conj, node_fields
 from .spaces import HomSpace, space_of
 
 
 @dataclass(frozen=True)
 class ParamExpr:
-    """Base class; every node exposes ``arg_space``, ``param_space`` and
-    ``cod``, and ``apply(x, p)`` for arguments already checked to lie in
-    the first two."""
+    """``body`` with its Param leaves reading a parameter in ``param_space``.
+
+    The constructor checks once, on an explicit stack, that every Param leaf
+    lies in ``param_space``.  ``apply(x, p)`` is the body's own, for
+    arguments already checked to lie in ``arg_space`` and ``param_space``."""
+
+    body: FunctionalExpr
+    param_space: HomSpace
+
+    def __post_init__(self):
+        stack = [self.body]
+        while stack:
+            node = stack.pop()
+            if type(node) is Param and node.cod != self.param_space:
+                raise DimensionMismatch(
+                    f"a Param leaf in {node.cod!r} under parameter space {self.param_space!r}"
+                )
+            for name, kind in node_fields(type(node)):
+                if kind is FunctionalExpr:
+                    stack.append(getattr(node, name))
+
+    @property
+    def arg_space(self) -> HomSpace:
+        return self.body.dom
+
+    @property
+    def cod(self) -> HomSpace:
+        return self.body.cod
+
+    @property
+    def apply(self):
+        return self.body.apply
 
     def __call__(self, x, p):
         return apply_param(self, x, p)
-
-
-@dataclass(frozen=True)
-class ArgX(ParamExpr):
-    arg_space: HomSpace
-    param_space: HomSpace
-
-    @property
-    def cod(self) -> HomSpace:
-        return self.arg_space
-
-    def apply(self, x, p):
-        return x
-
-
-@dataclass(frozen=True)
-class ArgP(ParamExpr):
-    arg_space: HomSpace
-    param_space: HomSpace
-
-    @property
-    def cod(self) -> HomSpace:
-        return self.param_space
-
-    def apply(self, x, p):
-        return p
-
-
-@dataclass(frozen=True)
-class PConst(ParamExpr):
-    value: object
-    arg_space: HomSpace
-    param_space: HomSpace
-
-    @property
-    def cod(self) -> HomSpace:
-        return space_of(self.value)
-
-    def apply(self, x, p):
-        return self.value
-
-
-@dataclass(frozen=True)
-class PApply(ParamExpr):
-    phi: FunctionalExpr
-    inner: ParamExpr
-
-    def __post_init__(self):
-        if self.phi.dom != self.inner.cod:
-            raise DimensionMismatch(
-                f"cannot pipe {self.inner.cod!r} into {self.phi.dom!r}"
-            )
-
-    @property
-    def arg_space(self) -> HomSpace:
-        return self.inner.arg_space
-
-    @property
-    def param_space(self) -> HomSpace:
-        return self.inner.param_space
-
-    @property
-    def cod(self) -> HomSpace:
-        return self.phi.cod
-
-    def apply(self, x, p):
-        return self.phi.apply(self.inner.apply(x, p))
-
-
-@dataclass(frozen=True)
-class PJoin(ParamExpr):
-    left: ParamExpr
-    right: ParamExpr
-
-    def __post_init__(self):
-        if (
-            self.left.cod != self.right.cod
-            or self.left.arg_space != self.right.arg_space
-            or self.left.param_space != self.right.param_space
-        ):
-            raise DimensionMismatch("joined branches must share all spaces")
-
-    @property
-    def arg_space(self) -> HomSpace:
-        return self.left.arg_space
-
-    @property
-    def param_space(self) -> HomSpace:
-        return self.left.param_space
-
-    @property
-    def cod(self) -> HomSpace:
-        return self.left.cod
-
-    def apply(self, x, p):
-        return join(self.left.apply(x, p), self.right.apply(x, p))
 
 
 def apply_param(psi: ParamExpr, x, p):
@@ -130,11 +63,6 @@ def apply_param(psi: ParamExpr, x, p):
     return psi.apply(x, p)
 
 
-# The one-argument rules, and sub-expressions of this DSL go through
-# ``conj_param`` by its module-level name.
-_CONJ_RULES = {**CONJ_RULES, ParamExpr: lambda psi: conj_param(psi)}
-
-
 def conj_param(psi: ParamExpr) -> ParamExpr:
     """Conjugate both arguments: extensionally (x, p) |-> psi(x+, p+)+."""
-    return rebuild(psi, _CONJ_RULES)
+    return ParamExpr(conj(psi.body), psi.param_space.flipped())

@@ -9,13 +9,13 @@ from random import Random
 from revcat.cat import FinObject, compose, dagger, identity
 from revcat.errors import IncompatibleJoin
 from revcat.functionals import (
-    ArgP,
-    ArgX,
     HomSpace,
+    IdentityFn,
     IdentityFunctor,
+    JoinOf,
     NaturalFamily,
-    PApply,
-    PJoin,
+    Param,
+    ParamExpr,
     PostCompose,
     fix_functional,
     pfix_functional,
@@ -75,8 +75,8 @@ def mixed_family() -> NaturalFamily:
     def component(x: FinObject, y: FinObject):
         space = HomSpace("rel", x, y)
         if x.size == y.size == 2:
-            return PJoin(ArgX(space, space), ArgP(space, space))
-        return ArgP(space, space)
+            return ParamExpr(JoinOf(IdentityFn(space), Param(space, space)), space)
+        return ParamExpr(Param(space, space), space)
 
     return NaturalFamily("mixed", "rel", IdentityFunctor(), IdentityFunctor(), component)
 
@@ -93,7 +93,7 @@ def check_fix_pfix_agreement(
     its parametrized fixed point at any parameter is the plain fixed point.
     """
     checker = Checker("fix-pfix-derivations")
-    lifted = PApply(phi, ArgX(phi.dom, param_space))
+    lifted = ParamExpr(phi, param_space)
     try:
         fixed = fix_functional(phi)
     except IncompatibleJoin:

@@ -180,12 +180,15 @@ def test_fix_rejects_bad_documents(capture, tmp_path):
         ({"op": "joinwith"}, "'joinwith' node needs a 'm' field"),
         ({"op": "seq", "first": {"op": "dagger", "dom": {"cat": "rel", "src": 1, "dst": 1}}}, "'second'"),
         ({"op": "host", "name": "affine", "scale": 0.5, "shift": 0.25}, "'n'"),
+        # A Param leaf reads the parameter of a two-argument functional; a
+        # document denotes a one-argument one, so it names no such leaf.
+        ({"op": "param", "dom": {"cat": "rel", "src": 1, "dst": 1}}, "unknown functional op 'param'"),
     ],
     ids=[
         "op-not-a-string", "dom-not-a-space", "unknown-category", "rel-float-index",
         "rel-bool-index", "rel-coerced-sizes", "pinj-bool-value", "pinj-underscored-key",
         "dstoch-float-size", "space-float-size", "affine-string-scale", "affine-bool-shift",
-        "joinwith-without-m", "seq-without-second", "affine-without-n",
+        "joinwith-without-m", "seq-without-second", "affine-without-n", "param-leaf",
     ],
 )
 def test_fix_refuses_malformed_documents_as_input_errors(capture, tmp_path, doc, named):

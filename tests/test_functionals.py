@@ -3,19 +3,17 @@ from random import Random
 import pytest
 
 from revcat.cat import FinObject, RelMorphism, compose, dagger, join
-from revcat.errors import DimensionMismatch, DomainMismatch
+from revcat.errors import DimensionMismatch, DomainMismatch, IncompatibleJoin
 from revcat.functionals import (
-    ArgP,
-    ArgX,
     Const,
     DaggerFn,
     HomSpace,
     Host,
     IdentityFn,
+    JoinOf,
     JoinWith,
-    PApply,
-    PConst,
-    PJoin,
+    Param,
+    ParamExpr,
     PostCompose,
     PreCompose,
     Seq,
@@ -91,8 +89,6 @@ def test_conj_rewrites_pointwise():
 
 
 def JoinOf_example(m, space):
-    from revcat.functionals import JoinOf
-
     return JoinOf(PostCompose(m, space), Const(m, space))
 
 
@@ -175,20 +171,26 @@ def test_fixed_point_adjoint_on_random_trees(category):
 def param_psi():
     """psi(x, p) = p join (r' after x) on the 3-element carrier."""
     r_prime = rel3([(1, 2)])
-    return PJoin(
-        PApply(PostCompose(r_prime, S3), ArgX(S3, S3)),
-        ArgP(S3, S3),
-    )
+    return ParamExpr(JoinOf(PostCompose(r_prime, S3), Param(S3, S3)), S3)
 
 
 def test_pfix_functional_examples():
     psi = param_psi()
     p = rel3([(0, 1)])
     assert set(pfix_functional(psi, p).pairs) == {(0, 1), (0, 2)}
-    projection = ArgP(S3, S3)
+    projection = ParamExpr(Param(S3, S3), S3)
     assert pfix_functional(projection, p) == p
-    ignore = ArgX(S3, S3)
+    ignore = ParamExpr(IdentityFn(S3), S3)
     assert pfix_functional(ignore, p) == RelMorphism.bottom(X3, X3)
+
+
+def test_param_expr_refuses_a_param_leaf_outside_its_parameter_space():
+    square, wide = spaces(n=2), HomSpace("rel", FinObject(2), FinObject(3))
+    # The leaf sits under a join and a stage.
+    body = JoinOf(IdentityFn(square), Seq(Param(square, square), DaggerFn(square)))
+    assert ParamExpr(body, square).arg_space is square
+    with pytest.raises(DimensionMismatch, match="Param leaf"):
+        ParamExpr(body, wide)
 
 
 def test_pfix_functional_checks_the_parameter_before_iterating(monkeypatch):
@@ -217,10 +219,7 @@ def test_pfix_checkers_look_up_spaces_a_fixed_number_of_times(monkeypatch, check
     def space_of_calls(n):
         space = spaces(n=n)
         c = RelMorphism.identity(space.src)
-        psi = PJoin(
-            PApply(JoinWith(c), ArgX(space, space)),
-            PJoin(PConst(c, space, space), ArgP(space, space)),
-        )
+        psi = ParamExpr(JoinOf(JoinWith(c), JoinOf(Const(c, space), Param(space, space))), space)
         calls.clear()
         report = checker(psi)
         assert report.passed and report.checked == len(space.morphisms())
@@ -259,7 +258,7 @@ def test_fixed_points_apply_each_step_without_a_checked_application(monkeypatch)
     one, two = FinObject(1), FinObject(2)
     space = spaces(n=2)
     m = RelMorphism.from_pairs(two, two, [(1, 0)])
-    psi = PJoin(PApply(PostCompose(m, space), ArgX(space, space)), ArgP(space, space))
+    psi = ParamExpr(JoinOf(PostCompose(m, space), Param(space, space)), space)
     reports = [
         check_naturality(join_family("rel"), two, one, one, two, fuel=3),
         check_pfix_identity(psi),
@@ -280,19 +279,38 @@ def test_apply_param_and_conj_param_pointwise():
             assert apply_param(conjugate, x, p) == dagger(
                 apply_param(psi, dagger(x), dagger(p))
             )
-    const = PConst(R, S3, S3)
-    assert conj_param(const).value == dagger(R)
+    const = ParamExpr(Const(R, S3), S3)
+    assert conj_param(const).body.value == dagger(R)
+
+    # Seeded random trees: an IncompatibleJoin is a skip, and must then be
+    # raised on both sides.
+    for category in ("rel", "pinj"):
+        space = spaces(category, 2)
+        rng = Random(5)
+        checked = skipped = 0
+        for _ in range(10):
+            psi = random_param_functional(space, space, rng, depth=3)
+            conjugate = conj_param(psi)
+            for x in space.morphisms():
+                for p in space.morphisms():
+                    lhs = _outcome(conjugate, (x, p))
+                    rhs = _outcome(lambda a, b: dagger(psi(a, b)), (dagger(x), dagger(p)))
+                    assert lhs == rhs, (category, psi, x, p)
+                    skipped += lhs is IncompatibleJoin
+                    checked += lhs is not IncompatibleJoin
+        assert checked > 0
+        assert (skipped > 0) == (category == "pinj")
 
 
 def test_pfix_adjoint_exhaustive_over_parameters():
     space = spaces(n=2)
     m = RelMorphism.from_pairs(space.src, space.dst, [(1, 0)])
-    psi = PJoin(PApply(PostCompose(m, space), ArgX(space, space)), ArgP(space, space))
+    psi = ParamExpr(JoinOf(PostCompose(m, space), Param(space, space)), space)
     report = check_pfix_adjoint(psi)
     assert report.passed
     assert report.checked == 16
 
-    trivial = ArgP(space, space)
+    trivial = ParamExpr(Param(space, space), space)
     assert check_pfix_adjoint(trivial).passed
 
 
@@ -319,10 +337,15 @@ def test_parametrized_theorems_on_random_trees(category):
 
 
 def _conj_cases():
-    """One node of every class of both DSLs on Hom(1, 2) of rel and pinj, plus
-    a Host inside a PApply; conj . conj gives back every node without a Host."""
+    """One node of every class on Hom(1, 2) of rel and pinj, and two-argument
+    functionals: a Param leaf and trees of one-argument nodes, one with a Host
+    stage.  conj . conj gives back every node without a Host.
+
+    The other two-argument rows are named for the shape they build: ArgX
+    ignores the parameter, PConst is constant, PApply runs a stage after a
+    join with a constant, PJoin joins the parameter with a constant, and
+    PApply-Host runs a Host stage."""
     from revcat.cat import morphism_from_doc
-    from revcat.functionals import Host, JoinOf
 
     def mor(category, src, dst, pairs):
         if category == "rel":
@@ -349,12 +372,12 @@ def _conj_cases():
             ("Seq", Seq(PostCompose(b, d), JoinWith(m))),
             ("JoinOf", JoinOf(IdentityFn(d), Const(m, d))),
             ("Host", host),
-            ("ArgX", ArgX(d, e)),
-            ("ArgP", ArgP(d, e)),
-            ("PConst", PConst(m, d, e)),
-            ("PApply", PApply(DaggerFn(d), PJoin(ArgX(d, d), PConst(m, d, d)))),
-            ("PJoin", PJoin(ArgP(d, d), PConst(m, d, d))),
-            ("PApply-Host", PApply(Seq(host, DaggerFn(d)), ArgX(d, e))),
+            ("Param", ParamExpr(Param(d, e), e)),
+            ("ArgX", ParamExpr(IdentityFn(d), e)),
+            ("PConst", ParamExpr(Const(m, d), e)),
+            ("PApply", ParamExpr(Seq(JoinOf(IdentityFn(d), Const(m, d)), DaggerFn(d)), d)),
+            ("PJoin", ParamExpr(JoinOf(Param(d, d), Const(m, d)), d)),
+            ("PApply-Host", ParamExpr(Seq(host, DaggerFn(d)), e)),
         ]
         for name, node in nodes:
             cases.append(pytest.param(node, "Host" not in name, id=f"{category}-{name}"))
@@ -362,8 +385,6 @@ def _conj_cases():
 
 
 def _outcome(fn, args):
-    from revcat.errors import IncompatibleJoin
-
     try:
         return fn(*args)
     except IncompatibleJoin:

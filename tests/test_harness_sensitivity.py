@@ -14,15 +14,15 @@ from revcat.cat import (
     law_suite,
 )
 from revcat.functionals import (
-    ArgP,
-    ArgX,
+    Const,
     HomSpace,
     Host,
+    IdentityFn,
     IdentityFunctor,
+    JoinOf,
     NaturalFamily,
-    PApply,
-    PConst,
-    PJoin,
+    Param,
+    ParamExpr,
     check_conj_preservation,
     check_dagger_trace,
     check_fixed_point_adjoint,
@@ -91,10 +91,7 @@ def test_host_wrapper_satisfies_the_adjoint_law_by_construction():
 
     assert check_fixed_point_adjoint(Host(weird, space, space)).passed
     assert check_pfix_adjoint(
-        PJoin(
-            ArgP(space, space),
-            ArgX(space, space),
-        )
+        ParamExpr(JoinOf(Param(space, space), IdentityFn(space)), space)
     ).passed
 
 
@@ -116,11 +113,10 @@ def test_self_conjugacy_check_flags_a_skewed_one_argument_family():
 def test_iteration_identity_registry_is_keyed_by_name():
     x = FinObject(2)
     space = HomSpace("rel", x, x)
-    psi = PJoin(ArgX(space, space), ArgP(space, space))
+    psi = ParamExpr(JoinOf(IdentityFn(space), Param(space, space)), space)
     report = check_pfix_identity(psi)
     assert report.suite == "pfix-identity"
     assert report.passed
-    from revcat.functionals import IdentityFn
 
     report = check_fix_pfix_agreement(IdentityFn(space), space)
     assert report.suite == "fix-pfix-derivations"
@@ -285,7 +281,7 @@ def _skewed_family():
 
 def _skewed_pfix():
     """p |-> least h with h = STEP.h v p: not self-conjugate."""
-    return PJoin(PApply(PostCompose(STEP, REL2), ArgX(REL2, REL2)), ArgP(REL2, REL2))
+    return ParamExpr(JoinOf(PostCompose(STEP, REL2), Param(REL2, REL2)), REL2)
 
 
 def _fix_adjoint(monkeypatch):
@@ -305,7 +301,7 @@ def _conj_preservation(monkeypatch):
 
 def _pfix_identity(monkeypatch):
     monkeypatch.setattr(fixpoints, "kleene_pfix", lambda step, p, space: SimpleNamespace(value=space.bottom))
-    return check_pfix_identity(PJoin(ArgX(REL2, REL2), ArgP(REL2, REL2)))
+    return check_pfix_identity(ParamExpr(JoinOf(IdentityFn(REL2), Param(REL2, REL2)), REL2))
 
 
 def _dagger_trace(monkeypatch):
@@ -327,7 +323,7 @@ def _naturality_of_a_constant(monkeypatch):
     def component(a, b):
         space = HomSpace("rel", a, b)
         corner = RelMorphism.from_pairs(a, b, [(0, 0)])
-        return PJoin(PJoin(ArgX(space, space), ArgP(space, space)), PConst(corner, space, space))
+        return ParamExpr(JoinOf(JoinOf(IdentityFn(space), Param(space, space)), Const(corner, space)), space)
 
     family = NaturalFamily("corner", "rel", IdentityFunctor(), IdentityFunctor(), component)
     return check_naturality(family, X2, X2, FinObject(1), FinObject(1), fuel=2)
