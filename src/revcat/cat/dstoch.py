@@ -13,7 +13,6 @@ from valid operands is valid; as in ``rel``, it fills the slots directly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain, repeat
 from math import inf, isfinite
@@ -23,6 +22,7 @@ from random import Random
 from typing import ClassVar
 
 from ..errors import DimensionMismatch, ParseError, UnsupportedOperation
+from ..record import frozen
 from .objects import FinObject, read_nat, require_fields, same_hom, trusted_make
 
 DEFAULT_TOLERANCE = 1e-9
@@ -31,8 +31,9 @@ Rows = tuple[tuple[float, ...], ...]
 
 
 @trusted_make
-@dataclass(frozen=True, slots=True)
+@frozen
 class StochMorphism:
+    __slots__ = ("src", "dst", "rows")
     category: ClassVar[str] = "dstoch"
     has_joins: ClassVar[bool] = False
     src: FinObject
@@ -40,6 +41,13 @@ class StochMorphism:
     # Given as a list or tuple of src.size rows of as many reals; stored as
     # tuples of floats.
     rows: Rows
+
+    # Written out, not left to ``frozen``: it is the hot ``cat.eq``, and the
+    # body, compared first, settles most unequal pairs.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows and (self.src, self.dst) == (other.src, other.dst)
+        return NotImplemented
 
     def __post_init__(self):
         if self.src.size != self.dst.size:

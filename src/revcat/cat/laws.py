@@ -8,12 +8,12 @@ require an explicit seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from random import Random
 from typing import Optional
 
+from ..record import frozen
 from ..report import Checker, LawReport
 from .dstoch import DEFAULT_TOLERANCE, random_chain, random_ordered_pair, random_stoch
 from .objects import FinObject
@@ -22,7 +22,7 @@ from .ops import DSTOCH, HomSpace, identity
 SUITES = ("dagger", "enrichment", "monotone-dagger", "order-iso")
 
 
-@dataclass(frozen=True)
+@frozen
 class LawConfig:
     sizes: tuple[int, ...] = (0, 1, 2)
     trials: int = 200

@@ -2,9 +2,8 @@
 document readers, the hom-set check and ``_make``."""
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 from ..errors import DimensionMismatch, InvalidArgument, ParseError
+from ..record import frozen
 
 # The most cells (source size x target size) a hom-set of rel or pinj may
 # have for ``enumerate_rel``/``enumerate_pinj`` to list it: 2**9 relations.
@@ -16,9 +15,19 @@ ENUMERATION_CAP = 9
 MAX_SIZE = 128
 
 
-@dataclass(frozen=True)
+@frozen
 class FinObject:
     size: int
+
+    # Written out, not left to ``frozen``: objects are compared and hashed
+    # wherever a morphism or a hom-set is checked or looked up.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.size == other.size
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.size,))
 
     def __post_init__(self):
         if self.size < 0:
@@ -55,13 +64,13 @@ def same_hom(f, g) -> None:
 
 
 def trusted_make(cls):
-    """Give the frozen, slotted dataclass ``cls`` over ``(src, dst, body)``
-    its ``_make(src, dst, body)``: a value built without validation, only for
-    bodies valid by construction.  It sets the fields through the class's own
-    slot descriptors, bound here once, which write past the frozen
-    ``__setattr__``."""
+    """Give the frozen value class ``cls``, slotted over the fields
+    ``(src, dst, body)``, its ``_make(src, dst, body)``: a value built
+    without validation, only for bodies valid by construction.  It sets the
+    fields through the class's own slot descriptors, bound here once, which
+    write past the frozen ``__setattr__``."""
     new = object.__new__
-    set_src, set_dst, set_body = (vars(cls)[field.name].__set__ for field in fields(cls))
+    set_src, set_dst, set_body = (vars(cls)[name].__set__ for name in cls._fields)
 
     def _make(src: FinObject, dst: FinObject, body):
         self = new(cls)

@@ -12,24 +12,32 @@ non-injective.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations
 from typing import ClassVar, Optional
 
 from ..errors import DimensionMismatch, IncompatibleJoin, ParseError, TooLarge
+from ..record import frozen
 from .objects import ENUMERATION_CAP, MAX_SIZE, FinObject, read_nat, require_fields, same_hom, trusted_make
 from .rel import RelMorphism
 
 
 @trusted_make
-@dataclass(frozen=True, slots=True)
+@frozen
 class PInjMorphism:
+    __slots__ = ("src", "dst", "table")
     category: ClassVar[str] = "pinj"
     has_joins: ClassVar[bool] = True
     src: FinObject
     dst: FinObject
     table: tuple[Optional[int], ...]
+
+    # Written out, not left to ``frozen``: it is the hot ``cat.eq``, and the
+    # body, compared first, settles most unequal pairs.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.table == other.table and (self.src, self.dst) == (other.src, other.dst)
+        return NotImplemented
 
     def __post_init__(self):
         if len(self.table) != self.src.size:

@@ -12,12 +12,12 @@ slots directly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 from typing import ClassVar
 
 from ..errors import DimensionMismatch, ParseError, TooLarge
+from ..record import frozen
 from .objects import ENUMERATION_CAP, FinObject, read_nat, require_fields, same_hom, trusted_make
 
 # The cache holds twice the largest hom-set ``enumerate_rel`` builds at its
@@ -37,13 +37,21 @@ def _transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
 
 
 @trusted_make
-@dataclass(frozen=True, slots=True)
+@frozen
 class RelMorphism:
+    __slots__ = ("src", "dst", "rows")
     category: ClassVar[str] = "rel"
     has_joins: ClassVar[bool] = True
     src: FinObject
     dst: FinObject
     rows: tuple[int, ...]
+
+    # Written out, not left to ``frozen``: it is the hot ``cat.eq``, and the
+    # body, compared first, settles most unequal pairs.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows and (self.src, self.dst) == (other.src, other.dst)
+        return NotImplemented
 
     def __post_init__(self):
         if len(self.rows) != self.src.size:

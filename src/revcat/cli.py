@@ -11,11 +11,9 @@ byte-identical output (wall-clock times are omitted).
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import reduce
 from random import Random
 from time import perf_counter
@@ -59,6 +57,7 @@ from .functionals import (
 )
 from .functionals.trace import trace
 from .order import FixPolicy, kleene_fix
+from .record import frozen
 from .report import LawReport
 from .revlang import (
     UNDEFINED,
@@ -78,7 +77,7 @@ from .revlang import (
 )
 from .revlang.invert import SUFFIX
 
-VALUE_BOUND = inspect.signature(roundtrip_check).parameters["value_bound"].default
+VALUE_BOUND = roundtrip_check.__kwdefaults__["value_bound"]
 # The value generator of each ``roundtrip --values`` choice; None draws trees.
 VALUES = {"tree": None, "peano": random_peano_pair, "list": random_nat_list}
 
@@ -115,7 +114,7 @@ def _sizes_from(args) -> tuple[int, ...]:
     return tuple(range(read_nat(args.max_size, "--max-size") + 1))
 
 
-@dataclass(frozen=True)
+@frozen
 class Suite:
     """A law suite: where it applies, where it samples at random (so needs
     --seed), and a runner yielding its partial reports."""

@@ -10,7 +10,6 @@ wrapping it between daggers.  Both agree pointwise with h |-> phi(h+)+.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import cache
 from typing import Callable, ClassVar, get_type_hints
 
@@ -26,11 +25,11 @@ from ..cat import (
 from ..cat.dstoch import read_entry
 from ..cat.objects import read_nat
 from ..cat.serialize import read_json
-from ..errors import DimensionMismatch, ParseError, UnsupportedOperation
+from ..errors import DimensionMismatch, ParseError, UnboundParameter, UnsupportedOperation
+from ..record import frozen
 from .spaces import HomSpace, space_of
 
 
-@dataclass(frozen=True)
 class FunctionalExpr:
     """Base class; every node exposes declared dom/cod hom-spaces, its
     document ``op`` and ``apply(h, p=None)`` for an ``h`` checked to lie in
@@ -42,7 +41,7 @@ class FunctionalExpr:
         return apply_functional(self, h)
 
 
-@dataclass(frozen=True)
+@frozen
 class Const(FunctionalExpr):
     op: ClassVar[str] = "const"
     value: object
@@ -56,7 +55,7 @@ class Const(FunctionalExpr):
         return self.value
 
 
-@dataclass(frozen=True)
+@frozen
 class IdentityFn(FunctionalExpr):
     op: ClassVar[str] = "identity"
     dom: HomSpace
@@ -69,7 +68,7 @@ class IdentityFn(FunctionalExpr):
         return h
 
 
-@dataclass(frozen=True)
+@frozen
 class PreCompose(FunctionalExpr):
     """h |-> h . m, reindexing the source along m."""
 
@@ -90,7 +89,7 @@ class PreCompose(FunctionalExpr):
         return h.compose(self.value)
 
 
-@dataclass(frozen=True)
+@frozen
 class PostCompose(FunctionalExpr):
     """h |-> m . h, reindexing the target along m."""
 
@@ -111,7 +110,7 @@ class PostCompose(FunctionalExpr):
         return self.value.compose(h)
 
 
-@dataclass(frozen=True)
+@frozen
 class DaggerFn(FunctionalExpr):
     op: ClassVar[str] = "dagger"
     dom: HomSpace
@@ -124,7 +123,7 @@ class DaggerFn(FunctionalExpr):
         return dagger(h)
 
 
-@dataclass(frozen=True)
+@frozen
 class JoinWith(FunctionalExpr):
     op: ClassVar[str] = "joinwith"
     value: object
@@ -145,7 +144,7 @@ class JoinWith(FunctionalExpr):
         return join(h, self.value)
 
 
-@dataclass(frozen=True)
+@frozen
 class Seq(FunctionalExpr):
     op: ClassVar[str] = "seq"
     first: FunctionalExpr
@@ -169,7 +168,7 @@ class Seq(FunctionalExpr):
         return self.second.apply(self.first.apply(h, p), p)
 
 
-@dataclass(frozen=True)
+@frozen
 class JoinOf(FunctionalExpr):
     op: ClassVar[str] = "joinof"
     left: FunctionalExpr
@@ -191,7 +190,7 @@ class JoinOf(FunctionalExpr):
         return join(self.left.apply(h, p), self.right.apply(h, p))
 
 
-@dataclass(frozen=True)
+@frozen
 class Host(FunctionalExpr):
     """Opaque host-language functional; not serializable."""
 
@@ -205,7 +204,7 @@ class Host(FunctionalExpr):
         return self.fn(h)
 
 
-@dataclass(frozen=True)
+@frozen
 class Param(FunctionalExpr):
     """The parameter p of an enclosing ``ParamExpr``, whatever h is.
 
@@ -220,6 +219,7 @@ class Param(FunctionalExpr):
 
 
 def apply_functional(phi: FunctionalExpr, h):
+    refuse_param_leaves(phi)
     if space_of(h) != phi.dom:
         raise DimensionMismatch(f"{h!r} is not in {phi.dom!r}")
     return phi.apply(h)
@@ -229,7 +229,28 @@ def apply_functional(phi: FunctionalExpr, h):
 def node_fields(cls) -> tuple[tuple[str, type], ...]:
     """(name, declared type) of each field of a node class, read once."""
     hints = get_type_hints(cls)
-    return tuple((f.name, hints[f.name]) for f in fields(cls))
+    return tuple((name, hints[name]) for name in cls._fields)
+
+
+def param_leaves(phi: FunctionalExpr) -> list:
+    """The Param leaves of ``phi``, found on an explicit stack."""
+    leaves, stack = [], [phi]
+    while stack:
+        node = stack.pop()
+        if type(node) is Param:
+            leaves.append(node)
+        for name, kind in node_fields(type(node)):
+            if kind is FunctionalExpr:
+                stack.append(getattr(node, name))
+    return leaves
+
+
+def refuse_param_leaves(phi: FunctionalExpr) -> None:
+    """Refuse ``phi`` as a one-argument functional if a Param leaf in it
+    would read a parameter, which only a ``ParamExpr`` passes."""
+    leaves = param_leaves(phi)
+    if leaves:
+        raise UnboundParameter(f"{leaves[0]!r} lies outside a ParamExpr, so no parameter is passed to it")
 
 
 # Conjugation daggers each morphism, flips each space and conjugates each

@@ -18,6 +18,7 @@ from .expr import (
     PreCompose,
     Seq,
     conj,
+    refuse_param_leaves,
 )
 from .param import ParamExpr, conj_param
 from .spaces import HomSpace, space_of
@@ -28,7 +29,9 @@ def fix_functional(phi: FunctionalExpr):
     """Least fixed point of an endo-functional.
 
     The engine checks that each iterate stays in ``phi.dom``, so each step
-    applies ``phi`` directly."""
+    applies ``phi`` directly.  A Param leaf is refused: no parameter is
+    passed to it."""
+    refuse_param_leaves(phi)
     if phi.dom != phi.cod:
         raise DimensionMismatch(f"not an endo-functional: {phi.dom!r} -> {phi.cod!r}")
     return kleene_fix(phi.apply, phi.dom).value

@@ -6,12 +6,11 @@ Both commute with the dagger on rel and pinj.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..cat import FinObject, identity
+from ..record import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class IdentityFunctor:
     def apply_obj(self, obj: FinObject) -> FinObject:
         return obj
@@ -28,7 +27,7 @@ def pad_with_identity(f, extra: FinObject):
     return f.block_sum(identity(f.category, extra))
 
 
-@dataclass(frozen=True)
+@frozen
 class DisjointUnionWith:
     extra: FinObject
 

@@ -12,13 +12,13 @@ checked for every finite iterate and for the parametrized fixed point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
 from typing import Callable
 
 from ..cat import FinObject, compose, dagger
 from ..errors import IncompatibleJoin
+from ..record import frozen
 from ..report import Checker, LawReport
 from .expr import FunctionalExpr, IdentityFn, JoinOf, Param, conj
 from .fixpoints import _pfix_of
@@ -27,13 +27,14 @@ from .param import ParamExpr, conj_param
 from .spaces import HomSpace
 
 
-@dataclass(frozen=True)
+@frozen
 class NaturalFamily:
+    _uncompared = ("component",)
     name: str
     category: str
     F: object
     G: object
-    component: Callable[[FinObject, FinObject], object] = field(compare=False)
+    component: Callable[[FinObject, FinObject], object]
 
 
 def join_family(category: str, functor=None) -> NaturalFamily:

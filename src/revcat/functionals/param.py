@@ -9,14 +9,13 @@ flipped.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import DimensionMismatch
-from .expr import FunctionalExpr, Param, conj, node_fields
+from ..record import frozen
+from .expr import FunctionalExpr, conj, param_leaves
 from .spaces import HomSpace, space_of
 
 
-@dataclass(frozen=True)
+@frozen
 class ParamExpr:
     """``body`` with its Param leaves reading a parameter in ``param_space``.
 
@@ -28,16 +27,11 @@ class ParamExpr:
     param_space: HomSpace
 
     def __post_init__(self):
-        stack = [self.body]
-        while stack:
-            node = stack.pop()
-            if type(node) is Param and node.cod != self.param_space:
+        for leaf in param_leaves(self.body):
+            if leaf.cod != self.param_space:
                 raise DimensionMismatch(
-                    f"a Param leaf in {node.cod!r} under parameter space {self.param_space!r}"
+                    f"a Param leaf in {leaf.cod!r} under parameter space {self.param_space!r}"
                 )
-            for name, kind in node_fields(type(node)):
-                if kind is FunctionalExpr:
-                    stack.append(getattr(node, name))
 
     @property
     def arg_space(self) -> HomSpace:

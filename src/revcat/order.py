@@ -14,15 +14,15 @@ not check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from .cat import HomSpace
 from .cat.dstoch import DEFAULT_TOLERANCE
 from .errors import DomainMismatch, InvalidArgument, NonConvergence
+from .record import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class FixPolicy:
     max_iterations: int = 10_000
     tolerance: float = DEFAULT_TOLERANCE
@@ -34,7 +34,7 @@ class FixPolicy:
             raise InvalidArgument("tolerance must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
+@frozen
 class KleeneResult:
     value: Any
     iterations: int

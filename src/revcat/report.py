@@ -5,22 +5,36 @@ results in any grouping.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Optional
+
+from .record import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class Violation:
     law: str
     witness: str
 
 
-@dataclass
 class LawReport:
-    suite: str
-    checked: int = 0
-    skipped: int = 0
-    violations: list[Violation] = field(default_factory=list)
-    by_law: dict[str, int] = field(default_factory=dict)
+    """The counts and violations of one suite's run, by law."""
+
+    def __init__(
+        self,
+        suite: str,
+        checked: int = 0,
+        skipped: int = 0,
+        violations: Optional[list[Violation]] = None,
+        by_law: Optional[dict[str, int]] = None,
+    ):
+        self.suite = suite
+        self.checked = checked
+        self.skipped = skipped
+        self.violations = [] if violations is None else violations
+        self.by_law = {} if by_law is None else by_law
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is LawReport else NotImplemented
 
     @property
     def passed(self) -> bool:

@@ -115,6 +115,7 @@ def roundtrip_check(
     trials: int,
     fuel: int,
     seed: int,
+    *,
     value_gen=None,
     value_bound: int = 16,
 ) -> LawReport:

@@ -13,10 +13,10 @@ parameters, optionally carrying static arguments and an inversion mark
 """
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
 from typing import Collection, Optional
 
 from ..errors import ParseError
+from ..record import REQUIRED, fields, filler, frozen, refuse
 
 
 class Term:
@@ -30,75 +30,78 @@ class Term:
 
 
 def _interned(cls):
-    """Declare an interned class: a frozen, slotted dataclass whose
-    constructor returns the one instance with the given field values, made
-    on first use, so instances compare and hash by identity.  Trailing
-    fields with defaults may be left out.  Its ``child_fields`` are the
-    fields annotated ``"Term"`` (annotations are strings under ``from
-    __future__``)."""
-    # With no docstring, dataclass would make one by parsing a signature.
-    cls.__doc__ = cls.__doc__ or f"The term constructor {cls.__name__}."
-    cls = dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)(cls)
-    cls.child_fields = tuple(f.name for f in fields(cls) if f.type == "Term")
-    # The slot descriptors write past the frozen ``__setattr__``.
-    setters = [vars(cls)[f.name].__set__ for f in fields(cls)]
-    defaults = tuple(f.default for f in fields(cls) if f.default is not MISSING)
-    least = len(setters) - len(defaults)
+    """Declare an interned class: its fields are read, and refuse
+    assignment, as in ``record.frozen``, and its constructor returns the one
+    instance with the given field values, made on first use, so instances
+    compare and hash by identity.  Trailing fields with defaults may be left
+    out.  Its ``child_fields`` are the fields annotated ``"Term"``
+    (annotations are strings under ``from __future__``).  Terms keep their
+    fields in ``__slots__``; ``CallRef``, whose fields have defaults, cannot."""
+    defaults = tuple(default for default in fields(cls).values() if default is not REQUIRED)
+    names = cls._fields
+    cls.child_fields = tuple(name for name in names if cls.__annotations__[name] == "Term")
+    fill = filler(cls)
+    least = len(names) - len(defaults)
     table: dict[tuple, object] = {}
     new = object.__new__
 
     def __new__(cls, *values):
         made = table.get(values)
         if made is None:
-            if least <= len(values) < len(setters):
+            if least <= len(values) < len(names):
                 return __new__(cls, *values, *defaults[len(values) - least:])
-            if len(values) != len(setters):
-                raise TypeError(f"{cls.__name__} takes {len(setters)} field(s), got {len(values)}")
+            if len(values) != len(names):
+                raise TypeError(f"{cls.__name__} takes {len(names)} field(s), got {len(values)}")
             made = new(cls)
-            for put, value in zip(setters, values):
-                put(made, value)
+            fill(made, values)
             # Published whole, and once: threads that race here share one object.
             made = table.setdefault(values, made)
         return made
 
     cls.__new__ = staticmethod(__new__)
+    cls.__setattr__ = cls.__delattr__ = refuse
     return cls
 
 
 @_interned
 class Z(Term):
-    pass
+    __slots__ = ()
 
 
 @_interned
 class S(Term):
+    __slots__ = ("arg",)
     arg: Term
 
 
 @_interned
 class Nil(Term):
-    pass
+    __slots__ = ()
 
 
 @_interned
 class Cons(Term):
+    __slots__ = ("head", "tail")
     head: Term
     tail: Term
 
 
 @_interned
 class Pair(Term):
+    __slots__ = ("left", "right")
     left: Term
     right: Term
 
 
 @_interned
 class Atom(Term):
+    __slots__ = ("name",)
     name: str
 
 
 @_interned
 class Var(Term):
+    __slots__ = ("name",)
     name: str
 
 
@@ -263,33 +266,41 @@ def dagger_ref(ref: CallRef, params: Collection[str] = ()) -> CallRef:
     return map_ref(ref, lambda r: r if r.name in params else None, invert, inverses)
 
 
-@dataclass(frozen=True)
+@frozen
 class LetStep:
     pattern: Term
     callee: CallRef
     arg: Term
 
 
-@dataclass(frozen=True)
+@frozen
 class Clause:
+    _uncompared = ("line",)
     lhs: Term
     lets: tuple[LetStep, ...]
     out: Term
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass(frozen=True)
+@frozen
 class FuncDef:
+    _uncompared = ("line",)
     name: str
     params: tuple[str, ...]
     clauses: tuple[Clause, ...]
-    line: int = field(default=0, compare=False)
+    line: int = 0
 
 
-@dataclass
 class Program:
-    atoms: tuple[str, ...] = ()
-    defs: dict[str, FuncDef] = field(default_factory=dict)
+    """The atoms a program declares and its definitions by name; the parser
+    and ``invert_program`` fill ``defs`` through ``define``."""
+
+    def __init__(self, atoms: tuple[str, ...] = (), defs: Optional[dict[str, FuncDef]] = None):
+        self.atoms = atoms
+        self.defs = {} if defs is None else defs
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is Program else NotImplemented
 
     def define(self, fdef: FuncDef) -> None:
         if fdef.name in self.defs:
@@ -325,7 +336,7 @@ def _text(t, layout, atomic: bool = False) -> str:
 
 
 def _repr_layout(t: Term, atomic: bool) -> list:
-    values = [getattr(t, name) for name in t.__slots__]
+    values = [getattr(t, name) for name in t._fields]
     if not values:
         return [type(t).__name__]
     pieces = [type(t).__name__ + "("]

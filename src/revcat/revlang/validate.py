@@ -8,13 +8,12 @@ checked here too.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..errors import RevcatError, UnboundParameter, UnknownFunction
+from ..record import frozen
 from .syntax import CallRef, Clause, FuncDef, Program, term_atoms, term_vars, unifiable
 
 
-@dataclass(frozen=True)
+@frozen
 class Issue:
     function: str
     clause: int  # 1-based; 0 for definition-level issues
@@ -25,9 +24,11 @@ class Issue:
         return f"{where}: {self.message}"
 
 
-@dataclass
 class ValidationReport:
-    issues: list[Issue] = field(default_factory=list)
+    """The issues ``validate_program`` found, in the order it found them."""
+
+    def __init__(self):
+        self.issues: list[Issue] = []
 
     @property
     def ok(self) -> bool:

@@ -14,7 +14,6 @@ of ``check_naturality`` must agree with, check for check.  ``complement``
 and ``term_size`` are fixtures: a relation that breaks the dagger and order
 laws, and the node count that bounds ``enumerate_values``.
 """
-from dataclasses import fields
 from itertools import product
 from math import comb, factorial
 
@@ -260,7 +259,7 @@ class ReferenceEvaluator:
 
 def reference_repr(t):
     """``repr(t)``: the class name, then the fields in parentheses."""
-    values = [getattr(t, f.name) for f in fields(t)]
+    values = [getattr(t, name) for name in t._fields]
     if not values:
         return type(t).__name__
     inner = ", ".join(v if isinstance(v, str) else reference_repr(v) for v in values)
@@ -276,7 +275,7 @@ def reference_show(t, atomic=False):
         return t.name
     if isinstance(t, Pair):
         return f"({reference_show(t.left)}, {reference_show(t.right)})"
-    kids = [getattr(t, f.name) for f in fields(t)]
+    kids = [getattr(t, name) for name in t._fields]
     if not kids:
         return type(t).__name__
     text = " ".join([type(t).__name__, *(reference_show(k, atomic=True) for k in kids)])

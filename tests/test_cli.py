@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import os
@@ -1034,3 +1035,29 @@ def test_the_cli_imports_without_numpy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_the_cli_imports_no_module_that_generates_code():
+    # Value classes are built from closures (revcat.record), not dataclasses.
+    modules = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, revcat.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))",
+         *modules],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_no_module_under_src_calls_exec_eval_or_compile():
+    called = [
+        (path.name, node.func.id)
+        for path in sorted((SRC / "revcat").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in {"exec", "eval", "compile"}
+    ]
+    assert called == []

@@ -3,7 +3,7 @@ from random import Random
 import pytest
 
 from revcat.cat import FinObject, RelMorphism, compose, dagger, join
-from revcat.errors import DimensionMismatch, DomainMismatch, IncompatibleJoin
+from revcat.errors import DimensionMismatch, DomainMismatch, IncompatibleJoin, UnboundParameter
 from revcat.functionals import (
     Const,
     DaggerFn,
@@ -191,6 +191,22 @@ def test_param_expr_refuses_a_param_leaf_outside_its_parameter_space():
     assert ParamExpr(body, square).arg_space is square
     with pytest.raises(DimensionMismatch, match="Param leaf"):
         ParamExpr(body, wide)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [apply_functional, lambda phi, h: phi(h), lambda phi, h: fix_functional(phi),
+     lambda phi, h: check_fixed_point_adjoint(phi)],
+    ids=["apply_functional", "__call__", "fix_functional", "check_fixed_point_adjoint"],
+)
+def test_a_one_argument_functional_refuses_a_param_leaf(call):
+    # Outside a ParamExpr no parameter reaches the leaf: it used to apply
+    # to None, or fail later with an AttributeError or a DomainMismatch.
+    square = spaces(n=2)
+    h = RelMorphism.identity(square.src)
+    for phi in (Param(square, square), JoinOf(IdentityFn(square), Param(square, square))):
+        with pytest.raises(UnboundParameter, match=r"^Param\(dom=rel\(2->2\), cod=rel\(2->2\)\) lies outside"):
+            call(phi, h)
 
 
 def test_pfix_functional_checks_the_parameter_before_iterating(monkeypatch):

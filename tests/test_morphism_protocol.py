@@ -1,6 +1,4 @@
 """The protocol shared by the three morphism classes."""
-from dataclasses import fields
-
 import pytest
 
 from revcat.cat import (
@@ -22,7 +20,7 @@ X2 = FinObject(2)
 @pytest.mark.parametrize("cls, body", [(RelMorphism, "rows"), (PInjMorphism, "table")])
 def test_category_is_a_class_constant_not_a_field(cls, body):
     f = cls.identity(FinObject(1))
-    assert [fld.name for fld in fields(cls)] == ["src", "dst", body]
+    assert list(cls._fields) == ["src", "dst", body]
     assert "category" not in repr(f)
     assert morphism_from_doc(f.to_doc()) == f
     assert f.to_doc()["type"] == f.category == cls.category
