@@ -46,7 +46,7 @@ class StochMorphism:
     # body, compared first, settles most unequal pairs.
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self.rows == other.rows and (self.src, self.dst) == (other.src, other.dst)
+            return self.rows == other.rows and self.src is other.src and self.dst is other.dst
         return NotImplemented
 
     def __post_init__(self):
@@ -89,7 +89,7 @@ class StochMorphism:
 
     def compose(self, other: "StochMorphism") -> "StochMorphism":
         """self . other, i.e. run ``other`` first (rows index sources)."""
-        if other.dst is not self.src and other.dst != self.src:
+        if other.dst is not self.src:
             raise DimensionMismatch(f"cannot compose {self!r} after {other!r}")
         cols = tuple(zip(*self.rows))
         return StochMorphism._make(

@@ -1,9 +1,13 @@
 """Finite objects, each a size, and what the three morphism classes share:
-document readers, the hom-set check and ``_make``."""
+document readers, the hom-set check and ``_make``.
+
+Objects are interned: ``FinObject(n)`` is the one object of size ``n`` in the
+process, so objects compare and hash by identity, every object check is one
+``is``, and a ``size`` cannot be assigned or deleted."""
 from __future__ import annotations
 
 from ..errors import DimensionMismatch, InvalidArgument, ParseError
-from ..record import frozen
+from ..record import refuse
 
 # The most cells (source size x target size) a hom-set of rel or pinj may
 # have for ``enumerate_rel``/``enumerate_pinj`` to list it: 2**9 relations.
@@ -15,23 +19,24 @@ ENUMERATION_CAP = 9
 MAX_SIZE = 128
 
 
-@frozen
 class FinObject:
-    size: int
+    __slots__ = ("size",)
+    _interned: dict = {}
+    __setattr__ = __delattr__ = refuse
 
-    # Written out, not left to ``frozen``: objects are compared and hashed
-    # wherever a morphism or a hom-set is checked or looked up.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.size == other.size
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.size,))
-
-    def __post_init__(self):
-        if self.size < 0:
-            raise InvalidArgument(f"object size must be nonnegative, got {self.size}")
+    def __new__(cls, size: int) -> "FinObject":
+        # Refused before the lookup: 2.0 and True hash as 2 and 1.
+        if type(size) is not int:
+            raise InvalidArgument(f"object size must be an int, got {size!r}")
+        obj = cls._interned.get(size)
+        if obj is None:
+            if size < 0:
+                raise InvalidArgument(f"object size must be nonnegative, got {size}")
+            obj = object.__new__(cls)
+            object.__setattr__(obj, "size", size)
+            # Published whole, and once: threads that race here share one object.
+            obj = cls._interned.setdefault(size, obj)
+        return obj
 
     def __repr__(self):
         return f"FinObject({self.size})"
@@ -57,9 +62,8 @@ def read_nat(value, field: str) -> int:
 
 
 def same_hom(f, g) -> None:
-    """Refuse ``g`` unless it lies in ``f``'s hom-set; objects are compared by
-    identity first, as operands of one hom-set nearly always share them."""
-    if (f.src is not g.src and f.src != g.src) or (f.dst is not g.dst and f.dst != g.dst):
+    """Refuse ``g`` unless it lies in ``f``'s hom-set."""
+    if f.src is not g.src or f.dst is not g.dst:
         raise DimensionMismatch(f"{f!r} and {g!r} live in different hom-sets")
 
 

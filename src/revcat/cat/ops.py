@@ -44,11 +44,7 @@ class HomSpace:
         return space
 
     def contains(self, m) -> bool:
-        return (
-            isinstance(m, self._cls)
-            and (m.src is self.src or m.src == self.src)
-            and (m.dst is self.dst or m.dst == self.dst)
-        )
+        return isinstance(m, self._cls) and m.src is self.src and m.dst is self.dst
 
     def morphisms(self) -> tuple:
         if self._morphisms is None:

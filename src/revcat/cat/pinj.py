@@ -36,11 +36,11 @@ class PInjMorphism:
     # body, compared first, settles most unequal pairs.
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self.table == other.table and (self.src, self.dst) == (other.src, other.dst)
+            return self.table == other.table and self.src is other.src and self.dst is other.dst
         return NotImplemented
 
     def __post_init__(self):
-        if len(self.table) != self.src.size:
+        if self.src.size != len(self.table):
             raise DimensionMismatch(
                 f"expected {self.src.size} entries, got {len(self.table)}"
             )
@@ -113,7 +113,7 @@ class PInjMorphism:
 
     def compose(self, other: "PInjMorphism") -> "PInjMorphism":
         """self . other, i.e. run ``other`` first."""
-        if other.dst is not self.src and other.dst != self.src:
+        if other.dst is not self.src:
             raise DimensionMismatch(f"cannot compose {self!r} after {other!r}")
         table = tuple(
             self.table[j] if j is not None else None for j in other.table

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import product
+from operator import or_
 from typing import ClassVar
 
 from ..errors import DimensionMismatch, ParseError, TooLarge
@@ -50,11 +51,11 @@ class RelMorphism:
     # body, compared first, settles most unequal pairs.
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self.rows == other.rows and (self.src, self.dst) == (other.src, other.dst)
+            return self.rows == other.rows and self.src is other.src and self.dst is other.dst
         return NotImplemented
 
     def __post_init__(self):
-        if len(self.rows) != self.src.size:
+        if self.src.size != len(self.rows):
             raise DimensionMismatch(
                 f"expected {self.src.size} rows, got {len(self.rows)}"
             )
@@ -128,7 +129,7 @@ class RelMorphism:
 
     def compose(self, other: "RelMorphism") -> "RelMorphism":
         """self . other, i.e. run ``other`` first."""
-        if other.dst is not self.src and other.dst != self.src:
+        if other.dst is not self.src:
             raise DimensionMismatch(f"cannot compose {self!r} after {other!r}")
         mine = self.rows
         rows = []
@@ -148,13 +149,11 @@ class RelMorphism:
 
     def leq(self, other: "RelMorphism", tolerance: float = 0.0) -> bool:
         same_hom(self, other)
-        return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
+        return tuple(map(or_, self.rows, other.rows)) == other.rows
 
     def join(self, other: "RelMorphism") -> "RelMorphism":
         same_hom(self, other)
-        return RelMorphism._make(
-            self.src, self.dst, tuple(a | b for a, b in zip(self.rows, other.rows))
-        )
+        return RelMorphism._make(self.src, self.dst, tuple(map(or_, self.rows, other.rows)))
 
     def isclose(self, other: "RelMorphism", tolerance: float = 0.0) -> bool:
         """Exact equality: relations have no rounding to tolerate."""

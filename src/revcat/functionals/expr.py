@@ -78,7 +78,7 @@ class PreCompose(FunctionalExpr):
 
     def __post_init__(self):
         sp = space_of(self.value)
-        if sp.category != self.dom.category or sp.dst != self.dom.src:
+        if sp.category != self.dom.category or sp.dst is not self.dom.src:
             raise DimensionMismatch(f"precompose {sp!r} against domain {self.dom!r}")
 
     @property
@@ -99,7 +99,7 @@ class PostCompose(FunctionalExpr):
 
     def __post_init__(self):
         sp = space_of(self.value)
-        if sp.category != self.dom.category or sp.src != self.dom.dst:
+        if sp.category != self.dom.category or sp.src is not self.dom.dst:
             raise DimensionMismatch(f"postcompose {sp!r} against domain {self.dom!r}")
 
     @property

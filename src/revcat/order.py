@@ -54,7 +54,7 @@ def _iterate(step1, space: HomSpace, policy: Optional[FixPolicy]) -> KleeneResul
             raise DomainMismatch(f"step left the hom-set {space!r} after {iterations} iteration(s)")
         if metric is None:
             if nxt == current:
-                return KleeneResult(nxt, iterations)
+                return KleeneResult(nxt, iterations, None)
         else:
             dist = metric(current, nxt)
             if dist <= policy.tolerance:

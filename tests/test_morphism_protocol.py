@@ -113,9 +113,11 @@ def _pair(category, obj):
 
 
 @pytest.mark.parametrize("category", ["rel", "pinj", "dstoch"])
-def test_equal_objects_that_are_distinct_instances_still_match(category):
+def test_objects_of_one_size_are_one_instance(category):
+    # Objects are interned, so the hom-set checks compare them with ``is``:
+    # morphisms built apart on objects of one size share their hom-set.
     a, b = FinObject(2), FinObject(2)
-    assert a is not b
+    assert a is b and hash(a) == object.__hash__(a)
     f, g = _pair(category, a)
     f_b, g_b = _pair(category, b)
     assert g_b.compose(f) == f.compose(g_b)
@@ -123,4 +125,10 @@ def test_equal_objects_that_are_distinct_instances_still_match(category):
     if MORPHISM_CLASSES[category].has_joins:
         assert f.join(g_b) == g_b.join(f) == g
     space = HomSpace(category, FinObject(2), FinObject(2))
-    assert space.src is not b and space.contains(f_b) and space.contains(g_b)
+    assert space.src is b and space.contains(f_b) and space.contains(g_b)
+    other = MORPHISM_CLASSES[category].identity(FinObject(3))
+    assert not space.contains(other)
+    with pytest.raises(DimensionMismatch):
+        f.leq(other)
+    with pytest.raises(DimensionMismatch):
+        f.compose(other)

@@ -42,7 +42,7 @@ UNREACHED = {
     "revcat.revlang.syntax._repr_layout": "the layout Term.__repr__ prints with",
     "revcat.revlang.syntax.CallRef.__repr__": "a reference as a debugger and the tests show it",
     "revcat.record.frozen.<locals>.__repr__": "a value as a witness, a debugger and the tests show it",
-    "revcat.record.frozen.<locals>.__eq__": "equality of values no command compares; FinObject and the morphisms write theirs",
+    "revcat.record.frozen.<locals>.__eq__": "equality of values no command compares; the morphisms write theirs, objects are interned",
     "revcat.record.refuse": "the refusal of an assignment to, or deletion of, a field of a frozen value",
     "revcat.report.LawReport.__eq__": "reports compare by value in the tests: merges and reruns",
     "revcat.revlang.syntax.Program.__eq__": "programs compare by value in the tests: double inversion",

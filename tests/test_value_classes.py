@@ -59,7 +59,6 @@ def step(h):
 # (class, field values, another value for each field).  The other values
 # need not pass validation: the changed instances are built past it.
 TABLE = [
-    (FinObject, (2,), (3,)),
     (RelMorphism, (X, X, (1, 2)), (Y, FinObject(3), (1, 3))),
     (PInjMorphism, (X, X, (1, None)), (Y, FinObject(3), (None, 1))),
     (StochMorphism, (X, X, ((0.5, 0.0), (0.0, 0.5))), (Y, Y, ((0.5, 0.0), (0.0, 0.25)))),
@@ -92,7 +91,7 @@ TABLE = [
 # The fields that the dataclasses declared with ``compare=False``.
 UNCOMPARED = {Clause: ("line",), FuncDef: ("line",), NaturalFamily: ("component",)}
 
-# Constructions that ``__post_init__`` refuses.
+# Constructions that ``__post_init__``, or ``FinObject.__new__``, refuses.
 INVALID = [
     (lambda: FinObject(-1), InvalidArgument),
     (lambda: RelMorphism(X, X, (8,)), DimensionMismatch),
@@ -180,6 +179,20 @@ def test_the_table_has_a_row_for_every_value_class():
         and vars(value).get("__init__") is not None and vars(value)["__init__"].__module__ == record.__name__
     }
     assert declared == {row[0] for row in TABLE}
+    # FinObject is interned, one instance per size, and compares by
+    # identity: it refuses assignment as these classes do, but has no row.
+    assert FinObject not in declared and vars(FinObject)["__setattr__"] is record.refuse
+
+
+def test_an_object_size_cannot_be_assigned_or_deleted():
+    obj = FinObject(2)
+    with pytest.raises(FrozenInstanceError, match="assign"):
+        obj.size = 3
+    with pytest.raises(FrozenInstanceError, match="delete"):
+        del obj.size
+    with pytest.raises(FrozenInstanceError):
+        obj.other = 3
+    assert obj.size == 2 and FinObject(2) is obj
 
 
 def test_fields_read_the_annotations_of_the_body_in_order():
