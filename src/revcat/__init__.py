@@ -6,47 +6,7 @@ order on every hom-set.  On top of them sit a Kleene fixed-point engine,
 a DSL of continuous functionals with conjugation and fixed-point adjoint
 checks, a feedback trace, and a small reversible functional language
 whose syntactic inverter mirrors conjugation of functionals.
+
+No package re-exports a name: each is imported from the module that
+defines it, so importing a module loads only the layers it uses.
 """
-
-from . import cat, functionals, order, report, revlang
-from .errors import (
-    DimensionMismatch,
-    DomainMismatch,
-    IncompatibleJoin,
-    NonConvergence,
-    ParseError,
-    RevcatError,
-    TooLarge,
-    UnboundParameter,
-    UnknownFunction,
-    UnsupportedOperation,
-)
-from .order import FixPolicy, KleeneResult, kleene_fix, kleene_pfix
-from .report import Checker, LawReport, Violation
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Checker",
-    "DimensionMismatch",
-    "DomainMismatch",
-    "FixPolicy",
-    "IncompatibleJoin",
-    "KleeneResult",
-    "LawReport",
-    "NonConvergence",
-    "ParseError",
-    "RevcatError",
-    "TooLarge",
-    "UnboundParameter",
-    "UnknownFunction",
-    "UnsupportedOperation",
-    "Violation",
-    "cat",
-    "functionals",
-    "kleene_fix",
-    "kleene_pfix",
-    "order",
-    "report",
-    "revlang",
-]

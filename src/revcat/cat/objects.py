@@ -3,7 +3,8 @@ document readers, the hom-set check and ``_make``.
 
 Objects are interned: ``FinObject(n)`` is the one object of size ``n`` in the
 process, so objects compare and hash by identity, every object check is one
-``is``, and a ``size`` cannot be assigned or deleted."""
+``is``, a copy or an unpickled object is the original, and a ``size`` cannot
+be assigned or deleted."""
 from __future__ import annotations
 
 from ..errors import DimensionMismatch, InvalidArgument, ParseError
@@ -37,6 +38,9 @@ class FinObject:
             # Published whole, and once: threads that race here share one object.
             obj = cls._interned.setdefault(size, obj)
         return obj
+
+    def __reduce__(self):
+        return FinObject, (self.size,)
 
     def __repr__(self):
         return f"FinObject({self.size})"

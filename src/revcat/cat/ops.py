@@ -18,11 +18,11 @@ class HomSpace:
     points and their adjoints are taken.
 
     There is one instance per (category, src, dst) per process, so spaces
-    compare by identity.  A space holds what the Kleene engine reads (its
-    ``bottom``, ``contains`` and ``metric``: its morphism class's
-    ``distance``, or None where the class has none) and lists its
-    morphisms once, on first use of ``morphisms``; a hom-set that cannot
-    be listed raises again on every call.
+    compare by identity and a copy is the original.  A space holds what the
+    Kleene engine reads (its ``bottom``, ``contains`` and ``metric``: its
+    morphism class's ``distance``, or None where the class has none) and
+    lists its morphisms once, on first use of ``morphisms``; a hom-set that
+    cannot be listed raises again on every call.
     """
 
     __slots__ = ("category", "src", "dst", "bottom", "metric", "_cls", "_morphisms")
@@ -50,6 +50,9 @@ class HomSpace:
         if self._morphisms is None:
             self._morphisms = tuple(self._cls.homs(self.src, self.dst))
         return self._morphisms
+
+    def __reduce__(self):
+        return HomSpace, (self.category, self.src, self.dst)
 
     def flipped(self) -> "HomSpace":
         return HomSpace(self.category, self.dst, self.src)

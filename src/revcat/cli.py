@@ -19,63 +19,43 @@ from random import Random
 from time import perf_counter
 from typing import Callable, Iterator
 
-from .cat import (
-    CATEGORIES,
-    DSTOCH,
-    FinObject,
-    LawConfig,
-    PINJ,
-    REL,
-    law_suite,
-    loads_morphism,
-)
 from .cat.laws import SUITES as CORE_SUITES
-from .cat.objects import read_nat
-from .cat.serialize import read_json
+from .cat.laws import LawConfig, law_suite
+from .cat.objects import FinObject, read_nat
+from .cat.ops import CATEGORIES, DSTOCH, PINJ, REL, HomSpace
+from .cat.serialize import loads_morphism, read_json
 from .errors import (
     DimensionMismatch,
     NonConvergence,
     RevcatError,
 )
-from .functionals import (
-    DisjointUnionWith,
-    HomSpace,
+from .functionals.expr import loads_functional
+from .functionals.fixpoints import (
     check_conj_preservation,
-    check_dagger_trace,
     check_fixed_point_adjoint,
-    check_naturality,
     check_pfix_adjoint,
     check_pfix_identity,
+    random_endo_functional,
+    random_param_functional,
+)
+from .functionals.functors import DisjointUnionWith
+from .functionals.naturality import (
+    check_naturality,
     check_self_conjugate,
     identity_family,
     join_family,
-    loads_functional,
     projection_family,
-    random_endo_functional,
-    random_param_functional,
-    trace_family,
 )
-from .functionals.trace import trace
+from .functionals.trace import check_dagger_trace, trace, trace_family
 from .order import FixPolicy, kleene_fix
 from .record import frozen
 from .report import LawReport
-from .revlang import (
-    UNDEFINED,
-    STUCK,
-    Evaluator,
-    closed_ref,
-    invert_program,
-    parse_callref_text,
-    parse_program,
-    parse_value,
-    random_nat_list,
-    random_peano_pair,
-    require_valid,
-    roundtrip_check,
-    show_program,
-    show_term,
-)
-from .revlang.invert import SUFFIX
+from .revlang.denote import random_nat_list, random_peano_pair, roundtrip_check
+from .revlang.interp import STUCK, UNDEFINED, Evaluator, closed_ref
+from .revlang.invert import SUFFIX, invert_program
+from .revlang.parser import parse_callref_text, parse_program, parse_value
+from .revlang.syntax import show_program, show_term
+from .revlang.validate import require_valid
 
 VALUE_BOUND = roundtrip_check.__kwdefaults__["value_bound"]
 # The value generator of each ``roundtrip --values`` choice; None draws trees.
@@ -536,8 +516,12 @@ def _refuse_empty_values(actions, args) -> None:
 
 def main(argv=None) -> int:
     parser, commands = build_parser()
+    # An option the config file sets is not required; the file is read first.
+    required = [a for command in commands.values() for a in command._actions if a.required and a.option_strings]
+    for action in required:
+        action.required = False
     args, _ = parser.parse_known_args(argv)
-    repeated = {}
+    defaults, repeated = {}, {}
     if args.config:
         try:
             defaults = read_json(_read_text(args.config))
@@ -553,6 +537,8 @@ def main(argv=None) -> int:
         # A repeatable option's flags replace the file's list, not extend it.
         repeated = {key: v for key, v in defaults.items() if isinstance(v, list)}
         command.set_defaults(**{key: v for key, v in defaults.items() if key not in repeated})
+    for action in required:
+        action.required = action.dest not in defaults
     args = parser.parse_args(argv)
     try:
         _refuse_empty_values([*parser._actions, *commands[args.command]._actions], args)

@@ -1,87 +1,1 @@
-from .expr import (
-    Const,
-    DaggerFn,
-    FunctionalExpr,
-    Host,
-    IdentityFn,
-    JoinOf,
-    JoinWith,
-    Param,
-    PostCompose,
-    PreCompose,
-    Seq,
-    apply_functional,
-    conj,
-    functional_from_doc,
-    loads_functional,
-)
-from .fixpoints import (
-    check_conj_preservation,
-    check_fixed_point_adjoint,
-    check_pfix_adjoint,
-    check_pfix_identity,
-    fix_functional,
-    pfix_functional,
-    random_endo_functional,
-    random_param_functional,
-)
-from .functors import (
-    DisjointUnionWith,
-    IdentityFunctor,
-    pad_with_identity,
-)
-from .naturality import (
-    NaturalFamily,
-    check_naturality,
-    check_self_conjugate,
-    identity_family,
-    join_family,
-    projection_family,
-)
-from .param import ParamExpr, apply_param, conj_param
-from .spaces import HomSpace, space_of
-# The function ``trace`` is not re-exported: under the submodule's name it
-# would shadow ``revcat.functionals.trace``.
-from .trace import check_dagger_trace, trace_family
-
-__all__ = [
-    "Const",
-    "DaggerFn",
-    "DisjointUnionWith",
-    "FunctionalExpr",
-    "Host",
-    "HomSpace",
-    "IdentityFn",
-    "IdentityFunctor",
-    "JoinOf",
-    "JoinWith",
-    "NaturalFamily",
-    "Param",
-    "ParamExpr",
-    "PostCompose",
-    "PreCompose",
-    "Seq",
-    "apply_functional",
-    "apply_param",
-    "check_conj_preservation",
-    "check_dagger_trace",
-    "check_fixed_point_adjoint",
-    "check_naturality",
-    "check_pfix_adjoint",
-    "check_pfix_identity",
-    "check_self_conjugate",
-    "conj",
-    "conj_param",
-    "fix_functional",
-    "functional_from_doc",
-    "identity_family",
-    "join_family",
-    "loads_functional",
-    "pad_with_identity",
-    "pfix_functional",
-    "projection_family",
-    "random_endo_functional",
-    "random_param_functional",
-    "space_of",
-    "trace_family",
-]
+"""Functionals on hom-sets: expressions, fixed points, naturality and the trace."""

@@ -13,21 +13,13 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable, ClassVar, get_type_hints
 
-from ..cat import (
-    CATEGORIES,
-    DSTOCH,
-    FinObject,
-    StochMorphism,
-    dagger,
-    join,
-    morphism_from_doc,
-)
-from ..cat.dstoch import read_entry
-from ..cat.objects import read_nat
-from ..cat.serialize import read_json
+from ..cat.dstoch import StochMorphism, read_entry
+from ..cat.objects import FinObject, read_nat
+from ..cat.ops import CATEGORIES, DSTOCH, HomSpace, dagger, join
+from ..cat.serialize import morphism_from_doc, read_json
 from ..errors import DimensionMismatch, ParseError, UnboundParameter, UnsupportedOperation
 from ..record import frozen
-from .spaces import HomSpace, space_of
+from .spaces import space_of
 
 
 class FunctionalExpr:

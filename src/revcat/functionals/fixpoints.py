@@ -3,9 +3,10 @@ from __future__ import annotations
 
 from random import Random
 
-from ..cat import dagger
+from ..cat.ops import HomSpace, dagger
 from ..errors import DimensionMismatch, IncompatibleJoin
 from ..order import kleene_fix, kleene_pfix
+from ..report import Checker, LawReport
 from .expr import (
     Const,
     DaggerFn,
@@ -21,8 +22,7 @@ from .expr import (
     refuse_param_leaves,
 )
 from .param import ParamExpr, conj_param
-from .spaces import HomSpace, space_of
-from ..report import Checker, LawReport
+from .spaces import space_of
 
 
 def fix_functional(phi: FunctionalExpr):

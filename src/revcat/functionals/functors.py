@@ -6,7 +6,8 @@ Both commute with the dagger on rel and pinj.
 """
 from __future__ import annotations
 
-from ..cat import FinObject, identity
+from ..cat.objects import FinObject
+from ..cat.ops import identity
 from ..record import frozen
 
 

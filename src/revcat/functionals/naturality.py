@@ -16,7 +16,8 @@ from functools import cache
 from itertools import product
 from typing import Callable
 
-from ..cat import FinObject, compose, dagger
+from ..cat.objects import FinObject
+from ..cat.ops import HomSpace, compose, dagger
 from ..errors import IncompatibleJoin
 from ..record import frozen
 from ..report import Checker, LawReport
@@ -24,7 +25,6 @@ from .expr import FunctionalExpr, IdentityFn, JoinOf, Param, conj
 from .fixpoints import _pfix_of
 from .functors import IdentityFunctor
 from .param import ParamExpr, conj_param
-from .spaces import HomSpace
 
 
 @frozen

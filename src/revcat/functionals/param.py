@@ -9,10 +9,11 @@ flipped.
 """
 from __future__ import annotations
 
+from ..cat.ops import HomSpace
 from ..errors import DimensionMismatch
 from ..record import frozen
 from .expr import FunctionalExpr, conj, param_leaves
-from .spaces import HomSpace, space_of
+from .spaces import space_of
 
 
 @frozen

@@ -1,13 +1,13 @@
 """Where functional expressions look up hom-sets.
 
-``HomSpace``, the one hom-set type, lives in ``revcat.cat`` and is
-re-exported here.  ``space_of`` gives the space a morphism lies in.  A node's
+``HomSpace``, the one hom-set type, lives in ``revcat.cat.ops``.
+``space_of`` gives the space a morphism lies in.  A node's
 ``__call__`` and ``pfix_functional`` check their arguments with it; code past
 those entry points applies nodes by ``.apply`` and does not check again.
 """
 from __future__ import annotations
 
-from ..cat import HomSpace
+from ..cat.ops import HomSpace
 
 
 def space_of(morphism) -> HomSpace:

@@ -12,14 +12,14 @@ which validates.  Inputs whose walk never leaves U stay undefined.
 """
 from __future__ import annotations
 
-from ..cat import FinObject, compose, dagger
+from ..cat.objects import FinObject
+from ..cat.ops import HomSpace, compose, dagger
 from ..errors import DimensionMismatch
 from ..order import kleene_fix
 from ..report import Checker, LawReport
 from .expr import Host
 from .functors import DisjointUnionWith, IdentityFunctor, pad_with_identity
 from .naturality import NaturalFamily
-from .spaces import HomSpace
 
 
 def trace(f, x: FinObject, y: FinObject, u: FinObject):

@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from typing import Any, Optional
 
-from .cat import HomSpace
 from .cat.dstoch import DEFAULT_TOLERANCE
+from .cat.ops import HomSpace
 from .errors import DomainMismatch, InvalidArgument, NonConvergence
 from .record import frozen
 

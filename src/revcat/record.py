@@ -12,7 +12,8 @@ not define:
 - ``__repr__``, as ``QualName(field=value!r, ...)``;
 - ``__eq__`` and ``__hash__`` over the tuple of the field values, leaving
   out the fields the class names in ``_uncompared``;
-- ``__setattr__`` and ``__delattr__``, which raise ``FrozenInstanceError``.
+- ``__setattr__`` and ``__delattr__``, which raise ``FrozenInstanceError``;
+- ``__reduce__``, which is ``reduce_fields``.
 
 Every method is a closure over the field names: no source is generated,
 compiled or executed.  A class with ``__slots__`` in its body keeps its
@@ -36,6 +37,12 @@ class FrozenInstanceError(AttributeError):
 def refuse(self, name, *value):
     """The ``__setattr__`` and ``__delattr__`` of a frozen value."""
     raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def reduce_fields(self):
+    """The ``__reduce__`` of a value class: its class and field values, so a
+    ``copy`` or ``pickle`` is built again by the constructor and its checks."""
+    return type(self), tuple([getattr(self, name) for name in self._fields])
 
 
 def fields(cls) -> dict:
@@ -127,6 +134,7 @@ def frozen(cls):
         "__hash__": __hash__,
         "__setattr__": refuse,
         "__delattr__": refuse,
+        "__reduce__": reduce_fields,
     }
     for name, method in methods.items():
         # A body that defines ``__eq__`` alone has ``__hash__`` set to None.

@@ -1,77 +1,1 @@
-from .denote import (
-    denote,
-    enumerate_values,
-    random_nat_list,
-    random_peano_pair,
-    random_value,
-    roundtrip_check,
-)
-from .interp import STUCK, UNDEFINED, Evaluator, closed_ref
-from .invert import invert_binding, invert_def, invert_program, toggle_suffix
-from .parser import parse_callref_text, parse_program, parse_value
-from .syntax import (
-    Atom,
-    CallRef,
-    Clause,
-    Cons,
-    FuncDef,
-    LetStep,
-    Nil,
-    Pair,
-    Program,
-    S,
-    Term,
-    Var,
-    Z,
-    dagger_ref,
-    show_callref,
-    show_program,
-    show_term,
-    term_vars,
-    unifiable,
-)
-from .validate import Issue, ValidationFailed, ValidationReport, require_valid, validate_program
-
-__all__ = [
-    "Atom",
-    "CallRef",
-    "Clause",
-    "Cons",
-    "Evaluator",
-    "FuncDef",
-    "Issue",
-    "LetStep",
-    "Nil",
-    "Pair",
-    "Program",
-    "S",
-    "STUCK",
-    "Term",
-    "UNDEFINED",
-    "ValidationFailed",
-    "ValidationReport",
-    "Var",
-    "Z",
-    "closed_ref",
-    "dagger_ref",
-    "denote",
-    "enumerate_values",
-    "invert_binding",
-    "invert_def",
-    "invert_program",
-    "parse_callref_text",
-    "parse_program",
-    "parse_value",
-    "random_nat_list",
-    "random_peano_pair",
-    "random_value",
-    "require_valid",
-    "roundtrip_check",
-    "show_callref",
-    "show_program",
-    "show_term",
-    "term_vars",
-    "toggle_suffix",
-    "unifiable",
-    "validate_program",
-]
+"""The reversible language: syntax, parser, validator, inverter, evaluator and denotation."""

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from random import Random
 
-from ..cat import FinObject, PInjMorphism
+from ..cat.objects import FinObject
+from ..cat.pinj import PInjMorphism
 from ..errors import TooLarge
 from ..report import Checker, LawReport
 from .interp import Evaluator, closed_ref

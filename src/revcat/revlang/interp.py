@@ -47,10 +47,16 @@ class _Undefined:
     def __repr__(self):
         return "Undefined"
 
+    def __reduce__(self):
+        return "UNDEFINED"
+
 
 class _Stuck:
     def __repr__(self):
         return "Stuck"
+
+    def __reduce__(self):
+        return "STUCK"
 
 
 UNDEFINED = _Undefined()

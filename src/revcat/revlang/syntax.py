@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Collection, Optional
 
 from ..errors import ParseError
-from ..record import REQUIRED, fields, filler, frozen, refuse
+from ..record import REQUIRED, fields, filler, frozen, reduce_fields, refuse
 
 
 class Term:
@@ -33,8 +33,8 @@ def _interned(cls):
     """Declare an interned class: its fields are read, and refuse
     assignment, as in ``record.frozen``, and its constructor returns the one
     instance with the given field values, made on first use, so instances
-    compare and hash by identity.  Trailing fields with defaults may be left
-    out.  Its ``child_fields`` are the fields annotated ``"Term"``
+    compare and hash by identity, and a copy is the original.  Trailing
+    fields with defaults may be left out.  Its ``child_fields`` are the fields annotated ``"Term"``
     (annotations are strings under ``from __future__``).  Terms keep their
     fields in ``__slots__``; ``CallRef``, whose fields have defaults, cannot."""
     defaults = tuple(default for default in fields(cls).values() if default is not REQUIRED)
@@ -60,6 +60,7 @@ def _interned(cls):
 
     cls.__new__ = staticmethod(__new__)
     cls.__setattr__ = cls.__delattr__ = refuse
+    cls.__reduce__ = reduce_fields
     return cls
 
 

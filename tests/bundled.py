@@ -1,6 +1,7 @@
 """Example programs the tests run.  ``ADD`` and ``MAP`` have the same text
 as ``bench/programs/add.rvl`` and ``map.rvl``."""
-from revcat.revlang import Program, parse_program
+from revcat.revlang.parser import parse_program
+from revcat.revlang.syntax import Program
 
 SWAP = """\
 fun swap (a, b) = (b, a)

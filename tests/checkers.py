@@ -6,23 +6,20 @@ assert both that a law holds and, on broken input, that it is caught.
 """
 from random import Random
 
-from revcat.cat import FinObject, compose, dagger, identity
+from revcat.cat.objects import FinObject
+from revcat.cat.ops import HomSpace, compose, dagger, identity
 from revcat.errors import IncompatibleJoin
-from revcat.functionals import (
-    HomSpace,
-    IdentityFn,
-    IdentityFunctor,
-    JoinOf,
-    NaturalFamily,
-    Param,
-    ParamExpr,
-    PostCompose,
-    fix_functional,
-    pfix_functional,
-)
+from revcat.functionals.expr import IdentityFn, JoinOf, Param, PostCompose
+from revcat.functionals.fixpoints import fix_functional, pfix_functional
+from revcat.functionals.functors import IdentityFunctor
+from revcat.functionals.naturality import NaturalFamily
+from revcat.functionals.param import ParamExpr
 from revcat.functionals.trace import trace
 from revcat.report import Checker, LawReport
-from revcat.revlang import UNDEFINED, Evaluator, closed_ref, parse_callref_text, random_value, require_valid
+from revcat.revlang.denote import random_value
+from revcat.revlang.interp import UNDEFINED, Evaluator, closed_ref
+from revcat.revlang.parser import parse_callref_text
+from revcat.revlang.validate import require_valid
 
 from oracles import ReferenceEvaluator
 

@@ -19,21 +19,14 @@ from math import comb, factorial
 
 import numpy as np
 
-from revcat.cat import HomSpace, compose
+from revcat.cat.ops import HomSpace, compose
 from revcat.errors import IncompatibleJoin, UnboundParameter, UnknownFunction
-from revcat.functionals import HomSpace, apply_param, pfix_functional
+from revcat.functionals.fixpoints import pfix_functional
+from revcat.functionals.param import apply_param
 from revcat.report import Checker
-from revcat.revlang import (
-    STUCK,
-    UNDEFINED,
-    Atom,
-    CallRef,
-    Pair,
-    Var,
-    dagger_ref,
-    invert_def,
-)
-from revcat.revlang.syntax import instantiate, match, subterms
+from revcat.revlang.interp import STUCK, UNDEFINED
+from revcat.revlang.invert import invert_def
+from revcat.revlang.syntax import Atom, CallRef, Pair, Var, dagger_ref, instantiate, match, subterms
 
 
 def reachability_closure(edges, n):

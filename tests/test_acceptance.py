@@ -7,38 +7,30 @@ import json
 import time
 from random import Random
 
-from revcat.cat import FinObject, LawConfig, PInjMorphism, RelMorphism, dagger, law_suite
+from revcat.cat.dstoch import StochMorphism
+from revcat.cat.laws import LawConfig, law_suite
+from revcat.cat.objects import FinObject
+from revcat.cat.ops import HomSpace, dagger
+from revcat.cat.pinj import PInjMorphism
+from revcat.cat.rel import RelMorphism
 from revcat.cli import main as cli_main
-from revcat.functionals import (
-    DisjointUnionWith,
-    HomSpace,
-    check_dagger_trace,
+from revcat.functionals.expr import JoinWith, PostCompose, Seq, conj
+from revcat.functionals.fixpoints import (
     check_conj_preservation,
     check_fixed_point_adjoint,
-    check_naturality,
     check_pfix_adjoint,
     check_pfix_identity,
-    conj,
     fix_functional,
-    join_family,
-    projection_family,
     random_endo_functional,
     random_param_functional,
 )
-from revcat.functionals.trace import trace
-from revcat.functionals.expr import JoinWith, PostCompose, Seq
+from revcat.functionals.functors import DisjointUnionWith
+from revcat.functionals.naturality import check_naturality, join_family, projection_family
+from revcat.functionals.trace import check_dagger_trace, trace
 from revcat.order import FixPolicy, kleene_fix
-from revcat.cat import HomSpace, StochMorphism
-from revcat.revlang import (
-    CallRef,
-    denote,
-    invert_binding,
-    invert_program,
-    random_nat_list,
-    random_peano_pair,
-    roundtrip_check,
-    toggle_suffix,
-)
+from revcat.revlang.denote import denote, random_nat_list, random_peano_pair, roundtrip_check
+from revcat.revlang.invert import invert_binding, invert_program, toggle_suffix
+from revcat.revlang.syntax import CallRef
 
 from bundled import bundled_program
 from checkers import check_functors, fuel_monotonicity_check

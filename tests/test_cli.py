@@ -12,8 +12,7 @@ from hypothesis import HealthCheck, given, seed, settings, strategies as st
 from revcat.cat.objects import MAX_SIZE
 from revcat.cat.serialize import MAX_NESTING
 from revcat.cli import REGISTRY, build_parser, main
-from revcat.functionals import loads_functional
-from revcat.functionals.expr import conj
+from revcat.functionals.expr import conj, loads_functional
 
 from bundled import BUNDLED
 
@@ -726,6 +725,33 @@ def test_config_values_are_converted_as_flags_are(capture, map_file, tmp_path):
     assert json.loads(out)["value"] == "Cons (S Z) Nil"
     assert json.loads(out)["config"]["fuel"] == 50
     assert json.loads(out)["config"]["bind"] == ["g=inc"]
+
+
+@pytest.mark.parametrize(
+    "argv, config, flags",
+    [
+        (["laws", "--suite", "dagger"], {"category": "rel", "max_size": 1}, {"category": "pinj"}),
+        (["trace", "m.json"], {"x": 1, "y": 1, "u": 0}, {"x": 0, "y": 0, "u": 1}),
+    ],
+    ids=["laws", "trace"],
+)
+def test_a_config_file_supplies_required_options(capture, capsys, tmp_path, monkeypatch, argv, config, flags):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps({"type": "rel", "src": 1, "dst": 1, "pairs": [[0, 0]]}))
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    required = [f"--{key}" for key in flags]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"the following arguments are required: {', '.join(required)}" in capsys.readouterr().err
+    code, out, err = capture("--config", "config.json", *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert {key: json.loads(out)["config"][key] for key in flags} == {key: config[key] for key in flags}
+    # A flag still overrides the file.
+    given = [item for key, value in flags.items() for item in (f"--{key}", str(value))]
+    code, out, err = capture("--config", "config.json", *argv, *given, "--format", "json")
+    assert (code, err) == (0, "")
+    assert {key: json.loads(out)["config"][key] for key in flags} == flags
 
 
 @pytest.mark.parametrize("sizes", ["1,1", "0,2,0", ""])

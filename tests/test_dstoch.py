@@ -4,17 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from revcat.cat import (
-    FinObject,
-    HomSpace,
-    StochMorphism,
-    compose,
-    dagger,
-    join,
-    random_chain,
-    random_ordered_pair,
-    random_stoch,
-)
+from revcat.cat.dstoch import StochMorphism, random_chain, random_ordered_pair, random_stoch
+from revcat.cat.objects import FinObject
+from revcat.cat.ops import HomSpace, compose, dagger, join
 from revcat.cat.serialize import loads_morphism
 from revcat.errors import DimensionMismatch, ParseError, UnsupportedOperation
 

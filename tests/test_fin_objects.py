@@ -11,11 +11,14 @@ from itertools import count
 import pytest
 from hypothesis import given, strategies as st
 
-from revcat.cat import FinObject, PInjMorphism, RelMorphism
-from revcat.cat.objects import MAX_SIZE
+from revcat.cat.objects import MAX_SIZE, FinObject
+from revcat.cat.pinj import PInjMorphism
+from revcat.cat.rel import RelMorphism
 from revcat.cat.serialize import morphism_from_doc, read_json
 from revcat.errors import InvalidArgument
-from revcat.functionals import DisjointUnionWith, functional_from_doc, trace_family
+from revcat.functionals.expr import functional_from_doc
+from revcat.functionals.functors import DisjointUnionWith
+from revcat.functionals.trace import trace_family
 from revcat.revlang.denote import denote
 
 from bundled import bundled_program

@@ -2,40 +2,38 @@ from random import Random
 
 import pytest
 
-from revcat.cat import FinObject, RelMorphism, compose, dagger, join
+from revcat.cat.objects import FinObject
+from revcat.cat.ops import HomSpace, compose, dagger, join
+from revcat.cat.rel import RelMorphism
 from revcat.errors import DimensionMismatch, DomainMismatch, IncompatibleJoin, UnboundParameter
-from revcat.functionals import (
+from revcat.functionals import expr, fixpoints, naturality, param
+from revcat.functionals.expr import (
     Const,
     DaggerFn,
-    HomSpace,
     Host,
     IdentityFn,
     JoinOf,
     JoinWith,
     Param,
-    ParamExpr,
     PostCompose,
     PreCompose,
     Seq,
     apply_functional,
-    apply_param,
+    conj,
+)
+from revcat.functionals.fixpoints import (
     check_conj_preservation,
     check_fixed_point_adjoint,
-    check_naturality,
     check_pfix_adjoint,
     check_pfix_identity,
-    check_self_conjugate,
-    conj,
-    conj_param,
     fix_functional,
-    identity_family,
-    join_family,
     pfix_functional,
     random_endo_functional,
     random_param_functional,
-    trace_family,
 )
-from revcat.functionals import expr, fixpoints, naturality, param
+from revcat.functionals.naturality import check_naturality, check_self_conjugate, identity_family, join_family
+from revcat.functionals.param import ParamExpr, apply_param, conj_param
+from revcat.functionals.trace import trace_family
 
 from checkers import check_fix_pfix_agreement
 from oracles import reachability_closure
@@ -361,7 +359,7 @@ def _conj_cases():
     ignores the parameter, PConst is constant, PApply runs a stage after a
     join with a constant, PJoin joins the parameter with a constant, and
     PApply-Host runs a Host stage."""
-    from revcat.cat import morphism_from_doc
+    from revcat.cat.serialize import morphism_from_doc
 
     def mor(category, src, dst, pairs):
         if category == "rel":
@@ -411,7 +409,7 @@ def _outcome(fn, args):
 def test_conj_of_every_node_class(node, structural):
     from itertools import product
 
-    from revcat.functionals import FunctionalExpr
+    from revcat.functionals.expr import FunctionalExpr
 
     conjugate = conj if isinstance(node, FunctionalExpr) else conj_param
     bar = conjugate(node)

@@ -4,46 +4,40 @@ from types import SimpleNamespace
 
 import pytest
 
-from revcat.cat import (
-    FinObject,
-    LawConfig,
-    PInjMorphism,
-    RelMorphism,
-    StochMorphism,
-    dagger,
-    law_suite,
-)
-from revcat.functionals import (
+from revcat.cat.dstoch import StochMorphism
+from revcat.cat.laws import LawConfig, law_suite
+from revcat.cat.objects import FinObject
+from revcat.cat.ops import HomSpace, dagger
+from revcat.cat.pinj import PInjMorphism
+from revcat.cat.rel import RelMorphism
+from revcat.functionals import fixpoints
+from revcat.functionals.expr import (
     Const,
-    HomSpace,
     Host,
     IdentityFn,
-    IdentityFunctor,
     JoinOf,
-    NaturalFamily,
+    JoinWith,
     Param,
-    ParamExpr,
+    PostCompose,
+    PreCompose,
+    Seq,
+)
+from revcat.functionals.fixpoints import (
     check_conj_preservation,
-    check_dagger_trace,
     check_fixed_point_adjoint,
-    check_naturality,
     check_pfix_adjoint,
     check_pfix_identity,
-    check_self_conjugate,
     fix_functional,
 )
-from revcat.functionals import fixpoints
-from revcat.functionals.expr import JoinWith, PostCompose, PreCompose, Seq
+from revcat.functionals.functors import IdentityFunctor
+from revcat.functionals.naturality import NaturalFamily, check_naturality, check_self_conjugate
+from revcat.functionals.param import ParamExpr
+from revcat.functionals.trace import check_dagger_trace
 from revcat.report import Violation
-from revcat.revlang import (
-    UNDEFINED,
-    CallRef,
-    Evaluator,
-    parse_program,
-    parse_value,
-    random_peano_pair,
-    roundtrip_check,
-)
+from revcat.revlang.denote import random_peano_pair, roundtrip_check
+from revcat.revlang.interp import UNDEFINED, Evaluator
+from revcat.revlang.parser import parse_program, parse_value
+from revcat.revlang.syntax import CallRef
 
 from bundled import bundled_program
 from checkers import check_call_table, check_fix_pfix_agreement, mixed_family

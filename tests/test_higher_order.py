@@ -1,17 +1,14 @@
 """Nested static arguments: parametrized functions passed as parameters."""
-from revcat.cat import FinObject, HomSpace, StochMorphism, enumerate_rel
+from revcat.cat.dstoch import StochMorphism
+from revcat.cat.objects import FinObject
+from revcat.cat.ops import HomSpace
+from revcat.cat.rel import enumerate_rel
 from revcat.errors import TooLarge
 from revcat.order import FixPolicy, kleene_fix
-from revcat.revlang import (
-    Evaluator,
-    closed_ref,
-    dagger_ref,
-    invert_binding,
-    invert_program,
-    parse_callref_text,
-    parse_value,
-    show_callref,
-)
+from revcat.revlang.interp import Evaluator, closed_ref
+from revcat.revlang.invert import invert_binding, invert_program
+from revcat.revlang.parser import parse_callref_text, parse_value
+from revcat.revlang.syntax import dagger_ref, show_callref
 
 import pytest
 

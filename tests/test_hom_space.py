@@ -5,7 +5,9 @@ import pytest
 
 import revcat.cat.pinj
 import revcat.cat.rel
-from revcat.cat import FinObject, HomSpace, RelMorphism
+from revcat.cat.objects import FinObject
+from revcat.cat.ops import HomSpace
+from revcat.cat.rel import RelMorphism
 from revcat.cli import main
 from revcat.errors import InvalidArgument, TooLarge, UnsupportedOperation
 

@@ -2,10 +2,10 @@ from string import Formatter
 
 import pytest
 
-from revcat.cat import CATEGORIES, LawConfig, law_suite
-from revcat.cat.laws import LAWS, SUITES
+from revcat.cat.laws import LAWS, SUITES, LawConfig, law_suite
+from revcat.cat.ops import CATEGORIES
 from revcat.report import LawReport, Violation
-from revcat.revlang import random_peano_pair, roundtrip_check
+from revcat.revlang.denote import random_peano_pair, roundtrip_check
 
 from bundled import bundled_program
 

@@ -1,17 +1,14 @@
 """The protocol shared by the three morphism classes."""
 import pytest
 
-from revcat.cat import (
-    FinObject,
-    HomSpace,
-    PInjMorphism,
-    RelMorphism,
-    StochMorphism,
-    morphism_from_doc,
-)
-from revcat.cat.ops import MORPHISM_CLASSES
+from revcat.cat.dstoch import StochMorphism
+from revcat.cat.objects import FinObject
+from revcat.cat.ops import MORPHISM_CLASSES, HomSpace
+from revcat.cat.pinj import PInjMorphism
+from revcat.cat.rel import RelMorphism
+from revcat.cat.serialize import morphism_from_doc
 from revcat.errors import DimensionMismatch, UnsupportedOperation
-from revcat.functionals import JoinWith
+from revcat.functionals.expr import JoinWith
 from revcat.order import kleene_fix
 
 X2 = FinObject(2)

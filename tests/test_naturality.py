@@ -2,20 +2,20 @@ from collections import Counter
 
 import pytest
 
-from revcat.cat import FinObject, RelMorphism, compose, dagger
-from revcat.functionals import (
-    DisjointUnionWith,
-    IdentityFunctor,
+from revcat.cat.objects import FinObject
+from revcat.cat.ops import compose, dagger
+from revcat.cat.rel import RelMorphism
+from revcat.functionals import fixpoints
+from revcat.functionals.fixpoints import pfix_functional
+from revcat.functionals.functors import DisjointUnionWith, IdentityFunctor, pad_with_identity
+from revcat.functionals.naturality import (
     check_naturality,
     check_self_conjugate,
-    fixpoints,
     identity_family,
     join_family,
-    pad_with_identity,
-    pfix_functional,
     projection_family,
-    trace_family,
 )
+from revcat.functionals.trace import trace_family
 from revcat.order import kleene_pfix
 
 from checkers import check_dagger_functor, mixed_family, postcompose_family
@@ -156,7 +156,7 @@ def test_trace_family_is_self_conjugate():
 def test_pfix_of_a_self_conjugate_family_is_self_conjugate():
     # the family is self-conjugate, so its parametrized fixed point must be:
     # (pfix a_{X,Y})(p)+ = (pfix a_{Y,X})(p+) across mirrored components
-    from revcat.cat import dagger
+    from revcat.cat.ops import dagger
 
     for family in (join_family("rel"), join_family("rel", DisjointUnionWith(O1))):
         assert check_self_conjugate(family, O2, O1).passed

@@ -1,13 +1,9 @@
 import pytest
 
-from revcat.cat import (
-    FinObject,
-    RelMorphism,
-    StochMorphism,
-    HomSpace,
-    compose,
-    join,
-)
+from revcat.cat.dstoch import StochMorphism
+from revcat.cat.objects import FinObject
+from revcat.cat.ops import HomSpace, compose, join
+from revcat.cat.rel import RelMorphism
 from revcat.errors import DomainMismatch, InvalidArgument, NonConvergence
 from revcat.order import FixPolicy, kleene_fix, kleene_pfix
 

@@ -1,14 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from revcat.cat import (
-    FinObject,
-    HomSpace,
-    PInjMorphism,
-    compose,
-    dagger,
-    join,
-)
+from revcat.cat.objects import FinObject
+from revcat.cat.ops import HomSpace, compose, dagger, join
+from revcat.cat.pinj import PInjMorphism
 from revcat.errors import DimensionMismatch, IncompatibleJoin
 
 from oracles import count_partial_injections

@@ -1,14 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from revcat.cat import (
-    FinObject,
-    HomSpace,
-    RelMorphism,
-    compose,
-    dagger,
-    join,
-)
+from revcat.cat.objects import FinObject
+from revcat.cat.ops import HomSpace, compose, dagger, join
+from revcat.cat.rel import RelMorphism
 from revcat.errors import DimensionMismatch
 
 from oracles import all_relations, compose_pairs

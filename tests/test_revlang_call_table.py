@@ -15,22 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from revcat.cli import main
 from revcat.errors import UnknownFunction
-from revcat.revlang import (
-    STUCK,
-    UNDEFINED,
-    CallRef,
-    Cons,
-    Evaluator,
-    Nil,
-    Pair,
-    S,
-    Z,
-    dagger_ref,
-    parse_callref_text,
-    parse_program,
-    require_valid,
-    show_term,
-)
+from revcat.revlang.interp import STUCK, UNDEFINED, Evaluator
+from revcat.revlang.parser import parse_callref_text, parse_program
+from revcat.revlang.syntax import CallRef, Cons, Nil, Pair, S, Z, dagger_ref, show_term
+from revcat.revlang.validate import require_valid
 
 from bundled import GROW_INVERTED, bundled_program
 from checkers import check_call_table

@@ -6,25 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from revcat.errors import UnknownFunction
-from revcat.revlang import (
-    STUCK,
-    UNDEFINED,
-    CallRef,
-    Evaluator,
-    Pair,
-    S,
-    Z,
-    dagger_ref,
-    invert_binding,
-    invert_program,
-    parse_callref_text,
-    parse_program,
-    parse_value,
-    random_nat_list,
-    random_peano_pair,
-    random_value,
-    toggle_suffix,
-)
+from revcat.revlang.denote import random_nat_list, random_peano_pair, random_value
+from revcat.revlang.interp import STUCK, UNDEFINED, Evaluator
+from revcat.revlang.invert import invert_binding, invert_program, toggle_suffix
+from revcat.revlang.parser import parse_callref_text, parse_program, parse_value
+from revcat.revlang.syntax import CallRef, Pair, S, Z, dagger_ref
 
 from bundled import bundled_program
 from oracles import ReferenceEvaluator

@@ -1,18 +1,10 @@
 import pytest
 
 from revcat.errors import UnboundParameter, UnknownFunction
-from revcat.revlang import (
-    STUCK,
-    UNDEFINED,
-    CallRef,
-    Evaluator,
-    closed_ref,
-    dagger_ref,
-    parse_callref_text,
-    parse_program,
-    parse_value,
-    random_peano_pair,
-)
+from revcat.revlang.denote import random_peano_pair
+from revcat.revlang.interp import STUCK, UNDEFINED, Evaluator, closed_ref
+from revcat.revlang.parser import parse_callref_text, parse_program, parse_value
+from revcat.revlang.syntax import CallRef, dagger_ref
 
 from bundled import bundled_program
 from checkers import evaluate, fuel_monotonicity_check

@@ -7,18 +7,10 @@ over one recurses once per level."""
 import pytest
 
 from revcat.cli import main
-from revcat.revlang import (
-    CallRef,
-    Evaluator,
-    closed_ref,
-    dagger_ref,
-    invert_binding,
-    parse_callref_text,
-    parse_program,
-    parse_value,
-    show_callref,
-    show_term,
-)
+from revcat.revlang.interp import Evaluator, closed_ref
+from revcat.revlang.invert import invert_binding
+from revcat.revlang.parser import parse_callref_text, parse_program, parse_value
+from revcat.revlang.syntax import CallRef, dagger_ref, show_callref, show_term
 from revcat.revlang.validate import check_ref
 
 from bundled import GROW, GROW_INVERTED, GROW_INVERTED_AT_BASE

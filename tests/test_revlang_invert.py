@@ -3,26 +3,19 @@ from pathlib import Path
 
 import pytest
 
-from revcat.cat import dagger
+from revcat.cat.ops import dagger
 from revcat.errors import InvalidArgument
-from revcat.revlang import (
-    CallRef,
-    ValidationFailed,
+from revcat.revlang.denote import (
     denote,
     enumerate_values,
-    invert_binding,
-    invert_program,
-    parse_callref_text,
-    parse_program,
-    parse_value,
     random_nat_list,
     random_peano_pair,
     roundtrip_check,
-    show_callref,
-    show_program,
-    toggle_suffix,
-    validate_program,
 )
+from revcat.revlang.invert import invert_binding, invert_program, toggle_suffix
+from revcat.revlang.parser import parse_callref_text, parse_program, parse_value
+from revcat.revlang.syntax import CallRef, show_callref, show_program
+from revcat.revlang.validate import ValidationFailed, validate_program
 
 from bundled import BUNDLED, bundled_program
 from checkers import evaluate

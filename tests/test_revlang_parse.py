@@ -1,7 +1,8 @@
 import pytest
 
 from revcat.errors import ParseError
-from revcat.revlang import (
+from revcat.revlang.parser import parse_callref_text, parse_program, parse_value
+from revcat.revlang.syntax import (
     Atom,
     CallRef,
     Clause,
@@ -12,9 +13,6 @@ from revcat.revlang import (
     S,
     Var,
     Z,
-    parse_callref_text,
-    parse_program,
-    parse_value,
     show_callref,
     show_program,
     show_term,

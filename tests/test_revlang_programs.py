@@ -3,20 +3,13 @@ from random import Random
 
 import pytest
 
-from revcat.cat import dagger
-from revcat.revlang import (
-    STUCK,
-    Cons,
-    Nil,
-    Atom,
-    denote,
-    invert_program,
-    parse_program,
-    parse_value,
-    roundtrip_check,
-    show_program,
-    validate_program,
-)
+from revcat.cat.ops import dagger
+from revcat.revlang.denote import denote, roundtrip_check
+from revcat.revlang.interp import STUCK
+from revcat.revlang.invert import invert_program
+from revcat.revlang.parser import parse_program, parse_value
+from revcat.revlang.syntax import Atom, Cons, Nil, show_program
+from revcat.revlang.validate import validate_program
 
 from checkers import evaluate
 

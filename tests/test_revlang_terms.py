@@ -2,20 +2,9 @@
 import pytest
 
 from revcat.errors import ParseError
-from revcat.revlang import (
-    Atom,
-    Cons,
-    Nil,
-    Pair,
-    S,
-    Var,
-    Z,
-    enumerate_values,
-    parse_program,
-    parse_value,
-    show_term,
-)
-from revcat.revlang.syntax import children, rebuild
+from revcat.revlang.denote import enumerate_values
+from revcat.revlang.parser import parse_program, parse_value
+from revcat.revlang.syntax import Atom, Cons, Nil, Pair, S, Var, Z, children, rebuild, show_term
 
 # (term, repr, show_term, show_term with atomic=True), one per term class.
 FORMS = [

@@ -5,8 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from revcat.revlang import parse_program, validate_program
+from revcat.revlang.parser import parse_program
 from revcat.revlang.syntax import unifiable
+from revcat.revlang.validate import validate_program
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SELF_OVERLAP = "fun f (x, (x, x)) = x\nfun f (x, (x, x)) = x\n"

@@ -2,17 +2,11 @@
 import pytest
 
 from revcat.errors import TooLarge
-from revcat.revlang import (
-    CallRef,
-    denote,
-    enumerate_values,
-    invert_program,
-    parse_program,
-    parse_value,
-    roundtrip_check,
-    show_program,
-    validate_program,
-)
+from revcat.revlang.denote import denote, enumerate_values, roundtrip_check
+from revcat.revlang.invert import invert_program
+from revcat.revlang.parser import parse_program, parse_value
+from revcat.revlang.syntax import CallRef, show_program
+from revcat.revlang.validate import validate_program
 
 from bundled import bundled_program
 from checkers import evaluate

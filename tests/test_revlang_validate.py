@@ -1,4 +1,5 @@
-from revcat.revlang import parse_program, validate_program
+from revcat.revlang.parser import parse_program
+from revcat.revlang.validate import validate_program
 
 from bundled import BUNDLED, bundled_program
 

@@ -2,23 +2,14 @@ import json
 
 import pytest
 
-from revcat.cat import (
-    FinObject,
-    PInjMorphism,
-    RelMorphism,
-    StochMorphism,
-    loads_morphism,
-    morphism_from_doc,
-)
+from revcat.cat.dstoch import StochMorphism
+from revcat.cat.objects import FinObject
+from revcat.cat.ops import HomSpace
+from revcat.cat.pinj import PInjMorphism
+from revcat.cat.rel import RelMorphism
+from revcat.cat.serialize import loads_morphism, morphism_from_doc
 from revcat.errors import ParseError, RevcatError
-from revcat.functionals import (
-    FunctionalExpr,
-    HomSpace,
-    JoinWith,
-    PostCompose,
-    Seq,
-    loads_functional,
-)
+from revcat.functionals.expr import FunctionalExpr, JoinWith, PostCompose, Seq, loads_functional
 from revcat.functionals.expr import _DOC_KEY, _takes_inner, node_fields
 
 
@@ -115,7 +106,7 @@ def test_functional_document_errors():
         loads_functional('{"op":"host","name":"unknown-host"}')
 
 
-from revcat.functionals import Const, DaggerFn, IdentityFn, JoinOf, PreCompose  # noqa: E402
+from revcat.functionals.expr import Const, DaggerFn, IdentityFn, JoinOf, PreCompose  # noqa: E402
 
 TWO = FinObject(2)
 S2 = HomSpace("rel", TWO, TWO)

@@ -1,16 +1,17 @@
 """The laws command reads its suites from one registry and refuses bad
 requests before any suite runs; its JSON stays byte-identical."""
+import importlib
 import json
+import pkgutil
 import re
 from inspect import signature
 from pathlib import Path
 
 import pytest
 
-from revcat.cat.laws import SUITES
-from revcat.cli import main
-from revcat.cli import REGISTRY, Suite
 from revcat import functionals
+from revcat.cat.laws import SUITES
+from revcat.cli import REGISTRY, Suite, main
 from revcat.functionals.trace import check_dagger_trace
 
 from bundled import ADD
@@ -61,14 +62,17 @@ def test_src_holds_only_the_checkers_a_command_runs():
 
 
 def test_checkers_and_fixed_points_take_no_knobs():
-    names = [
-        name
-        for name in functionals.__all__
-        if name.startswith("check_") or name in ("fix_functional", "pfix_functional")
-    ]
-    assert len(names) >= 9
-    for name in names:
-        taken = set(signature(getattr(functionals, name)).parameters)
+    found = {}
+    for info in pkgutil.iter_modules(functionals.__path__, "revcat.functionals."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if getattr(value, "__module__", None) == info.name and (
+                name.startswith("check_") or name in ("fix_functional", "pfix_functional")
+            ):
+                found[name] = value
+    assert len(found) >= 9
+    for name, fn in found.items():
+        taken = set(signature(fn).parameters)
         assert not taken & {"policy", "tolerance", "parameters"}, name
 
 

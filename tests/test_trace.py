@@ -3,11 +3,13 @@ from types import ModuleType
 
 import pytest
 
-from revcat.cat import FinObject, HomSpace, PInjMorphism, RelMorphism, dagger, enumerate_pinj, enumerate_rel
-from revcat.errors import DimensionMismatch, IncompatibleJoin
 import revcat.functionals.trace as trace_module
-from revcat.functionals import check_dagger_trace
-from revcat.functionals.trace import trace
+from revcat.cat.objects import FinObject
+from revcat.cat.ops import HomSpace, dagger
+from revcat.cat.pinj import PInjMorphism, enumerate_pinj
+from revcat.cat.rel import RelMorphism, enumerate_rel
+from revcat.errors import DimensionMismatch, IncompatibleJoin
+from revcat.functionals.trace import check_dagger_trace, trace
 
 from checkers import check_trace_sliding
 from oracles import orbit_trace, relational_trace

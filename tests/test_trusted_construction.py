@@ -10,8 +10,11 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from revcat.cat import FinObject, HomSpace, PInjMorphism, RelMorphism, StochMorphism
-from revcat.cat.ops import MORPHISM_CLASSES
+from revcat.cat.dstoch import StochMorphism
+from revcat.cat.objects import FinObject
+from revcat.cat.ops import MORPHISM_CLASSES, HomSpace
+from revcat.cat.pinj import PInjMorphism
+from revcat.cat.rel import RelMorphism
 from revcat.cat.serialize import loads_morphism
 from revcat.errors import DimensionMismatch
 from revcat.record import FrozenInstanceError
