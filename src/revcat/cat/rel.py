@@ -9,6 +9,10 @@ operations build their results with ``RelMorphism._make``, which skips that
 check, because a result computed from valid operands is valid.  Values have
 slots and no ``__dict__``, and ``_make`` (``objects.trusted_make``) fills the
 slots directly.
+
+The dagger is the converse, a value fixed by the morphism alone, so the
+converse cache holds morphisms: ``dagger`` is one lookup in it, and while a
+relation stays cached its daggers are one shared object.
 """
 from __future__ import annotations
 
@@ -21,12 +25,15 @@ from ..errors import DimensionMismatch, ParseError, TooLarge
 from ..record import frozen
 from .objects import ENUMERATION_CAP, FinObject, read_nat, require_fields, same_hom, trusted_make
 
-# The cache holds twice the largest hom-set ``enumerate_rel`` builds at its
-# default cap, so the daggers of one exhaustive suite all stay cached.
+# The cache holds converse morphisms, twice as many as the largest hom-set
+# ``enumerate_rel`` builds at its default cap, so the daggers of one
+# exhaustive suite all stay cached.  The key holds both objects: the rows do
+# not fix the target, and every Hom(0, n) has rows ``()``.
 @lru_cache(maxsize=2 ** (ENUMERATION_CAP + 1))
-def _transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
-    """Columns of a relation of ``width`` targets, as rows of its converse."""
-    cols = [0] * width
+def _transpose(rows: tuple[int, ...], src: FinObject, dst: FinObject) -> "RelMorphism":
+    """The converse of the relation ``rows`` from ``src`` to ``dst``: its
+    columns, as the rows of a morphism from ``dst`` to ``src``."""
+    cols = [0] * dst.size
     for i, row in enumerate(rows):
         j = 0
         while row:
@@ -34,7 +41,7 @@ def _transpose(rows: tuple[int, ...], width: int) -> tuple[int, ...]:
                 cols[j] |= 1 << i
             row >>= 1
             j += 1
-    return tuple(cols)
+    return RelMorphism._make(dst, src, tuple(cols))
 
 
 @trusted_make
@@ -135,17 +142,15 @@ class RelMorphism:
         rows = []
         for row in other.rows:
             acc = 0
-            j = 0
             while row:
-                if row & 1:
-                    acc |= mine[j]
-                row >>= 1
-                j += 1
+                low = row & -row
+                acc |= mine[low.bit_length() - 1]
+                row ^= low
             rows.append(acc)
         return RelMorphism._make(other.src, self.dst, tuple(rows))
 
     def dagger(self) -> "RelMorphism":
-        return RelMorphism._make(self.dst, self.src, _transpose(self.rows, self.dst.size))
+        return _transpose(self.rows, self.src, self.dst)
 
     def leq(self, other: "RelMorphism", tolerance: float = 0.0) -> bool:
         same_hom(self, other)

@@ -4,13 +4,14 @@ Each returns a LawReport like the suites in ``revcat``, so a test can
 assert both that a law holds and, on broken input, that it is caught.
 ``evaluate`` runs one function reference as ``revcat run`` does.
 """
+from itertools import product
 from random import Random
 
 from revcat.cat.objects import FinObject
 from revcat.cat.ops import HomSpace, compose, dagger, identity
 from revcat.errors import IncompatibleJoin
 from revcat.functionals.expr import IdentityFn, JoinOf, Param, PostCompose
-from revcat.functionals.fixpoints import fix_functional, pfix_functional
+from revcat.functionals.fixpoints import fix_functional, pfix_functional, random_endo_functional
 from revcat.functionals.functors import IdentityFunctor
 from revcat.functionals.naturality import NaturalFamily
 from revcat.functionals.param import ParamExpr
@@ -108,6 +109,39 @@ def check_fix_pfix_agreement(
             "p={0!r} pfix={1!r} fix={2!r}",
             p, v, fixed,
         )
+    return checker.done()
+
+
+def check_park_induction(category: str, seeds=range(1, 11), sizes=(0, 1, 2)) -> LawReport:
+    """Park induction: every h with phi(h) <= h lies above fix phi.
+
+    One seeded ``random_endo_functional`` per seed and hom-set Hom(x, y) of
+    the given sizes, each checked against every morphism of its hom-set.  A
+    join that is undefined, in the fixed point or in phi(h), is a skip."""
+    checker = Checker("park-induction")
+    for seed in seeds:
+        rng = Random(seed)
+        for x, y in product(sizes, repeat=2):
+            space = HomSpace(category, FinObject(x), FinObject(y))
+            phi = random_endo_functional(space, rng)
+            try:
+                least = fix_functional(phi)
+            except IncompatibleJoin:
+                checker.skip()
+                continue
+            for h in space.morphisms():
+                try:
+                    prefixed = phi.apply(h).leq(h)
+                except IncompatibleJoin:
+                    checker.skip()
+                    continue
+                if prefixed:
+                    checker.check(
+                        "park-induction",
+                        least.leq(h),
+                        "phi={0!r} h={1!r} fix={2!r}",
+                        phi, h, least,
+                    )
     return checker.done()
 
 

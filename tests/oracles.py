@@ -118,14 +118,16 @@ def transpose_rows(rows, width):
 
 def compose_rows(g_rows, f_rows):
     """Rows of g . f for bit-row relations: or the rows of g that each row of
-    f selects, peeling off its lowest set bit each time."""
+    f selects, shifting through it one bit position at a time."""
     rows = []
     for row in f_rows:
         acc = 0
+        j = 0
         while row:
-            low = row & -row
-            acc |= g_rows[low.bit_length() - 1]
-            row ^= low
+            if row & 1:
+                acc |= g_rows[j]
+            row >>= 1
+            j += 1
         rows.append(acc)
     return tuple(rows)
 

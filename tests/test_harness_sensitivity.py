@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from revcat import order
 from revcat.cat.dstoch import StochMorphism
 from revcat.cat.laws import LawConfig, law_suite
 from revcat.cat.objects import FinObject
@@ -33,6 +34,7 @@ from revcat.functionals.functors import IdentityFunctor
 from revcat.functionals.naturality import NaturalFamily, check_naturality, check_self_conjugate
 from revcat.functionals.param import ParamExpr
 from revcat.functionals.trace import check_dagger_trace
+from revcat.order import KleeneResult
 from revcat.report import Violation
 from revcat.revlang.denote import random_peano_pair, roundtrip_check
 from revcat.revlang.interp import UNDEFINED, Evaluator
@@ -40,7 +42,7 @@ from revcat.revlang.parser import parse_program, parse_value
 from revcat.revlang.syntax import CallRef
 
 from bundled import bundled_program
-from checkers import check_call_table, check_fix_pfix_agreement, mixed_family
+from checkers import check_call_table, check_fix_pfix_agreement, check_park_induction, mixed_family
 from oracles import complement
 
 # The packages export functions under these modules' names.
@@ -115,6 +117,34 @@ def test_iteration_identity_registry_is_keyed_by_name():
     report = check_fix_pfix_agreement(IdentityFn(space), space)
     assert report.suite == "fix-pfix-derivations"
     assert report.passed
+
+
+def test_park_induction_flags_an_engine_that_starts_at_the_top(monkeypatch):
+    # Started at the top of a rel hom-set, the same iteration descends to
+    # the greatest fixed point.
+    iterate = order._iterate
+
+    def from_top(step1, space, policy):
+        top = SimpleNamespace(bottom=space.morphisms()[-1], metric=space.metric, contains=space.contains)
+        return iterate(step1, top, policy)
+
+    monkeypatch.setattr(order, "_iterate", from_top)
+    report = check_park_induction("rel")
+    assert {v.law for v in report.violations} == {"park-induction"}
+
+
+def test_park_induction_flags_an_engine_that_returns_a_prefixed_point_read_from_the_top(monkeypatch):
+    # Each hom-set lists its morphisms in an order that extends <=, so the
+    # first h with phi(h) <= h in that order is the least one, the fixed
+    # point.  Read from the top down, the first is the top itself.
+    def first_prefixed_point(step1, space, policy):
+        for h in reversed(space.morphisms()):
+            if step1(h).leq(h):
+                return KleeneResult(h, 1, None)
+
+    monkeypatch.setattr(order, "_iterate", first_prefixed_point)
+    report = check_park_induction("rel")
+    assert {v.law for v in report.violations} == {"park-induction"}
 
 
 def _failed_laws(category, suite, config):

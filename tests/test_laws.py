@@ -1,13 +1,17 @@
+from itertools import product
 from string import Formatter
 
 import pytest
 
 from revcat.cat.laws import LAWS, SUITES, LawConfig, law_suite
 from revcat.cat.ops import CATEGORIES
+from revcat.cat.pinj import PInjMorphism
+from revcat.cat.rel import RelMorphism
 from revcat.report import LawReport, Violation
 from revcat.revlang.denote import random_peano_pair, roundtrip_check
 
 from bundled import bundled_program
+from oracles import count_partial_injections
 
 
 @pytest.mark.parametrize("category", ["rel", "pinj"])
@@ -48,6 +52,31 @@ def test_compose_dagger_law_count_at_exact_size_two():
     assert report.by_law["compose-dagger"] == 16 * 16
     assert report.by_law["double-dagger"] == 16
     assert report.by_law["identity-dagger"] == 1
+
+
+@pytest.mark.parametrize(
+    "cls, hom_count",
+    [(RelMorphism, lambda n, m: 2 ** (n * m)), (PInjMorphism, count_partial_injections)],
+    ids=["rel", "pinj"],
+)
+def test_the_dagger_suite_calls_dagger_once_per_dagger_its_laws_name(monkeypatch, cls, hom_count):
+    # identity-dagger has one instance per object and takes one dagger;
+    # double-dagger has one per morphism and takes two; compose-dagger has
+    # one per composable pair and takes three, (g . f)+, f+ and g+.  So
+    # |Hom(x, y)| = 2^(xy) in rel, and the partial-injection count in pinj,
+    # fixes the number of calls: a cache in front of ``dagger`` must not
+    # take any away.
+    calls = []
+    dagger = cls.dagger
+    monkeypatch.setattr(cls, "dagger", lambda f: calls.append(f) or dagger(f))
+    sizes = (0, 1, 2)
+    identity = len(sizes)
+    double = sum(hom_count(x, y) for x, y in product(sizes, repeat=2))
+    compose = sum(hom_count(x, y) * hom_count(y, z) for x, y, z in product(sizes, repeat=3))
+    report = law_suite(cls.category, "dagger", LawConfig(sizes=sizes))
+    assert report.passed
+    assert report.by_law == {"identity-dagger": identity, "double-dagger": double, "compose-dagger": compose}
+    assert len(calls) == identity + 2 * double + 3 * compose
 
 
 def test_pinj_monotone_dagger_exhaustive_at_size_three():

@@ -7,7 +7,7 @@ from revcat.cat.rel import RelMorphism
 from revcat.errors import DomainMismatch, InvalidArgument, NonConvergence
 from revcat.order import FixPolicy, kleene_fix, kleene_pfix
 
-from checkers import spot_check_monotone
+from checkers import check_park_induction, spot_check_monotone
 from oracles import complement, geometric_fixed_point, iterate_param_step, reachability_closure
 
 X3 = FinObject(3)
@@ -126,6 +126,13 @@ def test_kleene_chain_is_ascending_and_result_is_least_fixed_point():
     for candidate in REL_DOM.morphisms():
         if closure_step(candidate) == candidate:
             assert value.leq(candidate)
+
+
+@pytest.mark.parametrize("category", ["rel", "pinj"])
+def test_random_fixed_points_lie_below_every_prefixed_point(category):
+    report = check_park_induction(category, seeds=range(1, 11))
+    assert report.passed, report.violations[:3]
+    assert report.checked > 100
 
 
 def test_exact_mode_converges_within_hom_size():

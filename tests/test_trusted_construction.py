@@ -8,13 +8,13 @@ must still refuse what they refused before.
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from revcat.cat.dstoch import StochMorphism
-from revcat.cat.objects import FinObject
+from revcat.cat.objects import ENUMERATION_CAP, MAX_SIZE, FinObject
 from revcat.cat.ops import MORPHISM_CLASSES, HomSpace
 from revcat.cat.pinj import PInjMorphism
-from revcat.cat.rel import RelMorphism
+from revcat.cat.rel import RelMorphism, _transpose
 from revcat.cat.serialize import loads_morphism
 from revcat.errors import DimensionMismatch
 from revcat.record import FrozenInstanceError
@@ -42,6 +42,7 @@ def test_rel_ops_agree_with_the_scalar_oracles_on_every_hom_set_up_to_2x2():
             d = f.dagger()
             assert d.rows == transpose_rows(f.rows, m)
             assert validated(d) == d and d.dagger() == f
+            assert f.dagger() is d
             for f2 in fs:
                 joined = f.join(f2)
                 assert set(joined.pairs) == set(f.pairs) | set(f2.pairs)
@@ -59,24 +60,49 @@ def test_rel_ops_agree_with_the_scalar_oracles_on_every_hom_set_up_to_2x2():
                     assert validated(s) == s
 
 
+def row_kinds(width):
+    """Rows of ``width`` bits of one kind: sparse (at most three bits set),
+    dense (at most three clear), or drawn whole."""
+    mask = (1 << width) - 1
+    sparse = st.sets(st.integers(0, max(width - 1, 0)), max_size=min(3, width)).map(
+        lambda bits: sum(1 << b for b in bits)
+    )
+    return st.sampled_from([sparse, sparse.map(mask.__xor__), st.integers(0, mask)])
+
+
 @st.composite
 def composable_relations(draw):
-    n, m, k = (draw(st.integers(0, 4)) for _ in range(3))
+    n, m, k = (draw(st.integers(0, MAX_SIZE)) for _ in range(3))
 
     def relation(src, dst):
-        rows = draw(st.lists(st.integers(0, (1 << dst) - 1), min_size=src, max_size=src))
+        rows = draw(st.lists(draw(row_kinds(dst)), min_size=src, max_size=src))
         return RelMorphism(FinObject(src), FinObject(dst), tuple(rows))
 
     return relation(n, m), relation(m, k)
 
 
+# A 128 x 128 example draws 256 rows, so fewer examples than the default.
+@settings(max_examples=50, deadline=None)
 @given(composable_relations())
-def test_rel_compose_and_dagger_agree_with_the_scalar_oracles_up_to_4x4(fg):
+def test_rel_compose_and_dagger_agree_with_the_scalar_oracles_up_to_max_size(fg):
     f, g = fg
     assert g.compose(f).rows == compose_rows(g.rows, f.rows)
     assert f.dagger().rows == transpose_rows(f.rows, f.dst.size)
     assert g.compose(f).dagger() == f.dagger().compose(g.dagger())
     assert validated(g.compose(f)) == g.compose(f)
+
+
+def test_the_rel_converse_cache_is_keyed_by_both_objects_and_bounded():
+    # Equal rows in different hom-sets: every Hom(0, n) has rows (), and
+    # both bottoms out of 2 have rows (0, 0).
+    x0, x1, x2, x3 = map(FinObject, range(4))
+    for (a, b), (c, d) in [((x0, x1), (x0, x2)), ((x2, x1), (x2, x3))]:
+        f, g = RelMorphism.bottom(a, b), RelMorphism.bottom(c, d)
+        assert f.rows == g.rows
+        assert f.dagger() != g.dagger()
+        assert (f.dagger().src, f.dagger().dst) == (b, a)
+        assert (g.dagger().src, g.dagger().dst) == (d, c)
+    assert _transpose.cache_info().maxsize == 2 ** (ENUMERATION_CAP + 1)
 
 
 def test_pinj_dagger_and_compose_commute_with_the_embedding_into_rel():
