@@ -6,10 +6,13 @@ every row and column sum at most 1.  Comparisons use a global tolerance; the
 hom-sets are uncountable, so law checks over this category are randomized
 from an explicit seed.
 
-Values are validated when built through the public constructor, ``from_doc``
-and ``sup``; the other operations build their results with
+Values are validated when built through the public constructor and
+``from_doc``; the other operations build their results with
 ``StochMorphism._make``, which skips that check, because a result computed
 from valid operands is valid; as in ``rel``, it fills the slots directly.
+``sup`` is the exception among them: the entrywise max of a non-chain can
+have a line sum above 1, so it checks its operands' hom-set and the sums of
+the max, and nothing else.
 """
 from __future__ import annotations
 
@@ -71,9 +74,14 @@ class StochMorphism:
 
     @classmethod
     def sup(cls, chain: list["StochMorphism"]) -> "StochMorphism":
-        """Entrywise max, validated: the max of a non-chain can leave the category."""
+        """Entrywise max of maps in one hom-set, whose sums are checked: the
+        max of a non-chain can leave the category."""
+        first = chain[0]
+        for m in chain:
+            same_hom(first, m)
         rows = tuple([tuple(map(max, zip(*row_i))) for row_i in zip(*(m.rows for m in chain))])
-        return cls(chain[0].src, chain[0].dst, rows)
+        _validate(rows)
+        return cls._make(first.src, first.dst, rows)
 
     def to_rel(self):
         raise UnsupportedOperation("the trace exists for rel and pinj only")

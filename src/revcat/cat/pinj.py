@@ -6,9 +6,9 @@ only for compatible graphs and otherwise raise IncompatibleJoin.
 
 As in ``rel``, values are validated when built through the public
 constructors, and operations whose results are valid by construction build
-them with ``PInjMorphism._make``, which fills the slots directly.  ``join``
-and ``from_rel`` validate, as a join of compatible graphs can be
-non-injective.
+them with ``PInjMorphism._make``, which fills the slots directly.
+``from_rel`` validates.  ``join`` checks only what can fail, the injectivity
+of the merged table, since a join of compatible graphs can be non-injective.
 """
 from __future__ import annotations
 
@@ -144,10 +144,15 @@ class PInjMorphism:
                     f"source {i} sent to both {table[i]} and {j}"
                 )
             table[i] = j
-        try:
-            return PInjMorphism(self.src, self.dst, tuple(table))
-        except DimensionMismatch as exc:
-            raise IncompatibleJoin(str(exc)) from exc
+        # Both graphs are injective partial maps into dst, so the merged
+        # table can only fail to be injective.
+        seen = set()
+        for j in table:
+            if j is not None:
+                if j in seen:
+                    raise IncompatibleJoin(f"not injective: target {j} hit twice")
+                seen.add(j)
+        return PInjMorphism._make(self.src, self.dst, tuple(table))
 
     def isclose(self, other: "PInjMorphism", tolerance: float = 0.0) -> bool:
         """Exact equality: partial injections have no rounding to tolerate."""

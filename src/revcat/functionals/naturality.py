@@ -89,12 +89,18 @@ def check_naturality(
     for the parametrized fixed point.
 
     Each value is computed once per call, on first use: the transport of
-    each h along (u, v), alpha(h, p) for each (h, p) and pfix(alpha, p) for
-    each p.  Every value alpha takes lies in Hom(FX, FY), so it is cached as
-    its index into that enumerated hom-set, in one cache per parameter p_j
-    keyed by the index i of h_i; the iterates alpha^n(bottom, p_j) walk the
-    same cache.  A call that raises IncompatibleJoin is not cached, so it
-    raises again at each instance that needs it, as in the plain loop.
+    each h along (u, v), alpha(h, p) and alpha'(h', p') for each pair, and
+    pfix(alpha, p) and pfix(alpha', p') for each parameter.  Every value
+    alpha takes lies in Hom(FX, FY), so it is cached as its index into that
+    enumerated hom-set, in one cache per parameter p_j keyed by the index i
+    of h_i.  alpha' is tabulated the same way, except that its hom-sets are
+    not enumerated: each value alpha' is given or returns gets an id, its
+    position in the order values are first seen, and alpha' is cached in
+    one row per parameter id keyed by argument id.  The squares then compare
+    indices and ids, and the iterates alpha^n(bottom, p_j) and
+    alpha'^n(bottom, p') walk the same rows.  A call that raises
+    IncompatibleJoin is not cached, so it raises again at each instance that
+    needs it, as in the plain loop.
 
     alpha applies unchecked to arguments enumerated from its own spaces, and
     alpha' to transports, which ``compose`` has type-checked; the same holds
@@ -113,7 +119,7 @@ def check_naturality(
     h_homs = arg1.morphisms()
     p_homs = par1.morphisms()
     index = {h: i for i, h in enumerate(h_homs)}
-    bot1, bot2 = index[arg1.bottom], alpha_p.arg_space.bottom
+    bot1 = index[arg1.bottom]
 
     def row_of(p):
         """i |-> index of alpha(h_i, p), cached."""
@@ -126,18 +132,43 @@ def check_naturality(
         """Index of pfix(alpha, p_j)."""
         return index[pfix(p_homs[j])]
 
+    # alpha''s values by id, and the id of each value seen so far.
+    seen: list = []
+    ids: dict = {}
+
+    def id_of(value) -> int:
+        n = len(seen)
+        i = ids.setdefault(value, n)
+        if i == n:
+            seen.append(value)
+        return i
+
+    @cache
+    def row_p_of(q: int):
+        """i |-> id of alpha'(seen[i], seen[q]), cached."""
+        p = seen[q]
+        return cache(lambda i: id_of(apply_p(seen[i], p)))
+
+    @cache
+    def pfix_p_at(q: int) -> int:
+        """Id of pfix(alpha', seen[q])."""
+        return id_of(pfix_p(seen[q]))
+
+    bot2 = id_of(alpha_p.arg_space.bottom)
+
     for u in u_homs:
         fu, gu = F.apply_mor(u), G.apply_mor(u)
         for v in v_homs:
             fv, gv = F.apply_mor(v), G.apply_mor(v)
-            moved = [_transport(fv, h, fu) for h in h_homs]
+            # The id of the transport of each h_i.
+            moved = [id_of(_transport(fv, h, fu)) for h in h_homs]
             for j, p in enumerate(p_homs):
-                p_t = _transport(gv, p, gu)
-                alpha_j = alpha_at[j]
+                q = id_of(_transport(gv, p, gu))
+                alpha_j, alpha_q = alpha_at[j], row_p_of(q)
 
                 for i, h in enumerate(h_homs):
                     try:
-                        lhs = apply_p(moved[i], p_t)
+                        lhs = alpha_q(moved[i])
                         rhs = moved[alpha_j(i)]
                     except IncompatibleJoin:
                         checker.skip()
@@ -153,7 +184,7 @@ def check_naturality(
                 try:
                     for n in range(1, fuel + 1):
                         a = alpha_j(a)
-                        b = apply_p(b, p_t)
+                        b = alpha_q(b)
                         checker.check(
                             "iterate-square",
                             b == moved[a],
@@ -165,7 +196,7 @@ def check_naturality(
 
                 if ok:
                     try:
-                        lhs = pfix_p(p_t)
+                        lhs = pfix_p_at(q)
                         rhs = moved[pfix_at(j)]
                     except IncompatibleJoin:
                         checker.skip()

@@ -9,7 +9,7 @@ from random import Random
 
 from revcat.cat.objects import FinObject
 from revcat.cat.ops import HomSpace, compose, dagger, identity
-from revcat.errors import IncompatibleJoin
+from revcat.errors import DimensionMismatch, IncompatibleJoin
 from revcat.functionals.expr import IdentityFn, JoinOf, Param, PostCompose
 from revcat.functionals.fixpoints import fix_functional, pfix_functional, random_endo_functional
 from revcat.functionals.functors import IdentityFunctor
@@ -22,7 +22,7 @@ from revcat.revlang.interp import UNDEFINED, Evaluator, closed_ref
 from revcat.revlang.parser import parse_callref_text
 from revcat.revlang.validate import require_valid
 
-from oracles import ReferenceEvaluator
+from oracles import ReferenceEvaluator, join_graphs
 
 
 def evaluate(program, fname: str, bindings: dict, value, fuel: int):
@@ -142,6 +142,31 @@ def check_park_induction(category: str, seeds=range(1, 11), sizes=(0, 1, 2)) -> 
                         "phi={0!r} h={1!r} fix={2!r}",
                         phi, h, least,
                     )
+    return checker.done()
+
+
+def check_pinj_join(join, size: int = 3) -> LawReport:
+    """``join`` on every pair of pinj Hom(size, size) is the union of the two
+    graphs, refused with IncompatibleJoin exactly where ``join_graphs`` has
+    none; a result must pass the validating constructor."""
+    checker = Checker("pinj-join")
+    obj = FinObject(size)
+    for f, g in product(HomSpace("pinj", obj, obj).morphisms(), repeat=2):
+        expected = join_graphs(f.mapping, g.mapping)
+        try:
+            joined = join(f, g)
+        except IncompatibleJoin:
+            checker.check("join-refused", expected is None, "f={0!r} g={1!r}", f, g)
+            continue
+        try:
+            valid = type(joined)(joined.src, joined.dst, joined.table) == joined
+        except DimensionMismatch:
+            valid = False
+        checker.check(
+            "join-graph-union",
+            valid and joined.mapping == expected,
+            "f={0!r} g={1!r} join={2!r}", f, g, joined,
+        )
     return checker.done()
 
 

@@ -10,7 +10,8 @@ every call, the reference for the compiled ``Evaluator`` and its call table.
 ``reference_repr`` and ``reference_show`` print terms by direct recursion,
 the reference for the stack printer behind ``repr`` and ``show_term``.
 ``reference_naturality`` is the plain nested loop that the per-call tables
-of ``check_naturality`` must agree with, check for check.  ``complement``
+of ``check_naturality`` must agree with, check for check.  ``join_graphs``
+is the pinj join as a union of graphs given as dicts.  ``complement``
 and ``term_size`` are fixtures: a relation that breaks the dagger and order
 laws, and the node count that bounds ``enumerate_values``.
 """
@@ -130,6 +131,19 @@ def compose_rows(g_rows, f_rows):
             j += 1
         rows.append(acc)
     return tuple(rows)
+
+
+def join_graphs(f_map, g_map):
+    """The union of two partial-injection graphs given as dicts, or None
+    where it is no partial injection: the graphs send one source to two
+    targets, or the union sends two sources to one target."""
+    union = dict(f_map)
+    for i, j in g_map.items():
+        if union.setdefault(i, j) != j:
+            return None
+    if len(set(union.values())) != len(union):
+        return None
+    return union
 
 
 def relational_trace(pairs, x_size, y_size, u_size):

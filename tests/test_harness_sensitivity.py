@@ -11,6 +11,7 @@ from revcat.cat.objects import FinObject
 from revcat.cat.ops import HomSpace, dagger
 from revcat.cat.pinj import PInjMorphism
 from revcat.cat.rel import RelMorphism
+from revcat.errors import IncompatibleJoin
 from revcat.functionals import fixpoints
 from revcat.functionals.expr import (
     Const,
@@ -42,7 +43,13 @@ from revcat.revlang.parser import parse_program, parse_value
 from revcat.revlang.syntax import CallRef
 
 from bundled import bundled_program
-from checkers import check_call_table, check_fix_pfix_agreement, check_park_induction, mixed_family
+from checkers import (
+    check_call_table,
+    check_fix_pfix_agreement,
+    check_park_induction,
+    check_pinj_join,
+    mixed_family,
+)
 from oracles import complement
 
 # The packages export functions under these modules' names.
@@ -171,6 +178,22 @@ def test_enrichment_suite_flags_a_rel_compose_that_relates_everything(monkeypatc
     )
     failed = _failed_laws("rel", "enrichment", LawConfig(sizes=(1, 2)))
     assert {"bottom-after", "bottom-before"} <= failed
+
+
+def test_join_check_flags_a_pinj_join_that_skips_the_injectivity_test(monkeypatch):
+    def unchecked_join(f, g):
+        table = list(f.table)
+        for i, j in enumerate(g.table):
+            if j is not None:
+                if table[i] not in (None, j):
+                    raise IncompatibleJoin(f"source {i} sent to both {table[i]} and {j}")
+                table[i] = j
+        return PInjMorphism._make(f.src, f.dst, tuple(table))
+
+    monkeypatch.setattr(PInjMorphism, "join", unchecked_join)
+    report = check_pinj_join(PInjMorphism.join)
+    assert {v.law for v in report.violations} == {"join-graph-union"}
+    assert any(v.witness.startswith("f=PInj(3->3, {0: 0}) g=PInj(3->3, {1: 0}) ") for v in report.violations)
 
 
 def test_dstoch_dagger_suite_flags_a_dagger_that_transposes_nothing(monkeypatch):

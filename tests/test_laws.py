@@ -3,7 +3,9 @@ from string import Formatter
 
 import pytest
 
+from revcat.cat.dstoch import StochMorphism
 from revcat.cat.laws import LAWS, SUITES, LawConfig, law_suite
+from revcat.cat.objects import FinObject
 from revcat.cat.ops import CATEGORIES
 from revcat.cat.pinj import PInjMorphism
 from revcat.cat.rel import RelMorphism
@@ -77,6 +79,25 @@ def test_the_dagger_suite_calls_dagger_once_per_dagger_its_laws_name(monkeypatch
     assert report.passed
     assert report.by_law == {"identity-dagger": identity, "double-dagger": double, "compose-dagger": compose}
     assert len(calls) == identity + 2 * double + 3 * compose
+
+
+def test_joins_and_sups_build_without_the_validating_constructor(monkeypatch):
+    # pinj's enrichment suite joins through ``sup``; every dstoch suite draws
+    # through ``_make``, and two of them take sups of chains.  None of it may
+    # validate its results again.
+    calls = []
+    for cls in (PInjMorphism, StochMorphism):
+        validate = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda m, validate=validate: calls.append(m) or validate(m))
+    report = law_suite("pinj", "enrichment", LawConfig(sizes=(0, 1, 2, 3)))
+    assert report.passed and report.by_law["compose-preserves-sup"] > 0
+    for suite in SUITES:
+        report = law_suite("dstoch", suite, LawConfig(sizes=(1, 2, 3, 4), seed=1, trials=50))
+        assert report.passed and report.checked > 0
+    assert calls == []
+    PInjMorphism(FinObject(1), FinObject(1), (0,))
+    StochMorphism(FinObject(1), FinObject(1), ((0.5,),))
+    assert len(calls) == 2
 
 
 def test_pinj_monotone_dagger_exhaustive_at_size_three():

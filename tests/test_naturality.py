@@ -3,8 +3,9 @@ from collections import Counter
 import pytest
 
 from revcat.cat.objects import FinObject
-from revcat.cat.ops import compose, dagger
+from revcat.cat.ops import HomSpace, compose, dagger
 from revcat.cat.rel import RelMorphism
+from revcat.errors import TooLarge
 from revcat.functionals import fixpoints
 from revcat.functionals.fixpoints import pfix_functional
 from revcat.functionals.functors import DisjointUnionWith, IdentityFunctor, pad_with_identity
@@ -106,24 +107,36 @@ def test_naturality_applies_alpha_once_per_argument_pair(monkeypatch):
         alpha = family.component(O2, O1)
         h_count = len(alpha.arg_space.morphisms())
         p_homs = alpha.param_space.morphisms()
+        alpha_p = family.component(O1, O2)
         applied, fixed = Counter(), Counter()
-        # alpha applies as its body: a join at the root of the tree.
+        applied_p, fixed_p, iterating = Counter(), Counter(), []
+        # alpha and alpha' apply as their bodies: a join at the root of the tree.
         apply = type(alpha.body).apply
 
         def apply_spy(node, h, p=None):
             result = apply(node, h, p)
             if node == alpha.body:
                 applied[h, p] += 1
+            elif node == alpha_p.body and not iterating:
+                applied_p[h, p] += 1
             return result
 
         def pfix_spy(step, p, space, policy=None):
-            result = kleene_pfix(step, p, space, policy)
-            if getattr(step, "__self__", None) == alpha.body:
+            owner = getattr(step, "__self__", None)
+            iterating.append(owner)
+            try:
+                result = kleene_pfix(step, p, space, policy)
+            finally:
+                iterating.pop()
+            if owner == alpha.body:
                 fixed[p] += 1
+            elif owner == alpha_p.body:
+                fixed_p[p] += 1
             return result
 
         # Every application of alpha, checked or not, including the steps of
-        # its parametrized fixed points; every fixed point iterated on alpha.
+        # its parametrized fixed points; every application of alpha' outside
+        # its fixed points; every fixed point iterated on alpha or alpha'.
         with monkeypatch.context() as patch:
             patch.setattr(type(alpha.body), "apply", apply_spy)
             patch.setattr(fixpoints, "kleene_pfix", pfix_spy)
@@ -133,6 +146,31 @@ def test_naturality_applies_alpha_once_per_argument_pair(monkeypatch):
         assert sum(applied.values()) <= h_count * len(p_homs) + fuel * len(p_homs)
         assert set(fixed) <= set(p_homs)
         assert max(fixed.values()) == 1
+        # alpha' is applied once per distinct (argument, parameter) pair, and
+        # its fixed point iterated once per distinct transported parameter.
+        G = family.G
+        transported = {
+            compose(G.apply_mor(v), compose(p, G.apply_mor(u)))
+            for u in HomSpace(family.category, O1, O2).morphisms()
+            for v in HomSpace(family.category, O1, O2).morphisms()
+            for p in p_homs
+        }
+        assert applied_p and sum(applied_p.values()) == len(applied_p)
+        assert {p for _, p in applied_p} <= transported
+        assert fixed_p and set(fixed_p) <= transported
+        assert max(fixed_p.values()) == 1
+
+
+def test_naturality_lists_no_hom_set_of_the_second_component():
+    # alpha' lives on Hom(3, 4), whose 2^12 relations exceed the enumeration
+    # cap, so its tables must be keyed by the values it meets.
+    objects = (O1, FinObject(3), O1, FinObject(4))
+    with pytest.raises(TooLarge):
+        HomSpace("rel", FinObject(3), FinObject(4)).morphisms()
+    report = check_naturality(join_family("rel"), *objects)
+    assert report.passed
+    assert report.by_law == {"family-square": 512, "iterate-square": 2560, "pfix-square": 256}
+    assert report.to_doc() == reference_naturality(join_family("rel"), *objects).to_doc()
 
 
 def test_identity_family_is_self_conjugate():

@@ -16,17 +16,18 @@ from revcat.cat.ops import MORPHISM_CLASSES, HomSpace
 from revcat.cat.pinj import PInjMorphism
 from revcat.cat.rel import RelMorphism, _transpose
 from revcat.cat.serialize import loads_morphism
-from revcat.errors import DimensionMismatch
+from revcat.errors import DimensionMismatch, IncompatibleJoin
 from revcat.record import FrozenInstanceError
 
-from oracles import compose_rows, transpose_rows
+from checkers import check_pinj_join
+from oracles import compose_rows, join_graphs, transpose_rows
 
 SIZES = range(3)
 
 
 def validated(m):
     """``m`` rebuilt through its public constructor, which validates it."""
-    body = m.rows if isinstance(m, RelMorphism) else m.table
+    body = m.table if isinstance(m, PInjMorphism) else m.rows
     return type(m)(m.src, m.dst, body)
 
 
@@ -118,6 +119,39 @@ def test_pinj_dagger_and_compose_commute_with_the_embedding_into_rel():
                     assert validated(gf) == gf
             s = f.block_sum(PInjMorphism.identity(FinObject(n)))
             assert validated(s) == s
+
+
+def test_pinj_join_is_the_union_of_graphs_on_every_pair_of_hom_3_3():
+    report = check_pinj_join(PInjMorphism.join)
+    assert report.passed, report.violations[:3]
+    assert report.by_law["join-refused"] > 0 and report.by_law["join-graph-union"] > 0
+    # Compatible graphs whose union is not injective: refused with the
+    # message the validating constructor gives.
+    x = FinObject(3)
+    f, g = PInjMorphism.from_map(x, x, {0: 0}), PInjMorphism.from_map(x, x, {1: 0})
+    assert join_graphs(f.mapping, g.mapping) is None
+    with pytest.raises(IncompatibleJoin, match=r"^not injective: target 0 hit twice$"):
+        f.join(g)
+    with pytest.raises(DimensionMismatch, match=r"^not injective: target 0 hit twice$"):
+        PInjMorphism(x, x, (0, 0, None))
+    h = PInjMorphism.from_map(x, x, {0: 1})
+    with pytest.raises(IncompatibleJoin, match=r"^source 0 sent to both 0 and 1$"):
+        f.join(h)
+
+
+def test_dstoch_sup_refuses_a_max_that_leaves_the_category():
+    x, y = FinObject(2), FinObject(3)
+    f = StochMorphism(x, x, ((0.6, 0.0), (0.0, 0.0)))
+    g = StochMorphism(x, x, ((0.0, 0.6), (0.0, 0.0)))
+    assert not f.leq(g) and not g.leq(f)
+    # The entrywise max of this non-chain has a first row summing to 1.2.
+    with pytest.raises(DimensionMismatch, match="row or column sum exceeds 1"):
+        StochMorphism.sup([f, g])
+    for chain in ([f, StochMorphism.bottom(y, y)], [StochMorphism.bottom(y, y), f]):
+        with pytest.raises(DimensionMismatch, match="different hom-sets"):
+            StochMorphism.sup(chain)
+    top = StochMorphism.sup([StochMorphism.bottom(x, x), f])
+    assert top == f and validated(top) == top
 
 
 @pytest.mark.parametrize(
