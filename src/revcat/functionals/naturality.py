@@ -90,17 +90,15 @@ def check_naturality(
 
     Each value is computed once per call, on first use: the transport of
     each h along (u, v), alpha(h, p) and alpha'(h', p') for each pair, and
-    pfix(alpha, p) and pfix(alpha', p') for each parameter.  Every value
-    alpha takes lies in Hom(FX, FY), so it is cached as its index into that
-    enumerated hom-set, in one cache per parameter p_j keyed by the index i
-    of h_i.  alpha' is tabulated the same way, except that its hom-sets are
-    not enumerated: each value alpha' is given or returns gets an id, its
-    position in the order values are first seen, and alpha' is cached in
-    one row per parameter id keyed by argument id.  The squares then compare
-    indices and ids, and the iterates alpha^n(bottom, p_j) and
-    alpha'^n(bottom, p') walk the same rows.  A call that raises
-    IncompatibleJoin is not cached, so it raises again at each instance that
-    needs it, as in the plain loop.
+    pfix(alpha, p) and pfix(alpha', p') for each parameter.  Every value met
+    gets an id, its position in the order values are first seen; the
+    arguments h_i of alpha come first, so h_i's id is i.  Each component is
+    cached in one row per parameter id keyed by argument id, beside the id
+    of its parametrized fixed point per parameter id.  The squares then
+    compare ids, the iterates alpha^n(bottom, p) and alpha'^n(bottom, p')
+    walk the rows, and alpha''s hom-sets are never listed.  A call that
+    raises IncompatibleJoin is not cached, so it raises again at each
+    instance that needs it, as in the plain loop.
 
     alpha applies unchecked to arguments enumerated from its own spaces, and
     alpha' to transports, which ``compose`` has type-checked; the same holds
@@ -109,32 +107,8 @@ def check_naturality(
     checker = Checker("naturality")
     alpha = family.component(x, y)
     alpha_p = family.component(xp, yp)
-    arg1, par1 = alpha.arg_space, alpha.param_space
-    apply, apply_p = alpha.apply, alpha_p.apply
-    pfix, pfix_p = _pfix_of(alpha), _pfix_of(alpha_p)
-    F, G = family.F, family.G
-
-    u_homs = HomSpace(family.category, xp, x).morphisms()
-    v_homs = HomSpace(family.category, y, yp).morphisms()
-    h_homs = arg1.morphisms()
-    p_homs = par1.morphisms()
-    index = {h: i for i, h in enumerate(h_homs)}
-    bot1 = index[arg1.bottom]
-
-    def row_of(p):
-        """i |-> index of alpha(h_i, p), cached."""
-        return cache(lambda i: index[apply(h_homs[i], p)])
-
-    alpha_at = [row_of(p) for p in p_homs]
-
-    @cache
-    def pfix_at(j: int) -> int:
-        """Index of pfix(alpha, p_j)."""
-        return index[pfix(p_homs[j])]
-
-    # alpha''s values by id, and the id of each value seen so far.
-    seen: list = []
-    ids: dict = {}
+    seen: list = []  # every value by id
+    ids: dict = {}  # the id of each value seen so far
 
     def id_of(value) -> int:
         n = len(seen)
@@ -143,18 +117,29 @@ def check_naturality(
             seen.append(value)
         return i
 
-    @cache
-    def row_p_of(q: int):
-        """i |-> id of alpha'(seen[i], seen[q]), cached."""
-        p = seen[q]
-        return cache(lambda i: id_of(apply_p(seen[i], p)))
+    def tables(component):
+        """A cached row per parameter id q, i |-> id of component(seen[i],
+        seen[q]), and the cached id of its pfix at seen[q]."""
+        apply, pfix = component.apply, _pfix_of(component)
 
-    @cache
-    def pfix_p_at(q: int) -> int:
-        """Id of pfix(alpha', seen[q])."""
-        return id_of(pfix_p(seen[q]))
+        @cache
+        def row(q: int):
+            p = seen[q]
+            return cache(lambda i: id_of(apply(seen[i], p)))
 
-    bot2 = id_of(alpha_p.arg_space.bottom)
+        return row, cache(lambda q: id_of(pfix(seen[q])))
+
+    row, fixed = tables(alpha)
+    row_p, fixed_p = tables(alpha_p)
+    F, G = family.F, family.G
+    u_homs = HomSpace(family.category, xp, x).morphisms()
+    v_homs = HomSpace(family.category, y, yp).morphisms()
+    h_homs = alpha.arg_space.morphisms()
+    p_homs = alpha.param_space.morphisms()
+    for h in h_homs:
+        id_of(h)
+    p_ids = [id_of(p) for p in p_homs]
+    bot1, bot2 = id_of(alpha.arg_space.bottom), id_of(alpha_p.arg_space.bottom)
 
     for u in u_homs:
         fu, gu = F.apply_mor(u), G.apply_mor(u)
@@ -162,9 +147,9 @@ def check_naturality(
             fv, gv = F.apply_mor(v), G.apply_mor(v)
             # The id of the transport of each h_i.
             moved = [id_of(_transport(fv, h, fu)) for h in h_homs]
-            for j, p in enumerate(p_homs):
+            for j, p in zip(p_ids, p_homs):
                 q = id_of(_transport(gv, p, gu))
-                alpha_j, alpha_q = alpha_at[j], row_p_of(q)
+                alpha_j, alpha_q = row(j), row_p(q)
 
                 for i, h in enumerate(h_homs):
                     try:
@@ -180,7 +165,6 @@ def check_naturality(
                     )
 
                 a, b = bot1, bot2
-                ok = True
                 try:
                     for n in range(1, fuel + 1):
                         a = alpha_j(a)
@@ -190,22 +174,16 @@ def check_naturality(
                             b == moved[a],
                             "n={0} u={1!r} v={2!r} p={3!r}", n, u, v, p,
                         )
+                    lhs = fixed_p(q)
+                    rhs = moved[fixed(j)]
                 except IncompatibleJoin:
                     checker.skip()
-                    ok = False
-
-                if ok:
-                    try:
-                        lhs = pfix_p_at(q)
-                        rhs = moved[pfix_at(j)]
-                    except IncompatibleJoin:
-                        checker.skip()
-                        continue
-                    checker.check(
-                        "pfix-square",
-                        lhs == rhs,
-                        "u={0!r} v={1!r} p={2!r}", u, v, p,
-                    )
+                    continue
+                checker.check(
+                    "pfix-square",
+                    lhs == rhs,
+                    "u={0!r} v={1!r} p={2!r}", u, v, p,
+                )
     return checker.done()
 
 

@@ -130,14 +130,12 @@ def validate_program(program: Program) -> ValidationReport:
 
 
 class ValidationFailed(RevcatError):
-    def __init__(self, report):
-        super().__init__(str(report))
-        self.report = report
+    pass
 
 
 def require_valid(program: Program) -> Program:
     """``program`` itself, if it validates; else raise ``ValidationFailed``."""
     report = validate_program(program)
     if not report.ok:
-        raise ValidationFailed(report)
+        raise ValidationFailed(str(report))
     return program

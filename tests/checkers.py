@@ -9,13 +9,31 @@ from random import Random
 
 from revcat.cat.objects import FinObject
 from revcat.cat.ops import HomSpace, compose, dagger, identity
+from revcat.cat.rel import RelMorphism
 from revcat.errors import DimensionMismatch, IncompatibleJoin
-from revcat.functionals.expr import IdentityFn, JoinOf, Param, PostCompose
-from revcat.functionals.fixpoints import fix_functional, pfix_functional, random_endo_functional
-from revcat.functionals.functors import IdentityFunctor
+from revcat.functionals.expr import (
+    DaggerFn,
+    FunctionalExpr,
+    IdentityFn,
+    JoinOf,
+    Param,
+    PostCompose,
+    PreCompose,
+    Seq,
+    conj,
+    node_fields,
+)
+from revcat.functionals.fixpoints import (
+    fix_functional,
+    pfix_functional,
+    random_endo_functional,
+    random_param_functional,
+)
+from revcat.functionals.functors import DisjointUnionWith, IdentityFunctor
 from revcat.functionals.naturality import NaturalFamily
-from revcat.functionals.param import ParamExpr
+from revcat.functionals.param import ParamExpr, conj_param
 from revcat.functionals.trace import trace
+from revcat.order import kleene_fix
 from revcat.report import Checker, LawReport
 from revcat.revlang.denote import random_value
 from revcat.revlang.interp import UNDEFINED, Evaluator, closed_ref
@@ -77,6 +95,27 @@ def mixed_family() -> NaturalFamily:
         return ParamExpr(Param(space, space), space)
 
     return NaturalFamily("mixed", "rel", IdentityFunctor(), IdentityFunctor(), component)
+
+
+def restricted_join_family() -> NaturalFamily:
+    """alpha(h, p) = h v i+ . p . i on rel, where p lies in Hom(x + 1, y + 1)
+    and i includes each object in its sum with 1: a natural family whose
+    parameters are not its arguments."""
+    padded = DisjointUnionWith(FinObject(1))
+
+    def inclusion(obj: FinObject):
+        return RelMorphism.from_pairs(obj, padded.apply_obj(obj), [(k, k) for k in range(obj.size)])
+
+    def component(x: FinObject, y: FinObject):
+        space = HomSpace("rel", x, y)
+        pspace = HomSpace("rel", padded.apply_obj(x), padded.apply_obj(y))
+        restrict = Seq(
+            PreCompose(inclusion(x), pspace),
+            PostCompose(dagger(inclusion(y)), HomSpace("rel", x, padded.apply_obj(y))),
+        )
+        return ParamExpr(JoinOf(IdentityFn(space), Seq(Param(space, pspace), restrict)), pspace)
+
+    return NaturalFamily("restricted-join", "rel", IdentityFunctor(), padded, component)
 
 
 def check_fix_pfix_agreement(
@@ -142,6 +181,68 @@ def check_park_induction(category: str, seeds=range(1, 11), sizes=(0, 1, 2)) -> 
                         "phi={0!r} h={1!r} fix={2!r}",
                         phi, h, least,
                     )
+    return checker.done()
+
+
+def check_dinaturality(category: str, seeds=range(1, 11), sizes=(0, 1, 2, 3)) -> LawReport:
+    """Dinaturality: fix(psi . phi) = psi(fix(phi . psi)) for phi: A -> B and
+    psi: B -> A, and the same for conj(phi) and conj(psi).
+
+    Per seed and hom-set A = Hom(x, y) of the given sizes, with B = Hom(y, x),
+    phi is a seeded ``random_endo_functional`` on A followed by the dagger,
+    and psi one on B followed by the dagger.  A join that is undefined on
+    either side is a skip."""
+    checker = Checker("dinaturality")
+    for seed in seeds:
+        rng = Random(seed)
+        for x, y in product(sizes, repeat=2):
+            a = HomSpace(category, FinObject(x), FinObject(y))
+            b = a.flipped()
+            phi = Seq(random_endo_functional(a, rng), DaggerFn(a))
+            psi = Seq(random_endo_functional(b, rng), DaggerFn(b))
+            for law, f, g in (("dinaturality", phi, psi), ("dinaturality-conj", conj(phi), conj(psi))):
+                try:
+                    lhs = fix_functional(Seq(f, g))
+                    rhs = g.apply(fix_functional(Seq(g, f)))
+                except IncompatibleJoin:
+                    checker.skip()
+                    continue
+                checker.check(law, lhs == rhs, "phi={0!r} psi={1!r} lhs={2!r} rhs={3!r}", f, g, lhs, rhs)
+    return checker.done()
+
+
+def diagonal(phi: FunctionalExpr) -> FunctionalExpr:
+    """``phi`` with every Param leaf replaced by the identity, so that the
+    parameter reads the argument: h |-> psi(h, h) for psi's body ``phi``."""
+    if type(phi) is Param:
+        return IdentityFn(phi.dom)
+    return type(phi)(*(
+        diagonal(getattr(phi, name)) if kind is FunctionalExpr else getattr(phi, name)
+        for name, kind in node_fields(type(phi))
+    ))
+
+
+def check_diagonal(category: str, seeds=range(1, 11), sizes=(0, 1, 2, 3)) -> LawReport:
+    """The diagonal identity: fix(h |-> psi(h, h)) = fix(p |-> pfix(psi)(p)),
+    and the same for conj_param(psi).
+
+    Per seed and hom-set Hom(x, y) of the given sizes, psi is a seeded
+    ``random_param_functional`` whose parameter space is its argument space.
+    A join that is undefined on either side is a skip."""
+    checker = Checker("diagonal")
+    for seed in seeds:
+        rng = Random(seed)
+        for x, y in product(sizes, repeat=2):
+            space = HomSpace(category, FinObject(x), FinObject(y))
+            psi = random_param_functional(space, space, rng)
+            for law, chi in (("diagonal", psi), ("diagonal-conj", conj_param(psi))):
+                try:
+                    lhs = fix_functional(diagonal(chi.body))
+                    rhs = kleene_fix(lambda p: pfix_functional(chi, p), chi.param_space).value
+                except IncompatibleJoin:
+                    checker.skip()
+                    continue
+                checker.check(law, lhs == rhs, "psi={0!r} lhs={1!r} rhs={2!r}", chi, lhs, rhs)
     return checker.done()
 
 

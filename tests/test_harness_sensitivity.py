@@ -45,6 +45,8 @@ from revcat.revlang.syntax import CallRef
 from bundled import bundled_program
 from checkers import (
     check_call_table,
+    check_diagonal,
+    check_dinaturality,
     check_fix_pfix_agreement,
     check_park_induction,
     check_pinj_join,
@@ -152,6 +154,27 @@ def test_park_induction_flags_an_engine_that_returns_a_prefixed_point_read_from_
     monkeypatch.setattr(order, "_iterate", first_prefixed_point)
     report = check_park_induction("rel")
     assert {v.law for v in report.violations} == {"park-induction"}
+
+
+def test_conway_identities_flag_an_engine_that_stops_one_step_early(monkeypatch):
+    # On a chain of more than one element, return the iterate just below the
+    # fixed point.  Park induction cannot see this: an iterate below the
+    # least fixed point lies below every prefixed point too.
+    iterate = order._iterate
+
+    def one_step_early(step1, space, policy):
+        result = iterate(step1, space, policy)
+        if result.iterations == 1:
+            return result
+        value = space.bottom
+        for _ in range(result.iterations - 2):
+            value = step1(value)
+        return KleeneResult(value, result.iterations - 1, None)
+
+    monkeypatch.setattr(order, "_iterate", one_step_early)
+    assert check_park_induction("rel").passed
+    assert {v.law for v in check_dinaturality("rel").violations} == {"dinaturality", "dinaturality-conj"}
+    assert check_diagonal("rel").violations
 
 
 def _failed_laws(category, suite, config):

@@ -115,7 +115,7 @@ def test_pinj_monotone_dagger_exhaustive_up_to_size_three():
 
 def test_reports_merge_associatively():
     def v(name):
-        return LawReport("s", 1, 0, [Violation("law", name)], {"law": 1})
+        return LawReport("s", 0, [Violation("law", name)], {"law": 1})
 
     a, b, c = v("a"), v("b"), v("c")
     left = a.merge(b).merge(c)

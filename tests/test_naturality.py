@@ -5,21 +5,31 @@ import pytest
 from revcat.cat.objects import FinObject
 from revcat.cat.ops import HomSpace, compose, dagger
 from revcat.cat.rel import RelMorphism
-from revcat.errors import TooLarge
+from revcat.errors import DimensionMismatch, TooLarge
 from revcat.functionals import fixpoints
+from revcat.functionals.expr import Param
 from revcat.functionals.fixpoints import pfix_functional
 from revcat.functionals.functors import DisjointUnionWith, IdentityFunctor, pad_with_identity
 from revcat.functionals.naturality import (
+    NaturalFamily,
     check_naturality,
     check_self_conjugate,
     identity_family,
     join_family,
     projection_family,
 )
+from revcat.functionals.param import ParamExpr
 from revcat.functionals.trace import trace_family
 from revcat.order import kleene_pfix
 
-from checkers import check_dagger_functor, mixed_family, postcompose_family
+from checkers import (
+    check_dagger_functor,
+    check_diagonal,
+    check_dinaturality,
+    mixed_family,
+    postcompose_family,
+    restricted_join_family,
+)
 from oracles import reference_naturality
 
 O1, O2 = FinObject(1), FinObject(2)
@@ -79,9 +89,15 @@ def test_projection_family_on_pinj():
         (join_family("pinj"), (O2, O1, O1, O2), 4),
         (join_family("pinj", DisjointUnionWith(O1)), (O2, O1, O1, O2), 4),
         (mixed_family(), (O2, O2, O2, O1), 4),
+        # Both components on one hom-set, so their values share ids.
+        (join_family("rel"), (O1, O1, O2, O2), 10),
+        (join_family("pinj"), (O2, O2, O2, O2), 4),
+        (projection_family("rel"), (O2, O2, O1, O1), 10),
+        (restricted_join_family(), (O1, O1, O1, O2), 10),
     ],
     ids=["rel-projection", "rel-join", "rel-join-padded", "pinj-projection", "pinj-join",
-         "pinj-join-padded", "rel-mixed"],
+         "pinj-join-padded", "rel-mixed", "rel-join-same-space", "pinj-join-same-space",
+         "rel-projection-same-space", "rel-restricted-join"],
 )
 def test_naturality_agrees_with_the_plain_loop(family, objects, fuel):
     report = check_naturality(family, *objects, fuel=fuel)
@@ -171,6 +187,32 @@ def test_naturality_lists_no_hom_set_of_the_second_component():
     assert report.passed
     assert report.by_law == {"family-square": 512, "iterate-square": 2560, "pfix-square": 256}
     assert report.to_doc() == reference_naturality(join_family("rel"), *objects).to_doc()
+
+
+def test_naturality_refuses_a_non_endo_family_before_listing_a_hom_set():
+    # alpha(h, p) = p with p in Hom(y, x), which is not h's hom-set, so
+    # alpha has no fixed point in h.  The transports u lie in Hom(4, 3),
+    # past the enumeration cap, so listing it first would raise TooLarge.
+    def component(x: FinObject, y: FinObject) -> ParamExpr:
+        space = HomSpace("rel", x, y)
+        return ParamExpr(Param(space, space.flipped()), space.flipped())
+
+    family = NaturalFamily("flipped-projection", "rel", IdentityFunctor(), IdentityFunctor(), component)
+    with pytest.raises(DimensionMismatch, match="not endo"):
+        check_naturality(family, FinObject(3), FinObject(4), O1, O2)
+
+
+@pytest.mark.parametrize("category", ["rel", "pinj"])
+def test_kleene_fixed_points_satisfy_dinaturality_and_the_diagonal_identity(category):
+    # Two of the Conway identities of an iteration category, each also in
+    # its dagger form, which is defined exactly where the direct one is.
+    # Hom-sets of size 3 give chains long enough for the diagonal identity
+    # to tell a wrong engine apart.
+    for check in (check_dinaturality, check_diagonal):
+        report = check(category, seeds=range(1, 11))
+        assert report.passed, report.violations[:3]
+        assert report.checked > 250
+        assert len(set(report.by_law.values())) == 1
 
 
 def test_identity_family_is_self_conjugate():
