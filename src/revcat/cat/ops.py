@@ -1,8 +1,10 @@
-"""Category-generic operations over the three concrete morphism families,
-and ``HomSpace``, the one type of hom-set."""
+"""The registry of the three morphism classes by category name,
+``HomSpace``, the one type of hom-set, and ``identity`` by category name.
+
+Composition, dagger and join are each morphism's own methods."""
 from __future__ import annotations
 
-from ..errors import DimensionMismatch, InvalidArgument
+from ..errors import InvalidArgument
 from .dstoch import StochMorphism
 from .objects import FinObject
 from .pinj import PInjMorphism
@@ -59,21 +61,6 @@ class HomSpace:
 
     def __repr__(self):
         return f"{self.category}({self.src.size}->{self.dst.size})"
-
-
-def compose(g, f):
-    """g . f (apply f first)."""
-    if type(g) is not type(f):
-        raise DimensionMismatch("cannot compose across categories")
-    return g.compose(f)
-
-
-def dagger(f):
-    return f.dagger()
-
-
-def join(f, g):
-    return f.join(g)
 
 
 def identity(category: str, obj: FinObject):

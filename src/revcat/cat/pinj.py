@@ -184,8 +184,8 @@ def _source_key(key) -> int:
     return read_nat(int(key), "map")
 
 
-def enumerate_pinj(src: FinObject, dst: FinObject, cap: int = ENUMERATION_CAP) -> list[PInjMorphism]:
-    if src.size * dst.size > cap:
+def enumerate_pinj(src: FinObject, dst: FinObject) -> list[PInjMorphism]:
+    if src.size * dst.size > ENUMERATION_CAP:
         raise TooLarge("partial injection enumeration exceeds the cap")
     out = []
     for k in range(min(src.size, dst.size) + 1):

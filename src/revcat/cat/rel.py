@@ -26,9 +26,9 @@ from ..record import frozen
 from .objects import ENUMERATION_CAP, FinObject, read_nat, require_fields, same_hom, trusted_make
 
 # The cache holds converse morphisms, twice as many as the largest hom-set
-# ``enumerate_rel`` builds at its default cap, so the daggers of one
-# exhaustive suite all stay cached.  The key holds both objects: the rows do
-# not fix the target, and every Hom(0, n) has rows ``()``.
+# ``enumerate_rel`` builds, so the daggers of one exhaustive suite all stay
+# cached.  The key holds both objects: the rows do not fix the target, and
+# every Hom(0, n) has rows ``()``.
 @lru_cache(maxsize=2 ** (ENUMERATION_CAP + 1))
 def _transpose(rows: tuple[int, ...], src: FinObject, dst: FinObject) -> "RelMorphism":
     """The converse of the relation ``rows`` from ``src`` to ``dst``: its
@@ -185,9 +185,9 @@ class RelMorphism:
         return f"Rel({self.src.size}->{self.dst.size}, {self.pairs})"
 
 
-def enumerate_rel(src: FinObject, dst: FinObject, cap: int = ENUMERATION_CAP) -> list[RelMorphism]:
+def enumerate_rel(src: FinObject, dst: FinObject) -> list[RelMorphism]:
     cells = src.size * dst.size
-    if cells > cap:
+    if cells > ENUMERATION_CAP:
         raise TooLarge(f"2**{cells} relations exceed the enumeration cap")
     mask = (1 << dst.size) - 1
     row_choices = range(mask + 1)

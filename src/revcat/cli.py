@@ -24,17 +24,14 @@ from .cat.laws import LawConfig, law_suite
 from .cat.objects import FinObject, read_nat
 from .cat.ops import CATEGORIES, DSTOCH, PINJ, REL, HomSpace
 from .cat.serialize import loads_morphism, read_json
-from .errors import (
-    DimensionMismatch,
-    NonConvergence,
-    RevcatError,
-)
+from .errors import NonConvergence, RevcatError
 from .functionals.expr import loads_functional
 from .functionals.fixpoints import (
     check_conj_preservation,
     check_fixed_point_adjoint,
     check_pfix_adjoint,
     check_pfix_identity,
+    fix_functional,
     random_endo_functional,
     random_param_functional,
 )
@@ -47,17 +44,16 @@ from .functionals.naturality import (
     projection_family,
 )
 from .functionals.trace import check_dagger_trace, trace, trace_family
-from .order import FixPolicy, kleene_fix
+from .order import FixPolicy
 from .record import frozen
 from .report import LawReport
-from .revlang.denote import random_nat_list, random_peano_pair, roundtrip_check
+from .revlang.denote import VALUE_BOUND, random_nat_list, random_peano_pair, roundtrip_check
 from .revlang.interp import STUCK, UNDEFINED, Evaluator, closed_ref
 from .revlang.invert import SUFFIX, invert_program
 from .revlang.parser import parse_callref_text, parse_program, parse_value
 from .revlang.syntax import show_program, show_term
 from .revlang.validate import require_valid
 
-VALUE_BOUND = roundtrip_check.__kwdefaults__["value_bound"]
 # The value generator of each ``roundtrip --values`` choice; None draws trees.
 VALUES = {"tree": None, "peano": random_peano_pair, "list": random_nat_list}
 
@@ -259,9 +255,7 @@ def _read_text(path: str) -> str:
 
 def cmd_fix(args) -> int:
     phi = loads_functional(_read_text(args.file))
-    if phi.dom != phi.cod:
-        raise DimensionMismatch(f"not an endo-functional: {phi.dom!r} -> {phi.cod!r}")
-    result = kleene_fix(phi.apply, phi.dom, FixPolicy(args.max_iterations, args.tolerance))
+    result = fix_functional(phi, FixPolicy(args.max_iterations, args.tolerance))
     doc = {
         "command": "fix",
         "config": {

@@ -15,7 +15,7 @@ from typing import Callable, ClassVar, get_type_hints
 
 from ..cat.dstoch import StochMorphism, read_entry
 from ..cat.objects import FinObject, read_nat
-from ..cat.ops import CATEGORIES, DSTOCH, HomSpace, dagger, join
+from ..cat.ops import CATEGORIES, DSTOCH, HomSpace
 from ..cat.serialize import morphism_from_doc, read_json
 from ..errors import DimensionMismatch, ParseError, UnboundParameter, UnsupportedOperation
 from ..record import frozen
@@ -28,9 +28,6 @@ class FunctionalExpr:
     dom and the parameter ``p`` its Param leaves return."""
 
     op: ClassVar[str]
-
-    def __call__(self, h):
-        return apply_functional(self, h)
 
 
 @frozen
@@ -112,7 +109,7 @@ class DaggerFn(FunctionalExpr):
         return self.dom.flipped()
 
     def apply(self, h, p=None):
-        return dagger(h)
+        return h.dagger()
 
 
 @frozen
@@ -133,7 +130,7 @@ class JoinWith(FunctionalExpr):
         return space_of(self.value)
 
     def apply(self, h, p=None):
-        return join(h, self.value)
+        return h.join(self.value)
 
 
 @frozen
@@ -179,7 +176,7 @@ class JoinOf(FunctionalExpr):
         return self.left.cod
 
     def apply(self, h, p=None):
-        return join(self.left.apply(h, p), self.right.apply(h, p))
+        return self.left.apply(h, p).join(self.right.apply(h, p))
 
 
 @frozen
@@ -249,7 +246,7 @@ def refuse_param_leaves(phi: FunctionalExpr) -> None:
 # sub-expression (by the module-level name, which a tracer may wrap); a
 # Param leaf needs nothing more than its two spaces flipped.
 _CONJ_RULES = {
-    object: dagger,
+    object: lambda m: m.dagger(),
     HomSpace: HomSpace.flipped,
     FunctionalExpr: lambda phi: conj(phi),
 }
@@ -261,7 +258,7 @@ def conj(phi: FunctionalExpr) -> FunctionalExpr:
     """The conjugate functional, extensionally h |-> phi(h+)+."""
     if isinstance(phi, Host):
         return Host(
-            lambda h, fn=phi.fn: dagger(fn(dagger(h))),
+            lambda h, fn=phi.fn: fn(h.dagger()).dagger(),
             phi.dom.flipped(),
             phi.cod.flipped(),
             name=f"conj({phi.name})",

@@ -3,9 +3,9 @@ from __future__ import annotations
 
 from random import Random
 
-from ..cat.ops import HomSpace, dagger
+from ..cat.ops import HomSpace
 from ..errors import DimensionMismatch, IncompatibleJoin
-from ..order import kleene_fix, kleene_pfix
+from ..order import FixPolicy, KleeneResult, kleene_fix, kleene_pfix
 from ..report import Checker, LawReport
 from .expr import (
     Const,
@@ -25,8 +25,9 @@ from .param import ParamExpr, conj_param
 from .spaces import space_of
 
 
-def fix_functional(phi: FunctionalExpr):
-    """Least fixed point of an endo-functional.
+def fix_functional(phi: FunctionalExpr, policy: FixPolicy | None = None) -> KleeneResult:
+    """Least fixed point of an endo-functional, with its iteration count and
+    residual, reached within ``policy`` (``FixPolicy()`` without one).
 
     The engine checks that each iterate stays in ``phi.dom``, so each step
     applies ``phi`` directly.  A Param leaf is refused: no parameter is
@@ -34,7 +35,7 @@ def fix_functional(phi: FunctionalExpr):
     refuse_param_leaves(phi)
     if phi.dom != phi.cod:
         raise DimensionMismatch(f"not an endo-functional: {phi.dom!r} -> {phi.cod!r}")
-    return kleene_fix(phi.apply, phi.dom).value
+    return kleene_fix(phi.apply, phi.dom, policy)
 
 
 def _pfix_of(psi: ParamExpr):
@@ -62,14 +63,14 @@ def check_fixed_point_adjoint(phi: FunctionalExpr) -> LawReport:
     """fix(conj(phi)) must be the dagger of fix(phi)."""
     checker = Checker("fix-adjoint")
     try:
-        direct = fix_functional(phi)
-        adjoint = fix_functional(conj(phi))
+        direct = fix_functional(phi).value
+        adjoint = fix_functional(conj(phi)).value
     except IncompatibleJoin:
         checker.skip()
         return checker.done()
     checker.check(
         "fix-adjoint",
-        adjoint.isclose(dagger(direct)),
+        adjoint.isclose(direct.dagger()),
         "fix={0!r} fix-of-conjugate={1!r}", direct, adjoint,
     )
     return checker.done()
@@ -96,7 +97,7 @@ def check_pfix_adjoint(psi: ParamExpr) -> LawReport:
         Checker("pfix-adjoint"),
         "pfix-adjoint",
         psi.param_space.morphisms(),
-        lambda p: (dagger(pfix(p)), pfix_conj(dagger(p))),
+        lambda p: (pfix(p).dagger(), pfix_conj(p.dagger())),
         "p={0!r} lhs={1!r} rhs={2!r}",
     )
 
@@ -113,7 +114,7 @@ def check_conj_preservation(psi: ParamExpr) -> LawReport:
         Checker("conj-preservation"),
         "conj-preservation",
         conjugate.param_space.morphisms(),
-        lambda p: (dagger(pfix(dagger(p))), pfix_conj(p)),
+        lambda p: (pfix(p.dagger()).dagger(), pfix_conj(p)),
         "p={0!r} lhs={1!r} rhs={2!r}",
     )
 
@@ -157,7 +158,7 @@ def _random_unary(space: HomSpace, rng: Random) -> FunctionalExpr:
         return PreCompose(rng.choice(HomSpace(space.category, space.src, space.src).morphisms()), space)
     if kind == 3:
         return PostCompose(rng.choice(HomSpace(space.category, space.dst, space.dst).morphisms()), space)
-    return _sandwich(space, JoinWith(dagger(rng.choice(space.morphisms()))))
+    return _sandwich(space, JoinWith(rng.choice(space.morphisms()).dagger()))
 
 
 def random_endo_functional(space: HomSpace, rng: Random, depth: int = 4) -> FunctionalExpr:
@@ -178,7 +179,7 @@ def random_endo_functional(space: HomSpace, rng: Random, depth: int = 4) -> Func
         if kind == 1:
             return JoinOf(gen(d - 1), gen(d - 1))
         if kind == 2:
-            return _sandwich(space, JoinWith(dagger(rng.choice(homs))))
+            return _sandwich(space, JoinWith(rng.choice(homs).dagger()))
         return _random_unary(space, rng)
 
     return gen(depth)

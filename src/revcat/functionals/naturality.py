@@ -17,7 +17,7 @@ from itertools import product
 from typing import Callable
 
 from ..cat.objects import FinObject
-from ..cat.ops import HomSpace, compose, dagger
+from ..cat.ops import HomSpace
 from ..errors import IncompatibleJoin
 from ..record import frozen
 from ..report import Checker, LawReport
@@ -71,7 +71,7 @@ def identity_family(category: str) -> NaturalFamily:
 
 def _transport(v, m, u):
     """v . m . u for morphisms u into m's source and v out of m's target."""
-    return compose(v, compose(m, u))
+    return v.compose(m.compose(u))
 
 
 def check_naturality(
@@ -207,12 +207,12 @@ def check_self_conjugate(family: NaturalFamily, x: FinObject, y: FinObject) -> L
     for args in product(*(space.morphisms() for space in spaces)):
         try:
             direct = apply_xy(*args)
-            swapped = apply_yx(*map(dagger, args))
+            swapped = apply_yx(*(arg.dagger() for arg in args))
             via_conj = apply_conj(*args)
         except IncompatibleJoin:
             checker.skip()
             continue
-        first = dagger(direct).isclose(swapped)
+        first = direct.dagger().isclose(swapped)
         second = via_conj.isclose(direct)
         checker.check("dagger-preservation", first, witness, *args)
         checker.check("conjugate-formulation", second, witness, *args)

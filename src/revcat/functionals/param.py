@@ -46,9 +46,6 @@ class ParamExpr:
     def apply(self):
         return self.body.apply
 
-    def __call__(self, x, p):
-        return apply_param(self, x, p)
-
 
 def apply_param(psi: ParamExpr, x, p):
     if space_of(x) != psi.arg_space:

@@ -13,7 +13,7 @@ which validates.  Inputs whose walk never leaves U stay undefined.
 from __future__ import annotations
 
 from ..cat.objects import FinObject
-from ..cat.ops import HomSpace, compose, dagger
+from ..cat.ops import HomSpace
 from ..errors import DimensionMismatch
 from ..order import kleene_fix
 from ..report import Checker, LawReport
@@ -68,7 +68,7 @@ def check_dagger_trace(category: str, x_size: int, y_size: int, u_size: int) -> 
     for f in big.morphisms():
         checker.check(
             "trace-dagger",
-            dagger(trace(f, x, y, u)) == trace(dagger(f), y, x, u),
+            trace(f, x, y, u).dagger() == trace(f.dagger(), y, x, u),
             "f={0!r}", f,
         )
 
@@ -77,12 +77,12 @@ def check_dagger_trace(category: str, x_size: int, y_size: int, u_size: int) -> 
     for f in big.morphisms():
         tr_f = trace(f, x, y, u)
         for a in a_homs:
-            mid = compose(f, pad_with_identity(a, u))
+            mid = f.compose(pad_with_identity(a, u))
             for b in b_homs:
-                moved = compose(pad_with_identity(b, u), mid)
+                moved = pad_with_identity(b, u).compose(mid)
                 checker.check(
                     "trace-natural",
-                    trace(moved, x, y, u) == compose(b, compose(tr_f, a)),
+                    trace(moved, x, y, u) == b.compose(tr_f.compose(a)),
                     "f={0!r} a={1!r} b={2!r}", f, a, b,
                 )
     return checker.done()

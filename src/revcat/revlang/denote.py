@@ -23,6 +23,8 @@ from .validate import require_valid
 # The most terms ``denote`` evaluates its program on: a universe bound of 9
 # holds 38,962 terms without atoms, and 10 already holds 165,588.
 MAX_UNIVERSE = 50_000
+# The default node-count bound of the tree values ``roundtrip_check`` draws.
+VALUE_BOUND = 16
 
 
 def enumerate_values(bound: int, atoms: tuple[str, ...] = ()) -> list[Term]:
@@ -118,7 +120,7 @@ def roundtrip_check(
     seed: int,
     *,
     value_gen=None,
-    value_bound: int = 16,
+    value_bound: int = VALUE_BOUND,
 ) -> LawReport:
     """Forward-then-inverse recovery on random values, plus the fuel-indexed
     form: at any shared fuel, the forward and inverse runs realize each

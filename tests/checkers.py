@@ -8,7 +8,7 @@ from itertools import product
 from random import Random
 
 from revcat.cat.objects import FinObject
-from revcat.cat.ops import HomSpace, compose, dagger, identity
+from revcat.cat.ops import HomSpace, identity
 from revcat.cat.rel import RelMorphism
 from revcat.errors import DimensionMismatch, IncompatibleJoin
 from revcat.functionals.expr import (
@@ -60,7 +60,7 @@ def check_dagger_functor(functor, category: str, sizes=(0, 1, 2)) -> LawReport:
             for f in space.morphisms():
                 checker.check(
                     "functor-preserves-dagger",
-                    functor.apply_mor(dagger(f)) == dagger(functor.apply_mor(f)),
+                    functor.apply_mor(f.dagger()) == functor.apply_mor(f).dagger(),
                     "F={0!r} f={1!r}",
                     functor, f,
                 )
@@ -111,7 +111,7 @@ def restricted_join_family() -> NaturalFamily:
         pspace = HomSpace("rel", padded.apply_obj(x), padded.apply_obj(y))
         restrict = Seq(
             PreCompose(inclusion(x), pspace),
-            PostCompose(dagger(inclusion(y)), HomSpace("rel", x, padded.apply_obj(y))),
+            PostCompose(inclusion(y).dagger(), HomSpace("rel", x, padded.apply_obj(y))),
         )
         return ParamExpr(JoinOf(IdentityFn(space), Seq(Param(space, pspace), restrict)), pspace)
 
@@ -132,7 +132,7 @@ def check_fix_pfix_agreement(
     checker = Checker("fix-pfix-derivations")
     lifted = ParamExpr(phi, param_space)
     try:
-        fixed = fix_functional(phi)
+        fixed = fix_functional(phi).value
     except IncompatibleJoin:
         checker.skip()
         return checker.done()
@@ -164,7 +164,7 @@ def check_park_induction(category: str, seeds=range(1, 11), sizes=(0, 1, 2)) -> 
             space = HomSpace(category, FinObject(x), FinObject(y))
             phi = random_endo_functional(space, rng)
             try:
-                least = fix_functional(phi)
+                least = fix_functional(phi).value
             except IncompatibleJoin:
                 checker.skip()
                 continue
@@ -202,8 +202,8 @@ def check_dinaturality(category: str, seeds=range(1, 11), sizes=(0, 1, 2, 3)) ->
             psi = Seq(random_endo_functional(b, rng), DaggerFn(b))
             for law, f, g in (("dinaturality", phi, psi), ("dinaturality-conj", conj(phi), conj(psi))):
                 try:
-                    lhs = fix_functional(Seq(f, g))
-                    rhs = g.apply(fix_functional(Seq(g, f)))
+                    lhs = fix_functional(Seq(f, g)).value
+                    rhs = g.apply(fix_functional(Seq(g, f)).value)
                 except IncompatibleJoin:
                     checker.skip()
                     continue
@@ -237,7 +237,7 @@ def check_diagonal(category: str, seeds=range(1, 11), sizes=(0, 1, 2, 3)) -> Law
             psi = random_param_functional(space, space, rng)
             for law, chi in (("diagonal", psi), ("diagonal-conj", conj_param(psi))):
                 try:
-                    lhs = fix_functional(diagonal(chi.body))
+                    lhs = fix_functional(diagonal(chi.body)).value
                     rhs = kleene_fix(lambda p: pfix_functional(chi, p), chi.param_space).value
                 except IncompatibleJoin:
                     checker.skip()
@@ -296,8 +296,8 @@ def check_trace_sliding(category: str, x_size: int, y_size: int, u_size: int) ->
     s_space = HomSpace(category, up, u)
     for g in g_space.morphisms():
         for s in s_space.morphisms():
-            lhs = trace(compose(identity(category, y).block_sum(s), g), x, y, u)
-            rhs = trace(compose(g, identity(category, x).block_sum(s)), x, y, up)
+            lhs = trace(identity(category, y).block_sum(s).compose(g), x, y, u)
+            rhs = trace(g.compose(identity(category, x).block_sum(s)), x, y, up)
             checker.check(
                 "trace-sliding",
                 lhs == rhs,

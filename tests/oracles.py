@@ -20,7 +20,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from revcat.cat.ops import HomSpace, compose
+from revcat.cat.ops import HomSpace
 from revcat.errors import IncompatibleJoin, UnboundParameter, UnknownFunction
 from revcat.functionals.fixpoints import pfix_functional
 from revcat.functionals.param import apply_param
@@ -105,6 +105,15 @@ def all_relations(n, m):
     cells = list(product(range(n), range(m)))
     for bits in range(1 << len(cells)):
         yield frozenset(cells[i] for i in range(len(cells)) if bits >> i & 1)
+
+
+def all_partial_injections(n, m):
+    """Every partial injection [n] -> [m] as a dict: each source goes to a
+    target or to nothing (-1), and no target is hit twice."""
+    for image in product(range(-1, m), repeat=n):
+        hit = [j for j in image if j >= 0]
+        if len(set(hit)) == len(hit):
+            yield {i: j for i, j in enumerate(image) if j >= 0}
 
 
 def transpose_rows(rows, width):
@@ -304,7 +313,7 @@ def reference_naturality(family, x, xp, y, yp, fuel=10):
     F, G = family.F, family.G
 
     def transport(v, m, u):
-        return compose(v, compose(m, u))
+        return v.compose(m.compose(u))
 
     u_homs = HomSpace(family.category, xp, x).morphisms()
     v_homs = HomSpace(family.category, y, yp).morphisms()

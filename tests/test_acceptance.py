@@ -10,7 +10,7 @@ from random import Random
 from revcat.cat.dstoch import StochMorphism
 from revcat.cat.laws import LawConfig, law_suite
 from revcat.cat.objects import FinObject
-from revcat.cat.ops import HomSpace, dagger
+from revcat.cat.ops import HomSpace
 from revcat.cat.pinj import PInjMorphism
 from revcat.cat.rel import RelMorphism
 from revcat.cli import main as cli_main
@@ -87,11 +87,11 @@ def test_criterion_3_fixed_point_adjoints_on_random_functionals():
     r = RelMorphism.from_pairs(x3, x3, [(0, 1), (1, 2)])
     closure = Seq(PostCompose(r, space), JoinWith(r))
     oracle = reachability_closure([(0, 1), (1, 2)], 3)
-    forward = fix_functional(closure)
-    backward = fix_functional(conj(closure))
+    forward = fix_functional(closure).value
+    backward = fix_functional(conj(closure)).value
     ok = ok and set(forward.pairs) == oracle
     ok = ok and set(backward.pairs) == {(b, a) for (a, b) in oracle}
-    ok = ok and backward == dagger(forward)
+    ok = ok and backward == forward.dagger()
     _conclude(3, "fixed point adjoint, 100 random trees per category", ok)
 
 
@@ -189,7 +189,7 @@ def test_criterion_8_reversible_language():
         backward = denote(
             inverse, toggle_suffix(fname), inv_bindings, universe_bound=6, fuel=32
         )
-        ok = ok and backward == dagger(forward) and len(forward.mapping) > 0
+        ok = ok and backward == forward.dagger() and len(forward.mapping) > 0
 
     for program in (swap, add, mapped):
         ok = ok and invert_program(invert_program(program)) == program

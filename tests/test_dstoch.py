@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from revcat.cat.dstoch import StochMorphism, random_chain, random_ordered_pair, random_stoch
 from revcat.cat.objects import FinObject
-from revcat.cat.ops import HomSpace, compose, dagger, join
+from revcat.cat.ops import HomSpace
 from revcat.cat.serialize import loads_morphism
 from revcat.errors import DimensionMismatch, ParseError, UnsupportedOperation
 
@@ -36,12 +36,12 @@ def test_invariants_enforced_at_construction():
 def test_compose_is_matrix_product_in_diagram_order():
     f = StochMorphism(X2, X2, [[0.5, 0.25], [0.25, 0.5]])
     g = StochMorphism(X2, X2, [[0.3, 0.2], [0.2, 0.3]])
-    assert np.allclose(compose(g, f).rows, stoch_compose(g.rows, f.rows))
+    assert np.allclose(g.compose(f).rows, stoch_compose(g.rows, f.rows))
 
 
 def test_dagger_is_transpose_and_order_is_entrywise():
     f = StochMorphism(X2, X2, [[0.1, 0.4], [0.3, 0.2]])
-    assert np.array_equal(dagger(f).rows, stoch_dagger(f.rows))
+    assert np.array_equal(f.dagger().rows, stoch_dagger(f.rows))
     smaller = StochMorphism(X2, X2, [[0.05, 0.4], [0.3, 0.1]])
     assert smaller.leq(f)
     assert not f.leq(smaller)
@@ -53,7 +53,7 @@ def test_dagger_is_transpose_and_order_is_entrywise():
 def test_joins_and_enumeration_are_not_provided():
     f = random_stoch(X2, Random(0))
     with pytest.raises(UnsupportedOperation):
-        join(f, f)
+        f.join(f)
     with pytest.raises(UnsupportedOperation):
         HomSpace("dstoch", X2, X2).morphisms()
 
@@ -63,7 +63,7 @@ def test_invariants_preserved_by_compose_dagger_and_sup():
     for _ in range(200):
         f = random_stoch(X2, rng)
         g = random_stoch(X2, rng)
-        for candidate in (compose(g, f), dagger(f)):
+        for candidate in (g.compose(f), f.dagger()):
             m = np.array(candidate.rows)
             assert np.all(m >= -1e-12)
             assert np.all(m.sum(axis=0) <= 1 + 1e-9)

@@ -1,9 +1,10 @@
+from functools import partial
 from random import Random
 
 import pytest
 
 from revcat.cat.objects import FinObject
-from revcat.cat.ops import HomSpace, compose, dagger, join
+from revcat.cat.ops import HomSpace
 from revcat.cat.rel import RelMorphism
 from revcat.errors import DimensionMismatch, DomainMismatch, IncompatibleJoin, UnboundParameter
 from revcat.functionals import expr, fixpoints, naturality, param
@@ -60,7 +61,7 @@ def test_apply_structural_cases():
     assert apply_functional(PostCompose(rel3([(1, 2)]), S3), h) == rel3([(0, 2)])
     assert apply_functional(PreCompose(rel3([(2, 0)]), S3), h) == rel3([(2, 1)])
     assert apply_functional(DaggerFn(S3), h) == rel3([(1, 0)])
-    assert apply_functional(JoinWith(R), h) == join(h, R)
+    assert apply_functional(JoinWith(R), h) == h.join(R)
     with pytest.raises(DimensionMismatch):
         apply_functional(Const(R, S3), RelMorphism.bottom(FinObject(2), FinObject(2)))
 
@@ -69,9 +70,7 @@ def exhaustive_check_conj(phi, space):
     """conj(phi) must agree pointwise with h |-> phi(h+)+."""
     conjugate = conj(phi)
     for h in conjugate.dom.morphisms():
-        assert apply_functional(conjugate, h) == dagger(
-            apply_functional(phi, dagger(h))
-        )
+        assert apply_functional(conjugate, h) == apply_functional(phi, h.dagger()).dagger()
 
 
 def test_conj_rewrites_pointwise():
@@ -95,9 +94,9 @@ def test_conj_swaps_pre_and_post_composition():
     g = RelMorphism.from_pairs(space.src, space.dst, [(0, 0), (1, 0)])
     conjugate = conj(PostCompose(g, space))
     assert isinstance(conjugate, PreCompose)
-    assert conjugate.value == dagger(g)
+    assert conjugate.value == g.dagger()
     for h in space.morphisms():
-        assert apply_functional(conjugate, h) == compose(h, dagger(g))
+        assert apply_functional(conjugate, h) == h.compose(g.dagger())
 
 
 def test_conj_is_involutive_structurally_and_extensionally():
@@ -126,9 +125,9 @@ def test_conj_distributes_over_seq_in_order():
 
 def test_fix_functional_transitive_closure_and_trivia():
     expected = reachability_closure([(0, 1), (1, 2)], 3)
-    assert set(fix_functional(CLOSURE).pairs) == expected
-    assert fix_functional(Const(R, S3)) == R
-    assert fix_functional(IdentityFn(S3)) == RelMorphism.bottom(X3, X3)
+    assert set(fix_functional(CLOSURE).value.pairs) == expected
+    assert fix_functional(Const(R, S3)).value == R
+    assert fix_functional(IdentityFn(S3)).value == RelMorphism.bottom(X3, X3)
     with pytest.raises(DimensionMismatch):
         fix_functional(DaggerFn(HomSpace("rel", FinObject(2), X3)))
 
@@ -136,18 +135,18 @@ def test_fix_functional_transitive_closure_and_trivia():
 def test_fixed_point_adjoint_on_the_closure_witness():
     report = check_fixed_point_adjoint(CLOSURE)
     assert report.passed
-    forward = fix_functional(CLOSURE)
-    backward = fix_functional(conj(CLOSURE))
+    forward = fix_functional(CLOSURE).value
+    backward = fix_functional(conj(CLOSURE)).value
     oracle = reachability_closure([(0, 1), (1, 2)], 3)
     assert set(forward.pairs) == oracle
     assert set(backward.pairs) == {(b, a) for (a, b) in oracle}
-    assert backward == dagger(forward)
+    assert backward == forward.dagger()
 
 
 def test_fixed_point_adjoint_const_case():
     report = check_fixed_point_adjoint(Const(R, S3))
     assert report.passed
-    assert fix_functional(conj(Const(R, S3))) == dagger(R)
+    assert fix_functional(conj(Const(R, S3))).value == R.dagger()
 
 
 @pytest.mark.parametrize("category", ["rel", "pinj"])
@@ -193,9 +192,8 @@ def test_param_expr_refuses_a_param_leaf_outside_its_parameter_space():
 
 @pytest.mark.parametrize(
     "call",
-    [apply_functional, lambda phi, h: phi(h), lambda phi, h: fix_functional(phi),
-     lambda phi, h: check_fixed_point_adjoint(phi)],
-    ids=["apply_functional", "__call__", "fix_functional", "check_fixed_point_adjoint"],
+    [apply_functional, lambda phi, h: fix_functional(phi), lambda phi, h: check_fixed_point_adjoint(phi)],
+    ids=["apply_functional", "fix_functional", "check_fixed_point_adjoint"],
 )
 def test_a_one_argument_functional_refuses_a_param_leaf(call):
     # Outside a ParamExpr no parameter reaches the leaf: it used to apply
@@ -263,7 +261,7 @@ def test_fixed_points_apply_each_step_without_a_checked_application(monkeypatch)
         for name in ("apply_functional", "apply_param"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy(getattr(module, name)))
-    assert set(fix_functional(CLOSURE).pairs) == reachability_closure([(0, 1), (1, 2)], 3)
+    assert set(fix_functional(CLOSURE).value.pairs) == reachability_closure([(0, 1), (1, 2)], 3)
     assert set(pfix_functional(param_psi(), rel3([(0, 1)])).pairs) == {(0, 1), (0, 2)}
     assert checked == []
 
@@ -290,11 +288,9 @@ def test_apply_param_and_conj_param_pointwise():
     homs = S3.morphisms()[:40]
     for x in homs[:8]:
         for p in homs[5:13]:
-            assert apply_param(conjugate, x, p) == dagger(
-                apply_param(psi, dagger(x), dagger(p))
-            )
+            assert apply_param(conjugate, x, p) == apply_param(psi, x.dagger(), p.dagger()).dagger()
     const = ParamExpr(Const(R, S3), S3)
-    assert conj_param(const).body.value == dagger(R)
+    assert conj_param(const).body.value == R.dagger()
 
     # Seeded random trees: an IncompatibleJoin is a skip, and must then be
     # raised on both sides.
@@ -307,8 +303,8 @@ def test_apply_param_and_conj_param_pointwise():
             conjugate = conj_param(psi)
             for x in space.morphisms():
                 for p in space.morphisms():
-                    lhs = _outcome(conjugate, (x, p))
-                    rhs = _outcome(lambda a, b: dagger(psi(a, b)), (dagger(x), dagger(p)))
+                    lhs = _outcome(partial(apply_param, conjugate), (x, p))
+                    rhs = _outcome(lambda a, b: apply_param(psi, a, b).dagger(), (x.dagger(), p.dagger()))
                     assert lhs == rhs, (category, psi, x, p)
                     skipped += lhs is IncompatibleJoin
                     checked += lhs is not IncompatibleJoin
@@ -375,7 +371,7 @@ def _conj_cases():
         m = mor(category, 1, 2, [(0, 1)])
         a = mor(category, 2, 1, [(1, 0)])
         b = mor(category, 2, 2, [(0, 1)])
-        host = Host(lambda h, m=m: join(h, m), d, d, name="join-m")
+        host = Host(lambda h, m=m: h.join(m), d, d, name="join-m")
         nodes = [
             ("Const", Const(m, d)),
             ("IdentityFn", IdentityFn(d)),
@@ -411,15 +407,16 @@ def test_conj_of_every_node_class(node, structural):
 
     from revcat.functionals.expr import FunctionalExpr
 
-    conjugate = conj if isinstance(node, FunctionalExpr) else conj_param
+    one_argument = isinstance(node, FunctionalExpr)
+    conjugate, apply = (conj, apply_functional) if one_argument else (conj_param, apply_param)
     bar = conjugate(node)
     twice = conjugate(bar)
     if structural:
         assert twice == node
-    spaces = (bar.dom,) if isinstance(node, FunctionalExpr) else (bar.arg_space, bar.param_space)
+    spaces = (bar.dom,) if one_argument else (bar.arg_space, bar.param_space)
     arguments = list(product(*(space.morphisms() for space in spaces)))
     assert arguments
     for args in arguments:
-        daggered = tuple(map(dagger, args))
-        assert _outcome(bar, args) == _outcome(lambda *a: dagger(node(*a)), daggered)
-        assert _outcome(twice, daggered) == _outcome(node, daggered)
+        daggered = tuple(arg.dagger() for arg in args)
+        assert _outcome(partial(apply, bar), args) == _outcome(lambda *a: apply(node, *a).dagger(), daggered)
+        assert _outcome(partial(apply, twice), daggered) == _outcome(partial(apply, node), daggered)

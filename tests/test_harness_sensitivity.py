@@ -8,7 +8,7 @@ from revcat import order
 from revcat.cat.dstoch import StochMorphism
 from revcat.cat.laws import LawConfig, law_suite
 from revcat.cat.objects import FinObject
-from revcat.cat.ops import HomSpace, dagger
+from revcat.cat.ops import HomSpace
 from revcat.cat.pinj import PInjMorphism
 from revcat.cat.rel import RelMorphism
 from revcat.errors import IncompatibleJoin
@@ -74,12 +74,12 @@ def test_a_wrong_symbolic_conjugate_would_be_caught():
     j = RelMorphism.from_pairs(x, x, [(0, 0)])
     phi = Seq(PostCompose(m, space), JoinWith(j))
 
-    right = Seq(PreCompose(dagger(m), space), JoinWith(dagger(j)))
-    wrong = Seq(PostCompose(dagger(m), space), JoinWith(dagger(j)))
+    right = Seq(PreCompose(m.dagger(), space), JoinWith(j.dagger()))
+    wrong = Seq(PostCompose(m.dagger(), space), JoinWith(j.dagger()))
 
-    target = dagger(fix_functional(phi))
-    assert fix_functional(right) == target
-    assert fix_functional(wrong) != target
+    target = fix_functional(phi).value.dagger()
+    assert fix_functional(right).value == target
+    assert fix_functional(wrong).value != target
     assert check_fixed_point_adjoint(phi).passed
 
 
@@ -175,6 +175,29 @@ def test_conway_identities_flag_an_engine_that_stops_one_step_early(monkeypatch)
     assert check_park_induction("rel").passed
     assert {v.law for v in check_dinaturality("rel").violations} == {"dinaturality", "dinaturality-conj"}
     assert check_diagonal("rel").violations
+
+
+def test_pfix_identity_flags_an_engine_that_stops_after_two_steps(monkeypatch):
+    # psi(h, p) = p v h.s with s a 3-cycle: from bottom the chain runs
+    # p, p v p.s, p v p.s v p.s^2 and repeats its third iterate, so it takes
+    # four iterations.  The random functionals of the law suites reach their
+    # fixed points within two.  The adjoint laws cannot catch an engine cut
+    # short: conjugation commutes with each iterate, so a chain stopped early
+    # still agrees with the chain of the conjugate stopped at the same step.
+    x = FinObject(3)
+    space = HomSpace("rel", x, x)
+    s = RelMorphism.from_pairs(x, x, [(0, 1), (1, 2), (2, 0)])
+    psi = ParamExpr(JoinOf(Param(space, space), PreCompose(s, space)), space)
+    assert order.kleene_pfix(psi.apply, RelMorphism.identity(x), space).iterations == 4
+    report = check_pfix_identity(psi)
+    assert report.passed and report.checked == 512
+
+    def two_steps(step1, space, policy):
+        return KleeneResult(step1(step1(space.bottom)), 2, None)
+
+    monkeypatch.setattr(order, "_iterate", two_steps)
+    assert len(check_pfix_identity(psi).violations) == 387
+    assert check_pfix_adjoint(psi).passed
 
 
 def _failed_laws(category, suite, config):

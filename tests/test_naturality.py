@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from revcat.cat.objects import FinObject
-from revcat.cat.ops import HomSpace, compose, dagger
+from revcat.cat.ops import HomSpace
 from revcat.cat.rel import RelMorphism
 from revcat.errors import DimensionMismatch, TooLarge
 from revcat.functionals import fixpoints
@@ -46,9 +46,9 @@ def test_pad_with_identity_blocks():
     padded = pad_with_identity(f, O2)
     assert set(padded.pairs) == {(0, 0), (2, 1), (3, 2)}
     g = RelMorphism.from_pairs(O1, O2, [(0, 1)])
-    assert dagger(pad_with_identity(g, O1)) == pad_with_identity(dagger(g), O1)
-    assert compose(pad_with_identity(dagger(g), O1), pad_with_identity(g, O1)) == \
-        pad_with_identity(compose(dagger(g), g), O1)
+    assert pad_with_identity(g, O1).dagger() == pad_with_identity(g.dagger(), O1)
+    assert pad_with_identity(g.dagger(), O1).compose(pad_with_identity(g, O1)) == \
+        pad_with_identity(g.dagger().compose(g), O1)
 
 
 def test_join_family_is_natural_with_identity_functors():
@@ -166,7 +166,7 @@ def test_naturality_applies_alpha_once_per_argument_pair(monkeypatch):
         # its fixed point iterated once per distinct transported parameter.
         G = family.G
         transported = {
-            compose(G.apply_mor(v), compose(p, G.apply_mor(u)))
+            G.apply_mor(v).compose(p.compose(G.apply_mor(u)))
             for u in HomSpace(family.category, O1, O2).morphisms()
             for v in HomSpace(family.category, O1, O2).morphisms()
             for p in p_homs
@@ -236,15 +236,13 @@ def test_trace_family_is_self_conjugate():
 def test_pfix_of_a_self_conjugate_family_is_self_conjugate():
     # the family is self-conjugate, so its parametrized fixed point must be:
     # (pfix a_{X,Y})(p)+ = (pfix a_{Y,X})(p+) across mirrored components
-    from revcat.cat.ops import dagger
-
     for family in (join_family("rel"), join_family("rel", DisjointUnionWith(O1))):
         assert check_self_conjugate(family, O2, O1).passed
         a_xy = family.component(O2, O1)
         a_yx = family.component(O1, O2)
         for p in a_xy.param_space.morphisms():
-            lhs = dagger(pfix_functional(a_xy, p))
-            rhs = pfix_functional(a_yx, dagger(p))
+            lhs = pfix_functional(a_xy, p).dagger()
+            rhs = pfix_functional(a_yx, p.dagger())
             assert lhs == rhs
 
 

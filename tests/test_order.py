@@ -2,7 +2,7 @@ import pytest
 
 from revcat.cat.dstoch import StochMorphism
 from revcat.cat.objects import FinObject
-from revcat.cat.ops import HomSpace, compose, join
+from revcat.cat.ops import HomSpace
 from revcat.cat.rel import RelMorphism
 from revcat.errors import DomainMismatch, InvalidArgument, NonConvergence
 from revcat.order import FixPolicy, kleene_fix, kleene_pfix
@@ -17,7 +17,7 @@ REL_DOM = HomSpace("rel", X3, X3)
 
 
 def closure_step(current):
-    return join(R, compose(R, current))
+    return R.join(R.compose(current))
 
 
 def test_kleene_fix_reachability_matches_bfs_oracle():
@@ -86,7 +86,7 @@ def test_kleene_pfix_matches_iteration_oracle():
     p = RelMorphism.from_pairs(X3, X3, [(0, 1)])
 
     def step(x, q):
-        return join(q, compose(r_prime, x))
+        return q.join(r_prime.compose(x))
 
     expected = iterate_param_step(
         lambda cur, param: param | {(a, c) for (a, b) in cur for (b2, c) in [(1, 2)] if b == b2},
@@ -140,7 +140,7 @@ def test_exact_mode_converges_within_hom_size():
     dom = HomSpace("rel", small, small)
     k = len(dom.morphisms())
     extra = RelMorphism.from_pairs(small, small, [(0, 0), (1, 1)])
-    result = kleene_fix(lambda r: join(r, extra), dom, FixPolicy())
+    result = kleene_fix(lambda r: r.join(extra), dom, FixPolicy())
     assert result.iterations <= k
 
 
@@ -167,7 +167,7 @@ def test_spot_check_monotone_composition_is_clean_and_complement_is_not():
     pairs = [(f, g) for f in elements for g in elements if f.leq(g)]
     r = RelMorphism.from_pairs(small, small, [(0, 1)])
 
-    report = spot_check_monotone(lambda m: compose(r, m), pairs)
+    report = spot_check_monotone(lambda m: r.compose(m), pairs)
     assert report.passed and report.checked == len(pairs)
 
     report = spot_check_monotone(lambda m: m, pairs)

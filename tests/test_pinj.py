@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from revcat.cat.objects import FinObject
-from revcat.cat.ops import HomSpace, compose, dagger, join
+from revcat.cat.ops import HomSpace
 from revcat.cat.pinj import PInjMorphism
 from revcat.errors import DimensionMismatch, IncompatibleJoin
 
@@ -23,22 +23,22 @@ def test_injectivity_enforced():
 
 def test_dagger_inverts_the_table():
     f = pinj({0: 2, 1: 0})
-    assert dagger(f).mapping == {2: 0, 0: 1}
-    assert dagger(dagger(f)) == f
+    assert f.dagger().mapping == {2: 0, 0: 1}
+    assert f.dagger().dagger() == f
 
 
 def test_compose_threads_partiality():
     f = pinj({0: 1})
     g = pinj({1: 2})
-    assert compose(g, f).mapping == {0: 2}
-    assert compose(f, g).mapping == {}
+    assert g.compose(f).mapping == {0: 2}
+    assert f.compose(g).mapping == {}
 
 
 def test_strictness_of_composition():
     bottom = PInjMorphism.bottom(X3, X3)
     g = pinj({0: 1, 1: 0})
-    assert compose(g, bottom) == bottom
-    assert compose(bottom, g) == bottom
+    assert g.compose(bottom) == bottom
+    assert bottom.compose(g) == bottom
 
 
 def test_leq_is_graph_extension():
@@ -50,13 +50,13 @@ def test_leq_is_graph_extension():
 def test_join_requires_compatibility():
     small = FinObject(2)
     with pytest.raises(IncompatibleJoin):
-        join(pinj({0: 0}, small, small), pinj({0: 1}, small, small))
+        pinj({0: 0}, small, small).join(pinj({0: 1}, small, small))
     with pytest.raises(IncompatibleJoin):
-        join(pinj({0: 0}, small, small), pinj({1: 0}, small, small))
-    merged = join(pinj({0: 0}, small, small), pinj({1: 1}, small, small))
+        pinj({0: 0}, small, small).join(pinj({1: 0}, small, small))
+    merged = pinj({0: 0}, small, small).join(pinj({1: 1}, small, small))
     assert merged.mapping == {0: 0, 1: 1}
     f = pinj({0: 2})
-    assert join(f, PInjMorphism.bottom(X3, X3)) == f
+    assert f.join(PInjMorphism.bottom(X3, X3)) == f
 
 
 def test_enumeration_matches_counting_formula():
@@ -81,23 +81,23 @@ def injective_tables(n=3, m=3):
 
 @given(injective_tables(), injective_tables())
 def test_dagger_properties_on_random_injections(f, g):
-    assert dagger(dagger(f)) == f
-    assert dagger(compose(g, f)) == compose(dagger(f), dagger(g))
-    assert compose(dagger(f), f).mapping.keys() <= f.mapping.keys()
+    assert f.dagger().dagger() == f
+    assert g.compose(f).dagger() == f.dagger().compose(g.dagger())
+    assert f.dagger().compose(f).mapping.keys() <= f.mapping.keys()
     # restriction to the domain of definition: f . f+ . f = f
-    assert compose(f, compose(dagger(f), f)) == f
+    assert f.compose(f.dagger().compose(f)) == f
 
 
 @given(injective_tables())
 def test_embedding_commutes_with_dagger_on_random_injections(f):
-    assert dagger(f).to_rel() == dagger(f.to_rel())
+    assert f.dagger().to_rel() == f.to_rel().dagger()
 
 
 def test_embedding_into_rel_is_a_faithful_dagger_functor():
     homs2 = HomSpace("pinj", X2, X2).morphisms()
     for f in homs2:
-        assert dagger(f).to_rel() == dagger(f.to_rel())
+        assert f.dagger().to_rel() == f.to_rel().dagger()
         for g in homs2:
-            assert compose(g, f).to_rel() == compose(g.to_rel(), f.to_rel())
+            assert g.compose(f).to_rel() == g.to_rel().compose(f.to_rel())
             assert f.leq(g) == f.to_rel().leq(g.to_rel())
     assert len({f.to_rel() for f in homs2}) == len(homs2)  # faithful

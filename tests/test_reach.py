@@ -21,10 +21,8 @@ from bundled import ADD, MAP
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 UNREACHED = {
-    "revcat.functionals.expr.FunctionalExpr.__call__": "a node applied from outside, checked against its domain",
-    "revcat.functionals.expr.apply_functional": "what that __call__ runs; bench/tracer.py wraps it",
-    "revcat.functionals.param.ParamExpr.__call__": "a parametrized node applied from outside, checked",
-    "revcat.functionals.param.apply_param": "what that __call__ runs; bench/tracer.py wraps it",
+    "revcat.functionals.expr.apply_functional": "a node applied from outside, checked; bench/tracer.py wraps it",
+    "revcat.functionals.param.apply_param": "a parametrized node applied from outside, checked; bench/tracer.py wraps it",
     "revcat.functionals.fixpoints.pfix_functional": "the checked parametrized fixed point of the library",
     "revcat.revlang.syntax.match": "bench/tracer.py wraps it; tests/oracles.py runs it",
     "revcat.revlang.syntax.instantiate": "bench/tracer.py wraps it; tests/oracles.py runs it",

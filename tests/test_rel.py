@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from revcat.cat.objects import FinObject
-from revcat.cat.ops import HomSpace, compose, dagger, join
+from revcat.cat.ops import HomSpace
 from revcat.cat.rel import RelMorphism
 from revcat.errors import DimensionMismatch
 
@@ -24,30 +24,30 @@ def pair_sets(n=2, m=2):
 def test_compose_matches_middle_enumeration():
     g = rel([(1, 0)])
     f = rel([(0, 1)])
-    assert set(compose(g, f).pairs) == compose_pairs({(1, 0)}, {(0, 1)}) == {(0, 0)}
+    assert set(g.compose(f).pairs) == compose_pairs({(1, 0)}, {(0, 1)}) == {(0, 0)}
 
 
 @given(pair_sets())
 def test_identity_laws(pairs):
     f = rel(sorted(pairs))
     i = RelMorphism.identity(X2)
-    assert compose(i, f) == f
-    assert compose(f, i) == f
+    assert i.compose(f) == f
+    assert f.compose(i) == f
 
 
 @given(pair_sets(), pair_sets(), pair_sets())
 def test_compose_associative_and_dagger_antihomomorphic(a, b, c):
     f, g, h = rel(sorted(a)), rel(sorted(b)), rel(sorted(c))
-    assert compose(h, compose(g, f)) == compose(compose(h, g), f)
-    assert dagger(compose(g, f)) == compose(dagger(f), dagger(g))
+    assert h.compose(g.compose(f)) == h.compose(g).compose(f)
+    assert g.compose(f).dagger() == f.dagger().compose(g.dagger())
 
 
 def test_dagger_is_converse_and_involutive():
-    assert dagger(rel([(0, 1)])) == rel([(1, 0)])
+    assert rel([(0, 1)]).dagger() == rel([(1, 0)])
     for pairs in all_relations(2, 2):
         f = rel(sorted(pairs))
-        assert dagger(dagger(f)) == f
-        assert set(dagger(f).pairs) == {(b, a) for a, b in pairs}
+        assert f.dagger().dagger() == f
+        assert set(f.dagger().pairs) == {(b, a) for a, b in pairs}
 
 
 def test_leq_is_subset_and_bottom_is_least():
@@ -59,17 +59,17 @@ def test_leq_is_subset_and_bottom_is_least():
 
 
 def test_join_is_union_and_bottom_is_unit():
-    assert join(rel([(0, 1)]), rel([(1, 0)])) == rel([(0, 1), (1, 0)])
+    assert rel([(0, 1)]).join(rel([(1, 0)])) == rel([(0, 1), (1, 0)])
     f = rel([(0, 0), (1, 1)])
-    assert join(f, RelMorphism.bottom(X2, X2)) == f
+    assert f.join(RelMorphism.bottom(X2, X2)) == f
 
 
 def test_strict_composition():
     bottom = RelMorphism.bottom(X2, X2)
     for pairs in all_relations(2, 2):
         f = rel(sorted(pairs))
-        assert compose(bottom, f) == bottom
-        assert compose(f, bottom) == bottom
+        assert bottom.compose(f) == bottom
+        assert f.compose(bottom) == bottom
 
 
 def test_enumeration_counts():
@@ -81,7 +81,7 @@ def test_enumeration_counts():
 
 def test_dimension_checks():
     with pytest.raises(DimensionMismatch):
-        compose(rel([(0, 0)]), RelMorphism.bottom(X2, X3))
+        rel([(0, 0)]).compose(RelMorphism.bottom(X2, X3))
     with pytest.raises(DimensionMismatch):
         RelMorphism.from_pairs(X2, X2, [(0, 5)])
     with pytest.raises(DimensionMismatch):

@@ -3,7 +3,6 @@ from pathlib import Path
 
 import pytest
 
-from revcat.cat.ops import dagger
 from revcat.errors import InvalidArgument
 from revcat.revlang.denote import (
     denote,
@@ -217,7 +216,7 @@ def test_denotation_of_the_inverse_is_the_dagger(name, fname, bindings):
     forward = denote(program, fname, bindings, universe_bound=6, fuel=32)
     backward = denote(inverse, toggle_suffix(fname), inv_bindings, universe_bound=6, fuel=32)
     assert len(forward.mapping) > 0
-    assert backward == dagger(forward)
+    assert backward == forward.dagger()
 
 
 def test_map_inverse_binding_semantics():

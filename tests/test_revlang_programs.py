@@ -3,7 +3,6 @@ from random import Random
 
 import pytest
 
-from revcat.cat.ops import dagger
 from revcat.revlang.denote import denote, roundtrip_check
 from revcat.revlang.interp import STUCK
 from revcat.revlang.invert import invert_program
@@ -78,8 +77,8 @@ def test_mirror_is_an_involution_and_self_adjoint():
 
     forward = denote(p, "mirror", {}, universe_bound=6, fuel=16)
     backward = denote(invert_program(p), "mirror_inv", {}, universe_bound=6, fuel=16)
-    assert backward == dagger(forward)
-    assert forward == dagger(forward)  # mirror is its own inverse
+    assert backward == forward.dagger()
+    assert forward == forward.dagger()  # mirror is its own inverse
 
     report = roundtrip_check(
         p, "mirror", {}, trials=80, fuel=100, seed=4,

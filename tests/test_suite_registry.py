@@ -71,6 +71,9 @@ def test_checkers_and_fixed_points_take_no_knobs():
             ):
                 found[name] = value
     assert len(found) >= 9
+    # ``revcat fix`` hands its --max-iterations and --tolerance to
+    # fix_functional, as a FixPolicy; nothing else takes a knob.
+    assert list(signature(found.pop("fix_functional")).parameters) == ["phi", "policy"]
     for name, fn in found.items():
         taken = set(signature(fn).parameters)
         assert not taken & {"policy", "tolerance", "parameters"}, name
