@@ -14,10 +14,9 @@ import argparse
 import json
 import math
 import sys
-from functools import reduce
 from random import Random
 from time import perf_counter
-from typing import Callable, Iterator
+from typing import Callable, Iterable
 
 from .cat.laws import SUITES as CORE_SUITES
 from .cat.laws import LawConfig, law_suite
@@ -93,28 +92,33 @@ def _sizes_from(args) -> tuple[int, ...]:
 @frozen
 class Suite:
     """A law suite: where it applies, where it samples at random (so needs
-    --seed), and a runner yielding its partial reports."""
+    --seed), the source of its draws and the check of one draw.
+
+    ``draws(category, config)`` yields argument tuples, and ``check(*args)``
+    returns the partial report of one.  Suites with the same ``draws``
+    callable share each draw (see ``cmd_laws``)."""
 
     name: str
     categories: tuple[str, ...]
     randomized: tuple[str, ...]
-    run: Callable[[str, LawConfig], Iterator[LawReport]]
+    draws: Callable[[str, LawConfig], Iterable[tuple]]
+    check: Callable[..., LawReport]
 
 
 def _core(name: str) -> Suite:
-    def run(category: str, config: LawConfig):
-        yield law_suite(category, name, config)
+    def draws(category: str, config: LawConfig):
+        yield category, name, config
 
-    return Suite(name, CATEGORIES, (DSTOCH,), run)
+    return Suite(name, CATEGORIES, (DSTOCH,), draws, lambda *args: law_suite(*args))
 
 
-def _fix_adjoint(category: str, config: LawConfig):
+def _random_endos(category: str, config: LawConfig):
+    """One seeded random endo-functional per trial, on a drawn hom-set."""
     rng = Random(config.seed)
     for _ in range(config.trials):
         x = FinObject(rng.randrange(1, 4))
         y = FinObject(rng.randrange(1, 4))
-        phi = random_endo_functional(HomSpace(category, x, y), rng, depth=config.depth)
-        yield check_fixed_point_adjoint(phi)
+        yield (random_endo_functional(HomSpace(category, x, y), rng, depth=config.depth),)
 
 
 def _random_params(category: str, config: LawConfig):
@@ -122,50 +126,52 @@ def _random_params(category: str, config: LawConfig):
     rng = Random(config.seed)
     space = HomSpace(category, FinObject(2), FinObject(2))
     for _ in range(config.trials):
-        yield random_param_functional(space, space, rng, depth=config.depth)
+        yield (random_param_functional(space, space, rng, depth=config.depth),)
 
 
-def _naturality(category: str, config: LawConfig):
+def _natural_families(category: str, config: LawConfig):
     families = [projection_family(category)]
     if category == REL:
         families.append(join_family(category))
         families.append(join_family(category, DisjointUnionWith(FinObject(1))))
     one, two = FinObject(1), FinObject(2)
     for family in families:
-        yield check_naturality(family, two, one, one, two, fuel=config.fuel)
+        yield family, two, one, one, two, config.fuel
 
 
-def _self_conjugate(category: str, config: LawConfig):
+def _self_conjugate_families(category: str, config: LawConfig):
     x, y = FinObject(2), FinObject(1)
     for family in (identity_family(category), trace_family(category, FinObject(1))):
-        yield check_self_conjugate(family, x, y)
+        yield family, x, y
 
 
-def _dagger_trace(category: str, config: LawConfig):
+def _trace_shapes(category: str, config: LawConfig):
     shapes = [(1, 1, 0), (1, 1, 1)] + ([(1, 1, 2)] if category == PINJ else [])
     for xs, ys, us in shapes:
-        yield check_dagger_trace(category, xs, ys, us)
+        yield category, xs, ys, us
 
 
 # Every suite, in the default order of ``laws`` (``config.suites`` in JSON).
-# Runners call checkers by module-level name when they run, never through a
-# reference taken at import, so a wrapper put on that name (as the
-# benchmark's tracer does) sees every call.
+# A check calls its checker by module-level name when it runs, never through
+# a reference taken at import, so a wrapper put on that name (as the
+# benchmark's tracer does) sees every call.  The three pfix suites share
+# ``_random_params``, so each drawn functional is built, conjugated and
+# iterated once for all three.
 FINITE = (REL, PINJ)
 REGISTRY: dict[str, Suite] = {
     suite.name: suite
     for suite in [
         *(_core(name) for name in CORE_SUITES),
-        Suite("fix-adjoint", FINITE, FINITE, _fix_adjoint),
-        Suite("pfix-adjoint", FINITE, FINITE,
-              lambda c, cfg: map(check_pfix_adjoint, _random_params(c, cfg))),
-        Suite("conj-preservation", FINITE, FINITE,
-              lambda c, cfg: map(check_conj_preservation, _random_params(c, cfg))),
-        Suite("pfix-identity", FINITE, FINITE,
-              lambda c, cfg: map(check_pfix_identity, _random_params(c, cfg))),
-        Suite("naturality", FINITE, (), _naturality),
-        Suite("self-conjugate", FINITE, (), _self_conjugate),
-        Suite("dagger-trace", FINITE, (), _dagger_trace),
+        Suite("fix-adjoint", FINITE, FINITE, _random_endos,
+              lambda phi: check_fixed_point_adjoint(phi)),
+        Suite("pfix-adjoint", FINITE, FINITE, _random_params, lambda psi: check_pfix_adjoint(psi)),
+        Suite("conj-preservation", FINITE, FINITE, _random_params,
+              lambda psi: check_conj_preservation(psi)),
+        Suite("pfix-identity", FINITE, FINITE, _random_params, lambda psi: check_pfix_identity(psi)),
+        Suite("naturality", FINITE, (), _natural_families, lambda *args: check_naturality(*args)),
+        Suite("self-conjugate", FINITE, (), _self_conjugate_families,
+              lambda *args: check_self_conjugate(*args)),
+        Suite("dagger-trace", FINITE, (), _trace_shapes, lambda *args: check_dagger_trace(*args)),
     ]
 }
 
@@ -208,15 +214,28 @@ def cmd_laws(args) -> int:
         fuel=args.fuel,
         depth=args.depth,
     )
-    reports, lines = [], []
+    reports = {suite.name: LawReport(suite.name) for suite in suites}
+    elapsed = dict.fromkeys(reports, 0.0)
+    groups: dict = {}
     for suite in suites:
-        start = perf_counter()
-        report = reduce(LawReport.merge, suite.run(args.category, config), LawReport(suite.name))
-        lines.append(_timed_summary(report, perf_counter() - start))
-        reports.append(report)
+        groups.setdefault(suite.draws, []).append(suite)
+    # Each draw goes to every suite of its group in turn, in request order,
+    # so a draw, with what its checks memoized on it, is dropped as soon as
+    # the next one replaces it.  A suite's time is that of its own checks;
+    # drawing falls in the interval of the first suite of the group.
+    for draws, group in groups.items():
+        mark = perf_counter()
+        for draw in draws(args.category, config):
+            for suite in group:
+                reports[suite.name] = reports[suite.name].merge(suite.check(*draw))
+                now = perf_counter()
+                elapsed[suite.name] += now - mark
+                mark = now
+        elapsed[group[0].name] += perf_counter() - mark
+    lines = [_timed_summary(report, elapsed[name]) for name, report in reports.items()]
 
     suite_docs = {}
-    for r in reports:
+    for r in reports.values():
         entry = r.to_doc()
         entry.pop("suite")
         suite_docs[r.suite] = entry
@@ -234,11 +253,11 @@ def cmd_laws(args) -> int:
         },
         "suites": suite_docs,
     }
-    for r in reports:
+    for r in reports.values():
         for v in r.violations[:20]:
             lines.append(f"  {r.suite}/{v.law}: {v.witness}")
     _emit(args, doc, lines)
-    return 0 if all(r.passed for r in reports) else 1
+    return 0 if all(r.passed for r in reports.values()) else 1
 
 
 # -- fix ---------------------------------------------------------------------

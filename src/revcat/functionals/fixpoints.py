@@ -38,16 +38,41 @@ def fix_functional(phi: FunctionalExpr, policy: FixPolicy | None = None) -> Klee
     return kleene_fix(phi.apply, phi.dom, policy)
 
 
+class _Undefined:
+    """A fixed point whose chain met an undefined join, remembered by the
+    message of its IncompatibleJoin: the memo keeps no exception or
+    traceback, and each use raises a fresh one."""
+
+    __slots__ = ("message",)
+
+    def __init__(self, message: str):
+        self.message = message
+
+
 def _pfix_of(psi: ParamExpr):
     """p |-> (pfix psi)(p), for parameters known to lie in ``psi.param_space``,
     as the checkers' are: drawn from it, or daggers of parameters of the
     conjugate.  ``psi``'s spaces are checked once, here; the engine checks
-    each iterate, so each step applies ``psi`` directly."""
+    each iterate, so each step applies ``psi`` directly.  Each fixed point
+    is iterated once per instance of ``psi`` and kept in its memo."""
     arg_space = psi.arg_space
     if psi.cod != arg_space:
         raise DimensionMismatch(f"not endo in the recursion argument: {psi.cod!r} vs {arg_space!r}")
-    step = psi.apply
-    return lambda p: kleene_pfix(step, p, arg_space).value
+    step, known = psi.apply, psi.fixed_points
+
+    def pfix(p):
+        value = known.get(p)
+        if value is None:
+            try:
+                value = kleene_pfix(step, p, arg_space).value
+            except IncompatibleJoin as exc:
+                value = _Undefined(str(exc))
+            known[p] = value
+        if type(value) is _Undefined:
+            raise IncompatibleJoin(value.message)
+        return value
+
+    return pfix
 
 
 def pfix_functional(psi: ParamExpr, p):

@@ -22,7 +22,12 @@ class ParamExpr:
 
     The constructor checks once, on an explicit stack, that every Param leaf
     lies in ``param_space``.  ``apply(x, p)`` is the body's own, for
-    arguments already checked to lie in ``arg_space`` and ``param_space``."""
+    arguments already checked to lie in ``arg_space`` and ``param_space``.
+
+    Each instance memoizes what it alone determines: its conjugate
+    (``conj_param``) and its parametrized fixed point at each parameter met
+    (``fixpoints._pfix_of``).  The memo is no field: it neither compares
+    nor copies, and it goes when the instance goes."""
 
     body: FunctionalExpr
     param_space: HomSpace
@@ -33,6 +38,8 @@ class ParamExpr:
                 raise DimensionMismatch(
                     f"a Param leaf in {leaf.cod!r} under parameter space {self.param_space!r}"
                 )
+        object.__setattr__(self, "_conjugate", None)
+        object.__setattr__(self, "fixed_points", {})
 
     @property
     def arg_space(self) -> HomSpace:
@@ -56,5 +63,10 @@ def apply_param(psi: ParamExpr, x, p):
 
 
 def conj_param(psi: ParamExpr) -> ParamExpr:
-    """Conjugate both arguments: extensionally (x, p) |-> psi(x+, p+)+."""
-    return ParamExpr(conj(psi.body), psi.param_space.flipped())
+    """Conjugate both arguments: extensionally (x, p) |-> psi(x+, p+)+.
+    Built once per instance of ``psi`` and kept in its memo."""
+    conjugate = psi._conjugate
+    if conjugate is None:
+        conjugate = ParamExpr(conj(psi.body), psi.param_space.flipped())
+        object.__setattr__(psi, "_conjugate", conjugate)
+    return conjugate

@@ -495,16 +495,25 @@ def test_roundtrip_command_and_reproducibility(capture, add_file):
 
 
 def test_the_cli_times_each_whole_suite_once(capture, add_file, monkeypatch):
-    # A clock that moves one second per read: a line shows one interval
-    # exactly when the run it reports read the CLI's clock twice.
+    # A clock that moves one second per read, read after each check: a suite
+    # gets one second per check (its draw included, for the first suite of
+    # a draw source), and the first suite one more for the end of the source.
     reads = itertools.count()
     monkeypatch.setattr("revcat.cli.perf_counter", lambda: float(next(reads)))
     code, out, _ = capture("laws", "--category", "pinj", "--max-size", "1", "--seed", "1",
                            "--trials", "3")
     assert code == 0
+    seconds = {
+        "dagger": 1 + 1, "enrichment": 1 + 1, "monotone-dagger": 1 + 1, "order-iso": 1 + 1,
+        "fix-adjoint": 3 + 1,
+        # One source of three draws, shared in this order.
+        "pfix-adjoint": 3 + 1, "conj-preservation": 3, "pfix-identity": 3,
+        "naturality": 1 + 1, "self-conjugate": 2 + 1, "dagger-trace": 3 + 1,
+    }
+    assert list(seconds) == [name for name, suite in REGISTRY.items() if "pinj" in suite.categories]
     lines = out.splitlines()
-    assert len(lines) == sum("pinj" in suite.categories for suite in REGISTRY.values())
-    assert all(line.startswith("suite ") and line.endswith(" [1000.0 ms]") for line in lines)
+    assert [line.split(":")[0] for line in lines] == [f"suite {name}" for name in seconds]
+    assert [line.rsplit(" [", 1)[1] for line in lines] == [f"{s * 1000:.1f} ms]" for s in seconds.values()]
     code, out, _ = capture("roundtrip", add_file, "add", "--trials", "5", "--seed", "1",
                            "--values", "peano")
     assert code == 0

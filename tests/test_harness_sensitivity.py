@@ -1,5 +1,6 @@
 """The checkers must be able to fail: feed them deliberately broken input."""
 import importlib
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +12,7 @@ from revcat.cat.objects import FinObject
 from revcat.cat.ops import HomSpace
 from revcat.cat.pinj import PInjMorphism
 from revcat.cat.rel import RelMorphism
+from revcat.cli import main
 from revcat.errors import IncompatibleJoin
 from revcat.functionals import fixpoints
 from revcat.functionals.expr import (
@@ -156,11 +158,9 @@ def test_park_induction_flags_an_engine_that_returns_a_prefixed_point_read_from_
     assert {v.law for v in report.violations} == {"park-induction"}
 
 
-def test_conway_identities_flag_an_engine_that_stops_one_step_early(monkeypatch):
-    # On a chain of more than one element, return the iterate just below the
-    # fixed point.  Park induction cannot see this: an iterate below the
-    # least fixed point lies below every prefixed point too.
-    iterate = order._iterate
+def _one_step_early(iterate):
+    """An engine that, on a chain of more than one element, returns the
+    iterate just below the fixed point ``iterate`` finds."""
 
     def one_step_early(step1, space, policy):
         result = iterate(step1, space, policy)
@@ -171,7 +171,13 @@ def test_conway_identities_flag_an_engine_that_stops_one_step_early(monkeypatch)
             value = step1(value)
         return KleeneResult(value, result.iterations - 1, None)
 
-    monkeypatch.setattr(order, "_iterate", one_step_early)
+    return one_step_early
+
+
+def test_conway_identities_flag_an_engine_that_stops_one_step_early(monkeypatch):
+    # Park induction cannot see this engine: an iterate below the least
+    # fixed point lies below every prefixed point too.
+    monkeypatch.setattr(order, "_iterate", _one_step_early(order._iterate))
     assert check_park_induction("rel").passed
     assert {v.law for v in check_dinaturality("rel").violations} == {"dinaturality", "dinaturality-conj"}
     assert check_diagonal("rel").violations
@@ -187,7 +193,11 @@ def test_pfix_identity_flags_an_engine_that_stops_after_two_steps(monkeypatch):
     x = FinObject(3)
     space = HomSpace("rel", x, x)
     s = RelMorphism.from_pairs(x, x, [(0, 1), (1, 2), (2, 0)])
-    psi = ParamExpr(JoinOf(Param(space, space), PreCompose(s, space)), space)
+
+    def make_psi():
+        return ParamExpr(JoinOf(Param(space, space), PreCompose(s, space)), space)
+
+    psi = make_psi()
     assert order.kleene_pfix(psi.apply, RelMorphism.identity(x), space).iterations == 4
     report = check_pfix_identity(psi)
     assert report.passed and report.checked == 512
@@ -196,8 +206,28 @@ def test_pfix_identity_flags_an_engine_that_stops_after_two_steps(monkeypatch):
         return KleeneResult(step1(step1(space.bottom)), 2, None)
 
     monkeypatch.setattr(order, "_iterate", two_steps)
+    # A ParamExpr keeps the fixed points it was checked with; a fresh one
+    # is iterated by the patched engine.
+    psi = make_psi()
     assert len(check_pfix_identity(psi).violations) == 387
     assert check_pfix_adjoint(psi).passed
+
+
+@pytest.mark.parametrize("category, violations, checked", [("rel", 2681, 3200), ("pinj", 647, 871)])
+def test_pfix_identity_flags_an_engine_that_stops_one_step_early_beside_its_draw_sharers(
+    capsys, monkeypatch, category, violations, checked
+):
+    # pfix-identity reads the fixed points that pfix-adjoint, run first on
+    # the same draw, left in its memo; the wrong engine still shows.
+    monkeypatch.setattr(order, "_iterate", _one_step_early(order._iterate))
+    pfix = ["pfix-adjoint", "conj-preservation", "pfix-identity"]
+    for suites in (pfix[2:], pfix):
+        argv = ["laws", "--category", category, "--seed", "1", "--format", "json"]
+        assert main(argv + [a for s in suites for a in ("--suite", s)]) == 1
+        entries = json.loads(capsys.readouterr().out)["suites"]
+        entry = entries["pfix-identity"]
+        assert (len(entry["violations"]), entry["checked"]) == (violations, checked)
+        assert all(entries[name]["violations"] == [] for name in suites[:-1])
 
 
 def _failed_laws(category, suite, config):

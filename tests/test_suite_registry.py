@@ -13,6 +13,7 @@ from revcat import functionals
 from revcat.cat.laws import SUITES
 from revcat.cli import REGISTRY, Suite, main
 from revcat.functionals.trace import check_dagger_trace
+from revcat.report import LawReport
 
 from bundled import ADD
 
@@ -32,18 +33,24 @@ def capture(capsys):
 
 @pytest.fixture()
 def runner_calls(monkeypatch):
-    """Replace every suite runner with a spy that records its suite name."""
+    """Replace every suite with a spy whose one empty draw comes from a spy
+    source per original source, so sharing is kept, and whose check records
+    its suite name."""
     calls = []
+    sources = {}
 
-    def spy(name):
-        def run(category, config):
+    def spy_check(name):
+        def check():
             calls.append(name)
-            return iter(())
+            return LawReport(name)
 
-        return run
+        return check
 
     for name, suite in list(REGISTRY.items()):
-        monkeypatch.setitem(REGISTRY, name, Suite(suite.name, suite.categories, suite.randomized, spy(name)))
+        draws = sources.setdefault(suite.draws, lambda category, config: iter([()]))
+        monkeypatch.setitem(
+            REGISTRY, name, Suite(suite.name, suite.categories, suite.randomized, draws, spy_check(name))
+        )
     return calls
 
 

@@ -1,10 +1,11 @@
 from itertools import product
+from random import Random
 from types import ModuleType
 
 import pytest
 
 import revcat.functionals.trace as trace_module
-from revcat.cat.objects import FinObject
+from revcat.cat.objects import MAX_SIZE, FinObject
 from revcat.cat.ops import HomSpace
 from revcat.cat.pinj import PInjMorphism, enumerate_pinj
 from revcat.cat.rel import RelMorphism, enumerate_rel
@@ -171,3 +172,60 @@ def test_trace_is_one_least_fixed_point(monkeypatch):
     for f in enumerate_pinj(X3, X3):
         trace(f, O1, O1, O2)
     assert calls == [HomSpace("rel", O2, O1)] * len(enumerate_pinj(X3, X3))
+
+
+def _draw_large(rng: Random, category: str):
+    """A random f: X + U -> Y + U with both sides up to MAX_SIZE, and its
+    blocks.  It is a partial injection, defined on most points so that walks
+    through U run long; in rel, a few rows also gain a second target."""
+    u = rng.randrange(MAX_SIZE)
+    x, y = rng.randrange(1, MAX_SIZE - u + 1), rng.randrange(1, MAX_SIZE - u + 1)
+    src, dst = x + u, y + u
+    targets = rng.sample(range(dst), min(src, dst))
+    mapping = {i: t for i, t in zip(rng.sample(range(src), len(targets)), targets) if rng.random() < 0.95}
+    blocks = (FinObject(x), FinObject(y), FinObject(u))
+    if category == "pinj":
+        return PInjMorphism.from_map(FinObject(src), FinObject(dst), mapping), blocks
+    extra = [(rng.randrange(src), rng.randrange(dst)) for _ in range(rng.randrange(4))]
+    return RelMorphism.from_pairs(FinObject(src), FinObject(dst), [*mapping.items(), *extra]), blocks
+
+
+@pytest.fixture()
+def chains(monkeypatch):
+    """The iteration count of each Kleene chain ``trace`` runs."""
+    kleene_fix, counts = trace_module.kleene_fix, []
+
+    def counting(step, space, *rest):
+        result = kleene_fix(step, space, *rest)
+        counts.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(trace_module, "kleene_fix", counting)
+    return counts
+
+
+@pytest.mark.parametrize("category", ["pinj", "rel"])
+def test_trace_matches_its_oracle_and_commutes_with_dagger_up_to_max_size(chains, category):
+    rng = Random(f"trace-{category}")
+    for _ in range(60):
+        f, (x, y, u) = _draw_large(rng, category)
+        traced = trace(f, x, y, u)
+        if category == "pinj":
+            assert traced.mapping == orbit_trace(f.mapping, x.size, y.size, u.size), f
+        else:
+            assert set(traced.pairs) == relational_trace(f.pairs, x.size, y.size, u.size), f
+        assert traced.dagger() == trace(f.dagger(), y, x, u), f
+    assert max(chains) >= 32
+
+
+@pytest.mark.parametrize("cls", [PInjMorphism, RelMorphism])
+def test_a_cycle_through_all_of_u_takes_one_iteration_per_point(chains, cls):
+    # i -> i + 1 mod MAX_SIZE on X + U = Y + U with X = Y = 1: x walks
+    # through every point of U before it leaves at y.
+    whole, u = FinObject(MAX_SIZE), FinObject(MAX_SIZE - 1)
+    cycle = PInjMorphism.from_map(whole, whole, {i: (i + 1) % MAX_SIZE for i in range(MAX_SIZE)})
+    f = cycle if cls is PInjMorphism else cycle.to_rel()
+    traced = trace(f, O1, O1, u)
+    assert traced == cls.identity(O1)
+    assert traced.dagger() == trace(f.dagger(), O1, O1, u)
+    assert chains == [MAX_SIZE, MAX_SIZE]

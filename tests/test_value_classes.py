@@ -75,7 +75,7 @@ TABLE = [
     (LetStep, (Var("y"), CallRef("f"), Var("x")), (Var("z"), CallRef("g"), Var("w"))),
     (Clause, (Var("x"), (), Var("x"), 1), (Var("y"), (LetStep(Var("y"), CallRef("f"), Var("x")),), Var("y"), 2)),
     (FuncDef, ("f", (), (CLAUSE,), 1), ("g", ("h",), (), 2)),
-    (Suite, ("s", ("rel",), (), step), ("t", ("pinj",), ("rel",), print)),
+    (Suite, ("s", ("rel",), (), step, step), ("t", ("pinj",), ("rel",), print, print)),
     (Const, (REL, S2), (RelMorphism.identity(X), S1)),
     (IdentityFn, (S2,), (S1,)),
     (PreCompose, (REL, S2), (RelMorphism.identity(X), S1)),
