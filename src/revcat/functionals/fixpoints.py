@@ -49,6 +49,16 @@ class _Undefined:
         self.message = message
 
 
+def _conjugate_of(psi: ParamExpr) -> ParamExpr:
+    """``conj_param(psi)``, built once per instance of ``psi`` and kept in
+    its memo: only a miss calls ``conj_param``."""
+    conjugate = psi._conjugate
+    if conjugate is None:
+        conjugate = conj_param(psi)
+        object.__setattr__(psi, "_conjugate", conjugate)
+    return conjugate
+
+
 def _pfix_of(psi: ParamExpr):
     """p |-> (pfix psi)(p), for parameters known to lie in ``psi.param_space``,
     as the checkers' are: drawn from it, or daggers of parameters of the
@@ -117,7 +127,7 @@ def _pointwise(checker: Checker, law: str, parameters, sides, witness: str) -> L
 
 def check_pfix_adjoint(psi: ParamExpr) -> LawReport:
     """(pfix psi)(p)+ must equal (pfix conj(psi))(p+) for each parameter."""
-    pfix, pfix_conj = _pfix_of(psi), _pfix_of(conj_param(psi))
+    pfix, pfix_conj = _pfix_of(psi), _pfix_of(_conjugate_of(psi))
     return _pointwise(
         Checker("pfix-adjoint"),
         "pfix-adjoint",
@@ -133,7 +143,7 @@ def check_conj_preservation(psi: ParamExpr) -> LawReport:
     The left side conjugates the one-argument fixed-point functional:
     p |-> ((pfix psi)(p+))+.
     """
-    conjugate = conj_param(psi)
+    conjugate = _conjugate_of(psi)
     pfix, pfix_conj = _pfix_of(psi), _pfix_of(conjugate)
     return _pointwise(
         Checker("conj-preservation"),

@@ -25,9 +25,9 @@ class ParamExpr:
     arguments already checked to lie in ``arg_space`` and ``param_space``.
 
     Each instance memoizes what it alone determines: its conjugate
-    (``conj_param``) and its parametrized fixed point at each parameter met
-    (``fixpoints._pfix_of``).  The memo is no field: it neither compares
-    nor copies, and it goes when the instance goes."""
+    (``fixpoints._conjugate_of``) and its parametrized fixed point at each
+    parameter met (``fixpoints._pfix_of``).  The memo is no field: it
+    neither compares nor copies, and it goes when the instance goes."""
 
     body: FunctionalExpr
     param_space: HomSpace
@@ -63,10 +63,5 @@ def apply_param(psi: ParamExpr, x, p):
 
 
 def conj_param(psi: ParamExpr) -> ParamExpr:
-    """Conjugate both arguments: extensionally (x, p) |-> psi(x+, p+)+.
-    Built once per instance of ``psi`` and kept in its memo."""
-    conjugate = psi._conjugate
-    if conjugate is None:
-        conjugate = ParamExpr(conj(psi.body), psi.param_space.flipped())
-        object.__setattr__(psi, "_conjugate", conjugate)
-    return conjugate
+    """Conjugate both arguments: extensionally (x, p) |-> psi(x+, p+)+."""
+    return ParamExpr(conj(psi.body), psi.param_space.flipped())

@@ -76,38 +76,55 @@ def denote(
     return PInjMorphism(obj, obj, tuple(table))
 
 
+# Z, S Z, S (S Z), ...: the interned numerals, grown on demand and published
+# whole, so a draw that races a growth still indexes a complete table.
+_numerals: tuple[Term, ...] = (Z(),)
+
+
+def numerals(limit: int) -> tuple[Term, ...]:
+    """The interned numerals indexed by value, every one below ``limit``
+    among them: the draws look numerals up instead of building them."""
+    global _numerals
+    nats = _numerals
+    if len(nats) < limit:
+        grown = list(nats)
+        while len(grown) < limit:
+            grown.append(S(grown[-1]))
+        _numerals = nats = tuple(grown)
+    return nats
+
+
 def random_value(rng: Random, max_size: int, atoms: tuple[str, ...] = ()) -> Term:
     """A random constructor term within the size budget."""
-    leaves = [Z(), Nil()] + [Atom(a) for a in sorted(atoms)]
-    if max_size <= 1:
-        return rng.choice(leaves)
-    kind = rng.randrange(4)
-    if kind == 0:
-        return rng.choice(leaves)
-    if kind == 1:
-        return S(random_value(rng, max_size - 1, atoms))
-    left = random_value(rng, (max_size - 1) // 2, atoms)
-    right = random_value(rng, (max_size - 1) // 2, atoms)
-    return Cons(left, right) if kind == 2 else Pair(left, right)
+    leaves = [Z(), Nil(), *map(Atom, sorted(atoms))]
+
+    def draw(budget: int) -> Term:
+        if budget <= 1:
+            return rng.choice(leaves)
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.choice(leaves)
+        if kind == 1:
+            return S(draw(budget - 1))
+        left = draw((budget - 1) // 2)
+        right = draw((budget - 1) // 2)
+        return Cons(left, right) if kind == 2 else Pair(left, right)
+
+    return draw(max_size)
 
 
 def random_peano_pair(rng: Random, limit: int = 24) -> Term:
-    def nat(n: int) -> Term:
-        t: Term = Z()
-        for _ in range(n):
-            t = S(t)
-        return t
-
-    return Pair(nat(rng.randrange(limit)), nat(rng.randrange(limit)))
+    """A pair of numerals below ``limit``."""
+    nats = numerals(limit)
+    return Pair(nats[rng.randrange(limit)], nats[rng.randrange(limit)])
 
 
 def random_nat_list(rng: Random, max_len: int = 5, limit: int = 6) -> Term:
+    """A list of at most ``max_len`` numerals below ``limit``."""
+    nats = numerals(limit)
     t: Term = Nil()
     for _ in range(rng.randrange(max_len + 1)):
-        head: Term = Z()
-        for _ in range(rng.randrange(limit)):
-            head = S(head)
-        t = Cons(head, t)
+        t = Cons(nats[rng.randrange(limit)], t)
     return t
 
 

@@ -9,8 +9,12 @@ that re-walks each pattern with ``syntax.match`` and ``instantiate`` on
 every call, the reference for the compiled ``Evaluator`` and its call table.
 ``reference_repr`` and ``reference_show`` print terms by direct recursion,
 the reference for the stack printer behind ``repr`` and ``show_term``.
-``reference_naturality`` is the plain nested loop that the per-call tables
-of ``check_naturality`` must agree with, check for check.  ``join_graphs``
+The ``reference_random_*`` draws are the value generators of
+``revlang.denote`` as first written, building every numeral one ``S`` at a
+time; the table-driven generators must match them object for object and
+call for call on the random stream.  ``reference_naturality`` is the plain
+nested loop that the per-call tables of ``check_naturality`` must agree
+with, check for check.  ``join_graphs``
 is the pinj join as a union of graphs given as dicts.  ``complement``
 and ``term_size`` are fixtures: a relation that breaks the dagger and order
 laws, and the node count that bounds ``enumerate_values``.
@@ -27,7 +31,9 @@ from revcat.functionals.param import apply_param
 from revcat.report import Checker
 from revcat.revlang.interp import STUCK, UNDEFINED
 from revcat.revlang.invert import invert_def
-from revcat.revlang.syntax import Atom, CallRef, Pair, Var, dagger_ref, instantiate, match, subterms
+from revcat.revlang.syntax import (
+    Atom, CallRef, Cons, Nil, Pair, S, Var, Z, dagger_ref, instantiate, match, subterms,
+)
 
 
 def reachability_closure(edges, n):
@@ -273,6 +279,43 @@ class ReferenceEvaluator:
                     return STUCK
             return instantiate(clause.out, env)
         return STUCK
+
+
+def reference_random_value(rng, max_size, atoms=()):
+    """``denote.random_value`` as it was first written: the leaves, atoms
+    sorted, made again at every node."""
+    leaves = [Z(), Nil()] + [Atom(a) for a in sorted(atoms)]
+    if max_size <= 1:
+        return rng.choice(leaves)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice(leaves)
+    if kind == 1:
+        return S(reference_random_value(rng, max_size - 1, atoms))
+    left = reference_random_value(rng, (max_size - 1) // 2, atoms)
+    right = reference_random_value(rng, (max_size - 1) // 2, atoms)
+    return Cons(left, right) if kind == 2 else Pair(left, right)
+
+
+def reference_numeral(n):
+    """S^n Z, built one S at a time."""
+    t = Z()
+    for _ in range(n):
+        t = S(t)
+    return t
+
+
+def reference_random_peano_pair(rng, limit=24):
+    """``denote.random_peano_pair`` with each numeral built anew."""
+    return Pair(reference_numeral(rng.randrange(limit)), reference_numeral(rng.randrange(limit)))
+
+
+def reference_random_nat_list(rng, max_len=5, limit=6):
+    """``denote.random_nat_list`` with each head built anew."""
+    t = Nil()
+    for _ in range(rng.randrange(max_len + 1)):
+        t = Cons(reference_numeral(rng.randrange(limit)), t)
+    return t
 
 
 def reference_repr(t):

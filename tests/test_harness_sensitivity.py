@@ -41,6 +41,7 @@ from revcat.order import KleeneResult
 from revcat.report import Violation
 from revcat.revlang.denote import random_peano_pair, roundtrip_check
 from revcat.revlang.interp import UNDEFINED, Evaluator
+from revcat.revlang import parser
 from revcat.revlang.parser import parse_program, parse_value
 from revcat.revlang.syntax import CallRef
 
@@ -55,6 +56,7 @@ from checkers import (
     mixed_family,
 )
 from oracles import complement
+import test_exit_contract
 
 # The packages export functions under these modules' names.
 trace_module = importlib.import_module("revcat.functionals.trace")
@@ -507,3 +509,12 @@ def test_a_violation_has_the_same_witness_text(monkeypatch, check):
     for v in report.violations:
         first.setdefault(v.law, v.witness)
     assert first == WITNESSES[check]
+
+
+def test_the_exit_contract_flags_a_parser_that_reads_past_its_last_token(monkeypatch):
+    # Without its end-of-input token the parser indexes past the end of the
+    # token list, and a raw IndexError escapes as exit 4.
+    tokenize = parser.tokenize
+    monkeypatch.setattr(parser, "tokenize", lambda source: tokenize(source)[:-1])
+    with pytest.raises(AssertionError, match="error: internal: IndexError"):
+        test_exit_contract.test_mutated_programs_keep_the_exit_contract()

@@ -68,8 +68,11 @@ def test_pfix_identity_alone_builds_no_conjugate(capsys, monkeypatch):
     monkeypatch.setattr(param, "conj_param", spy)
     assert _laws(capsys, RUN, ["pfix-identity"])["pfix-identity"]["checked"] > 0
     assert calls == []
+    # One build per drawn psi: the second suite that needs its conjugate
+    # finds it in the memo without calling conj_param.
     _laws(capsys, RUN, PFIX_SUITES)
-    assert len(calls) == 2 * 20
+    assert len(calls) == 20
+    assert len({id(psi) for psi in calls}) == 20
 
 
 def test_a_draw_and_its_conjugate_go_once_the_run_moves_past_them(capsys, monkeypatch):

@@ -162,6 +162,25 @@ def test_functional_laws_match_the_benchmark_golden(capture, index, argv):
 
 
 @pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("lang-roundtrip.0.json",
+         ["roundtrip", "bench/programs/add.rvl", "add", "--values", "peano", "--trials", "2000", "--seed", "1"]),
+        ("lang-roundtrip.1.json",
+         ["roundtrip", "bench/programs/map.rvl", "map", "--bind", "g=inc", "--values", "list",
+          "--trials", "2000", "--seed", "1"]),
+    ],
+)
+def test_roundtrips_match_the_benchmark_golden(capture, monkeypatch, golden, argv):
+    # From the repository root, as the benchmark runs, so "file" echoes the
+    # relative path the golden holds.
+    monkeypatch.chdir(ROOT)
+    code, out, _ = capture(*argv, "--format", "json")
+    assert code == 0
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
     "argv, named",
     [
         (["--category", "rel", "--suite", "dagger", "--max-size", "-1"], "--max-size"),
