@@ -5,8 +5,8 @@ itself.  A ``Param`` leaf reads a parameter that ``apply`` passes down the
 tree, so one tree with such leaves is a two-argument functional
 (``param.ParamExpr``).  Conjugation and documents are derived from the
 node's fields: morphisms (declared ``object``), hom-spaces and
-sub-expressions.  An opaque Host node is conjugated extensionally by
-wrapping it between daggers.  Both agree pointwise with h |-> phi(h+)+.
+sub-expressions; an opaque Host node's function is conjugated extensionally,
+by wrapping it between daggers.  All agree pointwise with h |-> phi(h+)+.
 """
 from __future__ import annotations
 
@@ -244,11 +244,15 @@ def refuse_param_leaves(phi: FunctionalExpr) -> None:
 
 # Conjugation daggers each morphism, flips each space and conjugates each
 # sub-expression (by the module-level name, which a tracer may wrap); a
-# Param leaf needs nothing more than its two spaces flipped.
+# Param leaf needs nothing more than its two spaces flipped.  A Host's
+# function is wrapped between daggers, h |-> fn(h+)+, and its name becomes
+# conj(name).
 _CONJ_RULES = {
     object: lambda m: m.dagger(),
     HomSpace: HomSpace.flipped,
     FunctionalExpr: lambda phi: conj(phi),
+    Callable: lambda fn: lambda h: fn(h.dagger()).dagger(),
+    str: lambda name: f"conj({name})",
 }
 # (h . m)+ = m+ . h+: conjugation trades pre- for post-composition.
 _CONJ_CLASS = {PreCompose: PostCompose, PostCompose: PreCompose}
@@ -256,13 +260,6 @@ _CONJ_CLASS = {PreCompose: PostCompose, PostCompose: PreCompose}
 
 def conj(phi: FunctionalExpr) -> FunctionalExpr:
     """The conjugate functional, extensionally h |-> phi(h+)+."""
-    if isinstance(phi, Host):
-        return Host(
-            lambda h, fn=phi.fn: fn(h.dagger()).dagger(),
-            phi.dom.flipped(),
-            phi.cod.flipped(),
-            name=f"conj({phi.name})",
-        )
     node_cls = type(phi)
     args = (_CONJ_RULES[kind](getattr(phi, name)) for name, kind in node_fields(node_cls))
     return _CONJ_CLASS.get(node_cls, node_cls)(*args)

@@ -14,9 +14,8 @@ from ..cat.pinj import PInjMorphism
 from ..errors import TooLarge
 from ..report import Checker, LawReport
 from .interp import Evaluator, closed_ref
-from .invert import invert_binding, invert_program
 from .parser import parse_callref_text
-from .syntax import Atom, CallRef, Cons, Nil, Pair, Program, S, Term, Z
+from .syntax import Atom, CallRef, Cons, Nil, Pair, Program, S, Term, Z, dagger_ref
 from .validate import require_valid
 
 
@@ -141,29 +140,31 @@ def roundtrip_check(
 ) -> LawReport:
     """Forward-then-inverse recovery on random values, plus the fuel-indexed
     form: at any shared fuel, the forward and inverse runs realize each
-    other's converse on the sampled points."""
+    other's converse on the sampled points.  The inverse is ``dagger_ref``
+    of the checked reference (``map<inc~>~`` for ``map<inc>``), run by the
+    same evaluator, as ``revcat run`` runs ``f~``."""
     require_valid(program)
     checker = Checker("roundtrip")
     fref = closed_ref(program, parse_callref_text(fname), bindings)
-    bref = invert_binding(fref, program)
-    forward, backward = Evaluator(program), Evaluator(invert_program(program))
+    bref = dagger_ref(fref)
+    evaluator = Evaluator(program)
     rng = Random(seed)
     gen = value_gen or (lambda r: random_value(r, value_bound, program.atoms))
     for _ in range(trials):
         v = gen(rng)
-        w = forward.call(fref, v, fuel)
+        w = evaluator.call(fref, v, fuel)
         if not isinstance(w, Term):
             checker.skip()
             continue
-        back = backward.call(bref, w, fuel)
+        back = evaluator.call(bref, w, fuel)
         checker.check(
             "roundtrip",
             back == v,
             "v={0!r} w={1!r} back={2!r}", v, w, back,
         )
         n = rng.randrange(1, fuel + 1)
-        forward_n = forward.call(fref, v, n)
-        backward_n = backward.call(bref, w, n)
+        forward_n = evaluator.call(fref, v, n)
+        backward_n = evaluator.call(bref, w, n)
         checker.check(
             "fuel-adjoint",
             (forward_n == w) == (backward_n == v),

@@ -420,3 +420,9 @@ def test_conj_of_every_node_class(node, structural):
         daggered = tuple(arg.dagger() for arg in args)
         assert _outcome(partial(apply, bar), args) == _outcome(lambda *a: apply(node, *a).dagger(), daggered)
         assert _outcome(partial(apply, twice), daggered) == _outcome(partial(apply, node), daggered)
+
+
+def test_a_host_conjugate_is_named_for_what_it_conjugates():
+    host = Host(lambda h: h, S3, S3, name="id")
+    assert conj(host).name == "conj(id)"
+    assert conj(conj(host)).name == "conj(conj(id))"

@@ -4,6 +4,7 @@ import json
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from revcat import order
 from revcat.cat.dstoch import StochMorphism
@@ -14,7 +15,7 @@ from revcat.cat.pinj import PInjMorphism
 from revcat.cat.rel import RelMorphism
 from revcat.cli import main
 from revcat.errors import IncompatibleJoin
-from revcat.functionals import fixpoints
+from revcat.functionals import expr, fixpoints
 from revcat.functionals.expr import (
     Const,
     Host,
@@ -41,7 +42,7 @@ from revcat.order import KleeneResult
 from revcat.report import Violation
 from revcat.revlang.denote import random_peano_pair, roundtrip_check
 from revcat.revlang.interp import UNDEFINED, Evaluator
-from revcat.revlang import parser
+from revcat.revlang import interp, parser
 from revcat.revlang.parser import parse_program, parse_value
 from revcat.revlang.syntax import CallRef
 
@@ -58,9 +59,8 @@ from checkers import (
 from oracles import complement
 import test_exit_contract
 
-# The packages export functions under these modules' names.
+# The module defines a function under its own name, trace.
 trace_module = importlib.import_module("revcat.functionals.trace")
-denote_module = importlib.import_module("revcat.revlang.denote")
 
 
 def test_non_natural_family_is_flagged():
@@ -460,7 +460,7 @@ def _self_conjugate(monkeypatch):
 
 def _roundtrip(monkeypatch):
     # An "inverse" of swap that leaves its input as it is.
-    monkeypatch.setattr(denote_module, "invert_program", lambda p: parse_program("fun swap_inv x = x\n"))
+    monkeypatch.setattr(interp, "invert_def", lambda fdef: parse_program("fun swap x = x\n").defs["swap"])
     pairs = lambda rng: random_peano_pair(rng, limit=4)
     return roundtrip_check(bundled_program("swap"), "swap", {}, 10, 5, 1, value_gen=pairs)
 
@@ -518,3 +518,14 @@ def test_the_exit_contract_flags_a_parser_that_reads_past_its_last_token(monkeyp
     monkeypatch.setattr(parser, "tokenize", lambda source: tokenize(source)[:-1])
     with pytest.raises(AssertionError, match="error: internal: IndexError"):
         test_exit_contract.test_mutated_programs_keep_the_exit_contract()
+
+
+def test_the_exit_contract_flags_a_document_reader_that_indexes_a_missing_field(monkeypatch):
+    # Reading a node's field without checking that the document has it lets
+    # a raw KeyError escape as exit 4.
+    monkeypatch.setattr(expr, "_field", lambda doc, key: doc[key])
+    # The test's own examples, unshrunk: the first failure is enough here.
+    case = test_exit_contract.test_mutated_functional_documents_keep_the_exit_contract.hypothesis.inner_test
+    unshrunk = settings(max_examples=250, deadline=None, database=None, derandomize=True, phases=[Phase.generate])
+    with pytest.raises(AssertionError, match="error: internal: KeyError"):
+        given(st.data())(unshrunk(case))()

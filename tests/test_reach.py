@@ -26,6 +26,7 @@ UNREACHED = {
     "revcat.functionals.fixpoints.pfix_functional": "the checked parametrized fixed point of the library",
     "revcat.revlang.syntax.match": "bench/tracer.py wraps it; tests/oracles.py runs it",
     "revcat.revlang.syntax.instantiate": "bench/tracer.py wraps it; tests/oracles.py runs it",
+    "revcat.revlang.invert.invert_binding": "bench/tracer.py wraps it; the tests name a binding's inverse in the renamed program with it",
     "revcat.revlang.denote.denote": "programs as partial injections, acceptance criterion 8",
     "revcat.revlang.denote.enumerate_values": "the universe denote evaluates on",
     "revcat.cat.dstoch.StochMorphism.homs": "the typed refusal of the protocol: dstoch hom-sets are not listed",

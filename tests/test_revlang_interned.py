@@ -5,14 +5,16 @@ import pkgutil
 import sys
 import threading
 from itertools import count
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from revcat.errors import ParseError
 from revcat.revlang import syntax
-from revcat.revlang.denote import random_value, roundtrip_check
-from revcat.revlang.invert import invert_program
+from revcat.revlang.denote import denote, random_value, roundtrip_check
+from revcat.revlang.interp import Evaluator
+from revcat.revlang.invert import invert_binding, invert_program
 from revcat.revlang.parser import KEYWORDS, MAX_NESTING, parse_callref_text, parse_program, parse_value
 from revcat.revlang.syntax import (
     Atom,
@@ -28,6 +30,7 @@ from revcat.revlang.syntax import (
     Term,
     Var,
     Z,
+    dagger_ref,
     instantiate,
     show_callref,
     show_program,
@@ -204,6 +207,28 @@ def test_random_valid_programs_invert_print_and_run(program):
         return instantiate(lhs, {v: random_value(rng, 4, ("a",)) for v in term_vars(lhs)})
 
     assert roundtrip_check(program, entry.name, {}, trials=5, fuel=8, seed=0, value_gen=inputs).passed
+    # roundtrip runs dagger_ref(ref); the renamed program must run the same
+    # inverse, on the draws and their forward images, at full and cut fuel.
+    ref = CallRef(entry.name)
+    renamed, renamed_ref = Evaluator(inverted), invert_binding(ref, program)
+    evaluator, inverse = Evaluator(program), dagger_ref(ref)
+    rng = Random(0)
+    for _ in range(5):
+        v = inputs(rng)
+        for w in (v, evaluator.call(ref, v, 8)):
+            if isinstance(w, Term):
+                for fuel in (8, rng.randrange(1, 9)):
+                    assert renamed.call(renamed_ref, w, fuel) == evaluator.call(inverse, w, fuel), (w, fuel)
+
+
+@settings(max_examples=100, deadline=None)
+@given(programs())
+def test_in_random_valid_programs_the_inverse_reference_denotes_the_dagger(program):
+    # What roundtrip samples, on every term of at most five nodes: the
+    # inverse it runs, dagger_ref(r), denotes the converse of r.
+    entry = CallRef(next(iter(program.defs)))
+    forward = denote(program, entry.name, {}, universe_bound=5, fuel=8)
+    assert denote(program, show_callref(dagger_ref(entry)), {}, universe_bound=5, fuel=8) == forward.dagger()
 
 
 # -- values of depth 10^5 under the default recursion limit ----------------------

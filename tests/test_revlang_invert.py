@@ -1,19 +1,25 @@
 import importlib
+import json
 from pathlib import Path
+from random import Random
 
 import pytest
 
+from revcat.cli import main
 from revcat.errors import InvalidArgument
 from revcat.revlang.denote import (
+    VALUE_BOUND,
     denote,
     enumerate_values,
     random_nat_list,
     random_peano_pair,
+    random_value,
     roundtrip_check,
 )
+from revcat.revlang.interp import Evaluator, closed_ref
 from revcat.revlang.invert import invert_binding, invert_program, toggle_suffix
 from revcat.revlang.parser import parse_callref_text, parse_program, parse_value
-from revcat.revlang.syntax import CallRef, show_callref, show_program
+from revcat.revlang.syntax import CallRef, Term, dagger_ref, show_callref, show_program
 from revcat.revlang.validate import ValidationFailed, validate_program
 
 from bundled import BUNDLED, bundled_program
@@ -164,10 +170,68 @@ def test_roundtrip_runs_backwards_the_inverse_of_the_checked_reference(monkeypat
 
         return wrapper
 
-    for name in ("closed_ref", "invert_binding"):
+    for name in ("closed_ref", "dagger_ref"):
         monkeypatch.setattr(module, name, spy(getattr(module, name)))
     roundtrip_check(bundled_program("map"), "map", {"g": CallRef("inc")}, trials=3, fuel=50, seed=1)
-    assert seen == [("closed_ref", "map<inc>"), ("invert_binding", "map_inv<inc_inv>")]
+    assert seen == [("closed_ref", "map<inc>"), ("dagger_ref", "map<inc~>~")]
+
+
+# Programs whose renaming ``invert`` refuses, though each definition runs
+# backwards: ``roundtrip`` runs ``f~`` and needs no renaming.
+UNRENAMEABLE = [
+    ("fun in_inv x = x\nfun swap (a, b) = (b, a)\n", "swap"),
+    ("fun f_inv_inv x = x\n", "f_inv_inv"),
+]
+
+
+@pytest.mark.parametrize("source, fname", UNRENAMEABLE, ids=["keyword", "suffix-twice"])
+def test_roundtrip_checks_a_program_that_invert_cannot_rename(tmp_path, capsys, source, fname):
+    path = tmp_path / "p.rvl"
+    path.write_text(source, encoding="utf-8")
+    with pytest.raises(InvalidArgument):
+        invert_program(parse_program(source))
+    code = main(["roundtrip", str(path), fname, "--seed", "1", "--trials", "3", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["report"]["checked"] > 0
+
+
+# roundtrip's own draws for each bundled reference, as --values picks them.
+DRAWS = [
+    ("swap", "swap", {}, lambda rng: random_value(rng, VALUE_BOUND)),
+    ("add", "add", {}, random_peano_pair),
+    ("map", "map", {"g": CallRef("inc")}, random_nat_list),
+]
+
+
+@pytest.mark.parametrize("name, fname, bindings, draw", DRAWS, ids=[d[0] for d in DRAWS])
+def test_the_renamed_program_runs_each_inverse_as_dagger_ref_does(name, fname, bindings, draw):
+    # The renaming ``revcat invert`` prints against the inverse ``run`` and
+    # ``roundtrip`` evaluate, on forward images of seeded draws and on the
+    # draws themselves.
+    program = bundled_program(name)
+    ref = closed_ref(program, parse_callref_text(fname), bindings)
+    renamed, renamed_ref = Evaluator(invert_program(program)), invert_binding(ref, program)
+    evaluator, inverse = Evaluator(program), dagger_ref(ref)
+    rng = Random(1)
+    compared = 0
+    for _ in range(200):
+        v = draw(rng)
+        for w in (v, evaluator.call(ref, v, 50)):
+            if isinstance(w, Term):
+                fuel = rng.randrange(1, 51)
+                expected = evaluator.call(inverse, w, fuel)
+                assert renamed.call(renamed_ref, w, fuel) == expected, (w, fuel)
+                compared += expected == v
+    assert compared > 0
+
+
+def test_a_half_inverted_parametrized_reference_is_not_the_dagger():
+    # map<inc>~ inverts map but runs inc forwards: it is not the inverse
+    # of map<inc>, so test_denotation_of_the_inverse_is_the_dagger can fail.
+    program = bundled_program("map")
+    forward = denote(program, "map<inc>", {}, universe_bound=6, fuel=32)
+    assert denote(program, "map<inc>~", {}, universe_bound=6, fuel=32) != forward.dagger()
 
 
 def test_roundtrip_rejects_invalid_programs_before_running():
@@ -207,16 +271,21 @@ def test_denote_of_function_with_no_matching_clause_is_bottom():
     [
         ("add", "add", {}),
         ("map", "map", {"g": CallRef("inc")}),
+        ("swap", "swap", {}),
     ],
 )
 def test_denotation_of_the_inverse_is_the_dagger(name, fname, bindings):
     program = bundled_program(name)
+    forward = denote(program, fname, bindings, universe_bound=6, fuel=32)
+    assert len(forward.mapping) > 0
+    # The inverse as ``revcat invert`` names it, in the renamed program ...
     inverse = invert_program(program)
     inv_bindings = {k: invert_binding(r, program) for k, r in bindings.items()}
-    forward = denote(program, fname, bindings, universe_bound=6, fuel=32)
-    backward = denote(inverse, toggle_suffix(fname), inv_bindings, universe_bound=6, fuel=32)
-    assert len(forward.mapping) > 0
-    assert backward == forward.dagger()
+    assert denote(inverse, toggle_suffix(fname), inv_bindings, universe_bound=6, fuel=32) == forward.dagger()
+    # ... and as run and roundtrip evaluate it, dagger_ref in the same
+    # program: (fix Phi)+ = fix(conj Phi) for the language.
+    ref = closed_ref(program, parse_callref_text(fname), bindings)
+    assert denote(program, show_callref(dagger_ref(ref)), {}, universe_bound=6, fuel=32) == forward.dagger()
 
 
 def test_map_inverse_binding_semantics():

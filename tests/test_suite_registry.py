@@ -142,8 +142,10 @@ def test_trace_on_a_dstoch_document_is_an_input_error(capture, tmp_path):
 
 
 CORE_SUITES = ["--suite", "dagger", "--suite", "enrichment", "--suite", "monotone-dagger", "--suite", "order-iso"]
-# The golden file of each benchmark argv checked here, by parameter index.
-GOLDEN_FILES = ["laws-functional.0.json", "laws-functional.1.json", "laws-exhaustive.1.json", "laws-dstoch.0.json"]
+# The golden file of each benchmark argv checked here, by parameter index:
+# with the two roundtrip goldens below, every file of bench/golden.
+GOLDEN_FILES = ["laws-functional.0.json", "laws-functional.1.json", "laws-exhaustive.1.json", "laws-dstoch.0.json",
+                "laws-exhaustive.0.json"]
 
 
 @pytest.mark.parametrize(
@@ -153,6 +155,7 @@ GOLDEN_FILES = ["laws-functional.0.json", "laws-functional.1.json", "laws-exhaus
         (1, ["laws", "--category", "pinj", "--max-size", "2", "--seed", "1", "--trials", "500"]),
         (2, ["laws", "--category", "pinj", "--sizes", "0,1,2,3", *CORE_SUITES]),
         (3, ["laws", "--category", "dstoch", "--trials", "2000", "--seed", "1", "--sizes", "1,2,3,4"]),
+        (4, ["laws", "--category", "rel", "--suite", "dagger", "--sizes", "3"]),
     ],
 )
 def test_functional_laws_match_the_benchmark_golden(capture, index, argv):
