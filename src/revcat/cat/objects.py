@@ -1,14 +1,16 @@
 """Finite objects, each a size, and what the three morphism classes share:
 document readers, the hom-set check and ``_make``.
 
-Objects are interned: ``FinObject(n)`` is the one object of size ``n`` in the
-process, so objects compare and hash by identity, every object check is one
-``is``, a copy or an unpickled object is the original, and a ``size`` cannot
-be assigned or deleted."""
+Objects are interned by ``record.interned``: ``FinObject(n)`` is the one
+object of size ``n`` in the process, so objects compare and hash by
+identity, every object check is one ``is``, a copy or an unpickled object is
+the original, and objects are immutable: a ``size`` cannot be assigned or
+deleted.  A size is refused unless it is an int (not a bool) and
+nonnegative."""
 from __future__ import annotations
 
 from ..errors import DimensionMismatch, InvalidArgument, ParseError
-from ..record import refuse
+from ..record import interned
 
 # The most cells (source size x target size) a hom-set of rel or pinj may
 # have for ``enumerate_rel``/``enumerate_pinj`` to list it: 2**9 relations.
@@ -20,27 +22,18 @@ ENUMERATION_CAP = 9
 MAX_SIZE = 128
 
 
+@interned
 class FinObject:
     __slots__ = ("size",)
-    _interned: dict = {}
-    __setattr__ = __delattr__ = refuse
+    size: int
 
-    def __new__(cls, size: int) -> "FinObject":
-        # Refused before the lookup: 2.0 and True hash as 2 and 1.
+    @staticmethod
+    def _check(size) -> None:
+        # Run before the lookup: 2.0, True, Fraction(2) and Decimal(2) hash as 2.
         if type(size) is not int:
             raise InvalidArgument(f"object size must be an int, got {size!r}")
-        obj = cls._interned.get(size)
-        if obj is None:
-            if size < 0:
-                raise InvalidArgument(f"object size must be nonnegative, got {size}")
-            obj = object.__new__(cls)
-            object.__setattr__(obj, "size", size)
-            # Published whole, and once: threads that race here share one object.
-            obj = cls._interned.setdefault(size, obj)
-        return obj
-
-    def __reduce__(self):
-        return FinObject, (self.size,)
+        if size < 0:
+            raise InvalidArgument(f"object size must be nonnegative, got {size}")
 
     def __repr__(self):
         return f"FinObject({self.size})"

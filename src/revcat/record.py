@@ -1,4 +1,4 @@
-"""Frozen value classes, declared by their annotations.
+"""Frozen and interned value classes, declared by their annotations.
 
 ``frozen`` reads a class's fields once, in order, from the annotations of
 its own body.  These are strings, since every module uses ``from __future__
@@ -14,6 +14,19 @@ not define:
   out the fields the class names in ``_uncompared``;
 - ``__setattr__`` and ``__delattr__``, which raise ``FrozenInstanceError``;
 - ``__reduce__``, which is ``reduce_fields``.
+
+``interned`` reads the fields in the same way and makes the class's
+constructor return the one instance with the given field values, so
+instances compare and hash by identity (it installs no ``__eq__`` or
+``__hash__``) and a copy is the original.  The table of instances is
+``cls._interned``, keyed by the tuple of field values.  The constructor takes
+the fields by position only.  It calls ``cls._check(*values)``, where the
+class defines one, before the lookup: a value that is ``==`` to another and
+hashes as it does (``2.0`` and ``2``) is refused there, not handed that
+other's instance.  A new instance calls ``__post_init__()``, where the class
+defines one, once, before it is published.  The class gets ``__new__``, the
+refusing ``__setattr__`` and ``__delattr__``, and ``reduce_fields`` as
+``__reduce__``.
 
 Every method is a closure over the field names: no source is generated,
 compiled or executed.  A class with ``__slots__`` in its body keeps its
@@ -140,4 +153,38 @@ def frozen(cls):
         # A body that defines ``__eq__`` alone has ``__hash__`` set to None.
         if vars(cls).get(name) is None:
             setattr(cls, name, method)
+    return cls
+
+
+def interned(cls):
+    """Make ``cls`` an interned value class, as the module docstring says."""
+    defaults = tuple(default for default in fields(cls).values() if default is not REQUIRED)
+    count = len(cls._fields)
+    least = count - len(defaults)
+    fill = filler(cls)
+    check = getattr(cls, "_check", None)
+    post_init = getattr(cls, "__post_init__", None)
+    table = cls._interned = {}
+    new = object.__new__
+
+    def __new__(cls, *values):
+        if check is not None:
+            check(*values)
+        made = table.get(values)
+        if made is None:
+            if least <= len(values) < count:
+                return __new__(cls, *values, *defaults[len(values) - least:])
+            if len(values) != count:
+                raise TypeError(f"{cls.__name__}() takes {count} field(s), got {len(values)}")
+            made = new(cls)
+            fill(made, values)
+            if post_init is not None:
+                post_init(made)
+            # Published whole, and once: threads that race here share one object.
+            made = table.setdefault(values, made)
+        return made
+
+    cls.__new__ = staticmethod(__new__)
+    cls.__setattr__ = cls.__delattr__ = refuse
+    cls.__reduce__ = reduce_fields
     return cls

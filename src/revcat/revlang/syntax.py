@@ -3,104 +3,78 @@
 One constructor-term type serves both values (variable-free terms) and
 patterns.  A term's children are its ``Term``-typed fields, in order;
 ``Atom`` and ``Var`` hold a name.  Terms are interned, one object per
-value, so ``==`` and ``hash`` are identity; walks over a term and its
-printing run on explicit stacks, so a value may nest any depth.
-``CONSTRUCTORS`` lists the classes the concrete syntax names.  Programs are clause-based: every clause has a
-left pattern, an ordered chain of let-bound calls, and an output
-pattern.  Calls reference defined functions or static function
-parameters, optionally carrying static arguments and an inversion mark
-(written ``~``).
+value, built by ``record.interned``, so ``==`` and ``hash`` are identity;
+walks over a term and its printing run on explicit stacks, so a value may
+nest any depth.  ``CONSTRUCTORS`` lists the classes the concrete syntax
+names.
+
+Programs are clause-based: every clause has a left pattern, an ordered
+chain of let-bound calls, and an output pattern.  Calls reference defined
+functions or static function parameters, optionally carrying static
+arguments and an inversion mark (written ``~``); a reference is interned
+as a term is.
 """
 from __future__ import annotations
 
 from typing import Collection, Optional
 
 from ..errors import ParseError
-from ..record import REQUIRED, fields, filler, frozen, reduce_fields, refuse
+from ..record import frozen, interned
 
 
 class Term:
     """A constructor term.  Each class interns its terms, so there is one
-    object per class and field values: terms compare and hash by identity."""
+    object per class and field values: terms compare and hash by identity.
+    A class's ``child_fields`` are its fields annotated ``"Term"``
+    (annotations are strings under ``from __future__``)."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        own = vars(cls).get("__annotations__", {})
+        cls.child_fields = tuple(name for name, kind in own.items() if kind == "Term")
 
     def __repr__(self):
         return _text(self, _repr_layout)
 
 
-def _interned(cls):
-    """Declare an interned class: its fields are read, and refuse
-    assignment, as in ``record.frozen``, and its constructor returns the one
-    instance with the given field values, made on first use, so instances
-    compare and hash by identity, and a copy is the original.  Trailing
-    fields with defaults may be left out.  Its ``child_fields`` are the fields annotated ``"Term"``
-    (annotations are strings under ``from __future__``).  Terms keep their
-    fields in ``__slots__``; ``CallRef``, whose fields have defaults, cannot."""
-    defaults = tuple(default for default in fields(cls).values() if default is not REQUIRED)
-    names = cls._fields
-    cls.child_fields = tuple(name for name in names if cls.__annotations__[name] == "Term")
-    fill = filler(cls)
-    least = len(names) - len(defaults)
-    table: dict[tuple, object] = {}
-    new = object.__new__
-
-    def __new__(cls, *values):
-        made = table.get(values)
-        if made is None:
-            if least <= len(values) < len(names):
-                return __new__(cls, *values, *defaults[len(values) - least:])
-            if len(values) != len(names):
-                raise TypeError(f"{cls.__name__} takes {len(names)} field(s), got {len(values)}")
-            made = new(cls)
-            fill(made, values)
-            # Published whole, and once: threads that race here share one object.
-            made = table.setdefault(values, made)
-        return made
-
-    cls.__new__ = staticmethod(__new__)
-    cls.__setattr__ = cls.__delattr__ = refuse
-    cls.__reduce__ = reduce_fields
-    return cls
-
-
-@_interned
+@interned
 class Z(Term):
     __slots__ = ()
 
 
-@_interned
+@interned
 class S(Term):
     __slots__ = ("arg",)
     arg: Term
 
 
-@_interned
+@interned
 class Nil(Term):
     __slots__ = ()
 
 
-@_interned
+@interned
 class Cons(Term):
     __slots__ = ("head", "tail")
     head: Term
     tail: Term
 
 
-@_interned
+@interned
 class Pair(Term):
     __slots__ = ("left", "right")
     left: Term
     right: Term
 
 
-@_interned
+@interned
 class Atom(Term):
     __slots__ = ("name",)
     name: str
 
 
-@_interned
+@interned
 class Var(Term):
     __slots__ = ("name",)
     name: str
@@ -214,7 +188,7 @@ def unifiable(p: Term, q: Term) -> bool:
 # -- program structure -------------------------------------------------------
 
 
-@_interned
+@interned
 class CallRef:
     """Reference to a function: a defined name or an in-scope parameter,
     with optional static arguments and an inversion mark.  Interned."""

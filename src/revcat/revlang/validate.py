@@ -24,22 +24,6 @@ class Issue:
         return f"{where}: {self.message}"
 
 
-class ValidationReport:
-    """The issues ``validate_program`` found, in the order it found them."""
-
-    def __init__(self):
-        self.issues: list[Issue] = []
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-    def __str__(self):
-        if self.ok:
-            return "valid"
-        return "\n".join(str(issue) for issue in self.issues)
-
-
 def check_ref(ref: CallRef, program: Program, params: tuple[str, ...], add) -> None:
     """Pass ``add`` an error, in textual order, for each undefined name and
     wrong static argument count in ``ref``, a call in a definition with ``params``."""
@@ -60,11 +44,9 @@ def check_ref(ref: CallRef, program: Program, params: tuple[str, ...], add) -> N
         stack += reversed(ref.args)
 
 
-def _check_clause(
-    fdef: FuncDef, index: int, clause: Clause, program: Program, report: ValidationReport
-) -> None:
+def _check_clause(fdef: FuncDef, index: int, clause: Clause, program: Program, issues: list[Issue]) -> None:
     def add(message: str | Exception) -> None:
-        report.issues.append(Issue(fdef.name, index, str(message)))
+        issues.append(Issue(fdef.name, index, str(message)))
 
     bound: list[str] = list(term_vars(clause.lhs))
     used: list[str] = []
@@ -105,11 +87,12 @@ def _check_clause(
             add(f"atom '{a} is not declared")
 
 
-def validate_program(program: Program) -> ValidationReport:
-    report = ValidationReport()
+def validate_program(program: Program) -> list[Issue]:
+    """The issues of ``program``, in the order they are found; none if it is valid."""
+    issues: list[Issue] = []
     for fdef in program.defs.values():
         def add_def(message: str, fdef=fdef) -> None:
-            report.issues.append(Issue(fdef.name, 0, message))
+            issues.append(Issue(fdef.name, 0, message))
 
         if len(set(fdef.params)) != len(fdef.params):
             add_def("duplicate parameter names")
@@ -118,7 +101,7 @@ def validate_program(program: Program) -> ValidationReport:
                 add_def(f"parameter {p!r} shadows a defined function")
 
         for i, clause in enumerate(fdef.clauses, start=1):
-            _check_clause(fdef, i, clause, program, report)
+            _check_clause(fdef, i, clause, program, issues)
 
         for i in range(len(fdef.clauses)):
             for j in range(i + 1, len(fdef.clauses)):
@@ -126,7 +109,7 @@ def validate_program(program: Program) -> ValidationReport:
                     add_def(f"clauses {i + 1} and {j + 1} have overlapping inputs")
                 if unifiable(fdef.clauses[i].out, fdef.clauses[j].out):
                     add_def(f"clauses {i + 1} and {j + 1} have overlapping outputs")
-    return report
+    return issues
 
 
 class ValidationFailed(RevcatError):
@@ -135,7 +118,7 @@ class ValidationFailed(RevcatError):
 
 def require_valid(program: Program) -> Program:
     """``program`` itself, if it validates; else raise ``ValidationFailed``."""
-    report = validate_program(program)
-    if not report.ok:
-        raise ValidationFailed(str(report))
+    issues = validate_program(program)
+    if issues:
+        raise ValidationFailed("\n".join(map(str, issues)))
     return program

@@ -57,10 +57,16 @@ def test_laws_enumerate_each_hom_set_once(monkeypatch, capsys):
 
     spy(revcat.cat.rel, "enumerate_rel")
     spy(revcat.cat.pinj, "enumerate_pinj")
-    # A fresh table, so that spaces built by earlier tests are not reused.
-    monkeypatch.setattr(HomSpace, "_interned", {})
+    # An empty table, so that spaces built by earlier tests are not reused.
+    # The constructor closes over the table, so it is cleared, then restored.
+    saved = dict(HomSpace._interned)
+    HomSpace._interned.clear()
     suites = ["fix-adjoint", "pfix-adjoint", "conj-preservation", "pfix-identity"]
     argv = ["laws", "--category", "pinj", "--max-size", "2", "--seed", "1", "--trials", "30"]
-    assert main(argv + [arg for suite in suites for arg in ("--suite", suite)]) == 0
+    try:
+        assert main(argv + [arg for suite in suites for arg in ("--suite", suite)]) == 0
+    finally:
+        HomSpace._interned.clear()
+        HomSpace._interned.update(saved)
     capsys.readouterr()
     assert calls and max(calls.values()) == 1

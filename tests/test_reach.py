@@ -47,8 +47,6 @@ UNREACHED = {
     "revcat.revlang.syntax.Program.__eq__": "programs compare by value in the tests: double inversion",
     # No command copies or pickles a value; the tests do, for every value class.
     "revcat.record.reduce_fields": "a frozen or interned value copied or pickled, rebuilt by its constructor",
-    "revcat.cat.objects.FinObject.__reduce__": "an object copied or pickled: the interned object again",
-    "revcat.cat.ops.HomSpace.__reduce__": "a hom-set copied or pickled: the interned space again",
     "revcat.revlang.interp._Undefined.__reduce__": "the sentinel copied or pickled: itself",
     "revcat.revlang.interp._Stuck.__reduce__": "the sentinel copied or pickled: itself",
 }

@@ -75,7 +75,7 @@ INVERTED_SHIFT = (
 )
 def test_inverted_programs_print_as_pinned(source, expected):
     program = parse_program(source)
-    assert validate_program(program).ok
+    assert validate_program(program) == []
     assert show_program(invert_program(program)) == expected
 
 
@@ -90,7 +90,7 @@ def test_inverted_bindings_name_the_renamed_definitions():
 def test_inverted_program_validates_and_runs_backwards():
     add = bundled_program("add")
     inv = invert_program(add)
-    assert validate_program(inv).ok
+    assert validate_program(inv) == []
     assert evaluate(inv, "add_inv", {}, parse_value("(S Z, S (S Z))"), 10) == \
         parse_value("(S Z, S Z)")
 
@@ -131,7 +131,7 @@ def test_a_suffix_that_cannot_be_part_of_a_name_is_refused(suffix):
 )
 def test_a_renaming_that_does_not_undo_itself_is_refused(source, named):
     program = parse_program(source)
-    assert validate_program(program).ok
+    assert validate_program(program) == []
     with pytest.raises(InvalidArgument) as err:
         invert_program(program)
     assert named in str(err.value)
@@ -286,6 +286,36 @@ def test_denotation_of_the_inverse_is_the_dagger(name, fname, bindings):
     # program: (fix Phi)+ = fix(conj Phi) for the language.
     ref = closed_ref(program, parse_callref_text(fname), bindings)
     assert denote(program, show_callref(dagger_ref(ref)), {}, universe_bound=6, fuel=32) == forward.dagger()
+
+
+@pytest.mark.parametrize(
+    "name,bindings,most",
+    [("swap", {}, 1), ("add", {}, 6), ("map", {"g": CallRef("inc")}, 4)],
+    ids=["swap", "add", "map<inc>"],
+)
+def test_every_kleene_stage_of_the_inverse_is_the_dagger_of_the_stage(name, bindings, most):
+    # Stage n is the denotation at fuel n, on the 9,168 terms of at most
+    # eight nodes.  The inverse reference denotes the dagger at every stage,
+    # the stages ascend, and stage n holds exactly the points whose least
+    # fuel, read from one call table filled at fuel 64, is at most n, each
+    # with its image there, where the image has at most eight nodes too.
+    # ``most`` is the largest least fuel of a point of the universe.
+    program = bundled_program(name)
+    universe = enumerate_values(8, program.atoms)
+    index = {v: i for i, v in enumerate(universe)}
+    ref = closed_ref(program, parse_callref_text(name), bindings)
+    inverse = show_callref(dagger_ref(ref))
+    evaluator = Evaluator(program)
+    for v in universe:
+        evaluator.call(ref, v, 64)
+    _, row = evaluator._compiled[ref]
+    least = {index[v]: (index.get(w), need) for v, (w, need) in row.items() if v in index and isinstance(w, Term)}
+    assert {need for _, need in least.values()} == set(range(1, most + 1))
+    stages = [denote(program, name, bindings, universe_bound=8, fuel=n) for n in range(1, 9)]
+    for n, stage in enumerate(stages, start=1):
+        assert denote(program, inverse, {}, universe_bound=8, fuel=n) == stage.dagger(), n
+        assert stage.mapping == {i: j for i, (j, need) in least.items() if need <= n and j is not None}, n
+    assert all(lower.leq(upper) for lower, upper in zip(stages, stages[1:]))
 
 
 def test_map_inverse_binding_semantics():

@@ -31,7 +31,7 @@ fun mirror (Cons l r) = let l2 = mirror l in let r2 = mirror r in Cons r2 l2
 
 def program(source):
     p = parse_program(source)
-    assert validate_program(p).ok, str(validate_program(p))
+    assert validate_program(p) == []
     return p
 
 
@@ -44,7 +44,7 @@ def test_source_level_inverse_calls_run_backwards():
 def test_inverting_a_program_with_marked_calls():
     p = program(DEC)
     inv = invert_program(p)
-    assert validate_program(inv).ok
+    assert validate_program(inv) == []
     # dec ran inc backwards, so dec_inv runs inc forwards via a marked
     # reference to the renamed definition
     assert "inc_inv~" in show_program(inv)

@@ -14,7 +14,7 @@ SELF_OVERLAP = "fun f (x, (x, x)) = x\nfun f (x, (x, x)) = x\n"
 
 
 def test_nonlinear_self_overlap_validates_and_reports():
-    issues = [str(i) for i in validate_program(parse_program(SELF_OVERLAP)).issues]
+    issues = [str(i) for i in validate_program(parse_program(SELF_OVERLAP))]
     assert any("binds a variable twice" in i for i in issues)
     assert any("overlapping inputs" in i for i in issues)
 

@@ -54,7 +54,7 @@ def test_multi_parameter_definition_runs_and_inverts():
         "fun both<g, h> (a, b) = let c = g a in let d = h b in (d, c)\n"
     )
     program = parse_program(source)
-    assert validate_program(program).ok
+    assert validate_program(program) == []
     bindings = {"g": CallRef("inc"), "h": CallRef("inc", (), True)}
     value = parse_value("(Z, S Z)")
     image = evaluate(program, "both", bindings, value, 50)

@@ -5,12 +5,12 @@ from bundled import BUNDLED, bundled_program
 
 
 def issues_of(source):
-    return [str(i) for i in validate_program(parse_program(source)).issues]
+    return [str(i) for i in validate_program(parse_program(source))]
 
 
 def test_bundled_programs_are_valid():
     for name in BUNDLED:
-        assert validate_program(bundled_program(name)).ok
+        assert validate_program(bundled_program(name)) == []
 
 
 def test_output_overlap_detected():
@@ -53,4 +53,4 @@ def test_parameter_shadowing_rejected():
 def test_undeclared_atom_rejected():
     issues = issues_of("fun f 'red = 'red")
     assert any("not declared" in i for i in issues)
-    assert validate_program(parse_program("atom red\nfun f 'red = 'red")).ok
+    assert validate_program(parse_program("atom red\nfun f 'red = 'red")) == []

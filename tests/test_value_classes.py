@@ -4,7 +4,9 @@ frozen dataclass it replaces, and every value class copies and pickles.
 ``TABLE`` has one row per class: field values that construct it, and for
 each field another value.  The reference is a frozen dataclass twin made in
 the test, with the same fields, the same ones left out of comparison and the
-same values: ``repr``, ``==`` and ``hash`` must agree with it.
+same values: ``repr``, ``==`` and ``hash`` must agree with it.  The classes
+that ``record.interned`` builds have no row: each refuses assignment and
+deletion of every field, and a hom-set of its bottom and metric too.
 """
 from __future__ import annotations
 
@@ -96,7 +98,7 @@ TABLE = [
 # The fields that the dataclasses declared with ``compare=False``.
 UNCOMPARED = {Clause: ("line",), FuncDef: ("line",), NaturalFamily: ("component",)}
 
-# Constructions that ``__post_init__``, or ``FinObject.__new__``, refuses.
+# Constructions that ``__post_init__``, or ``FinObject._check``, refuses.
 INVALID = [
     (lambda: FinObject(-1), InvalidArgument),
     (lambda: RelMorphism(X, X, (8,)), DimensionMismatch),
@@ -172,32 +174,53 @@ def test_validation_still_runs_at_construction(build, error):
         build()
 
 
+# One value of each interned class.
+INTERNED = [FinObject(2), S2, Z(), S(Z()), Nil(), Cons(Z(), Nil()), Pair(Z(), Z()), Atom("a"), Var("x"),
+            CallRef("f", (CallRef("g"),), True)]
+# Each interned value with each attribute it refuses to change: its fields,
+# the bottom and metric that a hom-set derives from them, and a new name.
+REFUSED = [
+    (value, name)
+    for value in INTERNED
+    for name in (*type(value)._fields, *(("bottom", "metric") if type(value) is HomSpace else ()), "other")
+]
+
+
 def test_the_table_has_a_row_for_every_value_class():
     for info in pkgutil.walk_packages(revcat.__path__, "revcat."):
         importlib.import_module(info.name)
-    declared = {
+    classes = {
         value
         for name, module in list(sys.modules.items())
         if name.startswith("revcat.")
         for value in vars(module).values()
         if isinstance(value, type) and value.__module__ == name
-        and vars(value).get("__init__") is not None and vars(value)["__init__"].__module__ == record.__name__
+    }
+    declared = {
+        value for value in classes
+        if vars(value).get("__init__") is not None and vars(value)["__init__"].__module__ == record.__name__
     }
     assert declared == {row[0] for row in TABLE}
-    # FinObject is interned, one instance per size, and compares by
-    # identity: it refuses assignment as these classes do, but has no row.
-    assert FinObject not in declared and vars(FinObject)["__setattr__"] is record.refuse
+    # The interned classes compare by identity and have no row.  Each gets
+    # its constructor from ``record.interned``: no other class defines one.
+    interned = {value for value in classes if "__new__" in vars(value)}
+    assert interned == {type(value) for value in INTERNED}
+    for cls in interned:
+        assert vars(cls)["__new__"].__func__.__module__ == record.__name__, cls
+        assert vars(cls)["__setattr__"] is vars(cls)["__delattr__"] is record.refuse, cls
 
 
-def test_an_object_size_cannot_be_assigned_or_deleted():
-    obj = FinObject(2)
+@pytest.mark.parametrize("value, name", REFUSED, ids=[f"{type(value).__name__}-{name}" for value, name in REFUSED])
+def test_an_interned_value_cannot_be_assigned_or_deleted(value, name):
+    before = getattr(value, name, None)
     with pytest.raises(FrozenInstanceError, match="assign"):
-        obj.size = 3
+        setattr(value, name, RelMorphism.identity(X))
     with pytest.raises(FrozenInstanceError, match="delete"):
-        del obj.size
-    with pytest.raises(FrozenInstanceError):
-        obj.other = 3
-    assert obj.size == 2 and FinObject(2) is obj
+        delattr(value, name)
+    assert getattr(value, name, None) is before
+    assert type(value)(*[getattr(value, field) for field in type(value)._fields]) is value
+    # Every Kleene chain in a hom-set starts at its bottom.
+    assert HomSpace("rel", X, X).bottom == RelMorphism.bottom(X, X)
 
 
 ROUND_TRIPS = {
@@ -206,8 +229,7 @@ ROUND_TRIPS = {
     "pickle": lambda value: pickle.loads(pickle.dumps(value)),
 }
 # Interned values and sentinels: a round trip gives back the object itself.
-IDENTICAL = [FinObject(2), S2, Z(), S(Z()), Nil(), Cons(Z(), Nil()), Pair(Z(), Z()), Atom("a"), Var("x"),
-             CallRef("f", (CallRef("g"),), True), UNDEFINED, STUCK]
+IDENTICAL = INTERNED + [UNDEFINED, STUCK]
 # One value per other class; a Host holds a host function and is left out.
 COPIED = [cls(*values) for cls, values, _ in TABLE if cls is not Host]
 COPIED.append(Program(("a",), {"f": FuncDef("f", (), (CLAUSE,), 1)}))
