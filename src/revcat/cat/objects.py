@@ -1,5 +1,6 @@
 """Finite objects, each a size, and what the three morphism classes share:
-document readers, the hom-set check and ``_make``.
+document readers, the hom-set check and ``_make``, which shares the rel and
+pinj values of every listable hom-set.
 
 Objects are interned by ``record.interned``: ``FinObject(n)`` is the one
 object of size ``n`` in the process, so objects compare and hash by
@@ -64,20 +65,63 @@ def same_hom(f, g) -> None:
         raise DimensionMismatch(f"{f!r} and {g!r} live in different hom-sets")
 
 
+class Shared:
+    """The base of a morphism class whose ``_make`` shares values: slots for
+    what a shared value's body alone fixes, which ``_make`` sets to None and
+    the class fills on first use.  Both rel and pinj keep the converse in
+    ``_converse``; rel keeps its subset-join table in ``_table``.  An
+    unshared value leaves both unset, so it holds no memo."""
+    __slots__ = ("_converse", "_table")
+
+
+# Write a shared value's memos past its frozen ``__setattr__``.  A memo is
+# computed from its own value and written on it alone, never on another
+# value: a converse finds its original through ``_make`` on its own first
+# ``dagger``.
+keep_converse, keep_table = Shared._converse.__set__, Shared._table.__set__
+
+
 def trusted_make(cls):
     """Give the frozen value class ``cls``, slotted over the fields
     ``(src, dst, body)``, its ``_make(src, dst, body)``: a value built
     without validation, only for bodies valid by construction.  It sets the
     fields through the class's own slot descriptors, bound here once, which
-    write past the frozen ``__setattr__``."""
+    write past the frozen ``__setattr__``.
+
+    A class derived from ``Shared`` gets a ``_make`` that shares values: in
+    a hom-set that ``HomSpace.morphisms()`` may list (at most
+    ``ENUMERATION_CAP`` cells), it returns the one object per ``(src, dst,
+    body)``, kept in ``cls._shared``, with its memos set to None.  Past that
+    bound it builds a fresh value, as it does for every other class.  The
+    public constructors, ``copy`` and ``pickle`` build fresh values, and
+    values still compare by value: identity is not equality."""
     new = object.__new__
     set_src, set_dst, set_body = (vars(cls)[name].__set__ for name in cls._fields)
 
-    def _make(src: FinObject, dst: FinObject, body):
+    def fresh(src: FinObject, dst: FinObject, body):
         self = new(cls)
         set_src(self, src)
         set_dst(self, dst)
         set_body(self, body)
+        return self
+
+    if not issubclass(cls, Shared):
+        cls._make = staticmethod(fresh)
+        return cls
+    shared = cls._shared = {}
+    find, publish = shared.get, shared.setdefault
+
+    def _make(src: FinObject, dst: FinObject, body):
+        if src.size * dst.size > ENUMERATION_CAP:
+            return fresh(src, dst, body)
+        key = (src, dst, body)
+        self = find(key)
+        if self is None:
+            self = fresh(src, dst, body)
+            keep_converse(self, None)
+            keep_table(self, None)
+            # Published whole, and once: threads that race here share one object.
+            self = publish(key, self)
         return self
 
     cls._make = staticmethod(_make)

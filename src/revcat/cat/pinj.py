@@ -9,6 +9,11 @@ constructors, and operations whose results are valid by construction build
 them with ``PInjMorphism._make``, which fills the slots directly.
 ``from_rel`` validates.  ``join`` checks only what can fail, the injectivity
 of the merged table, since a join of compatible graphs can be non-injective.
+
+As in ``rel``, ``_make`` shares the values of every listable hom-set
+(``objects.trusted_make``).  A shared value keeps its converse, so
+``f.dagger().dagger() is f``; a value past the bound keeps no memo and
+inverts its table on each ``dagger``.
 """
 from __future__ import annotations
 
@@ -18,13 +23,26 @@ from typing import ClassVar, Optional
 
 from ..errors import DimensionMismatch, IncompatibleJoin, ParseError, TooLarge
 from ..record import frozen
-from .objects import ENUMERATION_CAP, MAX_SIZE, FinObject, read_nat, require_fields, same_hom, trusted_make
+from .objects import (
+    ENUMERATION_CAP, MAX_SIZE, FinObject, Shared, keep_converse, read_nat, require_fields, same_hom,
+    trusted_make,
+)
 from .rel import RelMorphism
+
+
+def _transpose(table: tuple[Optional[int], ...], src: FinObject, dst: FinObject) -> "PInjMorphism":
+    """The converse of the partial injection ``table`` from ``src`` to
+    ``dst``: its inverse, as a map from ``dst`` to ``src``."""
+    inverse: list[Optional[int]] = [None] * dst.size
+    for i, j in enumerate(table):
+        if j is not None:
+            inverse[j] = i
+    return PInjMorphism._make(dst, src, tuple(inverse))
 
 
 @trusted_make
 @frozen
-class PInjMorphism:
+class PInjMorphism(Shared):
     __slots__ = ("src", "dst", "table")
     category: ClassVar[str] = "pinj"
     has_joins: ClassVar[bool] = True
@@ -35,6 +53,8 @@ class PInjMorphism:
     # Written out, not left to ``frozen``: it is the hot ``cat.eq``, and the
     # body, compared first, settles most unequal pairs.
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return self.table == other.table and self.src is other.src and self.dst is other.dst
         return NotImplemented
@@ -115,23 +135,27 @@ class PInjMorphism:
         """self . other, i.e. run ``other`` first."""
         if other.dst is not self.src:
             raise DimensionMismatch(f"cannot compose {self!r} after {other!r}")
-        table = tuple(
-            self.table[j] if j is not None else None for j in other.table
-        )
+        mine = self.table
+        table = tuple([None if j is None else mine[j] for j in other.table])
         return PInjMorphism._make(other.src, self.dst, table)
 
     def dagger(self) -> "PInjMorphism":
-        table: list[Optional[int]] = [None] * self.dst.size
-        for i, j in enumerate(self.table):
-            if j is not None:
-                table[j] = i
-        return PInjMorphism._make(self.dst, self.src, tuple(table))
+        try:
+            converse = self._converse
+        except AttributeError:  # an unshared value keeps no memo
+            return _transpose(self.table, self.src, self.dst)
+        if converse is None:
+            converse = _transpose(self.table, self.src, self.dst)
+            keep_converse(self, converse)
+        return converse
 
     def leq(self, other: "PInjMorphism", tolerance: float = 0.0) -> bool:
         same_hom(self, other)
-        return all(
-            j is None or other.table[i] == j for i, j in enumerate(self.table)
-        )
+        theirs = other.table
+        for i, j in enumerate(self.table):
+            if j is not None and theirs[i] != j:
+                return False
+        return True
 
     def join(self, other: "PInjMorphism") -> "PInjMorphism":
         same_hom(self, other)

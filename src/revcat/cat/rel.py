@@ -10,26 +10,31 @@ check, because a result computed from valid operands is valid.  Values have
 slots and no ``__dict__``, and ``_make`` (``objects.trusted_make``) fills the
 slots directly.
 
-The dagger is the converse, a value fixed by the morphism alone, so the
-converse cache holds morphisms: ``dagger`` is one lookup in it, and while a
-relation stays cached its daggers are one shared object.
+The dagger is the converse, a value fixed by the morphism alone.  ``_make``
+shares the relations of every listable hom-set (``objects.trusted_make``),
+and a shared relation ``f`` keeps its converse; the converse's own
+``dagger`` finds ``f`` again through ``_make``, so
+``f.dagger().dagger() is f``.  Once ``f`` is the left operand of a
+``compose``, it also keeps the joins of its rows over every subset of its
+sources (the Four Russians table for boolean matrix products), and
+composing after it is one lookup per row of the right operand.  A relation
+past the bound keeps no memo: its converse is computed on each call, and it
+composes by peeling the lowest set bits of each right-hand row.
 """
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import product
 from operator import or_
 from typing import ClassVar
 
 from ..errors import DimensionMismatch, ParseError, TooLarge
 from ..record import frozen
-from .objects import ENUMERATION_CAP, FinObject, read_nat, require_fields, same_hom, trusted_make
+from .objects import (
+    ENUMERATION_CAP, FinObject, Shared, keep_converse, keep_table, read_nat, require_fields, same_hom,
+    trusted_make,
+)
 
-# The cache holds converse morphisms, twice as many as the largest hom-set
-# ``enumerate_rel`` builds, so the daggers of one exhaustive suite all stay
-# cached.  The key holds both objects: the rows do not fix the target, and
-# every Hom(0, n) has rows ``()``.
-@lru_cache(maxsize=2 ** (ENUMERATION_CAP + 1))
 def _transpose(rows: tuple[int, ...], src: FinObject, dst: FinObject) -> "RelMorphism":
     """The converse of the relation ``rows`` from ``src`` to ``dst``: its
     columns, as the rows of a morphism from ``dst`` to ``src``."""
@@ -44,9 +49,18 @@ def _transpose(rows: tuple[int, ...], src: FinObject, dst: FinObject) -> "RelMor
     return RelMorphism._make(dst, src, tuple(cols))
 
 
+def _subset_joins(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The join of ``rows`` over every subset of their indices: entry ``s``
+    is the union of the rows ``i`` with bit ``i`` of ``s`` set."""
+    table = [0]
+    for row in rows:
+        table += [joined | row for joined in table]
+    return tuple(table)
+
+
 @trusted_make
 @frozen
-class RelMorphism:
+class RelMorphism(Shared):
     __slots__ = ("src", "dst", "rows")
     category: ClassVar[str] = "rel"
     has_joins: ClassVar[bool] = True
@@ -57,6 +71,8 @@ class RelMorphism:
     # Written out, not left to ``frozen``: it is the hot ``cat.eq``, and the
     # body, compared first, settles most unequal pairs.
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return self.rows == other.rows and self.src is other.src and self.dst is other.dst
         return NotImplemented
@@ -138,6 +154,17 @@ class RelMorphism:
         """self . other, i.e. run ``other`` first."""
         if other.dst is not self.src:
             raise DimensionMismatch(f"cannot compose {self!r} after {other!r}")
+        try:
+            table = self._table
+        except AttributeError:  # an unshared value keeps no memo
+            table = ()
+        if table is None:
+            # Hom(n, 0) is shared at every n, and its table would have 2**n
+            # entries: past the cap none is built.
+            table = _subset_joins(self.rows) if self.src.size <= ENUMERATION_CAP else ()
+            keep_table(self, table)
+        if table:
+            return RelMorphism._make(other.src, self.dst, tuple([table[row] for row in other.rows]))
         mine = self.rows
         rows = []
         for row in other.rows:
@@ -150,7 +177,14 @@ class RelMorphism:
         return RelMorphism._make(other.src, self.dst, tuple(rows))
 
     def dagger(self) -> "RelMorphism":
-        return _transpose(self.rows, self.src, self.dst)
+        try:
+            converse = self._converse
+        except AttributeError:  # an unshared value keeps no memo
+            return _transpose(self.rows, self.src, self.dst)
+        if converse is None:
+            converse = _transpose(self.rows, self.src, self.dst)
+            keep_converse(self, converse)
+        return converse
 
     def leq(self, other: "RelMorphism", tolerance: float = 0.0) -> bool:
         same_hom(self, other)

@@ -9,6 +9,7 @@ from random import Random
 
 from revcat.cat.objects import FinObject
 from revcat.cat.ops import HomSpace, identity
+from revcat.cat.pinj import PInjMorphism
 from revcat.cat.rel import RelMorphism
 from revcat.errors import DimensionMismatch, IncompatibleJoin
 from revcat.functionals.expr import (
@@ -268,6 +269,55 @@ def check_pinj_join(join, size: int = 3) -> LawReport:
             valid and joined.mapping == expected,
             "f={0!r} g={1!r} join={2!r}", f, g, joined,
         )
+    return checker.done()
+
+
+def random_pinj(rng: Random, n: int, defined: float = 0.8) -> PInjMorphism:
+    """A seeded partial injection on ``FinObject(n)``: a random permutation,
+    kept at each point with probability ``defined``."""
+    targets = rng.sample(range(n), n)
+    table = tuple(j if rng.random() < defined else None for j in targets)
+    return PInjMorphism(FinObject(n), FinObject(n), table)
+
+
+def split_pinj(rng: Random, h: PInjMorphism) -> tuple[PInjMorphism, PInjMorphism]:
+    """Two parts of ``h`` whose join is ``h``: each point of its graph goes to
+    the first part, the second or both."""
+    sides = [rng.randrange(3) for _ in h.table]
+    first = tuple(j if side != 1 else None for j, side in zip(h.table, sides))
+    second = tuple(j if side != 0 else None for j, side in zip(h.table, sides))
+    return PInjMorphism(h.src, h.dst, first), PInjMorphism(h.src, h.dst, second)
+
+
+def check_pinj_in_rel(sizes=(5, 17, 64, 128), draws: int = 200, seed: int = 1) -> LawReport:
+    """``compose``, ``dagger``, ``leq`` and ``join`` of seeded partial
+    injections past the enumerated sizes commute with ``to_rel``.  A join
+    that pinj refuses must be a relation that is not a partial injection.
+    Each draw is a whole ``h`` split into two parts, for joins that are
+    defined and comparisons that hold, and an independent ``g``."""
+    checker = Checker("pinj-in-rel")
+    rng = Random(seed)
+    for n in sizes:
+        for _ in range(draws):
+            f, g = random_pinj(rng, n), random_pinj(rng, n)
+            part, rest = split_pinj(rng, f)
+            checker.check("compose", g.compose(f).to_rel() == g.to_rel().compose(f.to_rel()),
+                          "f={0!r} g={1!r}", f, g)
+            checker.check("dagger", f.dagger().to_rel() == f.to_rel().dagger(), "f={0!r}", f)
+            for a, b in ((part, f), (f, part), (f, g)):
+                checker.check("leq", a.leq(b) == a.to_rel().leq(b.to_rel()), "f={0!r} g={1!r}", a, b)
+            for a, b in ((part, rest), (f, g)):
+                joined = a.to_rel().join(b.to_rel())
+                try:
+                    ok = a.join(b).to_rel() == joined
+                except IncompatibleJoin:
+                    try:
+                        PInjMorphism.from_rel(joined)
+                    except DimensionMismatch:
+                        ok = True
+                    else:
+                        ok = False
+                checker.check("join", ok, "f={0!r} g={1!r}", a, b)
     return checker.done()
 
 

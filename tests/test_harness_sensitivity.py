@@ -1,6 +1,10 @@
 """The checkers must be able to fail: feed them deliberately broken input."""
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -53,12 +57,14 @@ from checkers import (
     check_dinaturality,
     check_fix_pfix_agreement,
     check_park_induction,
+    check_pinj_in_rel,
     check_pinj_join,
     mixed_family,
 )
 from oracles import complement
 import test_exit_contract
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 # The module defines a function under its own name, trace.
 trace_module = importlib.import_module("revcat.functionals.trace")
 
@@ -529,3 +535,77 @@ def test_the_exit_contract_flags_a_document_reader_that_indexes_a_missing_field(
     unshrunk = settings(max_examples=250, deadline=None, database=None, derandomize=True, phases=[Phase.generate])
     with pytest.raises(AssertionError, match="error: internal: KeyError"):
         given(st.data())(unshrunk(case))()
+
+
+# Faults under a memo, each set in a fresh process, so that no shared value
+# already holds a memo that the correct function built.  The table fault
+# leaves out the left operand's last row, which drops the paths through the
+# last middle point on both sides of (g.f)+ = f+.g+, so the dagger suite
+# cannot see it; the trace naturality law of dagger-trace does.
+MEMO_FAULTS = {
+    "none": ("", ["dagger"], 0),
+    "a rel converse that drops one pair": (
+        """
+transpose = rel._transpose
+def dropping(rows, src, dst):
+    cols = list(transpose(rows, src, dst).rows)
+    lowest = next((i for i, col in enumerate(cols) if col), None)
+    if lowest is not None:
+        cols[lowest] &= cols[lowest] - 1
+    return rel.RelMorphism._make(dst, src, tuple(cols))
+rel._transpose = dropping
+""",
+        ["dagger"],
+        1,
+    ),
+    "a subset-join table that leaves out the last row": (
+        """
+joins = rel._subset_joins
+rel._subset_joins = lambda rows: joins(rows[:-1] + (0,) if rows else rows)
+""",
+        ["dagger", "dagger-trace"],
+        1,
+    ),
+}
+RUN_LAWS = """
+import sys
+from revcat.cli import main
+suites = [arg for suite in sys.argv[1:] for arg in ("--suite", suite)]
+raise SystemExit(main(["laws", "--category", "rel", "--sizes", "0,1,2", *suites]))
+"""
+
+
+@pytest.mark.parametrize("fault", MEMO_FAULTS)
+def test_a_fault_under_a_rel_memo_is_still_caught(fault):
+    source, suites, code = MEMO_FAULTS[fault]
+    result = subprocess.run(
+        [sys.executable, "-c", "import revcat.cat.rel as rel\n" + source + RUN_LAWS, *suites],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == code, result.stdout + result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_the_pinj_embedding_check_flags_a_compose_that_drops_the_image_of_point_4(monkeypatch):
+    compose = PInjMorphism.compose
+
+    def dropping(g, f):
+        table = list(compose(g, f).table)
+        table[4:5] = [None] * len(table[4:5])
+        return PInjMorphism._make(f.src, g.dst, tuple(table))
+
+    monkeypatch.setattr(PInjMorphism, "compose", dropping)
+    report = check_pinj_in_rel(sizes=(5, 17), draws=50)
+    assert {v.law for v in report.violations} == {"compose"}
+
+
+def test_the_pinj_embedding_check_flags_a_join_that_drops_the_right_points_above_3(monkeypatch):
+    join = PInjMorphism.join
+
+    def dropping(f, g):
+        return join(f, PInjMorphism._make(g.src, g.dst, g.table[:4] + (None,) * len(g.table[4:])))
+
+    monkeypatch.setattr(PInjMorphism, "join", dropping)
+    report = check_pinj_in_rel(sizes=(5, 17), draws=50)
+    assert {v.law for v in report.violations} == {"join"}

@@ -6,6 +6,7 @@ from revcat.cat.ops import HomSpace
 from revcat.cat.pinj import PInjMorphism
 from revcat.errors import DimensionMismatch, IncompatibleJoin
 
+from checkers import check_pinj_in_rel
 from oracles import count_partial_injections
 
 X2 = FinObject(2)
@@ -101,3 +102,9 @@ def test_embedding_into_rel_is_a_faithful_dagger_functor():
             assert g.compose(f).to_rel() == g.to_rel().compose(f.to_rel())
             assert f.leq(g) == f.to_rel().leq(g.to_rel())
     assert len({f.to_rel() for f in homs2}) == len(homs2)  # faithful
+
+
+def test_pinj_ops_commute_with_the_embedding_into_rel_past_the_enumerated_sizes():
+    report = check_pinj_in_rel()
+    assert report.passed, report.violations[:3]
+    assert report.by_law == {"compose": 800, "dagger": 800, "leq": 2400, "join": 1600}

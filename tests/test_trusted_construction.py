@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from revcat.cat.dstoch import StochMorphism
-from revcat.cat.objects import ENUMERATION_CAP, MAX_SIZE, FinObject
+from revcat.cat.objects import ENUMERATION_CAP, MAX_SIZE, FinObject, Shared
 from revcat.cat.ops import MORPHISM_CLASSES, HomSpace
 from revcat.cat.pinj import PInjMorphism
-from revcat.cat.rel import RelMorphism, _transpose
+from revcat.cat.rel import RelMorphism
 from revcat.cat.serialize import loads_morphism
 from revcat.errors import DimensionMismatch, IncompatibleJoin
 from revcat.record import FrozenInstanceError
@@ -95,7 +95,8 @@ def test_rel_compose_and_dagger_agree_with_the_scalar_oracles_up_to_max_size(fg)
 
 def test_the_rel_converse_cache_is_keyed_by_both_objects_and_bounded():
     # Equal rows in different hom-sets: every Hom(0, n) has rows (), and
-    # both bottoms out of 2 have rows (0, 0).
+    # both bottoms out of 2 have rows (0, 0).  The converse is kept on the
+    # shared value, which ``_make`` keys by both objects and the rows.
     x0, x1, x2, x3 = map(FinObject, range(4))
     for (a, b), (c, d) in [((x0, x1), (x0, x2)), ((x2, x1), (x2, x3))]:
         f, g = RelMorphism.bottom(a, b), RelMorphism.bottom(c, d)
@@ -103,7 +104,9 @@ def test_the_rel_converse_cache_is_keyed_by_both_objects_and_bounded():
         assert f.dagger() != g.dagger()
         assert (f.dagger().src, f.dagger().dst) == (b, a)
         assert (g.dagger().src, g.dagger().dst) == (d, c)
-    assert _transpose.cache_info().maxsize == 2 ** (ENUMERATION_CAP + 1)
+        assert f.dagger().dagger() is f and g.dagger().dagger() is g
+    # Only values of listable hom-sets are shared, so only they keep a converse.
+    assert all(src.size * dst.size <= ENUMERATION_CAP for src, dst, _ in RelMorphism._shared)
 
 
 def test_pinj_dagger_and_compose_commute_with_the_embedding_into_rel():
@@ -179,11 +182,19 @@ def test_trusted_and_public_construction_give_the_same_value(cls, body):
 @pytest.mark.parametrize("cls", MORPHISM_CLASSES.values(), ids=MORPHISM_CLASSES.keys())
 def test_morphism_values_are_slotted(cls):
     x = FinObject(2)
+    # The fields are the class's own slots; a shared class keeps its memos
+    # in the slots of its ``Shared`` base.
     assert cls.__slots__ == cls._fields
+    memos = Shared.__slots__ if issubclass(cls, Shared) else ()
+    assert cls is StochMorphism or memos
     made = cls.identity(x)
     built = cls(*(getattr(made, name) for name in cls._fields))
     for m in (made, built, made.dagger(), made.compose(built)):
         assert not hasattr(m, "__dict__")
+    # ``_make`` shares ``made``, whose memos are set, and the public
+    # constructor builds ``built`` fresh, which keeps none.
+    assert all(hasattr(made, name) for name in memos)
+    assert not any(hasattr(built, name) for name in memos)
 
 
 X2 = FinObject(2)
