@@ -1,6 +1,7 @@
 """Finite objects, each a size, and what the three morphism classes share:
-document readers, the hom-set check and ``_make``, which shares the rel and
-pinj values of every listable hom-set.
+document readers, the hom-set check, ``_make``, which shares the rel and
+pinj values of every listable hom-set, and ``Shared``, the base of rel and
+pinj.
 
 Objects are interned by ``record.interned``: ``FinObject(n)`` is the one
 object of size ``n`` in the process, so objects compare and hash by
@@ -9,6 +10,9 @@ the original, and objects are immutable: a ``size`` cannot be assigned or
 deleted.  A size is refused unless it is an int (not a bool) and
 nonnegative."""
 from __future__ import annotations
+
+from functools import reduce
+from typing import ClassVar
 
 from ..errors import DimensionMismatch, InvalidArgument, ParseError
 from ..record import interned
@@ -66,17 +70,28 @@ def same_hom(f, g) -> None:
 
 
 class Shared:
-    """The base of a morphism class whose ``_make`` shares values: slots for
-    what a shared value's body alone fixes, which ``_make`` sets to None and
-    the class fills on first use.  Both rel and pinj keep the converse in
-    ``_converse``; rel keeps its subset-join table in ``_table``.  An
-    unshared value leaves both unset, so it holds no memo."""
+    """The base of rel and pinj: the members they state alike, and slots for
+    what a value's body alone fixes, unset until first use.  Every value,
+    shared or not, keeps its converse in ``_converse`` from its first
+    ``dagger``; a relation keeps in ``_table`` the subset-join table that its
+    first ``compose`` as the left operand chooses.  Sharing only decides how
+    often a value, and so its memos, is met again."""
     __slots__ = ("_converse", "_table")
+    has_joins: ClassVar[bool] = True
+
+    @classmethod
+    def sup(cls, chain: list) -> "Shared":
+        return reduce(cls.join, chain)
+
+    def isclose(self, other: "Shared", tolerance: float = 0.0) -> bool:
+        """Exact equality: relations and partial injections have no rounding
+        to tolerate."""
+        return self == other
 
 
-# Write a shared value's memos past its frozen ``__setattr__``.  A memo is
-# computed from its own value and written on it alone, never on another
-# value: a converse finds its original through ``_make`` on its own first
+# Write a memo past its value's frozen ``__setattr__``.  A memo is computed
+# from its own value and written on it alone, never on another value: a
+# converse finds a shared original through ``_make`` on its own first
 # ``dagger``.
 keep_converse, keep_table = Shared._converse.__set__, Shared._table.__set__
 
@@ -91,10 +106,11 @@ def trusted_make(cls):
     A class derived from ``Shared`` gets a ``_make`` that shares values: in
     a hom-set that ``HomSpace.morphisms()`` may list (at most
     ``ENUMERATION_CAP`` cells), it returns the one object per ``(src, dst,
-    body)``, kept in ``cls._shared``, with its memos set to None.  Past that
-    bound it builds a fresh value, as it does for every other class.  The
-    public constructors, ``copy`` and ``pickle`` build fresh values, and
-    values still compare by value: identity is not equality."""
+    body)``, kept in ``cls._shared``.  Past that bound it builds a fresh
+    value, as it does for every other class.  Shared or fresh, a new value
+    holds no memo.  The public constructors, ``copy`` and ``pickle`` build
+    fresh values, and values still compare by value: identity is not
+    equality."""
     new = object.__new__
     set_src, set_dst, set_body = (vars(cls)[name].__set__ for name in cls._fields)
 
@@ -117,11 +133,8 @@ def trusted_make(cls):
         key = (src, dst, body)
         self = find(key)
         if self is None:
-            self = fresh(src, dst, body)
-            keep_converse(self, None)
-            keep_table(self, None)
             # Published whole, and once: threads that race here share one object.
-            self = publish(key, self)
+            self = publish(key, fresh(src, dst, body))
         return self
 
     cls._make = staticmethod(_make)

@@ -10,14 +10,13 @@ them with ``PInjMorphism._make``, which fills the slots directly.
 ``from_rel`` validates.  ``join`` checks only what can fail, the injectivity
 of the merged table, since a join of compatible graphs can be non-injective.
 
-As in ``rel``, ``_make`` shares the values of every listable hom-set
-(``objects.trusted_make``).  A shared value keeps its converse, so
-``f.dagger().dagger() is f``; a value past the bound keeps no memo and
-inverts its table on each ``dagger``.
+As in ``rel``, every value keeps its converse from its first ``dagger``
+(``objects.Shared``), and ``_make`` shares the values of every listable
+hom-set (``objects.trusted_make``), so a shared value has
+``f.dagger().dagger() is f``.
 """
 from __future__ import annotations
 
-from functools import reduce
 from itertools import combinations, permutations
 from typing import ClassVar, Optional
 
@@ -45,7 +44,6 @@ def _transpose(table: tuple[Optional[int], ...], src: FinObject, dst: FinObject)
 class PInjMorphism(Shared):
     __slots__ = ("src", "dst", "table")
     category: ClassVar[str] = "pinj"
-    has_joins: ClassVar[bool] = True
     src: FinObject
     dst: FinObject
     table: tuple[Optional[int], ...]
@@ -97,10 +95,6 @@ class PInjMorphism(Shared):
         return enumerate_pinj(src, dst)
 
     @classmethod
-    def sup(cls, chain: list["PInjMorphism"]) -> "PInjMorphism":
-        return reduce(cls.join, chain)
-
-    @classmethod
     def from_rel(cls, r: RelMorphism) -> "PInjMorphism":
         """The partial injection whose graph is ``r``; refuses any other relation."""
         if any(row & (row - 1) for row in r.rows):
@@ -141,13 +135,11 @@ class PInjMorphism(Shared):
 
     def dagger(self) -> "PInjMorphism":
         try:
-            converse = self._converse
-        except AttributeError:  # an unshared value keeps no memo
-            return _transpose(self.table, self.src, self.dst)
-        if converse is None:
+            return self._converse
+        except AttributeError:  # the first dagger of this value
             converse = _transpose(self.table, self.src, self.dst)
             keep_converse(self, converse)
-        return converse
+            return converse
 
     def leq(self, other: "PInjMorphism", tolerance: float = 0.0) -> bool:
         same_hom(self, other)
@@ -177,10 +169,6 @@ class PInjMorphism(Shared):
                     raise IncompatibleJoin(f"not injective: target {j} hit twice")
                 seen.add(j)
         return PInjMorphism._make(self.src, self.dst, tuple(table))
-
-    def isclose(self, other: "PInjMorphism", tolerance: float = 0.0) -> bool:
-        """Exact equality: partial injections have no rounding to tolerate."""
-        return self == other
 
     def block_sum(self, other: "PInjMorphism") -> "PInjMorphism":
         """self (+) other: self on the leading blocks, other on the trailing ones."""

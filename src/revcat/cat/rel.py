@@ -10,20 +10,21 @@ check, because a result computed from valid operands is valid.  Values have
 slots and no ``__dict__``, and ``_make`` (``objects.trusted_make``) fills the
 slots directly.
 
-The dagger is the converse, a value fixed by the morphism alone.  ``_make``
+The dagger is the converse, a value fixed by the morphism alone, so every
+relation keeps it from its first ``dagger`` (``objects.Shared``).  ``_make``
 shares the relations of every listable hom-set (``objects.trusted_make``),
-and a shared relation ``f`` keeps its converse; the converse's own
-``dagger`` finds ``f`` again through ``_make``, so
-``f.dagger().dagger() is f``.  Once ``f`` is the left operand of a
-``compose``, it also keeps the joins of its rows over every subset of its
-sources (the Four Russians table for boolean matrix products), and
-composing after it is one lookup per row of the right operand.  A relation
-past the bound keeps no memo: its converse is computed on each call, and it
-composes by peeling the lowest set bits of each right-hand row.
+and the converse of a shared relation ``f`` finds ``f`` again through
+``_make`` on its own first ``dagger``, so ``f.dagger().dagger() is f``.  On
+its first ``compose`` as the left operand, a relation keeps the table that
+composing after it reads.  In a listable hom-set with at most
+``ENUMERATION_CAP`` sources that is the join of its rows over every subset
+of its sources (the Four Russians table for boolean matrix products), and
+composing is one lookup per row of the right operand.  Any other relation
+keeps an empty table and composes by peeling the lowest set bits of each
+right-hand row.
 """
 from __future__ import annotations
 
-from functools import reduce
 from itertools import product
 from operator import or_
 from typing import ClassVar
@@ -63,7 +64,6 @@ def _subset_joins(rows: tuple[int, ...]) -> tuple[int, ...]:
 class RelMorphism(Shared):
     __slots__ = ("src", "dst", "rows")
     category: ClassVar[str] = "rel"
-    has_joins: ClassVar[bool] = True
     src: FinObject
     dst: FinObject
     rows: tuple[int, ...]
@@ -109,10 +109,6 @@ class RelMorphism(Shared):
         return enumerate_rel(src, dst)
 
     @classmethod
-    def sup(cls, chain: list["RelMorphism"]) -> "RelMorphism":
-        return reduce(cls.join, chain)
-
-    @classmethod
     def from_rel(cls, r: "RelMorphism") -> "RelMorphism":
         return r
 
@@ -156,12 +152,12 @@ class RelMorphism(Shared):
             raise DimensionMismatch(f"cannot compose {self!r} after {other!r}")
         try:
             table = self._table
-        except AttributeError:  # an unshared value keeps no memo
-            table = ()
-        if table is None:
-            # Hom(n, 0) is shared at every n, and its table would have 2**n
-            # entries: past the cap none is built.
-            table = _subset_joins(self.rows) if self.src.size <= ENUMERATION_CAP else ()
+        except AttributeError:  # the first compose after this relation
+            n = self.src.size
+            # Hom(n, 0) is listable at every n, and its table would have
+            # 2**n entries: past the cap none is built.
+            listed = n <= ENUMERATION_CAP and n * self.dst.size <= ENUMERATION_CAP
+            table = _subset_joins(self.rows) if listed else ()
             keep_table(self, table)
         if table:
             return RelMorphism._make(other.src, self.dst, tuple([table[row] for row in other.rows]))
@@ -178,13 +174,11 @@ class RelMorphism(Shared):
 
     def dagger(self) -> "RelMorphism":
         try:
-            converse = self._converse
-        except AttributeError:  # an unshared value keeps no memo
-            return _transpose(self.rows, self.src, self.dst)
-        if converse is None:
+            return self._converse
+        except AttributeError:  # the first dagger of this relation
             converse = _transpose(self.rows, self.src, self.dst)
             keep_converse(self, converse)
-        return converse
+            return converse
 
     def leq(self, other: "RelMorphism", tolerance: float = 0.0) -> bool:
         same_hom(self, other)
@@ -193,10 +187,6 @@ class RelMorphism(Shared):
     def join(self, other: "RelMorphism") -> "RelMorphism":
         same_hom(self, other)
         return RelMorphism._make(self.src, self.dst, tuple(map(or_, self.rows, other.rows)))
-
-    def isclose(self, other: "RelMorphism", tolerance: float = 0.0) -> bool:
-        """Exact equality: relations have no rounding to tolerate."""
-        return self == other
 
     def block(self, row_lo: int, row_hi: int, col_lo: int, col_hi: int) -> "RelMorphism":
         """Sub-relation on index ranges [row_lo, row_hi) x [col_lo, col_hi)."""

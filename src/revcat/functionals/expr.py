@@ -5,8 +5,10 @@ itself.  A ``Param`` leaf reads a parameter that ``apply`` passes down the
 tree, so one tree with such leaves is a two-argument functional
 (``param.ParamExpr``).  Conjugation and documents are derived from the
 node's fields: morphisms (declared ``object``), hom-spaces and
-sub-expressions; an opaque Host node's function is conjugated extensionally,
-by wrapping it between daggers.  All agree pointwise with h |-> phi(h+)+.
+sub-expressions.  Conjugation is ``map_fields``, which rebuilds a node by
+one rule per field kind; an opaque Host node's function is conjugated
+extensionally, by wrapping it between daggers.  All agree pointwise with
+h |-> phi(h+)+.
 """
 from __future__ import annotations
 
@@ -258,11 +260,18 @@ _CONJ_RULES = {
 _CONJ_CLASS = {PreCompose: PostCompose, PostCompose: PreCompose}
 
 
+def map_fields(phi: FunctionalExpr, rules: dict, classes: dict | None = None) -> FunctionalExpr:
+    """``phi`` rebuilt with each field mapped by ``rules[kind]``, the rule
+    for the field's declared kind, as a node of ``phi``'s class or of the
+    class that ``classes`` maps it to."""
+    node_cls = type(phi)
+    args = (rules[kind](getattr(phi, name)) for name, kind in node_fields(node_cls))
+    return (classes.get(node_cls, node_cls) if classes else node_cls)(*args)
+
+
 def conj(phi: FunctionalExpr) -> FunctionalExpr:
     """The conjugate functional, extensionally h |-> phi(h+)+."""
-    node_cls = type(phi)
-    args = (_CONJ_RULES[kind](getattr(phi, name)) for name, kind in node_fields(node_cls))
-    return _CONJ_CLASS.get(node_cls, node_cls)(*args)
+    return map_fields(phi, _CONJ_RULES, _CONJ_CLASS)
 
 
 # -- documents --------------------------------------------------------------

@@ -7,7 +7,7 @@ assert both that a law holds and, on broken input, that it is caught.
 from itertools import product
 from random import Random
 
-from revcat.cat.objects import FinObject
+from revcat.cat.objects import ENUMERATION_CAP, FinObject
 from revcat.cat.ops import HomSpace, identity
 from revcat.cat.pinj import PInjMorphism
 from revcat.cat.rel import RelMorphism
@@ -22,6 +22,7 @@ from revcat.functionals.expr import (
     PreCompose,
     Seq,
     conj,
+    map_fields,
     node_fields,
 )
 from revcat.functionals.fixpoints import (
@@ -280,6 +281,19 @@ def random_pinj(rng: Random, n: int, defined: float = 0.8) -> PInjMorphism:
     return PInjMorphism(FinObject(n), FinObject(n), table)
 
 
+def random_rel(rng: Random, n: int, m: int) -> RelMorphism:
+    """A seeded relation, built fresh by the public constructor: each row
+    sparse, dense or drawn whole."""
+    mask = (1 << m) - 1
+    rows = []
+    for _ in range(n):
+        kind, sparse = rng.randrange(3), 0
+        for _ in range(3 if m else 0):
+            sparse |= 1 << rng.randrange(m)
+        rows.append((sparse, mask ^ sparse, rng.getrandbits(m))[kind])
+    return RelMorphism(FinObject(n), FinObject(m), tuple(rows))
+
+
 def split_pinj(rng: Random, h: PInjMorphism) -> tuple[PInjMorphism, PInjMorphism]:
     """Two parts of ``h`` whose join is ``h``: each point of its graph goes to
     the first part, the second or both."""
@@ -318,6 +332,64 @@ def check_pinj_in_rel(sizes=(5, 17, 64, 128), draws: int = 200, seed: int = 1) -
                     else:
                         ok = False
                 checker.check("join", ok, "f={0!r} g={1!r}", a, b)
+    return checker.done()
+
+
+def check_identity_compose(category: str, sizes=(0, 1, 2, 3, 16, 64, 128), draws: int = 200,
+                           seed: int = 1) -> LawReport:
+    """The identity laws of composition, id.f = f = f.id, on every morphism
+    of each listable Hom(x, y) with x and y in ``sizes``, and on ``draws``
+    seeded values of Hom(n, n) for each size n whose endo hom-set is not
+    listable."""
+    checker = Checker("identity-compose")
+    cls = {"rel": RelMorphism, "pinj": PInjMorphism}[category]
+    draw = {"rel": lambda rng, n: random_rel(rng, n, n), "pinj": random_pinj}[category]
+    rng = Random(seed)
+    listed = [
+        f for x, y in product(sizes, repeat=2) if x * y <= ENUMERATION_CAP
+        for f in HomSpace(category, FinObject(x), FinObject(y)).morphisms()
+    ]
+    drawn = [draw(rng, n) for n in sizes if n * n > ENUMERATION_CAP for _ in range(draws)]
+    for f in listed + drawn:
+        checker.check("identity-after", cls.identity(f.dst).compose(f) == f, "f={0!r}", f)
+        checker.check("identity-before", f.compose(cls.identity(f.src)) == f, "f={0!r}", f)
+    return checker.done()
+
+
+# The embedding E of pinj into rel, on functional trees: each morphism by
+# ``to_rel``, each space by the rel space on its objects.
+_TO_REL = {
+    object: lambda m: m.to_rel(),
+    HomSpace: lambda space: HomSpace("rel", space.src, space.dst),
+    FunctionalExpr: lambda phi: embed_in_rel(phi),
+}
+
+
+def embed_in_rel(phi: FunctionalExpr) -> FunctionalExpr:
+    """E(phi): the pinj tree ``phi`` rebuilt on rel, node for node."""
+    return map_fields(phi, _TO_REL)
+
+
+def check_pinj_fix_in_rel(trees: int = 2000, sizes=(1, 2, 3), seed: int = 1) -> LawReport:
+    """Least fixed points commute with the embedding into rel:
+    E(fix phi) = fix(E phi) and E(fix(conj phi)) = fix(conj(E phi)), on
+    ``trees`` seeded ``random_endo_functional`` trees on pinj Hom(x, y),
+    x and y in ``sizes`` in turn.  A tree whose pinj chain meets an
+    undefined join is a skip."""
+    checker = Checker("pinj-fix-in-rel")
+    rng = Random(seed)
+    spaces = [HomSpace("pinj", FinObject(x), FinObject(y)) for x, y in product(sizes, repeat=2)]
+    for i in range(trees):
+        phi = random_endo_functional(spaces[i % len(spaces)], rng)
+        on_rel = embed_in_rel(phi)
+        for law, tree, rel_tree in (("fix", phi, on_rel), ("fix-conj", conj(phi), conj(on_rel))):
+            try:
+                least = fix_functional(tree).value.to_rel()
+            except IncompatibleJoin:
+                checker.skip()
+                continue
+            rel_least = fix_functional(rel_tree).value
+            checker.check(law, least == rel_least, "phi={0!r} fix={1!r} rel={2!r}", tree, least, rel_least)
     return checker.done()
 
 

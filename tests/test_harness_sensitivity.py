@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from revcat import order
+from revcat import order, record
 from revcat.cat.dstoch import StochMorphism
 from revcat.cat.laws import LawConfig, law_suite
 from revcat.cat.objects import FinObject
@@ -265,6 +265,8 @@ def test_enrichment_suite_flags_a_rel_compose_that_relates_everything(monkeypatc
 
 
 def test_join_check_flags_a_pinj_join_that_skips_the_injectivity_test(monkeypatch):
+    fill = record.filler(PInjMorphism)
+
     def unchecked_join(f, g):
         table = list(f.table)
         for i, j in enumerate(g.table):
@@ -272,12 +274,19 @@ def test_join_check_flags_a_pinj_join_that_skips_the_injectivity_test(monkeypatc
                 if table[i] not in (None, j):
                     raise IncompatibleJoin(f"source {i} sent to both {table[i]} and {j}")
                 table[i] = j
-        return PInjMorphism._make(f.src, f.dst, tuple(table))
+        # Built unshared, past validation: ``_make`` would keep an invalid
+        # value in the shared table for the rest of the process.
+        joined = object.__new__(PInjMorphism)
+        fill(joined, (f.src, f.dst, tuple(table)))
+        return joined
 
     monkeypatch.setattr(PInjMorphism, "join", unchecked_join)
     report = check_pinj_join(PInjMorphism.join)
     assert {v.law for v in report.violations} == {"join-graph-union"}
     assert any(v.witness.startswith("f=PInj(3->3, {0: 0}) g=PInj(3->3, {1: 0}) ") for v in report.violations)
+    for cls in (RelMorphism, PInjMorphism):
+        for src, dst, body in list(cls._shared):
+            cls(src, dst, body)
 
 
 def test_dstoch_dagger_suite_flags_a_dagger_that_transposes_nothing(monkeypatch):
@@ -585,6 +594,28 @@ def test_a_fault_under_a_rel_memo_is_still_caught(fault):
     )
     assert result.returncode == code, result.stdout + result.stderr
     assert "Traceback" not in result.stderr
+
+
+# The identity laws at the enumerated sizes only, where left operands read
+# their subset-join tables.
+RUN_IDENTITY = """
+from checkers import check_identity_compose
+report = check_identity_compose("rel", sizes=(0, 1, 2, 3))
+print(len(report.violations), report.checked)
+raise SystemExit(0 if report.passed else 1)
+"""
+
+
+@pytest.mark.parametrize("fault", ["none", "a subset-join table that leaves out the last row"])
+def test_the_identity_laws_catch_a_subset_join_table_that_leaves_out_the_last_row(fault):
+    source, _, code = MEMO_FAULTS[fault]
+    result = subprocess.run(
+        [sys.executable, "-c", "import revcat.cat.rel as rel\n" + source + RUN_IDENTITY],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(Path(__file__).parent)])},
+    )
+    assert result.returncode == code, result.stdout + result.stderr
+    assert result.stdout.split() == (["1162", "1378"] if code else ["0", "1378"])
 
 
 def test_the_pinj_embedding_check_flags_a_compose_that_drops_the_image_of_point_4(monkeypatch):

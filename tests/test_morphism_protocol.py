@@ -11,7 +11,19 @@ from revcat.errors import DimensionMismatch, UnsupportedOperation
 from revcat.functionals.expr import JoinWith
 from revcat.order import kleene_fix
 
+from checkers import check_identity_compose
+
 X2 = FinObject(2)
+
+
+@pytest.mark.parametrize("category", ["rel", "pinj"])
+def test_identities_are_units_of_composition(category):
+    # Every listable hom-set of sizes 0..3, with Hom(0, n) and Hom(n, 0) for
+    # n in 16, 64 and 128, and 200 seeded draws of Hom(n, n) at each.
+    report = check_identity_compose(category)
+    assert report.passed, report.violations[:3]
+    listed = (689 if category == "rel" else 90) + 6
+    assert report.by_law == {"identity-after": listed + 600, "identity-before": listed + 600}
 
 
 @pytest.mark.parametrize("cls, body", [(RelMorphism, "rows"), (PInjMorphism, "table")])

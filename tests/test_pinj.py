@@ -6,7 +6,7 @@ from revcat.cat.ops import HomSpace
 from revcat.cat.pinj import PInjMorphism
 from revcat.errors import DimensionMismatch, IncompatibleJoin
 
-from checkers import check_pinj_in_rel
+from checkers import check_pinj_fix_in_rel, check_pinj_in_rel
 from oracles import count_partial_injections
 
 X2 = FinObject(2)
@@ -108,3 +108,12 @@ def test_pinj_ops_commute_with_the_embedding_into_rel_past_the_enumerated_sizes(
     report = check_pinj_in_rel()
     assert report.passed, report.violations[:3]
     assert report.by_law == {"compose": 800, "dagger": 800, "leq": 2400, "join": 1600}
+
+
+def test_fixed_points_commute_with_the_embedding_into_rel():
+    # E(fix phi) = fix(E phi) and E(fix(conj phi)) = fix(conj(E phi)), with
+    # E the tree rebuilt on rel, wherever the pinj chain stays defined.
+    report = check_pinj_fix_in_rel()
+    assert report.passed, report.violations[:3]
+    assert report.by_law == {"fix": 1711, "fix-conj": 1711}
+    assert report.skipped == 2 * (2000 - 1711)

@@ -105,7 +105,7 @@ def test_the_rel_converse_cache_is_keyed_by_both_objects_and_bounded():
         assert (f.dagger().src, f.dagger().dst) == (b, a)
         assert (g.dagger().src, g.dagger().dst) == (d, c)
         assert f.dagger().dagger() is f and g.dagger().dagger() is g
-    # Only values of listable hom-sets are shared, so only they keep a converse.
+    # Only values of listable hom-sets are shared.
     assert all(src.size * dst.size <= ENUMERATION_CAP for src, dst, _ in RelMorphism._shared)
 
 
@@ -189,12 +189,17 @@ def test_morphism_values_are_slotted(cls):
     assert cls is StochMorphism or memos
     made = cls.identity(x)
     built = cls(*(getattr(made, name) for name in cls._fields))
+    past = cls.identity(FinObject(ENUMERATION_CAP))
+    # No value holds a memo before its first use: the public constructor
+    # builds ``built`` fresh, and so does ``_make`` past the bound.
+    assert not any(hasattr(m, name) for m in (built, past) for name in memos)
     for m in (made, built, made.dagger(), made.compose(built)):
         assert not hasattr(m, "__dict__")
-    # ``_make`` shares ``made``, whose memos are set, and the public
-    # constructor builds ``built`` fresh, which keeps none.
-    assert all(hasattr(made, name) for name in memos)
-    assert not any(hasattr(built, name) for name in memos)
+    # Shared or not, each keeps an equal converse after a ``dagger``.
+    for m in (made, built, past):
+        converse = m.dagger()
+        if memos:
+            assert m._converse == converse
 
 
 X2 = FinObject(2)
