@@ -321,10 +321,13 @@ def _load_program(path: str):
 def _bindings_from(args) -> dict:
     bindings = {}
     for item in args.bind or []:
-        if "=" not in item:
+        name, eq, ref = item.partition("=")
+        name = name.strip()
+        if not (eq and name):
             raise ConfigError(f"--bind expects name=ref, got {item!r}")
-        name, ref = item.split("=", 1)
-        bindings[name.strip()] = parse_callref_text(ref.strip())
+        if name in bindings:
+            raise ConfigError(f"parameter {name!r} is bound twice")
+        bindings[name] = parse_callref_text(ref.strip())
     return bindings
 
 

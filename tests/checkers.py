@@ -4,9 +4,11 @@ Each returns a LawReport like the suites in ``revcat``, so a test can
 assert both that a law holds and, on broken input, that it is caught.
 ``evaluate`` runs one function reference as ``revcat run`` does.
 """
+from functools import cache
 from itertools import product
 from random import Random
 
+from revcat.cat.dstoch import StochMorphism
 from revcat.cat.objects import ENUMERATION_CAP, FinObject
 from revcat.cat.ops import HomSpace, identity
 from revcat.cat.pinj import PInjMorphism
@@ -332,6 +334,62 @@ def check_pinj_in_rel(sizes=(5, 17, 64, 128), draws: int = 200, seed: int = 1) -
                     else:
                         ok = False
                 checker.check("join", ok, "f={0!r} g={1!r}", a, b)
+    return checker.done()
+
+
+def to_stoch(f: PInjMorphism) -> StochMorphism:
+    """The square partial injection ``f`` as its 0/1 matrix.  It is built
+    unchecked; ``check_pinj_in_dstoch`` passes one embedding per draw
+    through the validating constructor."""
+    zeros, units = _unit_rows(f.dst.size)
+    return StochMorphism._make(f.src, f.dst, tuple(zeros if j is None else units[j] for j in f.table))
+
+
+@cache
+def _unit_rows(n: int):
+    """The zero row of width ``n``, and the unit row at each index."""
+    return (0.0,) * n, [tuple(float(j == k) for k in range(n)) for j in range(n)]
+
+
+def ascending_chain(rng: Random, h: PInjMorphism, length: int = 4) -> list[PInjMorphism]:
+    """``length`` restrictions of ``h``, each below the next, the last ``h``."""
+    points = [i for i, j in enumerate(h.table) if j is not None]
+    rng.shuffle(points)
+    cuts = sorted(rng.randrange(len(points) + 1) for _ in range(length - 1))
+    chain = []
+    for cut in cuts + [len(points)]:
+        kept = set(points[:cut])
+        chain.append(PInjMorphism(h.src, h.dst, tuple(j if i in kept else None for i, j in enumerate(h.table))))
+    return chain
+
+
+def check_pinj_in_dstoch(draws=None, seed: int = 1) -> LawReport:
+    """Identity, bottom, ``compose``, ``dagger`` and ``leq`` of seeded square
+    partial injections commute exactly with the embedding into dstoch as
+    valid 0/1 matrices, and sups of ascending chains commute with both
+    embeddings: into dstoch, where the sup is the entrywise max, and into
+    rel.  ``draws`` maps each size to its number of draws."""
+    checker = Checker("pinj-in-dstoch")
+    rng = Random(seed)
+    for n, count in (draws or {1: 200, 5: 200, 17: 200, 64: 50, 128: 10}).items():
+        x = FinObject(n)
+        checker.check("identity", to_stoch(PInjMorphism.identity(x)) == StochMorphism.identity(x), "n={0}", n)
+        checker.check("bottom", to_stoch(PInjMorphism.bottom(x, x)) == StochMorphism.bottom(x, x), "n={0}", n)
+        for _ in range(count):
+            f, g = random_pinj(rng, n), random_pinj(rng, n)
+            part, _ = split_pinj(rng, f)
+            ef, eg, epart = to_stoch(f), to_stoch(g), to_stoch(part)
+            checker.check("valid", StochMorphism(f.src, f.dst, ef.rows) == ef, "f={0!r}", f)
+            checker.check("compose", to_stoch(g.compose(f)) == eg.compose(ef), "f={0!r} g={1!r}", f, g)
+            checker.check("dagger", to_stoch(f.dagger()) == ef.dagger(), "f={0!r}", f)
+            for a, b, ea, eb in ((part, f, epart, ef), (f, part, ef, epart), (f, g, ef, eg)):
+                checker.check("leq", a.leq(b) == ea.leq(eb), "f={0!r} g={1!r}", a, b)
+            chain = ascending_chain(rng, f)
+            top = PInjMorphism.sup(chain)
+            checker.check("sup-dstoch", to_stoch(top) == StochMorphism.sup([to_stoch(c) for c in chain]),
+                          "chain={0!r}", chain)
+            checker.check("sup-rel", top.to_rel() == RelMorphism.sup([c.to_rel() for c in chain]),
+                          "chain={0!r}", chain)
     return checker.done()
 
 

@@ -667,6 +667,28 @@ def test_unknown_parameter_and_function_names_are_named(capture, map_file):
     assert (code, out, err) == (2, "", "error: unknown function 'nope'\n")
 
 
+@pytest.mark.parametrize("command", ["run", "roundtrip"])
+@pytest.mark.parametrize(
+    "binds, message",
+    [
+        (["g=inc", "g=inc~"], "parameter 'g' is bound twice"),
+        (["g=inc", " g =inc"], "parameter 'g' is bound twice"),
+        (["=inc"], "--bind expects name=ref, got '=inc'"),
+        ([" =inc"], "--bind expects name=ref, got ' =inc'"),
+    ],
+    ids=["twice", "twice-spaced", "no-name", "blank-name"],
+)
+def test_a_parameter_bound_twice_or_without_a_name_is_refused(capture, map_file, tmp_path, command, binds, message):
+    # The last binding used to win, silently, and a blank name reached the
+    # reference check as a parameter named ''.
+    rest = ["--arg", "Cons Z Nil"] if command == "run" else ["--seed", "1", "--values", "list"]
+    flags = [arg for bind in binds for arg in ("--bind", bind)]
+    assert capture(command, map_file, "map", *flags, *rest) == (2, "", f"error: {message}\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"bind": binds}))
+    assert capture("--config", str(config), command, map_file, "map", *rest) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "ref, bind, message",
     [

@@ -6,7 +6,7 @@ from revcat.cat.ops import HomSpace
 from revcat.cat.pinj import PInjMorphism
 from revcat.errors import DimensionMismatch, IncompatibleJoin
 
-from checkers import check_pinj_fix_in_rel, check_pinj_in_rel
+from checkers import check_pinj_fix_in_rel, check_pinj_in_dstoch, check_pinj_in_rel
 from oracles import count_partial_injections
 
 X2 = FinObject(2)
@@ -108,6 +108,15 @@ def test_pinj_ops_commute_with_the_embedding_into_rel_past_the_enumerated_sizes(
     report = check_pinj_in_rel()
     assert report.passed, report.violations[:3]
     assert report.by_law == {"compose": 800, "dagger": 800, "leq": 2400, "join": 1600}
+
+
+def test_pinj_ops_and_sups_commute_with_the_embedding_into_dstoch():
+    # 200 draws at sizes 1, 5 and 17, 50 at 64 and 10 at 128.
+    report = check_pinj_in_dstoch()
+    assert report.passed, report.violations[:3]
+    draws = 3 * 200 + 50 + 10
+    assert report.by_law == {"identity": 5, "bottom": 5, "valid": draws, "compose": draws, "dagger": draws,
+                             "leq": 3 * draws, "sup-dstoch": draws, "sup-rel": draws}
 
 
 def test_fixed_points_commute_with_the_embedding_into_rel():
