@@ -26,6 +26,21 @@ def test_caught(fault, detector):
     assert mismatches(FAULTS[fault].expect[detector], got) == [], got
 
 
+NOT_NATURAL = "a family that is not natural"
+
+
+def test_non_natural_family_is_flagged():
+    assert not outcome_of(NOT_NATURAL, "naturality-mixed")["passed"]
+
+
+@pytest.mark.parametrize("fault, detector", [pytest.param(NOT_NATURAL, "naturality-mixed", id="naturality")])
+def test_a_violation_has_the_same_witness_text(fault, detector):
+    # The first witness of each law, as text: a change to how a checker
+    # draws or prints its witnesses shows here.
+    got = outcome_of(fault, detector)["witness"]
+    assert got == FAULTS[fault].expect[detector]["witness"]
+
+
 def test_a_wrong_symbolic_conjugate_would_be_caught():
     # the correct conjugate swaps pre/post composition; keeping PostCompose
     # (a plausible rewrite bug) yields a different fixed point, so the
